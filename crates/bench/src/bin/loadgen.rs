@@ -407,12 +407,15 @@ impl RunOutcome {
             Some(d) => format!(
                 ",\n      \"merged_reads\": {{\"reads\": {}, \"unchanged\": {}, \
                  \"deltas\": {}, \"fulls\": {}, \"unchanged_rate\": {:.4}, \
+                 \"delta_rate\": {:.4}, \"full_rate\": {:.4}, \
                  \"bytes_out\": {}, \"bytes_in\": {}}}",
                 d.reads,
                 d.unchanged,
                 d.deltas,
                 d.fulls,
                 d.unchanged_rate(),
+                d.delta_rate(),
+                d.full_rate(),
                 d.bytes_out,
                 d.bytes_in,
             ),
@@ -1262,12 +1265,14 @@ fn run_replicated(
     if merged_reads.reads > 0 {
         println!(
             "[{label}] merged reads: {} snapshot roundtrips ({} unchanged, {} delta, \
-             {} full; unchanged-rate {:.2}), wire {} B out + {} B in",
+             {} full; rates {:.2} / {:.2} / {:.2}), wire {} B out + {} B in",
             merged_reads.reads,
             merged_reads.unchanged,
             merged_reads.deltas,
             merged_reads.fulls,
             merged_reads.unchanged_rate(),
+            merged_reads.delta_rate(),
+            merged_reads.full_rate(),
             merged_reads.bytes_out,
             merged_reads.bytes_in,
         );

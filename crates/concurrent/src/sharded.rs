@@ -25,55 +25,61 @@ use crate::{ConcurrentSketch, SketchHandle};
 use ivl_sketch::countmin::{CountMin, CountMinParams};
 use ivl_sketch::hash::PairwiseHash;
 use ivl_sketch::CoinFlips;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+/// Dirty-tracking blocks per row, within a factor of two: a block is
+/// the largest power-of-two run of columns that still leaves a row at
+/// least this many. An update dirties one block per row, so a moved
+/// cell re-sends under 1/128 of its row however wide the sketch, while
+/// the scan, the stamp memory and the pages a fresh sketch must fault
+/// in stay a few hundred stamps per row (DESIGN.md §14.2 has the
+/// measurements behind 128).
+const ROW_BLOCKS: usize = 128;
 
 /// Per-shard delta-snapshot metadata, written only by the shard's
 /// single writer (the same ownership discipline as the cells): a
-/// shard-local update epoch, plus per row the cumulative `[lo, hi)`
-/// span of columns ever touched and the epoch of the row's last touch.
+/// shard-local update epoch, plus one stamp per block of
+/// `1 << block_shift` columns of each row, holding the epoch of the op
+/// that last touched the block (0 = never).
 ///
-/// Spans are *cumulative* — they widen and never reset — so a reader
-/// diffing against an older epoch over-approximates the dirty set
-/// (extra columns resent, never a changed column missed): a column
-/// changed after the base epoch was touched by some op, and that op's
-/// span widen and row-epoch stamp are ordered before its epoch bump.
-/// Writer order per op is cells → spans → row epochs → shard epoch
-/// (all stores `Release`); a reader that loads the shard epoch (or a
-/// row epoch) with `Acquire` therefore sees every span and cell the
-/// ops it observed wrote.
+/// Writer order per op is cells → stamps → shard epoch (all stores
+/// `Release`); a reader that loads the shard epoch with `Acquire`
+/// therefore sees every stamp and cell of the ops it counted. A block
+/// stamped past a reader's base epoch was touched by an op the base
+/// does not cover and is re-sent; a stamp seen before its op commits
+/// only re-sends early, never misses. Stamps are last-touch marks, not
+/// cumulative: the dirty set stays as small as the writes since.
 #[derive(Debug)]
 struct ShardMeta {
     /// Shard-local op counter; bumped once per update/batch applied.
     epoch: AtomicU64,
-    /// Per-row cumulative touched-column span start (inclusive);
-    /// starts at `width` (empty span).
-    span_lo: Vec<AtomicU32>,
-    /// Per-row cumulative touched-column span end (exclusive).
-    span_hi: Vec<AtomicU32>,
-    /// Per-row shard-local epoch of the last touch (0 = never).
-    row_epoch: Vec<AtomicU64>,
+    /// Row-major `depth × blocks_per_row` last-touch epochs.
+    stamps: Vec<AtomicU64>,
+    blocks_per_row: usize,
+    block_shift: u32,
 }
 
 impl ShardMeta {
     fn new(depth: usize, width: usize) -> Self {
+        let block_shift = (width / ROW_BLOCKS).max(1).ilog2();
+        let blocks_per_row = ((width - 1) >> block_shift) + 1;
         ShardMeta {
             epoch: AtomicU64::new(0),
-            span_lo: (0..depth).map(|_| AtomicU32::new(width as u32)).collect(),
-            span_hi: (0..depth).map(|_| AtomicU32::new(0)).collect(),
-            row_epoch: (0..depth).map(|_| AtomicU64::new(0)).collect(),
+            stamps: (0..depth * blocks_per_row)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            blocks_per_row,
+            block_shift,
         }
     }
 
-    /// Single-writer: widens `row`'s cumulative span to cover
-    /// `[lo, hi)` and stamps the row as touched at `epoch`.
-    fn touch_row(&self, row: usize, lo: u32, hi: u32, epoch: u64) {
-        if lo < self.span_lo[row].load(Ordering::Relaxed) {
-            self.span_lo[row].store(lo, Ordering::Release);
+    /// Single-writer: marks the blocks of `row` holding `cols` as
+    /// touched at `epoch` (after the cell stores, before the commit).
+    fn stamp(&self, row: usize, cols: impl Iterator<Item = usize>, epoch: u64) {
+        let stamps = &self.stamps[row * self.blocks_per_row..][..self.blocks_per_row];
+        for col in cols {
+            stamps[col >> self.block_shift].store(epoch, Ordering::Release);
         }
-        if hi > self.span_hi[row].load(Ordering::Relaxed) {
-            self.span_hi[row].store(hi, Ordering::Release);
-        }
-        self.row_epoch[row].store(epoch, Ordering::Release);
     }
 
     /// Single-writer: the epoch the in-progress op will commit as.
@@ -82,7 +88,7 @@ impl ShardMeta {
     }
 
     /// Single-writer: publishes the op (ordered after its cell stores
-    /// and row touches).
+    /// and block stamps).
     fn commit(&self, epoch: u64) {
         self.epoch.store(epoch, Ordering::Release);
     }
@@ -118,7 +124,7 @@ pub struct ShardedPcm {
     hashes: Vec<PairwiseHash>,
     /// One padded [`CellArena`] per shard.
     shards: Vec<CellArena>,
-    /// One [`ShardMeta`] per shard (epoch + dirty spans), same
+    /// One [`ShardMeta`] per shard (epoch + block stamps), same
     /// single-writer ownership as the matching arena.
     meta: Vec<ShardMeta>,
     /// Single-writer ownership flags, one per shard. [`handle`]
@@ -291,33 +297,49 @@ impl ShardedPcm {
         out.extend(self.meta.iter().map(|m| m.epoch.load(Ordering::Acquire)));
     }
 
-    /// For each row, the union across shards of the cumulative
-    /// touched-column spans of shards whose row was touched after the
-    /// per-shard base epoch `base` (as captured by
-    /// [`shard_epochs_into`](Self::shard_epochs_into)). Rows clean
-    /// since `base` come back with an empty span (`lo >= hi`).
-    ///
-    /// The answer over-approximates (cumulative spans never narrow)
-    /// but never misses: a column changed after `base` was written by
-    /// an op whose span widen and row stamp precede its epoch bump,
-    /// and that bump is not yet in `base`.
+    /// The dirty set since `base` (a per-shard epoch vector captured
+    /// by [`shard_epochs_into`](Self::shard_epochs_into)) as
+    /// `(row, lo, hi)` column runs in row-major order: every block
+    /// some shard stamped after its base epoch, adjacent blocks
+    /// coalesced. Runs are block-granular (extra columns re-sent) but
+    /// never miss: a column changed after `base` was written by an op
+    /// whose stamp precedes its epoch bump, which is not in `base`.
     ///
     /// # Panics
     ///
     /// Panics if `base.len()` differs from the shard count.
-    pub fn dirty_spans_since(&self, base: &[u64]) -> Vec<(u32, u32)> {
+    pub fn dirty_spans_since(&self, base: &[u64]) -> Vec<(u32, u32, u32)> {
         assert_eq!(base.len(), self.meta.len(), "one base epoch per shard");
-        let (depth, width) = (self.params.depth, self.params.width);
-        let mut spans = vec![(width as u32, 0u32); depth];
+        let (blocks, shift) = (self.meta[0].blocks_per_row, self.meta[0].block_shift);
+        // One linear pass per shard that moved, OR-ed into a block
+        // bitmap; shards still at their base epoch are never scanned.
+        let mut dirty = vec![false; self.params.depth * blocks];
         for (meta, &since) in self.meta.iter().zip(base) {
-            for (row, span) in spans.iter_mut().enumerate() {
-                if meta.row_epoch[row].load(Ordering::Acquire) > since {
-                    span.0 = span.0.min(meta.span_lo[row].load(Ordering::Acquire));
-                    span.1 = span.1.max(meta.span_hi[row].load(Ordering::Acquire));
+            if meta.epoch.load(Ordering::Acquire) > since {
+                for (flag, stamp) in dirty.iter_mut().zip(&meta.stamps) {
+                    *flag |= stamp.load(Ordering::Acquire) > since;
                 }
             }
         }
-        spans
+        // Runs from the bitmap's edges, found without a data-dependent
+        // branch per block: `edges[..n]` alternates run starts and ends.
+        let mut runs = Vec::new();
+        let mut edges = vec![0u32; blocks + 1];
+        for (row, row_dirty) in dirty.chunks_exact(blocks).enumerate() {
+            let (mut n, mut prev) = (0, false);
+            for (block, &flag) in row_dirty.iter().enumerate() {
+                edges[n] = block as u32;
+                n += (flag != prev) as usize;
+                prev = flag;
+            }
+            edges[n] = blocks as u32;
+            n += prev as usize;
+            for pair in edges[..n].chunks_exact(2) {
+                let hi = (pair[1] << shift).min(self.params.width as u32);
+                runs.push((row as u32, pair[0] << shift, hi));
+            }
+        }
+        runs
     }
 
     /// Appends the summed (across shards) cell values of `row`'s
@@ -344,9 +366,9 @@ impl ShardedPcm {
 /// Single-writer add of `count` at one pre-hashed column per row:
 /// plain load + `Release` store per cell — no RMW, the shard has
 /// exactly one writer. The shared body of [`ShardHandle::update_by`],
-/// [`ShardLease::update_by`] and [`ShardLease::apply_rows`]. Folds the
-/// touched columns into the shard's delta metadata (span widen + row
-/// stamp per row, one epoch store per call — still store-only).
+/// [`ShardLease::update_by`] and [`ShardLease::apply_rows`]. Marks the
+/// touched blocks in the shard's delta metadata (one stamp per row,
+/// one epoch store per call — still store-only).
 fn add_at_cols(parent: &ShardedPcm, shard: usize, cols: impl Iterator<Item = usize>, count: u64) {
     let arena = &parent.shards[shard];
     let meta = &parent.meta[shard];
@@ -355,7 +377,7 @@ fn add_at_cols(parent: &ShardedPcm, shard: usize, cols: impl Iterator<Item = usi
         let cell = arena.cell(row, col);
         let cur = cell.load(Ordering::Relaxed);
         cell.store(cur + count, Ordering::Release);
-        meta.touch_row(row, col as u32, col as u32 + 1, epoch);
+        meta.stamp(row, std::iter::once(col), epoch);
     }
     meta.commit(epoch);
 }
@@ -450,18 +472,9 @@ impl ShardLease<'_> {
                 let cur = cell.load(Ordering::Relaxed);
                 cell.store(cur + counts[e], Ordering::Release);
             }
-            if n > 0 {
-                // One span widen per row for the whole frame: the
-                // coalesced columns' min/max, folded in after the cell
-                // stores so a reader that sees the row stamp sees the
-                // cells too.
-                let (mut lo, mut hi) = (cols[0], cols[0]);
-                for &c in &cols[1..n] {
-                    lo = lo.min(c);
-                    hi = hi.max(c);
-                }
-                meta.touch_row(row, lo, hi + 1, epoch);
-            }
+            // Stamps after the row's cell stores, so a reader that sees
+            // a stamp sees the cells it marks.
+            meta.stamp(row, cols[..n].iter().map(|&c| c as usize), epoch);
         }
         if n > 0 {
             meta.commit(epoch);
@@ -475,10 +488,10 @@ impl ShardLease<'_> {
     /// sketch equal the cell-wise merge of the two sketches
     /// (concatenated-stream semantics, like `CountMin::merge`). Same
     /// single-writer discipline as [`update_by`](Self::update_by):
-    /// plain load + `Release` store per touched cell, span widen + row
-    /// stamp per touched row, one epoch commit for the whole matrix.
-    /// Zero cells are skipped (no store, no span widen), so absorbing
-    /// a sparse peer keeps deltas sparse.
+    /// plain load + `Release` store and block stamp per touched cell,
+    /// one epoch commit for the whole matrix. Zero cells are skipped
+    /// (no store, no stamp), so absorbing a sparse peer keeps deltas
+    /// sparse.
     ///
     /// # Panics
     ///
@@ -494,7 +507,6 @@ impl ShardLease<'_> {
         for row in 0..depth {
             let row_cells = arena.row_cells(row);
             let src = &cells[row * width..(row + 1) * width];
-            let (mut lo, mut hi) = (width as u32, 0u32);
             for (col, &add) in src.iter().enumerate() {
                 if add == 0 {
                     continue;
@@ -502,11 +514,7 @@ impl ShardLease<'_> {
                 let cell = row_cells.cell(col);
                 let cur = cell.load(Ordering::Relaxed);
                 cell.store(cur + add, Ordering::Release);
-                lo = lo.min(col as u32);
-                hi = hi.max(col as u32 + 1);
-            }
-            if lo < hi {
-                meta.touch_row(row, lo, hi, epoch);
+                meta.stamp(row, std::iter::once(col), epoch);
                 touched = true;
             }
         }
@@ -708,50 +716,129 @@ mod tests {
         assert_eq!(sharded.cells_snapshot(), cm.cells());
     }
 
+    /// Wide enough for multi-column blocks: `1024 / ROW_BLOCKS`.
+    const BLOCK: usize = 8;
+
+    fn wide() -> CountMinParams {
+        CountMinParams {
+            width: 1024,
+            depth: 4,
+        }
+    }
+
+    /// Whether some returned run covers (`row`, `col`).
+    fn covered(runs: &[(u32, u32, u32)], row: usize, col: usize) -> bool {
+        runs.iter()
+            .any(|&(r, lo, hi)| r as usize == row && (lo as usize..hi as usize).contains(&col))
+    }
+
+    /// Every key's column of every row is inside a run of `runs`.
+    fn assert_keys_covered(sharded: &ShardedPcm, runs: &[(u32, u32, u32)], keys: &[u64]) {
+        for (row, h) in sharded.hashes().iter().enumerate() {
+            for &key in keys {
+                let col = h.hash_reduced(PairwiseHash::reduce(key));
+                assert!(
+                    covered(runs, row, col),
+                    "row {row}: no run covers col {col}"
+                );
+            }
+        }
+    }
+
     #[test]
-    fn epoch_tracks_updates_and_dirty_spans_cover_touches() {
+    fn a_row_has_between_one_and_two_times_row_blocks_blocks() {
+        // (width, columns per block, blocks per row): the serving
+        // default, the 1 MiB benchmark sketch, and a narrow one.
+        for (width, cols, blocks) in [(544, 4, 136), (27_183, 128, 213), (64, 1, 64)] {
+            let meta = ShardMeta::new(5, width);
+            assert_eq!(
+                (1usize << meta.block_shift, meta.blocks_per_row),
+                (cols, blocks)
+            );
+            assert_eq!(meta.stamps.len(), 5 * blocks);
+        }
+    }
+
+    #[test]
+    fn epoch_tracks_updates_and_dirty_runs_cover_touches() {
         let mut coins = CoinFlips::from_seed(9);
-        let sharded = ShardedPcm::new(params(), 2, &mut coins);
+        let sharded = ShardedPcm::new(wide(), 2, &mut coins);
         assert_eq!(sharded.epoch(), 0);
         let mut base = Vec::new();
         sharded.shard_epochs_into(&mut base);
         assert_eq!(base, vec![0, 0]);
-        // Nothing written: every span is empty.
-        for (lo, hi) in sharded.dirty_spans_since(&base) {
-            assert!(lo >= hi, "clean sketch has no dirty span");
-        }
+        assert!(sharded.dirty_spans_since(&base).is_empty(), "clean sketch");
         {
             let mut a = sharded.lease().expect("shard free");
             a.update_by(3, 10);
             a.update_by(11, 5);
         }
         assert_eq!(sharded.epoch(), 2, "one epoch bump per update");
-        let spans = sharded.dirty_spans_since(&base);
-        // Every row was touched; each span must cover both keys' cols.
-        for (row, h) in sharded.hashes().iter().enumerate() {
-            let (lo, hi) = spans[row];
-            for key in [3u64, 11] {
-                let col = h.hash_reduced(PairwiseHash::reduce(key)) as u32;
-                assert!(lo <= col && col < hi, "row {row} span misses col {col}");
-            }
+        let runs = sharded.dirty_spans_since(&base);
+        assert_keys_covered(&sharded, &runs, &[3, 11]);
+        // Two keys dirty at most two blocks per row, and runs are
+        // block-aligned, in range and non-empty.
+        let dirty_cols: u32 = runs.iter().map(|&(_, lo, hi)| hi - lo).sum();
+        assert!(dirty_cols as usize <= 2 * BLOCK * 4);
+        for &(_, lo, hi) in &runs {
+            assert!(lo < hi && hi <= 1024 && (lo as usize).is_multiple_of(BLOCK));
         }
         // The sparse range read agrees with the full snapshot.
         let full = sharded.cells_snapshot();
-        for (row, &(lo, hi)) in spans.iter().enumerate() {
+        for &(row, lo, hi) in &runs {
+            let (row, lo, hi) = (row as usize, lo as usize, hi as usize);
             let mut got = Vec::new();
-            sharded.sum_row_range_into(row, lo as usize, hi as usize, &mut got);
-            assert_eq!(got, full[row * 64 + lo as usize..row * 64 + hi as usize]);
+            sharded.sum_row_range_into(row, lo, hi, &mut got);
+            assert_eq!(got, full[row * 1024 + lo..row * 1024 + hi]);
         }
-        // Diffing against the current epoch vector reports clean rows.
+        // Diffing against the current epoch vector reports nothing.
         let mut now = Vec::new();
         sharded.shard_epochs_into(&mut now);
-        for (lo, hi) in sharded.dirty_spans_since(&now) {
-            assert!(lo >= hi, "no rows touched since the current epoch");
-        }
+        assert!(sharded.dirty_spans_since(&now).is_empty());
     }
 
     #[test]
-    fn batch_kernel_folds_spans_and_bumps_epoch_once() {
+    fn dirty_runs_track_the_writes_since_the_base_not_the_history() {
+        // However warm the sketch (every block touched long ago), one
+        // more write must dirty only its own blocks.
+        let mut coins = CoinFlips::from_seed(12);
+        let sharded = ShardedPcm::new(wide(), 2, &mut coins);
+        let mut a = sharded.lease().expect("shard free");
+        let mut b = sharded.lease().expect("shard free");
+        for key in 0..2_000u64 {
+            a.update_by(key, 1);
+            b.update_by(key + 7, 1);
+        }
+        let mut warm = Vec::new();
+        sharded.shard_epochs_into(&mut warm);
+        a.update_by(5, 1);
+        let runs = sharded.dirty_spans_since(&warm);
+        assert_keys_covered(&sharded, &runs, &[5]);
+        // One block per row, and a far-away block stays clean.
+        for (row, h) in sharded.hashes().iter().enumerate() {
+            let col = h.hash_reduced(PairwiseHash::reduce(5));
+            let row_runs: Vec<_> = runs.iter().filter(|r| r.0 as usize == row).collect();
+            assert_eq!(row_runs.len(), 1, "row {row}: one dirty block");
+            assert_eq!((row_runs[0].2 - row_runs[0].1) as usize, BLOCK);
+            assert!(!covered(&runs, row, (col + 2 * BLOCK) % 1024));
+        }
+        // Adjacent dirty blocks coalesce into one run, across shards.
+        let mut base = Vec::new();
+        sharded.shard_epochs_into(&mut base);
+        let (one, two) = (BLOCK as u32, 2 * BLOCK as u32);
+        a.apply_rows(&[one, 0, 0, 0], 1);
+        b.apply_rows(&[two, 0, 0, 0], 1);
+        let runs = sharded.dirty_spans_since(&base);
+        assert_eq!(runs[0], (0, one, two + one));
+        // A shard still at its base epoch contributes nothing: with
+        // shard a's base caught up, only b's block remains.
+        base[a.shard()] += 1;
+        let runs = sharded.dirty_spans_since(&base);
+        assert_eq!(runs[0], (0, two, two + one));
+    }
+
+    #[test]
+    fn batch_kernel_stamps_blocks_and_bumps_epoch_once() {
         let mut coins = CoinFlips::from_seed(10);
         let sharded = ShardedPcm::new(params(), 1, &mut coins);
         let mut base = Vec::new();
@@ -762,14 +849,7 @@ mod tests {
             l.apply_batch(&[(1, 2), (2, 3), (1, 1)], &mut scratch);
         }
         assert_eq!(sharded.epoch(), 1, "one epoch bump per batch frame");
-        let spans = sharded.dirty_spans_since(&base);
-        for (row, h) in sharded.hashes().iter().enumerate() {
-            let (lo, hi) = spans[row];
-            for key in [1u64, 2] {
-                let col = h.hash_reduced(PairwiseHash::reduce(key)) as u32;
-                assert!(lo <= col && col < hi, "row {row} span misses col {col}");
-            }
-        }
+        assert_keys_covered(&sharded, &sharded.dirty_spans_since(&base), &[1, 2]);
         // An empty frame changes nothing.
         {
             let mut l = sharded.lease().expect("shard free");
@@ -804,19 +884,12 @@ mod tests {
         assert_eq!(sharded.stream_len_estimate(), 20);
         assert!(sharded.estimate(3) >= 14);
         assert!(sharded.estimate(9) >= 6);
-        // One epoch bump for the whole matrix; dirty spans cover the
+        // One epoch bump for the whole matrix; the dirty runs cover the
         // absorbed columns so deltas against older bases still work.
         let mut now = Vec::new();
         sharded.shard_epochs_into(&mut now);
         assert_eq!(now.iter().sum::<u64>(), base.iter().sum::<u64>() + 1);
-        let spans = sharded.dirty_spans_since(&base);
-        for (row, h) in sharded.hashes().iter().enumerate() {
-            let (lo, hi) = spans[row];
-            for key in [3u64, 9] {
-                let col = h.hash_reduced(PairwiseHash::reduce(key)) as u32;
-                assert!(lo <= col && col < hi, "row {row} span misses col {col}");
-            }
-        }
+        assert_keys_covered(&sharded, &sharded.dirty_spans_since(&base), &[3, 9]);
         // An all-zero matrix is a no-op (no epoch bump).
         {
             let mut l = sharded.lease().expect("shard free");

@@ -148,18 +148,39 @@ pub enum SnapshotState {
     },
 }
 
-/// One sparse overwrite run of a CountMin delta: `values` replace the
-/// client's cached cells `[lo, lo + values.len())` of `row`. Runs
-/// carry current summed cell values (not increments), so applying a
-/// delta is idempotent and never double-counts.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One sparse overwrite run of a CountMin delta: the next `len` of the
+/// delta's `values` replace the client's cached cells `[lo, lo + len)`
+/// of `row`. Runs carry current summed cell values (not increments),
+/// so applying a delta is idempotent and never double-counts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CellRun {
     /// Matrix row the run overwrites.
     pub row: u32,
     /// First column (inclusive) of the overwrite.
     pub lo: u32,
-    /// The replacement cell sums.
-    pub values: Vec<u64>,
+    /// Number of cells the run overwrites.
+    pub len: u32,
+}
+
+impl CellRun {
+    /// Pairs each run with its own cells out of a delta's flat
+    /// `values` (concatenated in run order).
+    ///
+    /// # Panics
+    ///
+    /// The iterator panics when `values` is shorter than the runs
+    /// claim; [`MergeableState::apply_change`] checks the lengths of
+    /// untrusted deltas before walking them.
+    pub fn zip_values<'a>(
+        runs: &'a [CellRun],
+        mut values: &'a [u64],
+    ) -> impl Iterator<Item = (CellRun, &'a [u64])> + 'a {
+        runs.iter().map(move |&run| {
+            let (cells, rest) = values.split_at(run.len as usize);
+            values = rest;
+            (run, cells)
+        })
+    }
 }
 
 /// How a `SNAPSHOT_SINCE` reply changes the client's cached state.
@@ -176,6 +197,9 @@ pub enum DeltaChange {
         base_epoch: u64,
         /// The overwrite runs (row-sparse, column-contiguous).
         runs: Vec<CellRun>,
+        /// The replacement cell sums of every run, concatenated in run
+        /// order — one allocation however many runs a delta has.
+        values: Vec<u64>,
     },
     /// A register-range overwrite against a cached HLL whose epoch is
     /// `base_epoch`: `registers` replace `[lo, lo + registers.len())`.
@@ -306,7 +330,7 @@ pub enum StatePatch {
     /// The delta was `Unchanged`: the cache is already current.
     Unchanged,
     /// Sparse CountMin overwrites were applied; each entry is
-    /// `(flat cell index, old value, new value)`.
+    /// `(flat cell index, old value, new value)` of a cell that moved.
     CmCells(Vec<(usize, u64, u64)>),
     /// An HLL register range `[lo, lo + registers.len())` was
     /// overwritten with `registers`.
@@ -593,7 +617,7 @@ impl MergeableState for SnapshotState {
                 *self = state;
                 Ok(StatePatch::Replaced)
             }
-            DeltaChange::CmRuns { runs, .. } => {
+            DeltaChange::CmRuns { runs, values, .. } => {
                 let SnapshotState::CountMin {
                     width,
                     depth,
@@ -604,16 +628,27 @@ impl MergeableState for SnapshotState {
                     return Err(MergeError::new("CountMin runs for a non-CountMin cache"));
                 };
                 let (width, depth) = (*width as usize, *depth as usize);
-                let mut patched = Vec::new();
-                for run in &runs {
+                if runs.iter().map(|r| r.len as usize).sum::<usize>() != values.len() {
+                    return Err(MergeError::new("delta runs and values disagree"));
+                }
+                // Typically one cell per run moved (the rest of its
+                // block is re-sent unchanged).
+                let mut patched = Vec::with_capacity(runs.len());
+                for (run, new) in CellRun::zip_values(&runs, &values) {
                     let (row, lo) = (run.row as usize, run.lo as usize);
-                    if row >= depth || lo + run.values.len() > width {
+                    if row >= depth || lo + new.len() > width {
                         return Err(MergeError::new("delta run out of bounds"));
                     }
-                    for (k, &value) in run.values.iter().enumerate() {
-                        let idx = row * width + lo + k;
-                        patched.push((idx, cells[idx], value));
-                        cells[idx] = value;
+                    // Runs are block-granular: most re-sent cells did
+                    // not move and have nothing to report.
+                    let at = row * width + lo;
+                    for (k, (cell, &value)) in
+                        cells[at..][..new.len()].iter_mut().zip(new).enumerate()
+                    {
+                        if *cell != value {
+                            patched.push((at + k, *cell, value));
+                            *cell = value;
+                        }
                     }
                 }
                 Ok(StatePatch::CmCells(patched))
@@ -770,23 +805,29 @@ mod tests {
                 base_epoch: 1,
                 runs: vec![CellRun {
                     row: 1,
-                    lo: 1,
-                    values: vec![50, 60],
+                    lo: 0,
+                    len: 3,
                 }],
+                values: vec![4, 50, 60],
             })
             .unwrap();
+        // The re-sent but unmoved cell (index 3) reports nothing.
         assert_eq!(patch, StatePatch::CmCells(vec![(4, 5, 50), (5, 6, 60)]));
         assert_eq!(cache, cm(vec![1, 2, 3, 4, 50, 60]));
-        assert!(cache
-            .apply_change(DeltaChange::CmRuns {
+        let run = |row, len| CellRun { row, lo: 0, len };
+        for (runs, values) in [
+            (vec![run(2, 1)], vec![1]),          // row out of bounds
+            (vec![run(1, 4)], vec![1, 1, 1, 1]), // past the row's end
+            (vec![run(0, 2)], vec![1]),          // fewer values than the runs claim
+            (vec![run(0, 1)], vec![1, 2]),       // more values than the runs claim
+        ] {
+            let change = DeltaChange::CmRuns {
                 base_epoch: 1,
-                runs: vec![CellRun {
-                    row: 2,
-                    lo: 0,
-                    values: vec![1],
-                }],
-            })
-            .is_err());
+                runs,
+                values,
+            };
+            assert!(cache.apply_change(change).is_err());
+        }
 
         let mut hll = SnapshotState::Hll {
             hash_fp: 0,

@@ -305,14 +305,30 @@ pub struct DeltaStats {
 }
 
 impl DeltaStats {
-    /// Fraction of snapshot roundtrips answered `Unchanged` (0 when
-    /// none happened).
-    pub fn unchanged_rate(&self) -> f64 {
+    fn share(&self, count: u64) -> f64 {
         if self.reads == 0 {
             0.0
         } else {
-            self.unchanged as f64 / self.reads as f64
+            count as f64 / self.reads as f64
         }
+    }
+
+    /// Fraction of snapshot roundtrips answered `Unchanged` (0 when
+    /// none happened).
+    pub fn unchanged_rate(&self) -> f64 {
+        self.share(self.unchanged)
+    }
+
+    /// Fraction of snapshot roundtrips answered with a sparse delta —
+    /// with [`full_rate`](Self::full_rate), how the *changed* reads
+    /// split; a delta path that never fires shows here as 0.
+    pub fn delta_rate(&self) -> f64 {
+        self.share(self.deltas)
+    }
+
+    /// Fraction of snapshot roundtrips that carried full state.
+    pub fn full_rate(&self) -> f64 {
+        self.share(self.fulls)
     }
 }
 
@@ -455,6 +471,14 @@ fn transient(e: &ClientError) -> bool {
         e,
         ClientError::Io(_) | ClientError::Wire(WireError::Truncated | WireError::Io(_))
     )
+}
+
+/// Whether a client error left the connection's framing untrustworthy
+/// — an oversized or malformed reply is never consumed, so the next
+/// read on that socket would parse payload bytes as a frame. Such a
+/// connection is dropped even though the error itself is surfaced.
+fn desynced(e: &ClientError) -> bool {
+    matches!(e, ClientError::Wire(_))
 }
 
 impl ReplicaGroup {
@@ -628,7 +652,12 @@ impl ReplicaGroup {
                     // lint:allow sleep — bounded backoff before retrying an idempotent read
                     std::thread::sleep(self.backoff);
                 }
-                Err(e) => return Err(e.into()),
+                Err(e) => {
+                    if desynced(&e) {
+                        self.clients[i] = None;
+                    }
+                    return Err(e.into());
+                }
             }
         }
     }
@@ -1002,6 +1031,9 @@ impl ReplicaGroup {
                 }
                 Err(e) => {
                     self.drop_unread(&sent, i + 1);
+                    if desynced(&e) {
+                        self.clients[i] = None;
+                    }
                     return Err(e.into());
                 }
             };

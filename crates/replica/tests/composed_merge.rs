@@ -6,13 +6,17 @@
 //! errors — never a panic, never a silently wrong merge.
 
 use ivl_service::{
-    cm_hash_fingerprint, hll_hash_fingerprint, slot_coins, ComposeError, DeltaChange, Envelope,
-    ErrorEnvelope, Metrics, ObjectConfig, ObjectKind, ObjectRegistry, SnapshotDelta, SnapshotState,
+    cm_hash_fingerprint, hll_hash_fingerprint, slot_coins, CellRun, ComposeError, DeltaChange,
+    Envelope, ErrorEnvelope, Metrics, ObjectConfig, ObjectKind, ObjectRegistry, SnapshotDelta,
+    SnapshotState,
 };
 use ivl_sketch::countmin::{CountMin, CountMinParams};
 use ivl_sketch::{FrequencySketch, HyperLogLog};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 const CM_OBJECT: u32 = 0;
 const HLL_OBJECT: u32 = 1;
@@ -85,7 +89,11 @@ fn apply_delta(
             };
             *epoch = delta.epoch;
         }
-        DeltaChange::CmRuns { base_epoch, runs } => {
+        DeltaChange::CmRuns {
+            base_epoch,
+            runs,
+            values,
+        } => {
             let Some((
                 epoch,
                 SnapshotState::CountMin {
@@ -104,12 +112,12 @@ fn apply_delta(
                 ));
             }
             let (w, d) = (*width as usize, *depth as usize);
-            for run in runs {
+            for (run, new) in CellRun::zip_values(&runs, &values) {
                 let (row, lo) = (run.row as usize, run.lo as usize);
-                if row >= d || lo + run.values.len() > w {
+                if row >= d || lo + new.len() > w {
                     return Err("delta run out of bounds".into());
                 }
-                cells[row * w + lo..row * w + lo + run.values.len()].copy_from_slice(&run.values);
+                cells[row * w + lo..row * w + lo + new.len()].copy_from_slice(new);
             }
             *epoch = delta.epoch;
         }
@@ -353,6 +361,89 @@ proptest! {
             let delta = r.snapshot_since(0, caches[0].as_ref().expect("cached").0)
                 .expect("registered object");
             prop_assert!(matches!(delta.change, DeltaChange::Unchanged));
+        }
+    }
+
+    /// A warm sketch polled *while* two writers keep applying frames:
+    /// the ordering argument behind block stamps (cells, then stamps,
+    /// then the `Release` epoch commit; the poller loads epochs before
+    /// stamps before cells) promises that a delta computed mid-write
+    /// only ever re-sends, never misses. So every intermediate cache
+    /// is a cell-wise intermediate value — at least the previous
+    /// cache, at most the final state — and once the writers stop, one
+    /// more poll makes the cache cell-identical to a full snapshot.
+    /// Reconnects (a dropped cache) are mixed in; the writers keep
+    /// cycling their frames until the poller has polled `drops.len()`
+    /// times, so every poll overlaps live writes.
+    #[test]
+    fn deltas_polled_under_concurrent_writers_are_monotone_and_converge(
+        warm in proptest::collection::vec((0u64..4096, 1u64..4), 200..400),
+        frames in proptest::collection::vec(
+            proptest::collection::vec((0u64..4096, 1u64..4), 1..33),
+            2..8,
+        ),
+        // One poll in seven forgets its cache first (a reconnect).
+        drops in proptest::collection::vec(0u8..7, 4..12),
+        seed in 0u64..1000,
+    ) {
+        let metrics = Metrics::new();
+        let r = delta_registry(seed);
+        feed(&r, &metrics, CM_OBJECT, &warm);
+        let polls = AtomicUsize::new(0);
+        let start = Barrier::new(3);
+        let mut cache: Option<(u64, SnapshotState)> = None;
+        let mut seen: Vec<Vec<u64>> = Vec::new();
+        std::thread::scope(|scope| -> Result<(), TestCaseError> {
+            for half in 0..2 {
+                let (r, metrics, frames, polls, start) = (&r, &metrics, &frames, &polls, &start);
+                let wanted = drops.len();
+                scope.spawn(move || {
+                    let obj = r.get(CM_OBJECT).expect("registered object");
+                    let mut w = obj.writer(metrics);
+                    w.ensure_ready().expect("one shard per writer");
+                    start.wait();
+                    let mut mine = frames.iter().skip(half).step_by(2).cycle();
+                    while polls.load(Ordering::Acquire) < wanted {
+                        w.apply_batch(mine.next().expect("at least one frame per writer"));
+                    }
+                    w.release();
+                });
+            }
+            start.wait();
+            for &roll in &drops {
+                if roll == 0 {
+                    cache = None;
+                }
+                let base = cache.as_ref().map_or(u64::MAX, |&(e, _)| e);
+                let delta = r.snapshot_since(CM_OBJECT, base).expect("registered object");
+                // Count the poll even when it fails, or the writers
+                // would spin forever.
+                polls.fetch_add(1, Ordering::Release);
+                apply_delta(&mut cache, delta).map_err(TestCaseError::fail)?;
+                let Some((_, SnapshotState::CountMin { cells, .. })) = &cache else {
+                    return Err(TestCaseError::fail("cache is not a CountMin"));
+                };
+                seen.push(cells.clone());
+            }
+            Ok(())
+        })?;
+        // Quiescent: one more poll converges on the full snapshot.
+        let base = cache.as_ref().expect("polled at least once").0;
+        let delta = r.snapshot_since(CM_OBJECT, base).expect("registered object");
+        apply_delta(&mut cache, delta).map_err(TestCaseError::fail)?;
+        let fresh = r.snapshot(CM_OBJECT).expect("registered object");
+        let (epoch, state) = cache.as_ref().expect("cache filled");
+        prop_assert_eq!(state, &fresh.state, "quiescent poll left the cache behind");
+        prop_assert_eq!(*epoch, r.get(CM_OBJECT).expect("registered object").epoch());
+        let SnapshotState::CountMin { cells: last, .. } = state else {
+            return Err(TestCaseError::fail("cache is not a CountMin"));
+        };
+        seen.push(last.clone());
+        for pair in seen.windows(2) {
+            prop_assert!(
+                pair[0].iter().zip(&pair[1]).all(|(old, new)| old <= new),
+                "an intermediate cache held a cell above a later one"
+            );
         }
     }
 

@@ -8,8 +8,10 @@
 use ivl_replica::{ReplicaError, ReplicaGroup, ReplicaMode};
 use ivl_service::{
     objects::{ObjectConfig, ObjectKind},
-    Backend, ErrorEnvelope, ServerConfig, ServerHandle,
+    Backend, ClientError, ErrorEnvelope, ServerConfig, ServerHandle, WireError,
 };
+use ivl_sketch::stream::ZipfStream;
+use std::collections::HashMap;
 use std::time::Duration;
 
 const SEED: u64 = 11;
@@ -348,6 +350,98 @@ fn restarted_replica_never_gets_a_stale_epoch_delta() {
     drop(direct);
     drop(group);
     drop(b.join());
+}
+
+#[test]
+fn warm_group_reads_changed_replicas_through_deltas() {
+    // Write-then-read over warm sketches: every read finds moved
+    // epochs, and a changed replica must answer with a sparse delta,
+    // never with full state, however much of each row was touched
+    // before the base.
+    let replicas: Vec<ServerHandle> = (0..3)
+        .map(|_| spawn_replica(Backend::EventLoop, SEED))
+        .collect();
+    let mut group = group_over(&replicas, ReplicaMode::Partition);
+    let mut keys = ZipfStream::new(1 << 16, 1.1, 5);
+    let mut truth: HashMap<u64, u64> = HashMap::new();
+    let mut frame = |n: usize| -> Vec<(u64, u64)> {
+        let items: Vec<(u64, u64)> = (0..n).map(|_| (keys.next_item(), 1)).collect();
+        for &(k, w) in &items {
+            *truth.entry(k).or_default() += w;
+        }
+        items
+    };
+    for _ in 0..10 {
+        group.batch(0, &frame(1024)).expect("warm-up frame");
+    }
+    group.query(0, 0).expect("first read fills the caches");
+    let warm = group.delta_stats();
+    let mut last = Vec::new();
+    for _ in 0..50 {
+        last = frame(32);
+        group.batch(0, &last).expect("update frame");
+        group.query(0, last[0].0).expect("merged read");
+    }
+    let stats = group.delta_stats();
+    assert!(
+        stats.deltas > warm.deltas,
+        "no sparse delta among {} changed reads",
+        stats.reads - warm.reads - (stats.unchanged - warm.unchanged)
+    );
+    assert_eq!(stats.fulls, warm.fulls, "a warm changed read went full");
+    assert!(stats.delta_rate() > 0.0 && stats.full_rate() < stats.delta_rate());
+    // The delta-maintained merge still answers for the union stream.
+    for &(key, _) in &last {
+        let read = group.query(0, key).expect("merged read");
+        assert_freq_within(&read.envelope, truth[&key]);
+    }
+    drop(group);
+    for r in replicas {
+        drop(r.join());
+    }
+}
+
+#[test]
+fn oversized_full_state_is_a_typed_error_not_a_hang() {
+    // A CountMin at alpha = 1e-4 snapshots to 27 183 x 5 cells =
+    // 1.09 MB, past the 1 MiB `DEFAULT_MAX_FRAME_LEN` every client
+    // enforces: the group cannot read it. That must surface as a typed
+    // error, promptly and on every attempt, with the group still
+    // usable for objects that do fit.
+    let config = ServerConfig {
+        alpha: 1e-4,
+        ..replica_config(Backend::EventLoop, SEED)
+    };
+    let server = ivl_service::serve("127.0.0.1:0", config).expect("bind a replica");
+    let addr = server.addr().to_string();
+    let (done, outcome) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let mut group = ReplicaGroup::new(vec![addr], ReplicaMode::Partition, SEED).expect("group");
+        group.update(0, 7, 1).expect("updates are small frames");
+        let first = group.query(0, 7);
+        let second = group.query(0, 7);
+        // Object 3 (the min register) fits in a frame: still served.
+        group.update(3, 41, 1).expect("update the min register");
+        let small = group.query(3, 0);
+        done.send((first, second, small)).expect("report");
+    });
+    let (first, second, small) = outcome
+        .recv_timeout(Duration::from_secs(20))
+        .expect("an oversized snapshot must not hang the merged read");
+    reader.join().expect("reader thread");
+    for read in [first, second] {
+        match read {
+            Err(ReplicaError::Client(ClientError::Wire(WireError::Oversized { len, max }))) => {
+                assert!(len > max && max == ivl_service::protocol::DEFAULT_MAX_FRAME_LEN);
+            }
+            other => panic!("wanted a typed oversized-frame error, got {other:?}"),
+        }
+    }
+    match small.expect("small objects stay readable").envelope {
+        ErrorEnvelope::Minimum { minimum, .. } => assert_eq!(minimum, 41),
+        other => panic!("wanted a minimum envelope, got {other:?}"),
+    }
+    drop(server.join());
 }
 
 #[test]

@@ -121,11 +121,15 @@ fn print_snapshot(delta: &SnapshotDelta, base: u64) {
             }
         },
         DeltaChange::Unchanged => println!("  state: unchanged since epoch {base}"),
-        DeltaChange::CmRuns { base_epoch, runs } => {
-            let cells: usize = runs.iter().map(|r| r.values.len()).sum();
+        DeltaChange::CmRuns {
+            base_epoch,
+            runs,
+            values,
+        } => {
             println!(
-                "  state: {} CountMin overwrite runs ({cells} cells) against epoch {base_epoch}",
-                runs.len()
+                "  state: {} CountMin overwrite runs ({} cells) against epoch {base_epoch}",
+                runs.len(),
+                values.len()
             );
         }
         DeltaChange::HllRange {
@@ -241,10 +245,22 @@ fn run(args: &[String]) -> Result<(), String> {
             // One code path for both shapes: `SNAPSHOT_SINCE` with the
             // never-an-epoch sentinel base always answers a full state
             // and, unlike plain `SNAPSHOT`, carries the object epoch.
+            let (_, in0) = client.wire_bytes();
             let delta = client
                 .snapshot_since(object.unwrap_or(0), since)
                 .map_err(|e| e.to_string())?;
             print_snapshot(&delta, since);
+            // The bucket a replica group's `DeltaStats` would count
+            // this reply in, and what it cost on the wire.
+            let bucket = match delta.change {
+                DeltaChange::Unchanged => "unchanged",
+                DeltaChange::Full(_) => "full",
+                DeltaChange::CmRuns { .. } | DeltaChange::HllRange { .. } => "delta",
+            };
+            println!(
+                "  reply: {bucket}, {} B on the wire",
+                client.wire_bytes().1 - in0
+            );
         }
         ("objects", []) => {
             let infos = client.objects().map_err(|e| e.to_string())?;

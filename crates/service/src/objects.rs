@@ -605,12 +605,16 @@ impl ServedCountMin {
     }
 
     /// Records a served `(sum epoch, per-shard epochs)` decomposition
-    /// so later `SNAPSHOT_SINCE` calls can diff against it. Per-shard
-    /// epochs are monotone, so a sum epoch decomposes uniquely —
-    /// duplicates are skipped, the ring stays bounded.
+    /// so later `SNAPSHOT_SINCE` calls can diff against it. Concurrent
+    /// readers can split one sum differently (each loads the shards at
+    /// its own instants), so a repeated sum keeps the component-wise
+    /// minimum: a delta from it misses for neither reader's cells.
     fn ledger_remember(&self, epoch: u64, shard_epochs: &[u64]) {
         let mut ring = self.ledger.lock().unwrap();
-        if ring.iter().any(|(e, _)| *e == epoch) {
+        if let Some((_, known)) = ring.iter_mut().find(|(e, _)| *e == epoch) {
+            for (k, &s) in known.iter_mut().zip(shard_epochs) {
+                *k = (*k).min(s);
+            }
             return;
         }
         if ring.len() == SNAPSHOT_LEDGER_CAP {
@@ -747,34 +751,28 @@ impl ServedObject for ServedCountMin {
         let change = self
             .ledger_lookup(base)
             .and_then(|base_epochs| {
-                let spans = self.sketch.dirty_spans_since(&base_epochs);
+                let dirty = self.sketch.dirty_spans_since(&base_epochs);
                 // A run costs 12 bytes of header plus its cells; fall
                 // back to the full frame when sparseness does not pay.
-                let delta_bytes: usize = spans
-                    .iter()
-                    .filter(|&&(lo, hi)| lo < hi)
-                    .map(|&(lo, hi)| 12 + 8 * (hi - lo) as usize)
-                    .sum();
-                if delta_bytes >= params.width * params.depth * 8 {
+                let cells: usize = dirty.iter().map(|&(_, lo, hi)| (hi - lo) as usize).sum();
+                if 12 * dirty.len() + 8 * cells >= params.width * params.depth * 8 {
                     return None;
                 }
-                let mut runs = Vec::new();
-                for (row, &(lo, hi)) in spans.iter().enumerate() {
-                    if lo >= hi {
-                        continue;
-                    }
-                    let mut values = Vec::with_capacity((hi - lo) as usize);
-                    self.sketch
-                        .sum_row_range_into(row, lo as usize, hi as usize, &mut values);
+                let mut values = Vec::with_capacity(cells);
+                let mut runs = Vec::with_capacity(dirty.len());
+                for (row, lo, hi) in dirty {
+                    let (r, l, h) = (row as usize, lo as usize, hi as usize);
+                    self.sketch.sum_row_range_into(r, l, h, &mut values);
                     runs.push(CellRun {
-                        row: row as u32,
+                        row,
                         lo,
-                        values,
+                        len: hi - lo,
                     });
                 }
                 Some(DeltaChange::CmRuns {
                     base_epoch: base,
                     runs,
+                    values,
                 })
             })
             .unwrap_or_else(|| {
@@ -1780,12 +1778,16 @@ mod tests {
         let cm = r.cm(0).unwrap();
         let width = cm.params().width;
         match &d2.change {
-            DeltaChange::CmRuns { base_epoch, runs } => {
+            DeltaChange::CmRuns {
+                base_epoch,
+                runs,
+                values,
+            } => {
                 assert_eq!(*base_epoch, d0.epoch);
                 assert!(!runs.is_empty());
-                for run in runs {
+                for (run, new) in CellRun::zip_values(runs, values) {
                     let at = run.row as usize * width + run.lo as usize;
-                    cached[at..at + run.values.len()].copy_from_slice(&run.values);
+                    cached[at..at + new.len()].copy_from_slice(new);
                 }
             }
             other => panic!("wanted sparse runs, got {other:?}"),
@@ -1841,6 +1843,55 @@ mod tests {
             );
         }
         assert!(r.snapshot_since(9, 0).is_none());
+    }
+
+    #[test]
+    fn warm_cm_answers_one_frame_with_a_small_delta() {
+        // A warm sketch (every row touched end to end long ago) must
+        // still answer one frame with a delta far smaller than full.
+        use crate::protocol::Response;
+        use ivl_sketch::stream::ZipfStream;
+        let metrics = Metrics::new();
+        let r = registry(); // serving defaults: alpha 0.005, 2 shards
+        let obj = r.get(0).unwrap();
+        let mut w = obj.writer(&metrics);
+        w.ensure_ready().unwrap();
+        let mut keys = ZipfStream::new(1 << 16, 1.1, 11);
+        let mut frame =
+            |n: usize| -> Vec<(u64, u64)> { (0..n).map(|_| (keys.next_item(), 1)).collect() };
+        w.apply_batch(&frame(10_000));
+        let d0 = r.snapshot_since(0, u64::MAX).unwrap();
+        let DeltaChange::Full(mut cached) = d0.change else {
+            panic!("unknown base must go full");
+        };
+        w.apply_batch(&frame(32));
+        w.release();
+
+        let d1 = r.snapshot_since(0, d0.epoch).unwrap();
+        assert!(
+            matches!(d1.change, DeltaChange::CmRuns { .. }),
+            "a warm sketch must still answer one frame sparsely, got {:?}",
+            d1.change
+        );
+        let (mut delta_frame, mut full_frame) = (Vec::new(), Vec::new());
+        Response::SnapshotDelta(d1.clone()).encode(&mut delta_frame);
+        Response::Snapshot(r.snapshot(0).unwrap()).encode(&mut full_frame);
+        assert!(
+            delta_frame.len() * 4 < full_frame.len(),
+            "delta frame {} B vs full {} B",
+            delta_frame.len(),
+            full_frame.len()
+        );
+        cached.apply_change(d1.change).unwrap();
+        assert_eq!(cached, r.snapshot(0).unwrap().state);
+    }
+
+    #[test]
+    fn ledger_keeps_the_minimum_of_two_decompositions_of_one_sum() {
+        let cm = ServedCountMin::new(0.005, 0.01, 2, 0, &mut CoinFlips::from_seed(1));
+        cm.ledger_remember(3, &[1, 2]);
+        cm.ledger_remember(3, &[2, 1]);
+        assert_eq!(cm.ledger_lookup(3), Some(vec![1, 1]));
     }
 
     #[test]

@@ -688,15 +688,22 @@ impl Response {
                 push_u64(b, delta.epoch);
                 match &delta.change {
                     DeltaChange::Unchanged => b.push(DELTA_UNCHANGED),
-                    DeltaChange::CmRuns { base_epoch, runs } => {
+                    DeltaChange::CmRuns {
+                        base_epoch,
+                        runs,
+                        values,
+                    } => {
                         b.push(DELTA_CM_RUNS);
                         push_u64(b, *base_epoch);
                         push_u32(b, runs.len() as u32);
-                        for run in runs {
+                        // Each run's header is followed by its own
+                        // cells: the flat `values` is an in-memory
+                        // layout, not a wire change.
+                        for (run, cells) in CellRun::zip_values(runs, values) {
                             push_u32(b, run.row);
                             push_u32(b, run.lo);
-                            push_u32(b, run.values.len() as u32);
-                            for v in &run.values {
+                            push_u32(b, run.len);
+                            for v in cells {
                                 push_u64(b, *v);
                             }
                         }
@@ -796,22 +803,23 @@ impl Response {
                         let base_epoch = b.u64()?;
                         let count = b.u32()?;
                         let mut runs = Vec::with_capacity(count.min(1024) as usize);
+                        // Every cell is still ahead in the body, which
+                        // bounds the allocation against a lying header.
+                        let mut values = Vec::with_capacity(b.rest.len() / 8);
                         for _ in 0..count {
                             let row = b.u32()?;
                             let lo = b.u32()?;
-                            let len = b.u32()? as u64;
-                            // Guard the allocation against a lying
-                            // header: the cells must be buffered.
-                            if len > (b.rest.len() / 8) as u64 {
-                                return Err(WireError::Malformed("body shorter than its schema"));
-                            }
-                            let mut values = Vec::with_capacity(len as usize);
+                            let len = b.u32()?;
                             for _ in 0..len {
                                 values.push(b.u64()?);
                             }
-                            runs.push(CellRun { row, lo, values });
+                            runs.push(CellRun { row, lo, len });
                         }
-                        DeltaChange::CmRuns { base_epoch, runs }
+                        DeltaChange::CmRuns {
+                            base_epoch,
+                            runs,
+                            values,
+                        }
                     }
                     DELTA_HLL_RANGE => {
                         if kind != ObjectKind::Hll {
@@ -1438,14 +1446,15 @@ mod tests {
                         CellRun {
                             row: 0,
                             lo: 3,
-                            values: vec![5, 0, 9],
+                            len: 3,
                         },
                         CellRun {
                             row: 2,
                             lo: 7,
-                            values: vec![1],
+                            len: 1,
                         },
                     ],
+                    values: vec![5, 0, 9, 1],
                 },
                 envelope: freq.clone(),
             }),
@@ -1524,6 +1533,58 @@ mod tests {
         })
         .encode(&mut buf);
         assert!(buf.len() < 96, "unchanged frame is {} bytes", buf.len());
+    }
+
+    #[test]
+    fn cm_runs_keep_their_wire_layout() {
+        // The flat in-memory `values` is not a wire change: each run's
+        // header is still followed by its own cells, byte for byte what
+        // a pre-flattening peer sends and expects.
+        let delta = SnapshotDelta {
+            object: 0,
+            kind: ObjectKind::CountMin,
+            epoch: 21,
+            change: DeltaChange::CmRuns {
+                base_epoch: 17,
+                runs: vec![
+                    CellRun {
+                        row: 0,
+                        lo: 3,
+                        len: 2,
+                    },
+                    CellRun {
+                        row: 2,
+                        lo: 7,
+                        len: 1,
+                    },
+                ],
+                values: vec![5, 9, 1],
+            },
+            envelope: ErrorEnvelope::Minimum {
+                minimum: 4,
+                observed: 6,
+            },
+        };
+        let mut expected = vec![OP_SNAPSHOT_DELTA_REPLY];
+        expected.extend_from_slice(&0u32.to_le_bytes()); // object
+        expected.push(ObjectKind::CountMin.to_u8());
+        expected.extend_from_slice(&21u64.to_le_bytes()); // epoch
+        expected.push(DELTA_CM_RUNS);
+        expected.extend_from_slice(&17u64.to_le_bytes()); // base epoch
+        expected.extend_from_slice(&2u32.to_le_bytes()); // two runs
+        for (header, cells) in [([0u32, 3, 2], &[5u64, 9][..]), ([2, 7, 1], &[1][..])] {
+            for word in header {
+                expected.extend_from_slice(&word.to_le_bytes());
+            }
+            for cell in cells {
+                expected.extend_from_slice(&cell.to_le_bytes());
+            }
+        }
+        push_envelope(&mut expected, &delta.envelope);
+        let mut buf = Vec::new();
+        Response::SnapshotDelta(delta).encode(&mut buf);
+        assert_eq!(buf[..4], (expected.len() as u32).to_le_bytes());
+        assert_eq!(buf[4..], expected[..]);
     }
 
     #[test]
