@@ -27,70 +27,95 @@ use ivl_sketch::hash::PairwiseHash;
 use ivl_sketch::CoinFlips;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Dirty-tracking blocks per row, within a factor of two: a block is
-/// the largest power-of-two run of columns that still leaves a row at
-/// least this many. An update dirties one block per row, so a moved
-/// cell re-sends under 1/128 of its row however wide the sketch, while
-/// the scan, the stamp memory and the pages a fresh sketch must fault
-/// in stay a few hundred stamps per row (DESIGN.md §14.2 has the
-/// measurements behind 128).
-const ROW_BLOCKS: usize = 128;
+/// Entries in a shard's touch log (a power of two). Unit tests shrink
+/// it so wrap-around and lapping happen within a few ops.
+const LOG_CAP: usize = if cfg!(test) { 64 } else { 1024 };
+/// The most cells one op may log. A larger op (a 4096-item frame, a
+/// dense absorb) jumps `head` a whole ring instead, which answers every
+/// older base "lapped".
+const LOG_OP_MAX: usize = LOG_CAP / 4;
 
 /// Per-shard delta-snapshot metadata, written only by the shard's
-/// single writer (the same ownership discipline as the cells): a
-/// shard-local update epoch, plus one stamp per block of
-/// `1 << block_shift` columns of each row, holding the epoch of the op
-/// that last touched the block (0 = never).
+/// single writer (the same ownership discipline as the cells): a ring
+/// of the last [`LOG_CAP`] touched `(row, col)` cells plus `head`, the
+/// count of touches ever logged. `head` is the shard's epoch: monotone,
+/// and it moves iff cells may have changed.
 ///
-/// Writer order per op is cells → stamps → shard epoch (all stores
-/// `Release`); a reader that loads the shard epoch with `Acquire`
-/// therefore sees every stamp and cell of the ops it counted. A block
-/// stamped past a reader's base epoch was touched by an op the base
-/// does not cover and is re-sent; a stamp seen before its op commits
-/// only re-sends early, never misses. Stamps are last-touch marks, not
-/// cumulative: the dirty set stays as small as the writes since.
+/// Writer order per op is cells → log entries → `head`, all stores
+/// `Release`; a reader that loads `head` with `Acquire` therefore sees
+/// every entry and cell of the ops it counts. Because entry stores are
+/// `Release` too, a reader that sees an entry of op k+1 also sees op
+/// k's `head`, so at most one unpublished op — at most [`LOG_OP_MAX`]
+/// entries — sits past any `head` it observed (DESIGN.md §14.2).
 #[derive(Debug)]
 struct ShardMeta {
-    /// Shard-local op counter; bumped once per update/batch applied.
-    epoch: AtomicU64,
-    /// Row-major `depth × blocks_per_row` last-touch epochs.
-    stamps: Vec<AtomicU64>,
-    blocks_per_row: usize,
-    block_shift: u32,
+    head: AtomicU64,
+    /// Touch `t` lives at `t % LOG_CAP` as `row << 32 | col`.
+    log: Box<[AtomicU64]>,
 }
 
 impl ShardMeta {
-    fn new(depth: usize, width: usize) -> Self {
-        let block_shift = (width / ROW_BLOCKS).max(1).ilog2();
-        let blocks_per_row = ((width - 1) >> block_shift) + 1;
+    fn new() -> Self {
         ShardMeta {
-            epoch: AtomicU64::new(0),
-            stamps: (0..depth * blocks_per_row)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            blocks_per_row,
-            block_shift,
+            head: AtomicU64::new(0),
+            log: (0..LOG_CAP).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    /// Single-writer: marks the blocks of `row` holding `cols` as
-    /// touched at `epoch` (after the cell stores, before the commit).
-    fn stamp(&self, row: usize, cols: impl Iterator<Item = usize>, epoch: u64) {
-        let stamps = &self.stamps[row * self.blocks_per_row..][..self.blocks_per_row];
-        for col in cols {
-            stamps[col >> self.block_shift].store(epoch, Ordering::Release);
+    /// Reader side of [`OpLog::publish`].
+    fn head(&self) -> u64 {
+        self.head.load(Ordering::Acquire)
+    }
+
+    /// Single-writer: starts logging one op at the current `head`.
+    fn begin(&self) -> OpLog<'_> {
+        OpLog {
+            meta: self,
+            start: self.head.load(Ordering::Relaxed),
+            touched: 0,
         }
     }
 
-    /// Single-writer: the epoch the in-progress op will commit as.
-    fn next_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed) + 1
+    /// Whether entries `[since, head)` were safe from the writer when
+    /// `head` was read: the one op that may be in flight past `head`
+    /// reuses the slots of touches before `head + LOG_OP_MAX - LOG_CAP`.
+    /// A base ahead of `head` (never one of ours) wraps to "lapped" too.
+    fn covers(head: u64, since: u64) -> bool {
+        head.wrapping_sub(since) <= (LOG_CAP - LOG_OP_MAX) as u64
+    }
+}
+
+/// Single-writer cursor over one op's log entries, the one way all
+/// four write paths mark cells dirty.
+struct OpLog<'a> {
+    meta: &'a ShardMeta,
+    start: u64,
+    touched: usize,
+}
+
+impl OpLog<'_> {
+    /// Logs `row`'s cells at `cols`, after their cell stores. Once the
+    /// op outgrows [`LOG_OP_MAX`] it only counts.
+    fn touch(&mut self, row: usize, cols: &[u32]) {
+        if self.touched + cols.len() <= LOG_OP_MAX {
+            for (k, &col) in cols.iter().enumerate() {
+                let at = (self.start + (self.touched + k) as u64) as usize % LOG_CAP;
+                self.meta.log[at].store((row as u64) << 32 | col as u64, Ordering::Release);
+            }
+        }
+        self.touched += cols.len();
     }
 
-    /// Single-writer: publishes the op (ordered after its cell stores
-    /// and block stamps).
-    fn commit(&self, epoch: u64) {
-        self.epoch.store(epoch, Ordering::Release);
+    /// Publishes the op (ordered after its cell stores and entries); an
+    /// op that touched nothing leaves the epoch alone.
+    fn publish(self) {
+        let advance = match self.touched {
+            0 => return,
+            n if n <= LOG_OP_MAX => n,
+            _ => LOG_CAP,
+        };
+        let head = self.start + advance as u64;
+        self.meta.head.store(head, Ordering::Release);
     }
 }
 
@@ -124,8 +149,8 @@ pub struct ShardedPcm {
     hashes: Vec<PairwiseHash>,
     /// One padded [`CellArena`] per shard.
     shards: Vec<CellArena>,
-    /// One [`ShardMeta`] per shard (epoch + block stamps), same
-    /// single-writer ownership as the matching arena.
+    /// One [`ShardMeta`] per shard (its touch log), same single-writer
+    /// ownership as the matching arena.
     meta: Vec<ShardMeta>,
     /// Single-writer ownership flags, one per shard. [`handle`]
     /// acquires a shard permanently; [`ShardedPcm::lease`] returns it
@@ -168,9 +193,7 @@ impl ShardedPcm {
             shards: (0..shards)
                 .map(|_| CellArena::new(params.depth, params.width))
                 .collect(),
-            meta: (0..shards)
-                .map(|_| ShardMeta::new(params.depth, params.width))
-                .collect(),
+            meta: (0..shards).map(|_| ShardMeta::new()).collect(),
             in_use: (0..shards).map(|_| AtomicBool::new(false)).collect(),
         }
     }
@@ -276,88 +299,76 @@ impl ShardedPcm {
         out
     }
 
-    /// The sketch's update epoch: the sum of per-shard op counters
-    /// (each `Acquire`-loaded). Monotone, and bumped only by ops that
-    /// may change cell values — so an unchanged epoch means an
-    /// unchanged summed matrix, which is what lets a snapshot server
-    /// answer "since epoch e" with a tiny `Unchanged` frame.
+    /// The sketch's update epoch: the sum of the per-shard touch counts
+    /// (each `Acquire`-loaded). Monotone, and moved only by ops that may
+    /// change cell values — so an unchanged epoch means an unchanged
+    /// summed matrix, which a snapshot server answers `Unchanged`.
     pub fn epoch(&self) -> u64 {
-        self.meta
-            .iter()
-            .map(|m| m.epoch.load(Ordering::Acquire))
-            .sum()
+        self.meta.iter().map(ShardMeta::head).sum()
     }
 
     /// Appends the per-shard epoch vector (the decomposition of
-    /// [`epoch`](Self::epoch)) to `out`. A snapshot server remembers
-    /// this vector per served epoch so a later
-    /// [`dirty_spans_since`](Self::dirty_spans_since) can diff per
-    /// shard.
+    /// [`epoch`](Self::epoch)) to `out`. A snapshot server remembers it
+    /// per served epoch so a later
+    /// [`dirty_spans_since`](Self::dirty_spans_since) can diff per shard.
     pub fn shard_epochs_into(&self, out: &mut Vec<u64>) {
-        out.extend(self.meta.iter().map(|m| m.epoch.load(Ordering::Acquire)));
+        out.extend(self.meta.iter().map(ShardMeta::head));
     }
 
-    /// The dirty set since `base` (a per-shard epoch vector captured
+    /// The cells touched since `base` (a per-shard epoch vector captured
     /// by [`shard_epochs_into`](Self::shard_epochs_into)) as
-    /// `(row, lo, hi)` column runs in row-major order: every block
-    /// some shard stamped after its base epoch, adjacent blocks
-    /// coalesced. Runs are block-granular (extra columns re-sent) but
-    /// never miss: a column changed after `base` was written by an op
-    /// whose stamp precedes its epoch bump, which is not in `base`.
+    /// `(row, lo, hi)` column runs in log order, a run per touch unless
+    /// it extends the one before it; a cell touched twice appears twice.
+    /// Exact: a column changed after `base` was logged by an op whose
+    /// entries precede its `head` store, which `base` does not count.
+    /// `None` when some shard's log has lapped its base (more than
+    /// `LOG_CAP - LOG_OP_MAX` touches, or one over-size op, since): the
+    /// caller falls back to the full matrix.
     ///
     /// # Panics
     ///
     /// Panics if `base.len()` differs from the shard count.
-    pub fn dirty_spans_since(&self, base: &[u64]) -> Vec<(u32, u32, u32)> {
+    pub fn dirty_spans_since(&self, base: &[u64]) -> Option<Vec<(u32, u32, u32)>> {
         assert_eq!(base.len(), self.meta.len(), "one base epoch per shard");
-        let (blocks, shift) = (self.meta[0].blocks_per_row, self.meta[0].block_shift);
-        // One linear pass per shard that moved, OR-ed into a block
-        // bitmap; shards still at their base epoch are never scanned.
-        let mut dirty = vec![false; self.params.depth * blocks];
+        let mut runs: Vec<(u32, u32, u32)> = Vec::new();
         for (meta, &since) in self.meta.iter().zip(base) {
-            if meta.epoch.load(Ordering::Acquire) > since {
-                for (flag, stamp) in dirty.iter_mut().zip(&meta.stamps) {
-                    *flag |= stamp.load(Ordering::Acquire) > since;
+            let head = meta.head();
+            if !ShardMeta::covers(head, since) {
+                return None;
+            }
+            runs.reserve((head - since) as usize);
+            for touch in since..head {
+                let entry = meta.log[touch as usize % LOG_CAP].load(Ordering::Acquire);
+                let (row, col) = ((entry >> 32) as u32, entry as u32);
+                match runs.last_mut() {
+                    Some(run) if run.0 == row && run.2 == col => run.2 += 1,
+                    _ => runs.push((row, col, col + 1)),
                 }
             }
-        }
-        // Runs from the bitmap's edges, found without a data-dependent
-        // branch per block: `edges[..n]` alternates run starts and ends.
-        let mut runs = Vec::new();
-        let mut edges = vec![0u32; blocks + 1];
-        for (row, row_dirty) in dirty.chunks_exact(blocks).enumerate() {
-            let (mut n, mut prev) = (0, false);
-            for (block, &flag) in row_dirty.iter().enumerate() {
-                edges[n] = block as u32;
-                n += (flag != prev) as usize;
-                prev = flag;
-            }
-            edges[n] = blocks as u32;
-            n += prev as usize;
-            for pair in edges[..n].chunks_exact(2) {
-                let hi = (pair[1] << shift).min(self.params.width as u32);
-                runs.push((row as u32, pair[0] << shift, hi));
+            // An entry overwritten mid-copy came after a `head` that fails this.
+            if !ShardMeta::covers(meta.head(), since) {
+                return None;
             }
         }
-        runs
+        Some(runs)
     }
 
-    /// Appends the summed (across shards) cell values of `row`'s
-    /// columns `[lo, hi)` to `out` — the sparse read backing a delta
-    /// snapshot, same per-cell `Acquire` IVL semantics as
-    /// [`cells_snapshot`](Self::cells_snapshot).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) on an out-of-range row or span.
-    pub fn sum_row_range_into(&self, row: usize, lo: usize, hi: usize, out: &mut Vec<u64>) {
-        debug_assert!(row < self.params.depth && hi <= self.params.width && lo <= hi);
+    /// Appends the summed (across shards) cell values of every
+    /// `(row, lo, hi)` run's columns to `out`, in run order — the sparse
+    /// read backing a delta snapshot, same per-cell `Acquire` IVL
+    /// semantics as [`cells_snapshot`](Self::cells_snapshot). Runs must
+    /// lie inside the matrix, as [`dirty_spans_since`](Self::dirty_spans_since)'s do.
+    pub fn sum_runs_into(&self, runs: &[(u32, u32, u32)], out: &mut Vec<u64>) {
         let at = out.len();
-        out.resize(at + (hi - lo), 0);
+        let columns: u32 = runs.iter().map(|&(_, lo, hi)| hi - lo).sum();
+        out.resize(at + columns as usize, 0);
         for shard in &self.shards {
-            let cells = shard.row_cells(row);
-            for (slot, col) in out[at..].iter_mut().zip(lo..hi) {
-                *slot += cells.cell(col).load(Ordering::Acquire);
+            let mut slots = out[at..].iter_mut();
+            for &(row, lo, hi) in runs {
+                let cells = shard.row_cells(row as usize);
+                for (col, slot) in (lo..hi).zip(&mut slots) {
+                    *slot += cells.cell(col as usize).load(Ordering::Acquire);
+                }
             }
         }
     }
@@ -366,20 +377,18 @@ impl ShardedPcm {
 /// Single-writer add of `count` at one pre-hashed column per row:
 /// plain load + `Release` store per cell — no RMW, the shard has
 /// exactly one writer. The shared body of [`ShardHandle::update_by`],
-/// [`ShardLease::update_by`] and [`ShardLease::apply_rows`]. Marks the
-/// touched blocks in the shard's delta metadata (one stamp per row,
-/// one epoch store per call — still store-only).
+/// [`ShardLease::update_by`] and [`ShardLease::apply_rows`]. Logs the
+/// touched cells (one entry per row, one `head` store — still store-only).
 fn add_at_cols(parent: &ShardedPcm, shard: usize, cols: impl Iterator<Item = usize>, count: u64) {
     let arena = &parent.shards[shard];
-    let meta = &parent.meta[shard];
-    let epoch = meta.next_epoch();
+    let mut op = parent.meta[shard].begin();
     for (row, col) in cols.enumerate() {
         let cell = arena.cell(row, col);
         let cur = cell.load(Ordering::Relaxed);
         cell.store(cur + count, Ordering::Release);
-        meta.stamp(row, std::iter::once(col), epoch);
+        op.touch(row, &[col as u32]);
     }
-    meta.commit(epoch);
+    op.publish();
 }
 
 /// Single-writer updater over one shard.
@@ -452,8 +461,7 @@ impl ShardLease<'_> {
     pub fn apply_batch(&mut self, items: &[(u64, u64)], scratch: &mut BatchScratch) {
         let n = scratch.prepare(&self.parent.hashes, items);
         let m = &self.parent.shards[self.shard];
-        let meta = &self.parent.meta[self.shard];
-        let epoch = meta.next_epoch();
+        let mut op = self.parent.meta[self.shard].begin();
         for row in 0..self.parent.params.depth {
             let cells = m.row_cells(row);
             let cols = scratch.row_cols(row);
@@ -472,13 +480,9 @@ impl ShardLease<'_> {
                 let cur = cell.load(Ordering::Relaxed);
                 cell.store(cur + counts[e], Ordering::Release);
             }
-            // Stamps after the row's cell stores, so a reader that sees
-            // a stamp sees the cells it marks.
-            meta.stamp(row, cols[..n].iter().map(|&c| c as usize), epoch);
+            op.touch(row, &cols[..n]);
         }
-        if n > 0 {
-            meta.commit(epoch);
-        }
+        op.publish();
     }
 
     /// Adds a peer's full `depth × width` cell matrix (row-major, as
@@ -488,9 +492,9 @@ impl ShardLease<'_> {
     /// sketch equal the cell-wise merge of the two sketches
     /// (concatenated-stream semantics, like `CountMin::merge`). Same
     /// single-writer discipline as [`update_by`](Self::update_by):
-    /// plain load + `Release` store and block stamp per touched cell,
-    /// one epoch commit for the whole matrix. Zero cells are skipped
-    /// (no store, no stamp), so absorbing a sparse peer keeps deltas
+    /// plain load + `Release` store and log entry per touched cell,
+    /// one `head` store for the whole matrix. Zero cells are skipped
+    /// (no store, no entry), so absorbing a sparse peer keeps deltas
     /// sparse.
     ///
     /// # Panics
@@ -501,9 +505,7 @@ impl ShardLease<'_> {
         let (depth, width) = (self.parent.params.depth, self.parent.params.width);
         assert_eq!(cells.len(), depth * width, "one cell per (row, col)");
         let arena = &self.parent.shards[self.shard];
-        let meta = &self.parent.meta[self.shard];
-        let epoch = meta.next_epoch();
-        let mut touched = false;
+        let mut op = self.parent.meta[self.shard].begin();
         for row in 0..depth {
             let row_cells = arena.row_cells(row);
             let src = &cells[row * width..(row + 1) * width];
@@ -514,13 +516,10 @@ impl ShardLease<'_> {
                 let cell = row_cells.cell(col);
                 let cur = cell.load(Ordering::Relaxed);
                 cell.store(cur + add, Ordering::Release);
-                meta.stamp(row, std::iter::once(col), epoch);
-                touched = true;
+                op.touch(row, &[col as u32]);
             }
         }
-        if touched {
-            meta.commit(epoch);
-        }
+        op.publish();
     }
 
     /// Adds `count` at pre-hashed per-row columns (`cols[row]`, one
@@ -716,9 +715,6 @@ mod tests {
         assert_eq!(sharded.cells_snapshot(), cm.cells());
     }
 
-    /// Wide enough for multi-column blocks: `1024 / ROW_BLOCKS`.
-    const BLOCK: usize = 8;
-
     fn wide() -> CountMinParams {
         CountMinParams {
             width: 1024,
@@ -726,37 +722,38 @@ mod tests {
         }
     }
 
-    /// Whether some returned run covers (`row`, `col`).
-    fn covered(runs: &[(u32, u32, u32)], row: usize, col: usize) -> bool {
+    /// The `(row, col)` cells `runs` name, one per column of each run.
+    fn cells_of_in_order(runs: &[(u32, u32, u32)]) -> impl Iterator<Item = (u32, u32)> + '_ {
         runs.iter()
-            .any(|&(r, lo, hi)| r as usize == row && (lo as usize..hi as usize).contains(&col))
+            .flat_map(|&(row, lo, hi)| (lo..hi).map(move |col| (row, col)))
     }
 
-    /// Every key's column of every row is inside a run of `runs`.
-    fn assert_keys_covered(sharded: &ShardedPcm, runs: &[(u32, u32, u32)], keys: &[u64]) {
+    fn as_set(mut cells: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
+        cells.sort_unstable();
+        cells.dedup();
+        cells
+    }
+
+    /// The set of cells `runs` name, sorted.
+    fn cells_of(runs: &[(u32, u32, u32)]) -> Vec<(u32, u32)> {
+        as_set(cells_of_in_order(runs).collect())
+    }
+
+    /// The `(row, col)` cells an update of each of `keys` touches.
+    fn cells_touched_by(sharded: &ShardedPcm, keys: &[u64]) -> Vec<(u32, u32)> {
+        let mut cells = Vec::new();
         for (row, h) in sharded.hashes().iter().enumerate() {
             for &key in keys {
-                let col = h.hash_reduced(PairwiseHash::reduce(key));
-                assert!(
-                    covered(runs, row, col),
-                    "row {row}: no run covers col {col}"
-                );
+                cells.push((row as u32, h.hash_reduced(PairwiseHash::reduce(key)) as u32));
             }
         }
+        as_set(cells)
     }
 
-    #[test]
-    fn a_row_has_between_one_and_two_times_row_blocks_blocks() {
-        // (width, columns per block, blocks per row): the serving
-        // default, the 1 MiB benchmark sketch, and a narrow one.
-        for (width, cols, blocks) in [(544, 4, 136), (27_183, 128, 213), (64, 1, 64)] {
-            let meta = ShardMeta::new(5, width);
-            assert_eq!(
-                (1usize << meta.block_shift, meta.blocks_per_row),
-                (cols, blocks)
-            );
-            assert_eq!(meta.stamps.len(), 5 * blocks);
-        }
+    fn epochs(sharded: &ShardedPcm) -> Vec<u64> {
+        let mut now = Vec::new();
+        sharded.shard_epochs_into(&mut now);
+        now
     }
 
     #[test]
@@ -764,43 +761,40 @@ mod tests {
         let mut coins = CoinFlips::from_seed(9);
         let sharded = ShardedPcm::new(wide(), 2, &mut coins);
         assert_eq!(sharded.epoch(), 0);
-        let mut base = Vec::new();
-        sharded.shard_epochs_into(&mut base);
+        let base = epochs(&sharded);
         assert_eq!(base, vec![0, 0]);
-        assert!(sharded.dirty_spans_since(&base).is_empty(), "clean sketch");
+        assert_eq!(sharded.dirty_spans_since(&base), Some(vec![]), "clean base");
         {
             let mut a = sharded.lease().expect("shard free");
             a.update_by(3, 10);
             a.update_by(11, 5);
         }
-        assert_eq!(sharded.epoch(), 2, "one epoch bump per update");
-        let runs = sharded.dirty_spans_since(&base);
-        assert_keys_covered(&sharded, &runs, &[3, 11]);
-        // Two keys dirty at most two blocks per row, and runs are
-        // block-aligned, in range and non-empty.
-        let dirty_cols: u32 = runs.iter().map(|&(_, lo, hi)| hi - lo).sum();
-        assert!(dirty_cols as usize <= 2 * BLOCK * 4);
+        assert_eq!(sharded.epoch(), 8, "one touch logged per row per update");
+        let runs = sharded
+            .dirty_spans_since(&base)
+            .expect("two ops fit the log");
+        // Every touched cell, and nothing else.
+        assert_eq!(cells_of(&runs), cells_touched_by(&sharded, &[3, 11]));
         for &(_, lo, hi) in &runs {
-            assert!(lo < hi && hi <= 1024 && (lo as usize).is_multiple_of(BLOCK));
+            assert!(lo < hi && hi <= 1024);
         }
         // The sparse range read agrees with the full snapshot.
         let full = sharded.cells_snapshot();
-        for &(row, lo, hi) in &runs {
-            let (row, lo, hi) = (row as usize, lo as usize, hi as usize);
-            let mut got = Vec::new();
-            sharded.sum_row_range_into(row, lo, hi, &mut got);
-            assert_eq!(got, full[row * 1024 + lo..row * 1024 + hi]);
-        }
+        let mut got = Vec::new();
+        sharded.sum_runs_into(&runs, &mut got);
+        let want: Vec<u64> = cells_of_in_order(&runs)
+            .map(|(row, col)| full[row as usize * 1024 + col as usize])
+            .collect();
+        assert_eq!(got, want);
         // Diffing against the current epoch vector reports nothing.
-        let mut now = Vec::new();
-        sharded.shard_epochs_into(&mut now);
-        assert!(sharded.dirty_spans_since(&now).is_empty());
+        assert_eq!(sharded.dirty_spans_since(&epochs(&sharded)), Some(vec![]));
     }
 
     #[test]
     fn dirty_runs_track_the_writes_since_the_base_not_the_history() {
-        // However warm the sketch (every block touched long ago), one
-        // more write must dirty only its own blocks.
+        // However warm the sketch (every cell touched long ago, the
+        // ring wrapped many times), one more write dirties only its
+        // own cells.
         let mut coins = CoinFlips::from_seed(12);
         let sharded = ShardedPcm::new(wide(), 2, &mut coins);
         let mut a = sharded.lease().expect("shard free");
@@ -809,53 +803,117 @@ mod tests {
             a.update_by(key, 1);
             b.update_by(key + 7, 1);
         }
-        let mut warm = Vec::new();
-        sharded.shard_epochs_into(&mut warm);
+        let warm = epochs(&sharded);
         a.update_by(5, 1);
-        let runs = sharded.dirty_spans_since(&warm);
-        assert_keys_covered(&sharded, &runs, &[5]);
-        // One block per row, and a far-away block stays clean.
-        for (row, h) in sharded.hashes().iter().enumerate() {
-            let col = h.hash_reduced(PairwiseHash::reduce(5));
-            let row_runs: Vec<_> = runs.iter().filter(|r| r.0 as usize == row).collect();
-            assert_eq!(row_runs.len(), 1, "row {row}: one dirty block");
-            assert_eq!((row_runs[0].2 - row_runs[0].1) as usize, BLOCK);
-            assert!(!covered(&runs, row, (col + 2 * BLOCK) % 1024));
-        }
-        // Adjacent dirty blocks coalesce into one run, across shards.
-        let mut base = Vec::new();
-        sharded.shard_epochs_into(&mut base);
-        let (one, two) = (BLOCK as u32, 2 * BLOCK as u32);
-        a.apply_rows(&[one, 0, 0, 0], 1);
-        b.apply_rows(&[two, 0, 0, 0], 1);
-        let runs = sharded.dirty_spans_since(&base);
-        assert_eq!(runs[0], (0, one, two + one));
-        // A shard still at its base epoch contributes nothing: with
-        // shard a's base caught up, only b's block remains.
-        base[a.shard()] += 1;
-        let runs = sharded.dirty_spans_since(&base);
-        assert_eq!(runs[0], (0, two, two + one));
+        let runs = sharded.dirty_spans_since(&warm).expect("one op since");
+        assert_eq!(cells_of(&runs), cells_touched_by(&sharded, &[5]));
+        assert_eq!(runs.len(), 4, "one len-1 run per row");
+        // Touches of adjacent columns coalesce into one run, in log
+        // order and across shards; a repeated cell is kept.
+        let base = epochs(&sharded);
+        a.apply_rows(&[8, 0, 0, 0], 1);
+        b.apply_rows(&[9, 0, 0, 0], 1);
+        let runs = sharded.dirty_spans_since(&base).expect("two ops since");
+        let of_a = [(0, 8, 9), (1, 0, 1), (2, 0, 1), (3, 0, 1)];
+        let of_b = [(0, 9, 10), (1, 0, 1), (2, 0, 1), (3, 0, 1)];
+        // Leases take the lowest free shard, so `a` holds shard 0.
+        assert_eq!(runs, [of_a, of_b].concat());
+        b.apply_rows(&[3, 4, 5, 5], 1);
+        b.apply_rows(&[3, 5, 6, 7], 1);
+        let mut only_b = epochs(&sharded);
+        only_b[b.shard()] -= 8;
+        assert_eq!(
+            sharded.dirty_spans_since(&only_b),
+            // Row 1's columns 4 then 5 are not adjacent *entries*; row
+            // 0's repeated column 3 is sent twice.
+            Some(vec![
+                (0, 3, 4),
+                (1, 4, 5),
+                (2, 5, 6),
+                (3, 5, 6),
+                (0, 3, 4),
+                (1, 5, 6),
+                (2, 6, 7),
+                (3, 7, 8)
+            ]),
+            "a shard still at its base contributes nothing"
+        );
     }
 
     #[test]
-    fn batch_kernel_stamps_blocks_and_bumps_epoch_once() {
+    fn a_base_the_ring_has_lapped_answers_none() {
+        let mut coins = CoinFlips::from_seed(13);
+        let sharded = ShardedPcm::new(wide(), 1, &mut coins);
+        let mut l = sharded.lease().expect("shard free");
+        // Past the first lap, so the window is tested on a wrapped ring.
+        for key in 0..100u64 {
+            l.update_by(key, 1);
+        }
+        let base = epochs(&sharded);
+        let window = LOG_CAP - LOG_OP_MAX;
+        let mut keys = Vec::new();
+        for key in 0..(window / 4) as u64 {
+            l.update_by(1_000 + key, 1);
+            keys.push(1_000 + key);
+        }
+        // Exactly `LOG_CAP - LOG_OP_MAX` touches behind: still exact.
+        let runs = sharded.dirty_spans_since(&base).expect("inside the window");
+        assert_eq!(cells_of(&runs), cells_touched_by(&sharded, &keys));
+        // One more op and an in-flight successor could be overwriting
+        // the base's oldest entries: lapped.
+        l.update_by(7, 1);
+        assert_eq!(sharded.dirty_spans_since(&base), None);
+        // A base no shard ever handed out is lapped too, not a panic.
+        assert_eq!(sharded.dirty_spans_since(&[u64::MAX]), None);
+        assert_eq!(sharded.dirty_spans_since(&[sharded.epoch() + 1]), None);
+    }
+
+    #[test]
+    fn an_oversize_op_laps_every_older_base_and_no_newer_one() {
+        let mut coins = CoinFlips::from_seed(14);
+        let sharded = ShardedPcm::new(wide(), 1, &mut coins);
+        let mut scratch = BatchScratch::new(4);
+        let mut l = sharded.lease().expect("shard free");
+        l.update_by(1, 1);
+        let before = epochs(&sharded);
+        // More distinct cells than one op may log.
+        let frame: Vec<(u64, u64)> = (0..LOG_OP_MAX as u64).map(|k| (k, 1)).collect();
+        l.apply_batch(&frame, &mut scratch);
+        let after = epochs(&sharded);
+        assert_eq!(after[0], before[0] + LOG_CAP as u64, "head jumps a ring");
+        assert_eq!(sharded.dirty_spans_since(&before), None);
+        assert_eq!(sharded.dirty_spans_since(&[0]), None);
+        assert_eq!(sharded.dirty_spans_since(&after), Some(vec![]));
+        // The log is usable again right after the jump.
+        l.update_by(2, 1);
+        let runs = sharded.dirty_spans_since(&after).expect("one op since");
+        assert_eq!(cells_of(&runs), cells_touched_by(&sharded, &[2]));
+        // A dense absorb is over-size as well.
+        let peer = vec![1u64; 1024 * 4];
+        let base = epochs(&sharded);
+        l.absorb_cells(&peer);
+        assert_eq!(sharded.dirty_spans_since(&base), None);
+    }
+
+    #[test]
+    fn batch_kernel_logs_its_cells_and_publishes_once() {
         let mut coins = CoinFlips::from_seed(10);
         let sharded = ShardedPcm::new(params(), 1, &mut coins);
-        let mut base = Vec::new();
-        sharded.shard_epochs_into(&mut base);
+        let base = epochs(&sharded);
         let mut scratch = BatchScratch::new(4);
         {
             let mut l = sharded.lease().expect("shard free");
             l.apply_batch(&[(1, 2), (2, 3), (1, 1)], &mut scratch);
         }
-        assert_eq!(sharded.epoch(), 1, "one epoch bump per batch frame");
-        assert_keys_covered(&sharded, &sharded.dirty_spans_since(&base), &[1, 2]);
+        assert_eq!(sharded.epoch(), 8, "two distinct keys, four rows");
+        let runs = sharded.dirty_spans_since(&base).expect("a small frame");
+        assert_eq!(cells_of(&runs), cells_touched_by(&sharded, &[1, 2]));
         // An empty frame changes nothing.
         {
             let mut l = sharded.lease().expect("shard free");
             l.apply_batch(&[], &mut scratch);
         }
-        assert_eq!(sharded.epoch(), 1, "empty batch must not bump the epoch");
+        assert_eq!(sharded.epoch(), 8, "empty batch must not move the epoch");
     }
 
     #[test]
@@ -873,8 +931,7 @@ mod tests {
             l.update_by(3, 4);
             l.update_by(9, 6);
         }
-        let mut base = Vec::new();
-        sharded.shard_epochs_into(&mut base);
+        let base = epochs(&sharded);
         let peer_cells = peer.cells_snapshot();
         {
             let mut l = sharded.lease().expect("shard free");
@@ -884,20 +941,128 @@ mod tests {
         assert_eq!(sharded.stream_len_estimate(), 20);
         assert!(sharded.estimate(3) >= 14);
         assert!(sharded.estimate(9) >= 6);
-        // One epoch bump for the whole matrix; the dirty runs cover the
-        // absorbed columns so deltas against older bases still work.
-        let mut now = Vec::new();
-        sharded.shard_epochs_into(&mut now);
-        assert_eq!(now.iter().sum::<u64>(), base.iter().sum::<u64>() + 1);
-        assert_keys_covered(&sharded, &sharded.dirty_spans_since(&base), &[3, 9]);
+        // One publication for the whole matrix, one touch per non-zero
+        // peer cell; the dirty runs are exactly the absorbed cells so
+        // deltas against older bases still work.
+        let now = epochs(&sharded);
+        let absorbed = cells_touched_by(&sharded, &[3, 9]);
+        assert_eq!(
+            now.iter().sum::<u64>(),
+            base.iter().sum::<u64>() + absorbed.len() as u64
+        );
+        let runs = sharded.dirty_spans_since(&base).expect("a sparse peer");
+        assert_eq!(cells_of(&runs), absorbed);
         // An all-zero matrix is a no-op (no epoch bump).
         {
             let mut l = sharded.lease().expect("shard free");
             l.absorb_cells(&vec![0u64; 64 * 4]);
         }
-        let mut after = Vec::new();
-        sharded.shard_epochs_into(&mut after);
-        assert_eq!(after, now, "zero matrix must not bump the epoch");
+        assert_eq!(epochs(&sharded), now, "zero matrix must not move the epoch");
+    }
+
+    #[test]
+    fn polls_racing_a_lapping_writer_never_miss_a_cell() {
+        // The ring is 64 entries here, so a free-running writer laps it
+        // every 16 updates — between polls and while one is copying
+        // entries. Whatever a poll answers, the cache it maintains must
+        // hold, for every cell, at least the value as of the epoch
+        // vector it recorded (read before the cells), and never more
+        // than the final matrix.
+        const OPS: u64 = 200_000;
+        let mut coins = CoinFlips::from_seed(15);
+        let sharded = ShardedPcm::new(params(), 1, &mut coins);
+        // The four cells update `key` touches, for every key, up front:
+        // the reader's bookkeeping must stay cheaper than the writes.
+        let mut cols = Vec::new();
+        let mut touches = Vec::with_capacity(OPS as usize * 4);
+        for key in 0..OPS {
+            PairwiseHash::hash_row_batch(sharded.hashes(), key, &mut cols);
+            touches.extend(cols.iter().enumerate().map(|(row, &col)| row * 64 + col));
+        }
+        let polls = AtomicU64::new(0);
+        let (mut deltas, mut fulls) = (0u32, 0u32);
+        std::thread::scope(|s| {
+            let mut l = sharded.lease().expect("shard free");
+            let polls = &polls;
+            let writer = s.spawn(move || {
+                let mut key = 0;
+                for burst in 0u64.. {
+                    // Bursts of 1..=8 updates (4..=32 touches); every
+                    // other one lets a poll through, so a poll sees
+                    // from 4 to 64 touches: both answers occur.
+                    for _ in 0..(1 + burst * 5 % 8).min(OPS - key) {
+                        l.update_by(key, 1);
+                        key += 1;
+                    }
+                    if key == OPS {
+                        return;
+                    }
+                    if burst % 2 == 0 {
+                        let seen = polls.load(Ordering::Acquire);
+                        loop {
+                            match polls.load(Ordering::Acquire) {
+                                u64::MAX => return, // the reader failed an assertion
+                                polled if polled != seen => break,
+                                _ => std::thread::yield_now(),
+                            }
+                        }
+                    }
+                }
+            });
+            // Releases a waiting writer if the reader unwinds.
+            struct Unblock<'a>(&'a AtomicU64);
+            impl Drop for Unblock<'_> {
+                fn drop(&mut self) {
+                    self.0.store(u64::MAX, Ordering::Release);
+                }
+            }
+            let _unblock = Unblock(polls);
+            // `as_of[cell]` after `applied` updates, advanced lazily.
+            let mut as_of = vec![0u64; 64 * 4];
+            let mut applied = 0;
+            let mut cache = sharded.cells_snapshot();
+            let mut base = vec![0u64];
+            loop {
+                let done = writer.is_finished();
+                let now = epochs(&sharded);
+                match sharded.dirty_spans_since(&base) {
+                    Some(runs) => {
+                        deltas += !runs.is_empty() as u32;
+                        let mut values = Vec::new();
+                        sharded.sum_runs_into(&runs, &mut values);
+                        for ((row, col), value) in cells_of_in_order(&runs).zip(values) {
+                            cache[row as usize * 64 + col as usize] = value;
+                        }
+                    }
+                    None => {
+                        fulls += 1;
+                        cache = sharded.cells_snapshot();
+                    }
+                }
+                // Four touches per update, no over-size op: the epoch
+                // counts whole updates.
+                for &cell in &touches[applied * 4..now[0] as usize] {
+                    as_of[cell] += 1;
+                }
+                applied = now[0] as usize / 4;
+                for (cell, (&have, &owed)) in cache.iter().zip(&as_of).enumerate() {
+                    assert!(
+                        have >= owed,
+                        "cell {cell}: cache {have} < {owed} at {now:?}"
+                    );
+                }
+                base = now;
+                polls.fetch_add(1, Ordering::Release);
+                if done {
+                    break;
+                }
+            }
+            writer.join().unwrap();
+            assert_eq!(applied as u64, OPS);
+            assert_eq!(cache, as_of, "a quiescent poll converges exactly");
+            assert_eq!(cache, sharded.cells_snapshot());
+        });
+        assert!(deltas > 0 && fulls > 0, "{deltas} deltas, {fulls} fulls");
     }
 
     #[test]

@@ -631,16 +631,15 @@ impl MergeableState for SnapshotState {
                 if runs.iter().map(|r| r.len as usize).sum::<usize>() != values.len() {
                     return Err(MergeError::new("delta runs and values disagree"));
                 }
-                // Typically one cell per run moved (the rest of its
-                // block is re-sent unchanged).
+                // Typically one cell per run, and it moved.
                 let mut patched = Vec::with_capacity(runs.len());
                 for (run, new) in CellRun::zip_values(&runs, &values) {
                     let (row, lo) = (run.row as usize, run.lo as usize);
                     if row >= depth || lo + new.len() > width {
                         return Err(MergeError::new("delta run out of bounds"));
                     }
-                    // Runs are block-granular: most re-sent cells did
-                    // not move and have nothing to report.
+                    // A cell re-sent unchanged (one touched twice since
+                    // the base arrives twice) has nothing to report.
                     let at = row * width + lo;
                     for (k, (cell, &value)) in
                         cells[at..][..new.len()].iter_mut().zip(new).enumerate()

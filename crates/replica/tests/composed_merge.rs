@@ -365,16 +365,23 @@ proptest! {
     }
 
     /// A warm sketch polled *while* two writers keep applying frames:
-    /// the ordering argument behind block stamps (cells, then stamps,
-    /// then the `Release` epoch commit; the poller loads epochs before
-    /// stamps before cells) promises that a delta computed mid-write
-    /// only ever re-sends, never misses. So every intermediate cache
-    /// is a cell-wise intermediate value — at least the previous
-    /// cache, at most the final state — and once the writers stop, one
-    /// more poll makes the cache cell-identical to a full snapshot.
-    /// Reconnects (a dropped cache) are mixed in; the writers keep
-    /// cycling their frames until the poller has polled `drops.len()`
-    /// times, so every poll overlaps live writes.
+    /// the ordering argument behind the touch log (cells, then log
+    /// entries, then the `Release` store of `head`; the poller loads
+    /// heads before entries before cells, and re-checks `head` after
+    /// copying) promises that a reply computed mid-write only ever
+    /// re-sends, never misses — and that a base the ring has lapped,
+    /// between polls or while its entries were being copied, is
+    /// answered in full rather than from overwritten entries. So every
+    /// intermediate cache is a cell-wise intermediate value — at least
+    /// the previous cache, at most the final state — and once the
+    /// writers stop, one more poll makes the cache cell-identical to a
+    /// full snapshot. The writers keep cycling their frames until the
+    /// poller has polled `rolls.len()` times. A roll of 0 forgets the
+    /// cache first (a reconnect); on a roll of 1–3 each writer applies
+    /// one frame and waits for the poll, so consecutive such polls are
+    /// answered from the log; on 4–6 the writers run free, a frame of
+    /// up to 160 touches after another around a 1024-entry ring, so
+    /// they lap the poller's base again and again as it polls.
     #[test]
     fn deltas_polled_under_concurrent_writers_are_monotone_and_converge(
         warm in proptest::collection::vec((0u64..4096, 1u64..4), 200..400),
@@ -382,8 +389,7 @@ proptest! {
             proptest::collection::vec((0u64..4096, 1u64..4), 1..33),
             2..8,
         ),
-        // One poll in seven forgets its cache first (a reconnect).
-        drops in proptest::collection::vec(0u8..7, 4..12),
+        rolls in proptest::collection::vec(0u8..7, 16..40),
         seed in 0u64..1000,
     ) {
         let metrics = Metrics::new();
@@ -396,36 +402,42 @@ proptest! {
         std::thread::scope(|scope| -> Result<(), TestCaseError> {
             for half in 0..2 {
                 let (r, metrics, frames, polls, start) = (&r, &metrics, &frames, &polls, &start);
-                let wanted = drops.len();
+                let rolls = &rolls;
                 scope.spawn(move || {
                     let obj = r.get(CM_OBJECT).expect("registered object");
                     let mut w = obj.writer(metrics);
                     w.ensure_ready().expect("one shard per writer");
                     start.wait();
                     let mut mine = frames.iter().skip(half).step_by(2).cycle();
-                    while polls.load(Ordering::Acquire) < wanted {
+                    loop {
+                        let polled = polls.load(Ordering::Acquire);
+                        let Some(&roll) = rolls.get(polled) else { break };
                         w.apply_batch(mine.next().expect("at least one frame per writer"));
+                        while (1..=3).contains(&roll) && polls.load(Ordering::Acquire) == polled {
+                            std::thread::yield_now();
+                        }
                     }
                     w.release();
                 });
             }
             start.wait();
-            for &roll in &drops {
+            let polled = rolls.iter().try_for_each(|&roll| {
                 if roll == 0 {
                     cache = None;
                 }
                 let base = cache.as_ref().map_or(u64::MAX, |&(e, _)| e);
                 let delta = r.snapshot_since(CM_OBJECT, base).expect("registered object");
-                // Count the poll even when it fails, or the writers
-                // would spin forever.
                 polls.fetch_add(1, Ordering::Release);
                 apply_delta(&mut cache, delta).map_err(TestCaseError::fail)?;
                 let Some((_, SnapshotState::CountMin { cells, .. })) = &cache else {
                     return Err(TestCaseError::fail("cache is not a CountMin"));
                 };
                 seen.push(cells.clone());
-            }
-            Ok(())
+                Ok(())
+            });
+            // Whatever happened, let the writers run out of rolls.
+            polls.store(rolls.len(), Ordering::Release);
+            polled
         })?;
         // Quiescent: one more poll converges on the full snapshot.
         let base = cache.as_ref().expect("polled at least once").0;
@@ -438,6 +450,12 @@ proptest! {
         let SnapshotState::CountMin { cells: last, .. } = state else {
             return Err(TestCaseError::fail("cache is not a CountMin"));
         };
+        for (poll, cells) in seen.iter().enumerate() {
+            prop_assert!(
+                cells.iter().zip(last).all(|(had, fin)| had <= fin),
+                "the reply to poll {} left a cell above the final snapshot", poll
+            );
+        }
         seen.push(last.clone());
         for pair in seen.windows(2) {
             prop_assert!(

@@ -252,13 +252,18 @@ fn run(args: &[String]) -> Result<(), String> {
             print_snapshot(&delta, since);
             // The bucket a replica group's `DeltaStats` would count
             // this reply in, and what it cost on the wire.
-            let bucket = match delta.change {
-                DeltaChange::Unchanged => "unchanged",
-                DeltaChange::Full(_) => "full",
-                DeltaChange::CmRuns { .. } | DeltaChange::HllRange { .. } => "delta",
+            let (bucket, cells) = match &delta.change {
+                DeltaChange::Unchanged => ("unchanged", 0),
+                DeltaChange::Full(SnapshotState::CountMin { cells, .. }) => ("full", cells.len()),
+                DeltaChange::Full(SnapshotState::Hll { registers, .. }) => {
+                    ("full", registers.len())
+                }
+                DeltaChange::Full(_) => ("full", 1),
+                DeltaChange::CmRuns { values, .. } => ("delta", values.len()),
+                DeltaChange::HllRange { registers, .. } => ("delta", registers.len()),
             };
             println!(
-                "  reply: {bucket}, {} B on the wire",
+                "  reply: {bucket}, {cells} cells, {} B on the wire",
                 client.wire_bytes().1 - in0
             );
         }

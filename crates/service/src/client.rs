@@ -175,13 +175,18 @@ impl Client {
         )
     }
 
-    /// Writes one encoded request without waiting for its reply.
-    fn send_request(&mut self, req: &Request) -> Result<(), ClientError> {
+    /// Writes one request frame, as `encode` appends it, without
+    /// waiting for its reply.
+    fn send_frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), ClientError> {
         self.buf.clear();
-        req.encode(&mut self.buf);
+        encode(&mut self.buf);
         self.stream.write_all(&self.buf)?;
         self.bytes_out += self.buf.len() as u64;
         Ok(())
+    }
+
+    fn send_request(&mut self, req: &Request) -> Result<(), ClientError> {
+        self.send_frame(|buf| req.encode(buf))
     }
 
     /// Reads the next response frame, turning a server `Error` reply
@@ -237,10 +242,8 @@ impl Client {
     }
 
     fn batch_object(&mut self, object: u32, items: &[(u64, u64)]) -> Result<u64, ClientError> {
-        match self.roundtrip(&Request::Batch {
-            object,
-            items: items.to_vec(),
-        })? {
+        self.send_frame(|buf| protocol::encode_batch(buf, object, items))?;
+        match self.read_response()? {
             Response::Ack { applied } => Ok(applied),
             _ => Err(ClientError::Unexpected("wanted ACK")),
         }

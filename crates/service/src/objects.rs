@@ -570,9 +570,9 @@ pub struct ServedCountMin {
     ops: OpCounters,
     /// Bounded ring of recently served `(sum epoch → per-shard epoch
     /// vector)` decompositions. The wire epoch is the *sum* of the
-    /// per-shard epochs, but dirty rows are tracked per shard, so a
-    /// delta against a client base needs the base's decomposition
-    /// back. Only the snapshot path locks it — never the ingest path.
+    /// per-shard epochs, but touches are logged per shard, so a delta
+    /// against a client base needs the base's decomposition back. Only
+    /// the snapshot path locks it — never the ingest path.
     ledger: Mutex<VecDeque<(u64, Vec<u64>)>>,
 }
 
@@ -605,30 +605,28 @@ impl ServedCountMin {
     }
 
     /// Records a served `(sum epoch, per-shard epochs)` decomposition
-    /// so later `SNAPSHOT_SINCE` calls can diff against it. Concurrent
-    /// readers can split one sum differently (each loads the shards at
-    /// its own instants), so a repeated sum keeps the component-wise
-    /// minimum: a delta from it misses for neither reader's cells.
-    fn ledger_remember(&self, epoch: u64, shard_epochs: &[u64]) {
-        let mut ring = self.ledger.lock().unwrap();
+    /// so later `SNAPSHOT_SINCE` calls can diff against it, and hands
+    /// back the remembered decomposition of `base` (a client's base
+    /// epoch), if any — one lock per poll. Concurrent readers can split
+    /// one sum differently (each loads the shards at its own instants),
+    /// so a repeated sum keeps the component-wise minimum: a delta from
+    /// it misses for neither reader's cells.
+    fn ledger_exchange(&self, shard_epochs: Vec<u64>, base: Option<u64>) -> Option<Vec<u64>> {
+        let epoch: u64 = shard_epochs.iter().sum();
+        let mut ring = self.ledger.lock().expect("ledger mutex");
         if let Some((_, known)) = ring.iter_mut().find(|(e, _)| *e == epoch) {
-            for (k, &s) in known.iter_mut().zip(shard_epochs) {
+            for (k, s) in known.iter_mut().zip(shard_epochs) {
                 *k = (*k).min(s);
             }
-            return;
+        } else {
+            if ring.len() == SNAPSHOT_LEDGER_CAP {
+                ring.pop_front();
+            }
+            ring.push_back((epoch, shard_epochs));
         }
-        if ring.len() == SNAPSHOT_LEDGER_CAP {
-            ring.pop_front();
-        }
-        ring.push_back((epoch, shard_epochs.to_vec()));
-    }
-
-    /// The per-shard decomposition of a client base epoch, if still
-    /// remembered.
-    fn ledger_lookup(&self, epoch: u64) -> Option<Vec<u64>> {
-        let ring = self.ledger.lock().unwrap();
+        let base = base?;
         ring.iter()
-            .find(|(e, _)| *e == epoch)
+            .find(|(e, _)| *e == base)
             .map(|(_, v)| v.clone())
     }
 
@@ -718,7 +716,7 @@ impl ServedObject for ServedCountMin {
         // this epoch only ever re-sends (never misses) a write.
         let mut shard_epochs = Vec::with_capacity(self.sketch.num_shards());
         self.sketch.shard_epochs_into(&mut shard_epochs);
-        self.ledger_remember(shard_epochs.iter().sum(), &shard_epochs);
+        self.ledger_exchange(shard_epochs, None);
         // Cells before stream length, the same read discipline as
         // `query` (cells lead the ingest counter on the write side).
         let cells = self.sketch.cells_snapshot();
@@ -740,18 +738,18 @@ impl ServedObject for ServedCountMin {
         let mut shard_epochs = Vec::with_capacity(self.sketch.num_shards());
         self.sketch.shard_epochs_into(&mut shard_epochs);
         let epoch: u64 = shard_epochs.iter().sum();
-        self.ledger_remember(epoch, &shard_epochs);
+        let base_epochs = self.ledger_exchange(shard_epochs, (epoch != base).then_some(base));
         if epoch == base {
             // Per-shard epochs are monotone, so equal sums mean the
-            // decomposition (hence every row epoch, hence every cell
+            // decomposition (hence every shard's log, hence every cell
             // the client holds) is unchanged.
             return (epoch, DeltaChange::Unchanged, self.snapshot_envelope());
         }
         let params = self.proto.params();
-        let change = self
-            .ledger_lookup(base)
-            .and_then(|base_epochs| {
-                let dirty = self.sketch.dirty_spans_since(&base_epochs);
+        let change = base_epochs
+            // `None` again when a shard's log has lapped the base.
+            .and_then(|base_epochs| self.sketch.dirty_spans_since(&base_epochs))
+            .and_then(|dirty| {
                 // A run costs 12 bytes of header plus its cells; fall
                 // back to the full frame when sparseness does not pay.
                 let cells: usize = dirty.iter().map(|&(_, lo, hi)| (hi - lo) as usize).sum();
@@ -759,16 +757,15 @@ impl ServedObject for ServedCountMin {
                     return None;
                 }
                 let mut values = Vec::with_capacity(cells);
-                let mut runs = Vec::with_capacity(dirty.len());
-                for (row, lo, hi) in dirty {
-                    let (r, l, h) = (row as usize, lo as usize, hi as usize);
-                    self.sketch.sum_row_range_into(r, l, h, &mut values);
-                    runs.push(CellRun {
+                self.sketch.sum_runs_into(&dirty, &mut values);
+                let runs = dirty
+                    .into_iter()
+                    .map(|(row, lo, hi)| CellRun {
                         row,
                         lo,
                         len: hi - lo,
-                    });
-                }
+                    })
+                    .collect();
                 Some(DeltaChange::CmRuns {
                     base_epoch: base,
                     runs,
@@ -1873,14 +1870,30 @@ mod tests {
             "a warm sketch must still answer one frame sparsely, got {:?}",
             d1.change
         );
-        let (mut delta_frame, mut full_frame) = (Vec::new(), Vec::new());
+        // Exactly the frame's cells: 12 B of run header and 8 B of
+        // value per touched cell, on top of an empty delta's frame.
+        let DeltaChange::CmRuns { runs, .. } = &d1.change else {
+            unreachable!("matched above");
+        };
+        let touched: usize = runs.iter().map(|run| run.len as usize).sum();
+        let depth = r.cm(0).unwrap().params().depth;
+        assert!(touched > 0 && touched <= 32 * depth, "{touched} cells");
+        let (mut delta_frame, mut header) = (Vec::new(), Vec::new());
         Response::SnapshotDelta(d1.clone()).encode(&mut delta_frame);
-        Response::Snapshot(r.snapshot(0).unwrap()).encode(&mut full_frame);
+        Response::SnapshotDelta(SnapshotDelta {
+            change: DeltaChange::CmRuns {
+                base_epoch: d0.epoch,
+                runs: Vec::new(),
+                values: Vec::new(),
+            },
+            ..d1.clone()
+        })
+        .encode(&mut header);
         assert!(
-            delta_frame.len() * 4 < full_frame.len(),
-            "delta frame {} B vs full {} B",
+            delta_frame.len() <= header.len() + 24 * touched,
+            "delta frame {} B for {touched} touched cells over a {} B header",
             delta_frame.len(),
-            full_frame.len()
+            header.len()
         );
         cached.apply_change(d1.change).unwrap();
         assert_eq!(cached, r.snapshot(0).unwrap().state);
@@ -1889,9 +1902,9 @@ mod tests {
     #[test]
     fn ledger_keeps_the_minimum_of_two_decompositions_of_one_sum() {
         let cm = ServedCountMin::new(0.005, 0.01, 2, 0, &mut CoinFlips::from_seed(1));
-        cm.ledger_remember(3, &[1, 2]);
-        cm.ledger_remember(3, &[2, 1]);
-        assert_eq!(cm.ledger_lookup(3), Some(vec![1, 1]));
+        assert_eq!(cm.ledger_exchange(vec![1, 2], Some(3)), Some(vec![1, 2]));
+        assert_eq!(cm.ledger_exchange(vec![2, 1], Some(3)), Some(vec![1, 1]));
+        assert_eq!(cm.ledger_exchange(vec![2, 2], Some(5)), None);
     }
 
     #[test]
@@ -1914,6 +1927,49 @@ mod tests {
             "evicted base must fall back to a full snapshot, got {:?}",
             d.change
         );
+    }
+
+    #[test]
+    fn cm_delta_falls_back_to_full_when_the_log_lapped_the_base() {
+        let metrics = Metrics::new();
+        let r = registry();
+        let obj = r.get(0).unwrap();
+        let depth = r.cm(0).unwrap().params().depth;
+        let mut w = obj.writer(&metrics);
+        w.ensure_ready().unwrap();
+        let full = |base: u64| {
+            matches!(
+                r.snapshot_since(0, base).unwrap().change,
+                DeltaChange::Full(_)
+            )
+        };
+        // More single-key touches than a shard's ring holds, with the
+        // base still in the ledger (nobody polled in between).
+        let base = r.snapshot_since(0, u64::MAX).unwrap().epoch;
+        for key in 0..400u64 {
+            w.apply(key, 1);
+        }
+        assert!(full(base), "a base the ring lapped must go full");
+        // One frame too large to log laps every older base at once...
+        let before = r.snapshot_since(0, u64::MAX).unwrap().epoch;
+        let frame: Vec<(u64, u64)> = (0..400u64).map(|key| (key, 1)).collect();
+        w.apply_batch(&frame);
+        assert!(
+            full(before),
+            "a base older than an over-size op must go full"
+        );
+        // ...and none taken after it: the next small write is a delta
+        // of exactly its own cells.
+        let after = r.snapshot_since(0, u64::MAX).unwrap().epoch;
+        w.apply(7, 1);
+        w.release();
+        match r.snapshot_since(0, after).unwrap().change {
+            DeltaChange::CmRuns { runs, values, .. } => {
+                assert_eq!(values.len(), depth);
+                assert!(runs.iter().all(|run| run.len == 1));
+            }
+            other => panic!("wanted sparse runs, got {other:?}"),
+        }
     }
 
     #[test]

@@ -466,6 +466,26 @@ fn frame(buf: &mut Vec<u8>, opcode: u8, body: impl FnOnce(&mut Vec<u8>)) {
     buf[prefix_at..prefix_at + 4].copy_from_slice(&payload_len.to_le_bytes());
 }
 
+/// Appends a [`Request::Batch`] frame for `items` to `buf` straight
+/// from the slice — what a client holding borrowed items sends without
+/// first copying them into a `Request`.
+pub fn encode_batch(buf: &mut Vec<u8>, object: u32, items: &[(u64, u64)]) {
+    let op = if object == 0 { OP_BATCH } else { OP_BATCH2 };
+    // The frame's size is known: one allocation, not a doubling chain
+    // that ends with twice the frame.
+    buf.reserve(4 + 1 + 4 + 4 + 16 * items.len());
+    frame(buf, op, |b| {
+        if object != 0 {
+            push_u32(b, object);
+        }
+        push_u32(b, items.len() as u32);
+        for (k, w) in items {
+            push_u64(b, *k);
+            push_u64(b, *w);
+        }
+    })
+}
+
 impl Request {
     /// Appends this request as one frame to `buf`. Requests addressing
     /// object 0 emit the v1 (object-id-less) opcodes byte-for-byte;
@@ -495,23 +515,7 @@ impl Request {
                 push_u32(b, *object);
                 push_u64(b, *key);
             }),
-            Request::Batch { object, items } => {
-                let (op, object) = if *object == 0 {
-                    (OP_BATCH, None)
-                } else {
-                    (OP_BATCH2, Some(*object))
-                };
-                frame(buf, op, |b| {
-                    if let Some(id) = object {
-                        push_u32(b, id);
-                    }
-                    push_u32(b, items.len() as u32);
-                    for (k, w) in items {
-                        push_u64(b, *k);
-                        push_u64(b, *w);
-                    }
-                })
-            }
+            Request::Batch { object, items } => encode_batch(buf, *object, items),
             Request::Snapshot { object } => frame(buf, OP_SNAPSHOT, |b| push_u32(b, *object)),
             Request::SnapshotSince { object, base_epoch } => frame(buf, OP_SNAPSHOT_SINCE, |b| {
                 push_u32(b, *object);
@@ -931,22 +935,28 @@ impl Response {
 ///
 /// The buffer is reused ring-style: consumed bytes are reclaimed by
 /// sliding the live window to the front once the read cursor passes
-/// half the buffer, so steady-state decoding allocates nothing.
+/// half the buffer, so steady-state decoding allocates nothing — and,
+/// because the storage past `tail` stays initialised between reads,
+/// zero-fills nothing either.
 ///
 /// [`read_from`]: FrameDecoder::read_from
 /// [`feed`]: FrameDecoder::feed
 /// [`next_frame`]: FrameDecoder::next_frame
 #[derive(Debug)]
 pub struct FrameDecoder {
+    /// Initialised storage; the live bytes are `buf[head..tail]`.
     buf: Vec<u8>,
     /// Bytes before `head` are consumed frames awaiting reclamation.
     head: usize,
+    /// Bytes from `tail` on are spare room for the next read.
+    tail: usize,
     max_len: u32,
 }
 
 /// How many bytes [`FrameDecoder::read_from`] asks the socket for at
-/// a time (grown to the announced frame length when one is pending).
-const READ_CHUNK: usize = 16 * 1024;
+/// a time (grown to the announced frame length when one is pending). A
+/// read that returns fewer found the socket's receive queue empty.
+pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
 impl FrameDecoder {
     /// Creates a decoder enforcing `max_len` (see [`read_frame`]).
@@ -954,14 +964,25 @@ impl FrameDecoder {
         FrameDecoder {
             buf: Vec::new(),
             head: 0,
+            tail: 0,
             max_len,
         }
     }
 
+    /// Makes `buf[tail..tail + want]` addressable (zero-filling only
+    /// storage never used before) and returns it.
+    fn spare(&mut self, want: usize) -> &mut [u8] {
+        self.reclaim();
+        if self.buf.len() < self.tail + want {
+            self.buf.resize(self.tail + want, 0);
+        }
+        &mut self.buf[self.tail..self.tail + want]
+    }
+
     /// Appends raw stream bytes to the buffer.
     pub fn feed(&mut self, bytes: &[u8]) {
-        self.reclaim();
-        self.buf.extend_from_slice(bytes);
+        self.spare(bytes.len()).copy_from_slice(bytes);
+        self.tail += bytes.len();
     }
 
     /// Performs **one** `read` into the buffer's tail, returning how
@@ -969,27 +990,18 @@ impl FrameDecoder {
     /// and `Interrupted` are the caller's to handle — an edge-driven
     /// caller loops until `WouldBlock`.
     pub fn read_from<R: Read>(&mut self, r: &mut R) -> io::Result<usize> {
-        self.reclaim();
-        let len = self.buf.len();
         // If a frame header is already buffered, size the read to
         // finish that frame; otherwise read a chunk.
-        let want = READ_CHUNK.max(self.pending_frame_len().saturating_sub(len - self.head));
-        self.buf.resize(len + want, 0);
-        let got = match r.read(&mut self.buf[len..]) {
-            Ok(n) => n,
-            Err(e) => {
-                self.buf.truncate(len);
-                return Err(e);
-            }
-        };
-        self.buf.truncate(len + got);
+        let want = READ_CHUNK.max(self.pending_frame_len().saturating_sub(self.buffered()));
+        let got = r.read(self.spare(want))?;
+        self.tail += got;
         Ok(got)
     }
 
     /// Total length (prefix + payload) of the frame announced by a
     /// buffered header, or 0 when no complete header is buffered.
     fn pending_frame_len(&self) -> usize {
-        match self.buf[self.head..] {
+        match self.buf[self.head..self.tail] {
             [a, b, c, d, ..] => 4 + u32::from_le_bytes([a, b, c, d]) as usize,
             _ => 0,
         }
@@ -1000,7 +1012,7 @@ impl FrameDecoder {
     /// frames) are unrecoverable: the prefix cannot be trusted, so
     /// the connection must close.
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
-        let avail = self.buf.len() - self.head;
+        let avail = self.buffered();
         if avail < 4 {
             return Ok(None);
         }
@@ -1029,23 +1041,22 @@ impl FrameDecoder {
     /// Whether bytes of an incomplete frame are buffered — EOF now
     /// means [`WireError::Truncated`], not a clean close.
     pub fn mid_frame(&self) -> bool {
-        self.head < self.buf.len()
+        self.head < self.tail
     }
 
     /// Number of not-yet-consumed buffered bytes.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.head
+        self.tail - self.head
     }
 
     /// Slides the live window back to the buffer's front once the
     /// consumed prefix dominates, bounding memory without reallocating.
     fn reclaim(&mut self) {
-        if self.head == self.buf.len() {
-            self.buf.clear();
-            self.head = 0;
-        } else if self.head >= READ_CHUNK.max(self.buf.len() / 2) {
-            self.buf.drain(..self.head);
-            self.head = 0;
+        if self.head == self.tail {
+            (self.head, self.tail) = (0, 0);
+        } else if self.head >= READ_CHUNK.max(self.tail / 2) {
+            self.buf.copy_within(self.head..self.tail, 0);
+            (self.head, self.tail) = (0, self.tail - self.head);
         }
     }
 }

@@ -1122,6 +1122,58 @@ mod tests {
         push_state_absorbs_a_peer_snapshot(Backend::EventLoop);
     }
 
+    /// A peer that writes its last request and closes its write side
+    /// at once. On an established, idle connection the request and the
+    /// EOF can reach the event loop in one wakeup, and an EOF queued
+    /// behind data raises no edge of its own: the request must still be
+    /// answered and the connection reaped (the server closes in turn),
+    /// not left open forever.
+    fn write_then_close_peer_is_answered_and_reaped(backend: Backend) {
+        let h = serve("127.0.0.1:0", config_with(backend, 1, false)).unwrap();
+        let mut s = TcpStream::connect(h.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let next_reply = |s: &mut TcpStream| {
+            protocol::read_frame(s, protocol::DEFAULT_MAX_FRAME_LEN)
+                .expect("a reply or a close, not a timeout")
+                .map(|payload| Response::decode(&payload).unwrap())
+        };
+        // A full round trip first, so the server has registered the
+        // socket and drained it before the last request arrives.
+        let mut buf = Vec::new();
+        Request::Query { object: 0, key: 1 }.encode(&mut buf);
+        s.write_all(&buf).unwrap();
+        assert!(matches!(next_reply(&mut s), Some(Response::Envelope(_))));
+        // Keep the (single) serving thread busy on another connection
+        // while the request and the EOF arrive, so that one wakeup
+        // finds both.
+        let mut busy = TcpStream::connect(h.addr()).unwrap();
+        let mut burst = Vec::new();
+        let items: Vec<(u64, u64)> = (0..protocol::MAX_BATCH_ITEMS as u64)
+            .map(|k| (k, 1))
+            .collect();
+        for _ in 0..32 {
+            protocol::encode_batch(&mut burst, 0, &items);
+        }
+        busy.write_all(&burst).unwrap();
+        s.write_all(&buf).unwrap();
+        s.shutdown(std::net::Shutdown::Write).unwrap();
+        assert!(matches!(next_reply(&mut s), Some(Response::Envelope(_))));
+        assert_eq!(next_reply(&mut s), None, "the server hangs up in turn");
+        drop((s, busy));
+        let joined = h.join();
+        assert_eq!((joined.stats.queries, joined.stats.active), (2, 0));
+    }
+
+    #[test]
+    fn write_then_close_peer_is_answered_and_reaped_threaded() {
+        write_then_close_peer_is_answered_and_reaped(Backend::Threaded);
+    }
+
+    #[test]
+    fn write_then_close_peer_is_answered_and_reaped_event_loop() {
+        write_then_close_peer_is_answered_and_reaped(Backend::EventLoop);
+    }
+
     #[test]
     fn backend_parses_and_displays() {
         assert_eq!("threaded".parse::<Backend>().unwrap(), Backend::Threaded);

@@ -171,9 +171,13 @@ struct Conn {
     /// Cumulative applied updates (the `ACK` payload).
     applied: u64,
     process: ProcessId,
-    /// Edge-triggered read readiness: set by an event, cleared only
-    /// when a read returns `WouldBlock`.
+    /// Edge-triggered read readiness: set by an event, cleared when a
+    /// read comes back short or `WouldBlock`.
     read_ready: bool,
+    /// Some wakeup carried a hang-up or error: an EOF (or the error) is
+    /// queued behind the data and will raise no further edge, so reads
+    /// go on until they return it.
+    hangup: bool,
     /// Edge-triggered write readiness, same discipline.
     write_ready: bool,
     /// Whether the poller registration currently includes writable
@@ -209,6 +213,7 @@ impl Conn {
             // Bytes (or EOF) may predate registration; the first pump
             // probes both directions and lets `WouldBlock` say no.
             read_ready: true,
+            hangup: false,
             write_ready: true,
             write_interest: false,
             peer_closed: false,
@@ -331,6 +336,7 @@ fn reactor_loop(shared: &Shared, mailbox: &Mailbox) {
                 if ev.readable {
                     conn.read_ready = true;
                 }
+                conn.hangup |= ev.hangup;
                 if ev.writable {
                     conn.write_ready = true;
                 }
@@ -464,7 +470,13 @@ fn pump<'a>(
                     conn.read_ready = false;
                     progressed = true;
                 }
-                Ok(_) => progressed = true,
+                Ok(n) => {
+                    progressed = true;
+                    // A short read emptied the receive queue (epoll(7)),
+                    // and later bytes raise a new edge: skip the read
+                    // that could only return `WouldBlock`.
+                    conn.read_ready = conn.hangup || n >= protocol::READ_CHUNK;
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => conn.read_ready = false,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => progressed = true,
                 Err(_) => return false,
