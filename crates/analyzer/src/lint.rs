@@ -5,7 +5,7 @@
 //! stream, so comments, string literals and the trailing
 //! `#[cfg(test)]` module can never trip (or hide) a finding.
 //!
-//! Nine checks, each encoding an invariant of this repository that
+//! Ten checks, each encoding an invariant of this repository that
 //! the compiler cannot express:
 //!
 //! 1. **crate-attrs** — every workspace crate's `src/lib.rs` carries
@@ -55,6 +55,13 @@
 //!    `crates/service/src/envelope.rs` appears in the body of
 //!    `ErrorEnvelope::compose`, so replicated merges of every kind
 //!    stay boundable.
+//! 10. **baselines-boundary** — non-test sources of `crates/service`,
+//!     `crates/replica` and `crates/merge` name none of
+//!     `ivl-concurrent`'s reproduction objects and baselines (`Pcm`,
+//!     `BufferedPcm`, `DelegatedCountMin`, `MutexCountMin`,
+//!     `SnapshotCountMin`): the serving stack has one CountMin write
+//!     path (`ShardedPcm`), and the paper's alternatives stay
+//!     reproduction artifacts rather than live options.
 //!
 //! The engine is parameterized by the repository root so the test
 //! suite (and the mutation harness) can point it at fixture trees
@@ -66,7 +73,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The checks, in execution order.
-pub const CHECKS: [&str; 9] = [
+pub const CHECKS: [&str; 10] = [
     "crate-attrs",
     "atomics-conformance",
     "rmw-hazard",
@@ -76,6 +83,7 @@ pub const CHECKS: [&str; 9] = [
     "frame-docs",
     "served-objects",
     "envelope-compose",
+    "baselines-boundary",
 ];
 
 /// Files whose update paths must stay free of CAS-style RMWs. The
@@ -102,6 +110,18 @@ const RMW_PATTERNS: [&str; 4] = [
 
 /// Crates whose non-test sources must not sleep.
 const NO_SLEEP_CRATES: [&str; 5] = ["service", "bench", "counter", "core", "replica"];
+
+/// Crates whose non-test sources must not name a baseline.
+const BOUNDARY_CRATES: [&str; 3] = ["service", "replica", "merge"];
+
+/// `ivl-concurrent`'s reproduction objects and baselines.
+const BASELINES: [&str; 5] = [
+    "Pcm",
+    "BufferedPcm",
+    "DelegatedCountMin",
+    "MutexCountMin",
+    "SnapshotCountMin",
+];
 
 /// One lint violation.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -674,6 +694,34 @@ fn check_envelope_compose(root: &Path, report: &mut LintReport) {
     }
 }
 
+/// Flags every identifier token naming a baseline in the non-test code
+/// of the serving crates (an import, a path segment, a type).
+fn check_baselines_boundary(root: &Path, report: &mut LintReport) {
+    for krate in BOUNDARY_CRATES {
+        for path in rust_files(&root.join("crates").join(krate).join("src")) {
+            let Ok(text) = fs::read_to_string(&path) else {
+                continue;
+            };
+            report.files_scanned += 1;
+            let file = ScannedFile::new(&text);
+            for ci in 0..file.code.len() {
+                let t = file.code_tok(ci);
+                if t.kind == TokKind::Ident && BASELINES.contains(&t.text) && !file.in_test(ci) {
+                    report.findings.push(LintFinding {
+                        check: "baselines-boundary",
+                        file: rel(root, &path),
+                        line: t.line as usize,
+                        message: format!(
+                            "`{}` is a reproduction object / baseline of ivl-concurrent; crates/{krate} serves `ShardedPcm` and the lock-free objects only",
+                            t.text
+                        ),
+                    });
+                }
+            }
+        }
+    }
+}
+
 /// Runs every check against the repository rooted at `root`.
 pub fn run_lints(root: &Path) -> LintReport {
     let mut report = LintReport::default();
@@ -685,5 +733,6 @@ pub fn run_lints(root: &Path) -> LintReport {
     check_frame_docs(root, &mut report);
     check_served_objects(root, &mut report);
     check_envelope_compose(root, &mut report);
+    check_baselines_boundary(root, &mut report);
     report
 }

@@ -436,6 +436,52 @@ fn envelope_variant_missing_from_compose_is_flagged() {
 }
 
 #[test]
+fn planted_baseline_import_in_a_serving_crate_is_flagged() {
+    let fx = Fixture::new("lint_fx_baselines");
+    fx.write("crates/service/src/lib.rs", CLEAN_LIB);
+    fx.write(
+        "crates/service/src/objects.rs",
+        concat!(
+            "use ivl_concurrent::{BufferedPcm, ShardedPcm};\n",
+            "// A Pcm in a comment or \"Pcm\" in a string is not an import.\n",
+            "pub struct PcmLike;\n",
+            "#[cfg(test)]\n",
+            "mod tests {\n",
+            "    use ivl_concurrent::Pcm;\n",
+            "}\n",
+        ),
+    );
+    fx.write(
+        "crates/replica/src/lib.rs",
+        "//! Fixture crate.\n#![forbid(unsafe_code)]\npub fn f(_: &ivl_concurrent::MutexCountMin) {}\n",
+    );
+    // Outside the serving crates a baseline is fine.
+    fx.write(
+        "crates/bench/src/lib.rs",
+        "//! Fixture crate.\n#![forbid(unsafe_code)]\nuse ivl_concurrent::Pcm;\n",
+    );
+    let report = run_lints(&fx.root);
+    let found: Vec<(&str, usize)> = report
+        .findings
+        .iter()
+        .map(|f| {
+            assert_eq!(f.check, "baselines-boundary", "{}", report.render());
+            (f.file.as_str(), f.line)
+        })
+        .collect();
+    assert_eq!(
+        found,
+        [
+            ("crates/service/src/objects.rs", 1),
+            ("crates/replica/src/lib.rs", 3)
+        ],
+        "{}",
+        report.render()
+    );
+    assert!(report.findings[0].message.contains("`BufferedPcm`"));
+}
+
+#[test]
 fn json_report_shape_is_stable() {
     let fx = Fixture::new("lint_fx_json");
     fx.write("crates/x/src/lib.rs", "pub fn f() {}\n");
@@ -449,7 +495,7 @@ fn json_report_shape_is_stable() {
         json.contains(concat!(
             "\"checks\":[\"crate-attrs\",\"atomics-conformance\",\"rmw-hazard\",",
             "\"no-sleep\",\"stale-allow\",\"frame-tags\",\"frame-docs\",",
-            "\"served-objects\",\"envelope-compose\"]"
+            "\"served-objects\",\"envelope-compose\",\"baselines-boundary\"]"
         )),
         "{json}"
     );

@@ -4,21 +4,24 @@
 //! One thread ingests a pre-generated Zipf stream; only the ingest
 //! loop (plus, for the buffered sketch, the final flush) is timed, so
 //! the numbers isolate the update path: hash + d atomic `fetch_add`s
-//! for strict/sharded, coalescing-table insert + amortized propagation
-//! for buffered. Committed results live in `BENCH_core.json`.
+//! for strict, a one-entry sweep for sharded, a coalescing-table insert
+//! and amortized propagation for buffered. The `buffered_lease` and
+//! `batch32_buf64` rows run the served CountMin write path: a lease
+//! plus a scratch kept across frames as the write buffer. Committed
+//! results live in `BENCH_core.json`.
 //!
 //! Beyond the usual criterion CLI, this bench accepts:
 //!
 //! ```text
 //!   --quick       smaller stream + 3 samples (CI smoke)
 //!   --json FILE   write the measured table as JSON (BENCH_core.json)
-//!   --enforce     exit 1 if buffered b=64 ingests slower than strict
+//!   --enforce     exit 1 if buffered b=64 ingests below 0.6x strict, or
+//!                 batch32/z=1.5 below 1.0x per_item/z=1.5
 //! ```
 
 use criterion::{BenchmarkId, Criterion, Throughput};
-use ivl_concurrent::{
-    BatchScratch, BufferedPcm, ConcurrentSketch, Pcm, ShardedPcm, SketchHandle, UpdateBuffer,
-};
+use ivl_concurrent::{BatchScratch, BufferedPcm, ConcurrentSketch, Pcm, ShardedPcm, SketchHandle};
+use ivl_service::protocol::MAX_BATCH_ITEMS;
 use ivl_sketch::countmin::CountMinParams;
 use ivl_sketch::stream::ZipfStream;
 use ivl_sketch::CoinFlips;
@@ -58,6 +61,30 @@ fn stream(n: usize, seed: u64) -> Vec<u64> {
 
 fn skewed_stream(n: usize, s: f64, seed: u64) -> Vec<u64> {
     ZipfStream::new(ALPHABET, s, seed).take(n).collect()
+}
+
+/// A served CountMin writer's scratch: sized, like the server's, for
+/// the largest wire frame.
+fn writer_scratch() -> BatchScratch {
+    BatchScratch::with_capacity(params().depth, MAX_BATCH_ITEMS as usize)
+}
+
+/// The served CountMin write path at batch bound `b`: a shard lease,
+/// each frame buffered into the writer's scratch and swept into the
+/// lease, then the final sweep a returning lease performs.
+fn buffered_lease<F: AsRef<[(u64, u64)]>>(
+    sketch: &ShardedPcm,
+    scratch: &mut BatchScratch,
+    b: u64,
+    frames: impl IntoIterator<Item = F>,
+) {
+    let mut lease = sketch.lease().expect("a free shard per writer");
+    for frame in frames {
+        scratch.buffer(sketch.hashes(), frame.as_ref(), b, |s| {
+            lease.sweep(s);
+        });
+    }
+    lease.sweep(scratch);
 }
 
 /// Times `iters` fresh-sketch ingest passes over `items`, timing only
@@ -130,9 +157,9 @@ fn bench_hot_path(c: &mut Criterion, n: usize) {
         });
     }
 
-    // The service's actual write path: an `UpdateBuffer` draining into
-    // a shard lease, whose SWMR cells take a plain load+store instead
-    // of a lock-prefixed `fetch_add`.
+    // The service's actual write path, one update per frame: the
+    // lease's SWMR cells take a plain load+store instead of a
+    // lock-prefixed `fetch_add`.
     for batch in BATCHES {
         group.bench_function(
             BenchmarkId::new("buffered_lease", format!("b={batch}")),
@@ -140,15 +167,10 @@ fn bench_hot_path(c: &mut Criterion, n: usize) {
                 b.iter_custom(|iters| {
                     timed_passes(iters, &items, |coins, items| {
                         let sketch = ShardedPcm::new(params(), SHARDS, coins);
-                        let mut lease = sketch.lease().expect("fresh sketch has free shards");
-                        let mut buf = UpdateBuffer::new(params().depth, batch);
+                        let mut scratch = writer_scratch();
                         let start = Instant::now();
-                        for &i in items {
-                            if buf.push(sketch.hashes(), i, 1) {
-                                buf.drain(|cols, count| lease.apply_rows(cols, count));
-                            }
-                        }
-                        buf.drain(|cols, count| lease.apply_rows(cols, count));
+                        let frames = items.iter().map(|&i| [(i, 1)]);
+                        buffered_lease(&sketch, &mut scratch, batch, frames);
                         start.elapsed()
                     })
                 });
@@ -236,14 +258,10 @@ fn bench_batch_kernel(c: &mut Criterion, n: usize) {
         group.bench_function(BenchmarkId::new("batch32_buf64", tag), |b| {
             b.iter_custom(|iters| {
                 timed_passes(iters, &items, |coins, _| {
-                    let sketch = BufferedPcm::new(params(), 64, coins);
-                    let mut h = sketch.handle();
-                    let mut scratch = BatchScratch::with_capacity(params().depth, FRAME);
+                    let sketch = ShardedPcm::new(params(), SHARDS, coins);
+                    let mut scratch = writer_scratch();
                     let start = Instant::now();
-                    for frame in &frames {
-                        h.absorb_batch(frame, &mut scratch);
-                    }
-                    h.flush();
+                    buffered_lease(&sketch, &mut scratch, 64, &frames);
                     start.elapsed()
                 })
             });
@@ -338,19 +356,14 @@ fn bench_contended(c: &mut Criterion, n: usize) {
             b.iter_custom(|iters| {
                 timed_passes(iters, &items, |coins, items| {
                     let sketch = ShardedPcm::new(params(), THREADS, coins);
+                    let mut scratches: Vec<_> = (0..THREADS).map(|_| writer_scratch()).collect();
                     let start = Instant::now();
                     std::thread::scope(|s| {
-                        for slice in items.chunks(chunk) {
+                        for (slice, scratch) in items.chunks(chunk).zip(&mut scratches) {
                             let sketch = &sketch;
                             s.spawn(move || {
-                                let mut lease = sketch.lease().expect("one shard per writer");
-                                let mut buf = UpdateBuffer::new(params().depth, 64);
-                                for &i in slice {
-                                    if buf.push(sketch.hashes(), i, 1) {
-                                        buf.drain(|cols, count| lease.apply_rows(cols, count));
-                                    }
-                                }
-                                buf.drain(|cols, count| lease.apply_rows(cols, count));
+                                let frames = slice.iter().map(|&i| [(i, 1)]);
+                                buffered_lease(sketch, scratch, 64, frames);
                             });
                         }
                     });
@@ -370,6 +383,14 @@ fn rate_of(c: &Criterion, suffix: &str) -> Option<f64> {
         .and_then(|r| r.elems_per_sec)
 }
 
+/// The rate of `a` over the rate of `b`, when both were measured.
+fn ratio_of(c: &Criterion, a: &str, b: &str) -> Option<f64> {
+    match (rate_of(c, a), rate_of(c, b)) {
+        (Some(a), Some(b)) if b > 0.0 => Some(a / b),
+        _ => None,
+    }
+}
+
 fn write_json(c: &Criterion, path: &str, n: usize, quick: bool) -> std::io::Result<()> {
     let mut rows = String::new();
     for r in c.results() {
@@ -384,16 +405,12 @@ fn write_json(c: &Criterion, path: &str, n: usize, quick: bool) -> std::io::Resu
             rate / 1e6
         ));
     }
-    let ratio = match (rate_of(c, "buffered/b=64"), rate_of(c, "strict")) {
-        (Some(b), Some(s)) if s > 0.0 => b / s,
-        _ => 0.0,
-    };
-    let pair = |b: &str, p: &str| match (rate_of(c, b), rate_of(c, p)) {
-        (Some(b), Some(p)) if p > 0.0 => b / p,
-        _ => 0.0,
-    };
-    let batch_hot = pair("batch32/z=1.5", "per_item/z=1.5");
-    let batch_serving = pair("batch32/z=1.1", "per_item/z=1.1");
+    let [ratio, batch_hot, batch_serving] = [
+        ("buffered/b=64", "strict"),
+        ("batch32/z=1.5", "per_item/z=1.5"),
+        ("batch32/z=1.1", "per_item/z=1.1"),
+    ]
+    .map(|(a, b)| ratio_of(c, a, b).unwrap_or(0.0));
     let doc = format!(
         "{{\n  \"bench\": \"sketch_hot_path\",\n  \"items\": {n},\n  \
          \"alphabet\": {ALPHABET},\n  \"zipf_s\": {ZIPF_S},\n  \
@@ -435,54 +452,33 @@ fn main() {
         println!("wrote {path}");
     }
     if enforce {
-        // Generous threshold: on a noisy shared runner single-writer
-        // buffered b=64 sits around parity with strict, so the gate
-        // only trips on a genuine pathology (coalescing or flush
-        // regressed into multiplying work), not on scheduler jitter.
-        const FLOOR: f64 = 0.6;
-        let (b64, strict) = (rate_of(&c, "buffered/b=64"), rate_of(&c, "strict"));
-        match (b64, strict) {
-            (Some(b64), Some(strict)) if b64 >= strict * FLOOR => {
-                println!("enforce: buffered b=64 at {:.2}x strict — ok", b64 / strict);
-            }
-            (Some(b64), Some(strict)) => {
-                eprintln!(
-                    "enforce: buffered b=64 ingests at {:.2}x strict (< {FLOOR}) — \
-                     the buffer is multiplying work instead of amortizing it",
-                    b64 / strict
-                );
-                std::process::exit(1);
-            }
-            _ => {
-                eprintln!("enforce: missing strict or buffered b=64 measurement");
-                std::process::exit(1);
-            }
-        }
-        // The batch kernel must beat the per-item loop in its hot-key
-        // regime (z=1.5, where in-frame duplicates are plentiful) —
-        // that's the coalescing payoff the kernel exists for, so a
-        // ratio below 1 means batching regressed into a pessimization.
-        // The serving-default pair (z=1.1) sits at the coalescing
-        // break-even by construction and is reported, not gated.
-        const BATCH_FLOOR: f64 = 1.0;
-        match (rate_of(&c, "batch32/z=1.5"), rate_of(&c, "per_item/z=1.5")) {
-            (Some(batch), Some(per_item)) if batch >= per_item * BATCH_FLOOR => {
-                println!(
-                    "enforce: batch32 kernel at {:.2}x per-item (z=1.5) — ok",
-                    batch / per_item
-                );
-            }
-            (Some(batch), Some(per_item)) => {
-                eprintln!(
-                    "enforce: batch32 kernel at {:.2}x per-item (z=1.5, < {BATCH_FLOOR}) — \
-                     batching has become a pessimization",
-                    batch / per_item
-                );
-                std::process::exit(1);
-            }
-            _ => {
-                eprintln!("enforce: missing batch32 or per_item measurement");
-                std::process::exit(1);
+        // Two floors. Buffered b=64 against strict is generous (0.6x):
+        // on a noisy shared runner single-writer buffering sits around
+        // parity, so the gate only trips on a genuine pathology
+        // (coalescing or flush regressed into multiplying work), not on
+        // scheduler jitter. The batch kernel must beat the per-item loop
+        // (1.0x) in its hot-key regime (z=1.5, where in-frame duplicates
+        // are plentiful) — the coalescing payoff the kernel exists for;
+        // the serving-default pair (z=1.1) sits at the break-even by
+        // construction and is reported, not gated.
+        let floors = [
+            ("buffered/b=64", "strict", 0.6),
+            ("batch32/z=1.5", "per_item/z=1.5", 1.0),
+        ];
+        for (fast, base, floor) in floors {
+            match ratio_of(&c, fast, base) {
+                Some(r) if r >= floor => println!("enforce: {fast} at {r:.2}x {base} — ok"),
+                Some(r) => {
+                    eprintln!(
+                        "enforce: {fast} at {r:.2}x {base} (< {floor}) — \
+                         it multiplies work instead of amortizing it"
+                    );
+                    std::process::exit(1);
+                }
+                None => {
+                    eprintln!("enforce: missing {fast} or {base} measurement");
+                    std::process::exit(1);
+                }
             }
         }
     }

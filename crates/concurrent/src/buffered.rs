@@ -1,16 +1,17 @@
-//! A buffered IVL CountMin: thread-local update buffers propagated to
+//! A buffered IVL CountMin: thread-local write buffers propagated to
 //! the shared matrix every `b` updates — the sketch analogue of the
 //! paper's *batched counter* (Algorithm 2, Lemma 10).
 //!
-//! Each writer accumulates updates in a private [`UpdateBuffer`]: the
-//! first occurrence of an item memoizes its per-row columns with one
-//! [`PairwiseHash::hash_row_batch`] pass, repeat occurrences coalesce
-//! into the existing entry without re-hashing or touching shared
-//! memory. Once the buffered weight reaches the batch bound `b`, the
-//! buffer *propagates*: each entry's count is added to the shared
-//! [`CellArena`] with one `fetch_add` per row (the `PCM` write path —
-//! commutative, so flush order across threads is irrelevant). Queries
-//! read the shared matrix directly, exactly like [`Pcm`](crate::Pcm).
+//! Each writer's buffer is a [`BatchScratch`] kept across updates: the
+//! first occurrence of an item memoizes its per-row columns, repeat
+//! occurrences coalesce into the existing entry without re-hashing or
+//! touching shared memory. Once the buffered weight reaches the batch
+//! bound `b`, the buffer *propagates* through [`Pcm`]'s sweep: each
+//! entry's count is added to the shared cells with one `fetch_add` per
+//! row (the `PCM` write path — commutative, so flush order across
+//! threads is irrelevant). Queries read the shared matrix directly,
+//! exactly like [`Pcm`]. The served CountMin runs the same buffer over a
+//! shard lease (`ShardLease::sweep`).
 //!
 //! **Correctness (Lemma 10 analogue).** After any prefix of a run, a
 //! handle holds strictly less than `b` buffered weight (reaching `b`
@@ -33,143 +34,16 @@
 //! the bound per key over arbitrary interleavings; DESIGN.md §9 gives
 //! the argument in full.
 
-use crate::arena::CellArena;
 use crate::batch::BatchScratch;
+use crate::pcm::Pcm;
 use crate::{ConcurrentSketch, SketchHandle};
 use ivl_sketch::countmin::{CountMin, CountMinParams};
-use ivl_sketch::hash::PairwiseHash;
 use ivl_sketch::CoinFlips;
-use std::sync::atomic::Ordering;
 
-/// Cap on distinct buffered items per buffer. Past this the buffer
+/// Cap on distinct buffered items per handle. Past this the buffer
 /// flushes early (always safe — the `n·b` bound only shrinks), keeping
 /// memory and flush latency bounded for huge `b`.
-const MAX_ENTRIES: usize = 1024;
-
-/// SplitMix64 finalizer: spreads item bits for the coalescing table.
-/// Only placement in the *local* table depends on it, never sketch
-/// contents, so it needs no drawn randomness. Shared with the
-/// frame-coalescing table in [`crate::batch`].
-#[inline]
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
-/// A thread-local coalescing buffer of pending sketch updates with
-/// memoized row columns.
-///
-/// Standalone so serving layers can buffer on top of a
-/// [`ShardLease`](crate::ShardLease) (via
-/// [`apply_rows`](crate::ShardLease::apply_rows)) with the same
-/// accounting [`BufferedPcm`] uses internally.
-#[derive(Debug)]
-pub struct UpdateBuffer {
-    depth: usize,
-    /// The batch bound `b` (in update weight).
-    capacity: u64,
-    /// Open-addressed item → entry index table (`entry + 1`; 0 empty).
-    slots: Vec<u32>,
-    mask: usize,
-    items: Vec<u64>,
-    counts: Vec<u64>,
-    /// `cols[e * depth..][..depth]`: entry `e`'s memoized row columns.
-    cols: Vec<u32>,
-    pending: u64,
-    flushes: u64,
-    scratch: Vec<usize>,
-}
-
-impl UpdateBuffer {
-    /// Creates a buffer for a depth-`depth` sketch that signals a
-    /// flush every `batch` buffered weight (`batch` 0 behaves as 1:
-    /// every push is immediately due).
-    pub fn new(depth: usize, batch: u64) -> Self {
-        let max_entries = (batch.max(1) as usize).min(MAX_ENTRIES);
-        let slots = max_entries.next_power_of_two() * 2;
-        UpdateBuffer {
-            depth,
-            capacity: batch.max(1),
-            slots: vec![0; slots],
-            mask: slots - 1,
-            items: Vec::with_capacity(max_entries),
-            counts: Vec::with_capacity(max_entries),
-            cols: Vec::with_capacity(max_entries * depth),
-            pending: 0,
-            flushes: 0,
-            scratch: Vec::with_capacity(depth),
-        }
-    }
-
-    /// Buffers `count` occurrences of `item`, memoizing its row
-    /// columns (drawn from `hashes` via one
-    /// [`PairwiseHash::hash_row_batch`] pass) on first sight and
-    /// coalescing repeats. Returns `true` when the buffer is due for
-    /// draining (buffered weight reached the batch bound, or the
-    /// entry table is full); the owner must then call [`drain`].
-    ///
-    /// Weight-0 updates still count 1 toward the bound so degenerate
-    /// streams cannot grow the buffer unboundedly.
-    ///
-    /// [`drain`]: UpdateBuffer::drain
-    pub fn push(&mut self, hashes: &[PairwiseHash], item: u64, count: u64) -> bool {
-        debug_assert_eq!(hashes.len(), self.depth);
-        let mut i = mix(item) as usize & self.mask;
-        loop {
-            let s = self.slots[i];
-            if s == 0 {
-                PairwiseHash::hash_row_batch(hashes, item, &mut self.scratch);
-                self.items.push(item);
-                self.counts.push(count);
-                self.cols.extend(self.scratch.iter().map(|&c| c as u32));
-                self.slots[i] = self.items.len() as u32;
-                break;
-            }
-            let e = (s - 1) as usize;
-            if self.items[e] == item {
-                self.counts[e] += count;
-                break;
-            }
-            i = (i + 1) & self.mask;
-        }
-        self.pending = self.pending.saturating_add(count.max(1));
-        self.pending >= self.capacity || self.items.len() * 2 > self.slots.len()
-    }
-
-    /// Currently buffered (invisible) weight.
-    pub fn pending(&self) -> u64 {
-        self.pending
-    }
-
-    /// Number of non-empty drains performed so far.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Propagates and clears the buffer: calls `apply(cols, count)`
-    /// once per distinct buffered item, where `cols` holds its
-    /// memoized column per row. Returns the weight drained.
-    pub fn drain(&mut self, mut apply: impl FnMut(&[u32], u64)) -> u64 {
-        if self.items.is_empty() {
-            return 0;
-        }
-        for (e, &count) in self.counts.iter().enumerate() {
-            apply(&self.cols[e * self.depth..(e + 1) * self.depth], count);
-        }
-        self.slots.fill(0);
-        self.items.clear();
-        self.counts.clear();
-        self.cols.clear();
-        self.flushes += 1;
-        std::mem::take(&mut self.pending)
-    }
-}
+const MAX_ENTRIES: u64 = 1024;
 
 /// The buffered concurrent CountMin (batched-counter construction).
 ///
@@ -194,9 +68,7 @@ impl UpdateBuffer {
 /// ```
 #[derive(Debug)]
 pub struct BufferedPcm {
-    params: CountMinParams,
-    hashes: Vec<PairwiseHash>,
-    cells: CellArena,
+    pcm: Pcm,
     batch: u64,
 }
 
@@ -216,23 +88,15 @@ impl BufferedPcm {
     ///
     /// Panics if the prototype has already ingested updates.
     pub fn from_prototype(proto: &CountMin, batch: u64) -> Self {
-        assert_eq!(
-            ivl_sketch::FrequencySketch::stream_len(proto),
-            0,
-            "prototype must be empty"
-        );
-        let params = proto.params();
         BufferedPcm {
-            params,
-            hashes: proto.hashes().to_vec(),
-            cells: CellArena::new(params.depth, params.width),
+            pcm: Pcm::from_prototype(proto),
             batch: batch.max(1),
         }
     }
 
     /// The sketch dimensions.
     pub fn params(&self) -> CountMinParams {
-        self.params
+        self.pcm.params()
     }
 
     /// The batch bound `b`: a handle holds strictly less than `b`
@@ -244,52 +108,30 @@ impl BufferedPcm {
     /// Estimates `item`'s frequency from the shared matrix (the `PCM`
     /// read path — buffered weight is invisible until propagated).
     pub fn estimate(&self, item: u64) -> u64 {
-        let xr = PairwiseHash::reduce(item);
-        self.hashes
-            .iter()
-            .enumerate()
-            .map(|(row, h)| {
-                self.cells
-                    .cell(row, h.hash_reduced(xr))
-                    .load(Ordering::Relaxed)
-            })
-            .min()
-            .expect("depth >= 1")
+        self.pcm.estimate(item)
     }
 }
 
-/// A writer handle owning one [`UpdateBuffer`]; drops flush, so a
-/// finished writer never strands weight.
+/// A writer handle owning one write buffer; drops flush, so a finished
+/// writer never strands weight.
 #[derive(Debug)]
 pub struct BufferedHandle<'a> {
     parent: &'a BufferedPcm,
-    buf: UpdateBuffer,
+    buf: BatchScratch,
+    flushes: u64,
 }
 
 impl BufferedHandle<'_> {
     /// Buffers `count` occurrences of `item`, propagating the whole
-    /// buffer when its weight reaches the batch bound.
+    /// buffer when its weight reaches the batch bound. Weight-0 updates
+    /// still count 1 toward the bound.
     pub fn update_by(&mut self, item: u64, count: u64) {
-        if self.buf.push(&self.parent.hashes, item, count) {
-            self.propagate();
-        }
-    }
-
-    /// Absorbs a whole frame of `(item, count)` pairs, coalescing
-    /// duplicate keys through `scratch` first so each distinct key
-    /// costs one buffer probe (and at most one `hash_row_batch` pass,
-    /// on first sight in the buffer). Propagates whenever the batch
-    /// bound trips mid-frame, so the buffered weight stays strictly
-    /// under `b` on return — the per-handle `n·b` envelope bound is
-    /// unchanged by frame absorption.
-    pub fn absorb_batch(&mut self, items: &[(u64, u64)], scratch: &mut BatchScratch) {
-        scratch.coalesce(items);
-        for e in 0..scratch.len() {
-            let (item, count) = scratch.entry(e);
-            if self.buf.push(&self.parent.hashes, item, count) {
-                self.propagate();
-            }
-        }
+        let (pcm, flushes) = (&self.parent.pcm, &mut self.flushes);
+        self.buf
+            .buffer(pcm.hashes(), &[(item, count)], self.parent.batch, |buf| {
+                pcm.sweep(buf);
+                *flushes += 1;
+            });
     }
 
     /// Weight buffered but not yet visible to queries.
@@ -299,18 +141,14 @@ impl BufferedHandle<'_> {
 
     /// Number of propagations performed so far.
     pub fn flushes(&self) -> u64 {
-        self.buf.flushes()
+        self.flushes
     }
 
     fn propagate(&mut self) {
-        let cells = &self.parent.cells;
-        self.buf.drain(|cols, count| {
-            for (row, &col) in cols.iter().enumerate() {
-                cells
-                    .cell(row, col as usize)
-                    .fetch_add(count, Ordering::Relaxed);
-            }
-        });
+        if !self.buf.is_empty() {
+            self.parent.pcm.sweep(&mut self.buf);
+            self.flushes += 1;
+        }
     }
 }
 
@@ -334,9 +172,11 @@ impl ConcurrentSketch for BufferedPcm {
     type Handle<'a> = BufferedHandle<'a>;
 
     fn handle(&self) -> BufferedHandle<'_> {
+        let entries = self.batch.min(MAX_ENTRIES) as usize;
         BufferedHandle {
             parent: self,
-            buf: UpdateBuffer::new(self.params.depth, self.batch),
+            buf: BatchScratch::with_capacity(self.params().depth, entries),
+            flushes: 0,
         }
     }
 
@@ -401,48 +241,20 @@ mod tests {
 
     #[test]
     fn coalescing_keeps_one_entry_per_item() {
-        let mut buf = UpdateBuffer::new(3, 1_000);
-        let hashes: Vec<PairwiseHash> = {
-            let mut coins = CoinFlips::from_seed(4);
-            (0..3).map(|_| PairwiseHash::draw(&mut coins, 32)).collect()
-        };
+        let buffered = BufferedPcm::new(params(), 1_000, &mut CoinFlips::from_seed(4));
+        let mut h = buffered.handle();
         for _ in 0..50 {
             for item in [1u64, 2, 3] {
-                buf.push(&hashes, item, 1);
+                h.update(item);
             }
         }
-        let mut applied = Vec::new();
-        let drained = buf.drain(|cols, count| applied.push((cols.to_vec(), count)));
-        assert_eq!(drained, 150);
-        assert_eq!(applied.len(), 3, "one drain call per distinct item");
-        for (cols, count) in &applied {
-            assert_eq!(*count, 50);
-            assert_eq!(cols.len(), 3);
+        assert_eq!(h.buf.len(), 3, "one buffered entry per distinct item");
+        assert_eq!(h.pending(), 150);
+        h.flush();
+        assert_eq!((h.pending(), h.flushes()), (0, 1));
+        for item in [1u64, 2, 3] {
+            assert!(buffered.estimate(item) >= 50);
         }
-        assert!(buf.is_empty());
-        assert_eq!(buf.pending(), 0);
-    }
-
-    #[test]
-    fn memoized_columns_match_direct_hashing() {
-        let mut coins = CoinFlips::from_seed(5);
-        let hashes: Vec<PairwiseHash> =
-            (0..4).map(|_| PairwiseHash::draw(&mut coins, 64)).collect();
-        let mut buf = UpdateBuffer::new(4, 100);
-        for item in [0u64, 42, u64::MAX, 7, 42] {
-            buf.push(&hashes, item, 1);
-        }
-        buf.drain(|cols, _| {
-            // Recover which item this entry is by matching columns.
-            let direct: Vec<Vec<u32>> = [0u64, 42, u64::MAX, 7]
-                .iter()
-                .map(|&x| hashes.iter().map(|h| h.hash(x) as u32).collect())
-                .collect();
-            assert!(
-                direct.iter().any(|d| d == cols),
-                "memoized columns {cols:?} match no direct hash"
-            );
-        });
     }
 
     #[test]

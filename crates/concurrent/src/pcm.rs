@@ -24,12 +24,12 @@
 //! `ivl-core`.
 
 use crate::arena::CellArena;
-use crate::batch::{BatchScratch, PREFETCH_DIST};
+use crate::batch::BatchScratch;
 use crate::{ConcurrentSketch, SketchHandle};
 use ivl_sketch::countmin::{CountMin, CountMinParams};
 use ivl_sketch::hash::PairwiseHash;
 use ivl_sketch::CoinFlips;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The concurrent CountMin sketch `PCM(c̄)`.
 ///
@@ -105,6 +105,12 @@ impl Pcm {
         self.params
     }
 
+    /// The per-row hash functions (`c̄`) a writer absorbs into its
+    /// scratch with before [`sweep`](Self::sweep).
+    pub(crate) fn hashes(&self) -> &[PairwiseHash] {
+        &self.hashes
+    }
+
     /// Atomically increments `item`'s cell in every row (Algorithm 1
     /// line 5, concurrent version).
     pub fn update(&self, item: u64) {
@@ -127,37 +133,26 @@ impl Pcm {
         }
     }
 
-    /// Applies a whole frame of `(item, count)` pairs: `scratch`
-    /// coalesces duplicate keys and memoizes each distinct key's
-    /// columns with one hashing sweep, then the cell adds run
-    /// **row-major** — all of row 0's touches, then row 1's — with the
-    /// cell [`PREFETCH_DIST`] entries ahead of the write cursor warmed
-    /// by a relaxed load (split off the loop tail, so the hot loop
-    /// carries no bounds branch). Cell adds commute, so the final
-    /// state is identical to per-item [`update_by`](Self::update_by)
-    /// calls; a concurrent query sees some prefix of the sweep, the
-    /// same intermediate-value freedom Lemma 7 already covers.
+    /// Applies a whole frame of `(item, count)` pairs:
+    /// [`BatchScratch::prepare`], then the row-major sweep of `fetch_add`s.
+    /// Cell adds commute, so the final state is identical to per-item
+    /// [`update_by`](Self::update_by) calls; a concurrent query sees
+    /// some prefix of the sweep, the same intermediate-value freedom
+    /// Lemma 7 already covers.
     pub fn update_batch(&self, items: &[(u64, u64)], scratch: &mut BatchScratch) {
-        let n = scratch.prepare(&self.hashes, items);
-        for row in 0..self.params.depth {
-            let cells = self.cells.row_cells(row);
-            let cols = scratch.row_cols(row);
-            let counts = &scratch.counts()[..n];
-            let warm = n.saturating_sub(PREFETCH_DIST);
-            for e in 0..warm {
-                let _ = cells
-                    .cell(cols[e + PREFETCH_DIST] as usize)
-                    .load(Ordering::Relaxed);
-                cells
-                    .cell(cols[e] as usize)
-                    .fetch_add(counts[e], Ordering::Relaxed);
-            }
-            for e in warm..n {
-                cells
-                    .cell(cols[e] as usize)
-                    .fetch_add(counts[e], Ordering::Relaxed);
-            }
-        }
+        scratch.prepare(&self.hashes, items);
+        self.sweep(scratch);
+    }
+
+    /// Adds `scratch`'s live entries into the cells — one `fetch_add`
+    /// per entry per row, row-major — and clears it; returns the
+    /// pending weight swept. The flush of [`BufferedPcm`](crate::BufferedPcm).
+    pub(crate) fn sweep(&self, scratch: &mut BatchScratch) -> u64 {
+        let add = |cell: &AtomicU64, add| {
+            cell.fetch_add(add, Ordering::Relaxed);
+        };
+        scratch.sweep(&self.cells, add, |_, _| ());
+        scratch.clear()
     }
 
     /// Reads `item`'s cell in every row and returns the minimum

@@ -20,7 +20,7 @@
 //! analogue of the paper's O(1)-update / O(n)-read batched counter.
 
 use crate::arena::CellArena;
-use crate::batch::{BatchScratch, PREFETCH_DIST};
+use crate::batch::BatchScratch;
 use crate::{ConcurrentSketch, SketchHandle};
 use ivl_sketch::countmin::{CountMin, CountMinParams};
 use ivl_sketch::hash::PairwiseHash;
@@ -85,8 +85,8 @@ impl ShardMeta {
     }
 }
 
-/// Single-writer cursor over one op's log entries, the one way all
-/// four write paths mark cells dirty.
+/// Single-writer cursor over one op's log entries, the one way both
+/// write paths (a sweep, an absorb) mark cells dirty.
 struct OpLog<'a> {
     meta: &'a ShardMeta,
     start: u64,
@@ -152,12 +152,9 @@ pub struct ShardedPcm {
     /// One [`ShardMeta`] per shard (its touch log), same single-writer
     /// ownership as the matching arena.
     meta: Vec<ShardMeta>,
-    /// Single-writer ownership flags, one per shard. [`handle`]
-    /// acquires a shard permanently; [`ShardedPcm::lease`] returns it
-    /// on drop so serving layers can recycle shards across
-    /// connections.
-    ///
-    /// [`handle`]: ConcurrentSketch::handle
+    /// Single-writer ownership flags, one per shard, held by a
+    /// [`ShardLease`] until it drops so serving layers can recycle
+    /// shards across connections.
     in_use: Vec<AtomicBool>,
 }
 
@@ -199,9 +196,8 @@ impl ShardedPcm {
     }
 
     /// The per-row hash functions (`c̄`), shared with the sequential
-    /// prototype. Exposed so a buffered ingest layer can memoize row
-    /// columns via [`PairwiseHash::hash_row_batch`] and later apply
-    /// them through [`ShardLease::apply_rows`].
+    /// prototype — what a writer absorbs frames into its
+    /// [`BatchScratch`] with before [`ShardLease::sweep`].
     pub fn hashes(&self) -> &[PairwiseHash] {
         &self.hashes
     }
@@ -234,17 +230,16 @@ impl ShardedPcm {
     }
 
     /// Checks out a free shard as a droppable single-writer lease, or
-    /// returns `None` when every shard is busy. Unlike
-    /// [`ConcurrentSketch::handle`] (which owns its shard forever), a
-    /// lease returns the shard to the free pool on drop — the shape a
-    /// serving layer needs to hand shards to connections that come and
-    /// go. Leases and permanent handles draw from the same pool, so
-    /// the single-writer invariant holds across both.
+    /// returns `None` when every shard is busy. The lease returns the
+    /// shard to the free pool on drop — the shape a serving layer needs
+    /// to hand shards to connections that come and go.
+    /// [`ConcurrentSketch::handle`] is the same lease, panicking
+    /// instead of returning `None`.
     pub fn lease(&self) -> Option<ShardLease<'_>> {
         self.acquire_free_shard().map(|shard| ShardLease {
             parent: self,
             shard,
-            scratch: Vec::with_capacity(self.params.depth),
+            one: None,
         })
     }
 
@@ -372,55 +367,24 @@ impl ShardedPcm {
             }
         }
     }
-}
 
-/// Single-writer add of `count` at one pre-hashed column per row:
-/// plain load + `Release` store per cell — no RMW, the shard has
-/// exactly one writer. The shared body of [`ShardHandle::update_by`],
-/// [`ShardLease::update_by`] and [`ShardLease::apply_rows`]. Logs the
-/// touched cells (one entry per row, one `head` store — still store-only).
-fn add_at_cols(parent: &ShardedPcm, shard: usize, cols: impl Iterator<Item = usize>, count: u64) {
-    let arena = &parent.shards[shard];
-    let mut op = parent.meta[shard].begin();
-    for (row, col) in cols.enumerate() {
-        let cell = arena.cell(row, col);
-        let cur = cell.load(Ordering::Relaxed);
-        cell.store(cur + count, Ordering::Release);
-        op.touch(row, &[col as u32]);
-    }
-    op.publish();
-}
-
-/// Single-writer updater over one shard.
-#[derive(Debug)]
-pub struct ShardHandle<'a> {
-    parent: &'a ShardedPcm,
-    shard: usize,
-    /// Reusable row-index buffer for [`PairwiseHash::hash_row_batch`];
-    /// lives on the handle so a stream of updates allocates once.
-    scratch: Vec<usize>,
-}
-
-impl ShardHandle<'_> {
-    /// The shard this handle owns.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Batched update: `count` occurrences at once (the paper's
-    /// batched updates; one store per row regardless of `count`).
-    /// Row indices come from one [`PairwiseHash::hash_row_batch`]
-    /// pass into the handle's scratch buffer.
-    pub fn update_by(&mut self, item: u64, count: u64) {
-        PairwiseHash::hash_row_batch(&self.parent.hashes, item, &mut self.scratch);
-        add_at_cols(self.parent, self.shard, self.scratch.iter().copied(), count);
+    /// The body of [`ShardLease::sweep`]; the caller holds `shard`'s lease.
+    fn sweep(&self, shard: usize, scratch: &mut BatchScratch) -> u64 {
+        let mut op = self.meta[shard].begin();
+        scratch.sweep(&self.shards[shard], swmr_add, |row, cols| {
+            op.touch(row, cols)
+        });
+        op.publish();
+        scratch.clear()
     }
 }
 
-impl SketchHandle for ShardHandle<'_> {
-    fn update(&mut self, item: u64) {
-        self.update_by(item, 1);
-    }
+/// The single-writer cell add every write path uses: plain load +
+/// `Release` store, no RMW — a leased shard has exactly one writer.
+#[inline]
+fn swmr_add(cell: &AtomicU64, add: u64) {
+    let cur = cell.load(Ordering::Relaxed);
+    cell.store(cur + add, Ordering::Release);
 }
 
 /// A single-writer shard checkout that returns its shard to the free
@@ -429,8 +393,9 @@ impl SketchHandle for ShardHandle<'_> {
 pub struct ShardLease<'a> {
     parent: &'a ShardedPcm,
     shard: usize,
-    /// Reusable row-index buffer (see [`ShardHandle`]).
-    scratch: Vec<usize>,
+    /// The one-entry scratch behind [`update_by`](Self::update_by),
+    /// made on first use (a frame writer brings its own scratch).
+    one: Option<BatchScratch>,
 }
 
 impl ShardLease<'_> {
@@ -439,50 +404,32 @@ impl ShardLease<'_> {
         self.shard
     }
 
-    /// Batched update: `count` occurrences at once (one store per row
-    /// regardless of `count`). Row indices come from one
-    /// [`PairwiseHash::hash_row_batch`] pass into the lease's scratch
-    /// buffer.
+    /// Batched update: `count` occurrences at once, one store per row
+    /// regardless of `count` — a one-entry [`apply_batch`](Self::apply_batch).
     pub fn update_by(&mut self, item: u64, count: u64) {
-        PairwiseHash::hash_row_batch(&self.parent.hashes, item, &mut self.scratch);
-        add_at_cols(self.parent, self.shard, self.scratch.iter().copied(), count);
+        let (parent, shard) = (self.parent, self.shard);
+        let one = self
+            .one
+            .get_or_insert_with(|| BatchScratch::with_capacity(parent.params.depth, 1));
+        one.prepare(&parent.hashes, &[(item, count)]);
+        parent.sweep(shard, one);
     }
 
     /// Applies a whole frame of `(item, count)` pairs to the leased
-    /// shard: `scratch` coalesces duplicate keys and memoizes each
-    /// distinct key's columns with one
-    /// [`PairwiseHash::hash_row_batch`] sweep, then the single-writer
-    /// stores run **row-major** with the next
-    /// [`PREFETCH_DIST`](crate::batch::PREFETCH_DIST) cells warmed
-    /// ahead of the write cursor by a relaxed load. Same load +
-    /// `Release` store per cell as [`add_at_cols`] — the shard still
-    /// has exactly one writer — so the final state is identical to
-    /// per-item [`update_by`](Self::update_by) calls.
+    /// shard: [`BatchScratch::prepare`], then [`sweep`](Self::sweep).
+    /// The final state is identical to per-item updates.
     pub fn apply_batch(&mut self, items: &[(u64, u64)], scratch: &mut BatchScratch) {
-        let n = scratch.prepare(&self.parent.hashes, items);
-        let m = &self.parent.shards[self.shard];
-        let mut op = self.parent.meta[self.shard].begin();
-        for row in 0..self.parent.params.depth {
-            let cells = m.row_cells(row);
-            let cols = scratch.row_cols(row);
-            let counts = &scratch.counts()[..n];
-            let warm = n.saturating_sub(PREFETCH_DIST);
-            for e in 0..warm {
-                let _ = cells
-                    .cell(cols[e + PREFETCH_DIST] as usize)
-                    .load(Ordering::Relaxed);
-                let cell = cells.cell(cols[e] as usize);
-                let cur = cell.load(Ordering::Relaxed);
-                cell.store(cur + counts[e], Ordering::Release);
-            }
-            for e in warm..n {
-                let cell = cells.cell(cols[e] as usize);
-                let cur = cell.load(Ordering::Relaxed);
-                cell.store(cur + counts[e], Ordering::Release);
-            }
-            op.touch(row, &cols[..n]);
-        }
-        op.publish();
+        scratch.prepare(&self.parent.hashes, items);
+        self.sweep(scratch);
+    }
+
+    /// Adds `scratch`'s live entries into the leased shard as one op —
+    /// the row-major sweep with a plain load + `Release` store per cell,
+    /// each row's cells logged after their stores, then one `head`
+    /// publish — and clears it. Returns the pending weight swept. A sweep of more than
+    /// `LOG_OP_MAX` cells laps every older delta base (DESIGN §14.2).
+    pub fn sweep(&mut self, scratch: &mut BatchScratch) -> u64 {
+        self.parent.sweep(self.shard, scratch)
     }
 
     /// Adds a peer's full `depth × width` cell matrix (row-major, as
@@ -491,11 +438,10 @@ impl ShardLease<'_> {
     /// adding the peer matrix into any one shard makes the summed
     /// sketch equal the cell-wise merge of the two sketches
     /// (concatenated-stream semantics, like `CountMin::merge`). Same
-    /// single-writer discipline as [`update_by`](Self::update_by):
-    /// plain load + `Release` store and log entry per touched cell,
-    /// one `head` store for the whole matrix. Zero cells are skipped
-    /// (no store, no entry), so absorbing a sparse peer keeps deltas
-    /// sparse.
+    /// single-writer discipline as [`sweep`](Self::sweep): the same
+    /// cell add and a log entry per touched cell, one `head` store for
+    /// the whole matrix. Zero cells are skipped (no store, no entry),
+    /// so absorbing a sparse peer keeps deltas sparse.
     ///
     /// # Panics
     ///
@@ -513,33 +459,11 @@ impl ShardLease<'_> {
                 if add == 0 {
                     continue;
                 }
-                let cell = row_cells.cell(col);
-                let cur = cell.load(Ordering::Relaxed);
-                cell.store(cur + add, Ordering::Release);
+                swmr_add(row_cells.cell(col), add);
                 op.touch(row, &[col as u32]);
             }
         }
         op.publish();
-    }
-
-    /// Adds `count` at pre-hashed per-row columns (`cols[row]`, one
-    /// per row, as memoized by
-    /// [`UpdateBuffer`](crate::buffered::UpdateBuffer)): the buffered
-    /// flush path, which skips re-hashing entirely.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `cols` has the wrong length or a
-    /// column is out of range — callers must memoize with the parent's
-    /// [`ShardedPcm::hashes`].
-    pub fn apply_rows(&mut self, cols: &[u32], count: u64) {
-        debug_assert_eq!(cols.len(), self.parent.params.depth);
-        add_at_cols(
-            self.parent,
-            self.shard,
-            cols.iter().map(|&c| c as usize),
-            count,
-        );
     }
 }
 
@@ -556,23 +480,17 @@ impl Drop for ShardLease<'_> {
 }
 
 impl ConcurrentSketch for ShardedPcm {
-    type Handle<'a> = ShardHandle<'a>;
+    type Handle<'a> = ShardLease<'a>;
 
-    /// Hands out the lowest free shard, permanently.
+    /// Leases the lowest free shard.
     ///
     /// # Panics
     ///
-    /// Panics when more handles are requested than shards exist —
-    /// two handles on one shard would break the single-writer cells.
-    fn handle(&self) -> ShardHandle<'_> {
-        let shard = self.acquire_free_shard().unwrap_or_else(|| {
-            panic!("more handles requested than shards ({})", self.shards.len())
-        });
-        ShardHandle {
-            parent: self,
-            shard,
-            scratch: Vec::with_capacity(self.params.depth),
-        }
+    /// Panics when more handles are live than shards exist — two
+    /// writers on one shard would break the single-writer cells.
+    fn handle(&self) -> ShardLease<'_> {
+        self.lease()
+            .unwrap_or_else(|| panic!("more handles requested than shards ({})", self.shards.len()))
     }
 
     fn query(&self, item: u64) -> u64 {
@@ -691,8 +609,10 @@ mod tests {
         assert_ne!(h.shard(), l.shard());
         assert!(sharded.lease().is_none());
         drop(l);
-        // The handle's shard is permanent; the lease's shard returns.
         assert_eq!(sharded.lease().expect("lease shard free").shard(), 1);
+        // A handle is a lease too: its shard returns on drop.
+        drop(h);
+        assert_eq!(sharded.lease().expect("handle shard free").shard(), 0);
     }
 
     #[test]
@@ -748,6 +668,17 @@ mod tests {
             }
         }
         as_set(cells)
+    }
+
+    /// Logs one op touching `cols[row]` in each row of `shard`, as a
+    /// sweep of one key with those columns would (the cells are left
+    /// alone: only the log is under test).
+    fn log_op(sharded: &ShardedPcm, shard: usize, cols: [u32; 4]) {
+        let mut op = sharded.meta[shard].begin();
+        for (row, col) in cols.into_iter().enumerate() {
+            op.touch(row, &[col]);
+        }
+        op.publish();
     }
 
     fn epochs(sharded: &ShardedPcm) -> Vec<u64> {
@@ -811,15 +742,15 @@ mod tests {
         // Touches of adjacent columns coalesce into one run, in log
         // order and across shards; a repeated cell is kept.
         let base = epochs(&sharded);
-        a.apply_rows(&[8, 0, 0, 0], 1);
-        b.apply_rows(&[9, 0, 0, 0], 1);
+        log_op(&sharded, a.shard(), [8, 0, 0, 0]);
+        log_op(&sharded, b.shard(), [9, 0, 0, 0]);
         let runs = sharded.dirty_spans_since(&base).expect("two ops since");
         let of_a = [(0, 8, 9), (1, 0, 1), (2, 0, 1), (3, 0, 1)];
         let of_b = [(0, 9, 10), (1, 0, 1), (2, 0, 1), (3, 0, 1)];
         // Leases take the lowest free shard, so `a` holds shard 0.
         assert_eq!(runs, [of_a, of_b].concat());
-        b.apply_rows(&[3, 4, 5, 5], 1);
-        b.apply_rows(&[3, 5, 6, 7], 1);
+        log_op(&sharded, b.shard(), [3, 4, 5, 5]);
+        log_op(&sharded, b.shard(), [3, 5, 6, 7]);
         let mut only_b = epochs(&sharded);
         only_b[b.shard()] -= 8;
         assert_eq!(
@@ -917,6 +848,37 @@ mod tests {
     }
 
     #[test]
+    fn a_buffered_sweep_is_one_op_exact_up_to_log_op_max_cells() {
+        let mut coins = CoinFlips::from_seed(16);
+        let sharded = ShardedPcm::new(wide(), 1, &mut coins);
+        let mut l = sharded.lease().expect("shard free");
+        let mut scratch = BatchScratch::new(4);
+        let base = epochs(&sharded);
+        // Four distinct keys over three frames, buffered: 16 cells,
+        // exactly `LOG_OP_MAX` at this ring size.
+        assert_eq!(LOG_OP_MAX, 16);
+        for frame in [&[(1, 1), (2, 1)][..], &[(1, 2), (3, 1)], &[(4, 1)]] {
+            scratch.buffer(sharded.hashes(), frame, 1_000, |s| {
+                l.sweep(s);
+            });
+        }
+        assert_eq!(sharded.epoch(), 0, "still buffered");
+        assert_eq!(l.sweep(&mut scratch), 6);
+        assert_eq!(epochs(&sharded), [16], "one op, one entry per cell");
+        let runs = sharded.dirty_spans_since(&base).expect("a full-size op");
+        assert_eq!(cells_of(&runs), cells_touched_by(&sharded, &[1, 2, 3, 4]));
+        assert_eq!(sharded.estimate(1), 3);
+        // One distinct key more than fits the log laps every older base.
+        let before = epochs(&sharded);
+        let frame: Vec<(u64, u64)> = (10..15).map(|k| (k, 1)).collect();
+        scratch.absorb(sharded.hashes(), &frame);
+        l.sweep(&mut scratch);
+        assert_eq!(sharded.dirty_spans_since(&before), None);
+        assert_eq!(sharded.dirty_spans_since(&base), None);
+        assert_eq!(sharded.dirty_spans_since(&epochs(&sharded)), Some(vec![]));
+    }
+
+    #[test]
     fn absorb_cells_adds_a_peer_matrix_and_bumps_the_epoch_once() {
         let mut coins = CoinFlips::from_seed(11);
         let sharded = ShardedPcm::new(params(), 2, &mut coins);
@@ -980,16 +942,20 @@ mod tests {
             touches.extend(cols.iter().enumerate().map(|(row, &col)| row * 64 + col));
         }
         let polls = AtomicU64::new(0);
+        // A touch count the writer runs to without waiting for polls,
+        // raised by the reader when it wants its base lapped.
+        let ahead = AtomicU64::new(0);
         let (mut deltas, mut fulls) = (0u32, 0u32);
         std::thread::scope(|s| {
             let mut l = sharded.lease().expect("shard free");
-            let polls = &polls;
+            let (polls, ahead) = (&polls, &ahead);
             let writer = s.spawn(move || {
                 let mut key = 0;
                 for burst in 0u64.. {
                     // Bursts of 1..=8 updates (4..=32 touches); every
-                    // other one lets a poll through, so a poll sees
-                    // from 4 to 64 touches: both answers occur.
+                    // other one waits for a poll unless the reader asked
+                    // for a lap, so a poll sees from 4 to 64 touches, or
+                    // more than the window: both answers occur.
                     for _ in 0..(1 + burst * 5 % 8).min(OPS - key) {
                         l.update_by(key, 1);
                         key += 1;
@@ -1003,6 +969,7 @@ mod tests {
                             match polls.load(Ordering::Acquire) {
                                 u64::MAX => return, // the reader failed an assertion
                                 polled if polled != seen => break,
+                                _ if key * 4 <= ahead.load(Ordering::Acquire) => break,
                                 _ => std::thread::yield_now(),
                             }
                         }
@@ -1022,7 +989,14 @@ mod tests {
             let mut applied = 0;
             let mut cache = sharded.cells_snapshot();
             let mut base = vec![0u64];
-            loop {
+            for round in 0u64.. {
+                if round % 512 == 511 {
+                    let lapped = base[0] + (LOG_CAP - LOG_OP_MAX) as u64 + 1;
+                    ahead.store(lapped, Ordering::Release);
+                    while !writer.is_finished() && sharded.epoch() < lapped {
+                        std::thread::yield_now();
+                    }
+                }
                 let done = writer.is_finished();
                 let now = epochs(&sharded);
                 match sharded.dirty_spans_since(&base) {

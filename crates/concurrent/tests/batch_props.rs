@@ -1,10 +1,10 @@
-//! Property tests for the batch ingest kernels: each kernel must be
-//! cell-identical to the per-item loop it replaces (cell adds commute,
-//! so coalescing a frame changes nothing at quiescence), and per-frame
-//! coalescing must never widen a served envelope — the strict kernels
-//! publish everything before returning, and the buffered kernel keeps
-//! the same strictly-under-`b` pending bound the `lag = shards·b`
-//! envelope accounting is built on.
+//! Property tests for the CountMin write path: every sweep must leave
+//! the cells the sequential `CountMin` (or, for `Pcm`, the per-item
+//! loop) holds (cell adds commute, so coalescing a frame changes nothing
+//! at quiescence), and buffering must never widen a served envelope
+//! past its advertised bound — the strict path publishes everything
+//! before returning, and a write buffer keeps the strictly-under-`b`
+//! pending bound the `lag = shards·b` envelope accounting is built on.
 
 use ivl_concurrent::{BatchScratch, BufferedPcm, ConcurrentSketch, Pcm, ShardedPcm, SketchHandle};
 use ivl_sketch::countmin::{CountMin, CountMinParams};
@@ -53,53 +53,63 @@ proptest! {
         }
     }
 
-    /// `ShardLease::apply_batch` matches per-item `update_by` on the
-    /// same shard, frame by frame.
+    /// `ShardLease::apply_batch` leaves the sequential `CountMin`'s
+    /// exact cell matrix, frame by frame (per-item `update_by` is the
+    /// kernel itself, so the reference is the oracle).
     #[test]
     fn lease_apply_batch_is_cell_identical(frames in frames(), seed in 0u64..1_000) {
-        let proto = proto(seed);
-        let batched = ShardedPcm::from_prototype(&proto, 2);
-        let per_item = ShardedPcm::from_prototype(&proto, 2);
+        let mut cm = proto(seed);
+        let batched = ShardedPcm::from_prototype(&cm, 2);
         let mut scratch = BatchScratch::new(DEPTH);
         let mut bl = batched.lease().expect("free shard");
-        let mut pl = per_item.lease().expect("free shard");
         for frame in &frames {
             bl.apply_batch(frame, &mut scratch);
             for &(key, weight) in frame {
-                pl.update_by(key, weight);
+                cm.update_by(key, weight);
             }
-            prop_assert_eq!(batched.cells_snapshot(), per_item.cells_snapshot());
+            prop_assert_eq!(batched.cells_snapshot(), cm.cells());
         }
     }
 
-    /// `BufferedHandle::absorb_batch` + flush matches per-item
-    /// `update_by` + flush, and between frames the buffered weight
-    /// stays strictly under `b` — absorption trips the same mid-frame
-    /// flushes the per-item loop would, so the advertised
-    /// `lag = shards·b` bound dominates any per-frame coalescing.
+    /// The write buffer, over any frames and b ∈ {0, 1, 7, 64, 2^40}:
+    /// after every frame a lease + scratch writer and a `BufferedPcm`
+    /// handle each hold less than `max(b, 1)` unflushed weight (Lemma
+    /// 10; `b = 0` is the strict path, holding nothing), every key's
+    /// lease estimate lies in `[strict − pending, strict]`, and after a
+    /// final sweep both equal the sequential `CountMin`.
     #[test]
-    fn buffered_absorb_batch_is_cell_identical(
+    fn buffered_writers_hold_under_b_and_flush_to_the_sequential_sketch(
         frames in frames(),
-        b in 1u64..20,
+        b in (0usize..5).prop_map(|i| [0u64, 1, 7, 64, 1 << 40][i]),
         seed in 0u64..1_000,
     ) {
-        let proto = proto(seed);
-        let batched = BufferedPcm::from_prototype(&proto, b);
-        let per_item = BufferedPcm::from_prototype(&proto, b);
+        let mut cm = proto(seed);
+        let sharded = ShardedPcm::from_prototype(&cm, 2);
+        let buffered = BufferedPcm::from_prototype(&cm, b);
+        let mut lease = sharded.lease().expect("free shard");
         let mut scratch = BatchScratch::new(DEPTH);
-        let mut bh = batched.handle();
-        let mut ph = per_item.handle();
+        let mut bh = buffered.handle();
+        let bound = b.max(1);
         for frame in &frames {
-            bh.absorb_batch(frame, &mut scratch);
+            scratch.buffer(sharded.hashes(), frame, b, |s| {
+                lease.sweep(s);
+            });
             for &(key, weight) in frame {
-                ph.update_by(key, weight);
+                bh.update_by(key, weight);
+                cm.update_by(key, weight);
             }
-            prop_assert!(bh.pending() < b, "pending {} >= b {}", bh.pending(), b);
+            prop_assert!(scratch.pending() < bound, "lease writer holds {} >= {}", scratch.pending(), bound);
+            prop_assert!(bh.pending() < bound, "handle holds {} >= {}", bh.pending(), bound);
+            for key in 0u64..24 {
+                let (got, strict) = (sharded.estimate(key), cm.estimate(key));
+                prop_assert!(got <= strict && strict <= got + scratch.pending(), "key {}", key);
+            }
         }
+        lease.sweep(&mut scratch);
         bh.flush();
-        ph.flush();
+        prop_assert_eq!(sharded.cells_snapshot(), cm.cells());
         for key in 0u64..24 {
-            prop_assert_eq!(batched.estimate(key), per_item.estimate(key));
+            prop_assert_eq!(buffered.estimate(key), cm.estimate(key), "key {}", key);
         }
     }
 
@@ -120,13 +130,12 @@ proptest! {
             for frame in &frames {
                 pcm.update_batch(frame, &mut scratch);
                 lease.apply_batch(frame, &mut scratch);
-                bh.absorb_batch(frame, &mut scratch);
                 for &(key, weight) in frame {
+                    bh.update_by(key, weight);
                     cm.update_by(key, weight);
                 }
             }
-            bh.flush();
-        }
+        } // the handle's drop flushes
         for key in 0u64..24 {
             let expect = cm.estimate(key);
             prop_assert_eq!(pcm.estimate(key), expect, "pcm key {}", key);

@@ -42,7 +42,6 @@ use crate::metrics::{Metrics, ObjectStats};
 use crate::wspec::WeightedCmSpec;
 use ivl_concurrent::{
     BatchScratch, ConcurrentHll, ConcurrentMinRegister, ConcurrentMorris, ShardLease, ShardedPcm,
-    UpdateBuffer,
 };
 use ivl_counter::{IvlBatchedCounter, SharedBatchedCounter};
 use ivl_merge::{AbsorbSink, MergeError, MergeableState};
@@ -684,8 +683,6 @@ impl ServedObject for ServedCountMin {
             obj: self,
             metrics,
             lease: None,
-            buffer: (self.write_buffer > 0)
-                .then(|| UpdateBuffer::new(self.proto.params().depth, self.write_buffer)),
             scratch: BatchScratch::with_capacity(
                 self.proto.params().depth,
                 crate::protocol::MAX_BATCH_ITEMS as usize,
@@ -818,16 +815,16 @@ impl ServedObject for ServedCountMin {
     }
 }
 
-/// CountMin per-writer state: the per-(object, shard) lease, the
-/// local coalescing buffer, and the batch-frame scratch.
+/// CountMin per-writer state: the per-(object, shard) lease and the
+/// write buffer.
 struct CmWriter<'a> {
     obj: &'a ServedCountMin,
     metrics: &'a Metrics,
     lease: Option<ShardLease<'a>>,
-    buffer: Option<UpdateBuffer>,
-    /// Frame coalescing + row-major column scratch for
-    /// [`ObjectWriter::apply_batch`]; reused across frames so a
-    /// steady-state batch allocates nothing.
+    /// The write buffer: frames are absorbed into its live entries and
+    /// swept into the leased shard once `write_buffer` weight is pending
+    /// (every frame at `b = 0`). Kept across frames, so a steady-state
+    /// batch allocates nothing.
     scratch: BatchScratch,
 }
 
@@ -854,39 +851,25 @@ impl ObjectWriter for CmWriter<'_> {
     }
 
     fn apply(&mut self, key: u64, weight: u64) {
-        let lease = self.lease.as_mut().expect("ensure_ready acquired a lease");
-        if let Some(buf) = self.buffer.as_mut() {
-            self.metrics.record_buffered(weight.max(1));
-            if buf.push(self.obj.sketch.hashes(), key, weight) {
-                let flushed = buf.drain(|cols, count| lease.apply_rows(cols, count));
-                self.metrics.record_flush(flushed);
-            }
-        } else {
-            lease.update_by(key, weight);
-        }
-        self.obj.ingest.update_slot(lease.shard(), weight);
-        self.obj.ops.note_update(0); // observed comes from `ingest`
+        self.apply_batch(&[(key, weight)]);
     }
 
     fn apply_batch(&mut self, items: &[(u64, u64)]) {
         let lease = self.lease.as_mut().expect("ensure_ready acquired a lease");
-        if let Some(buf) = self.buffer.as_mut() {
-            // Coalesce the frame first so each distinct key costs one
-            // buffer probe; the buffer still trips its batch bound
-            // mid-frame, so the advertised lag is unchanged.
-            self.scratch.coalesce(items);
-            for e in 0..self.scratch.len() {
-                let (key, count) = self.scratch.entry(e);
-                self.metrics.record_buffered(count.max(1));
-                if buf.push(self.obj.sketch.hashes(), key, count) {
-                    let flushed = buf.drain(|cols, count| lease.apply_rows(cols, count));
-                    self.metrics.record_flush(flushed);
-                }
-            }
-        } else {
-            lease.apply_batch(items, &mut self.scratch);
+        let (b, metrics) = (self.obj.write_buffer, self.metrics);
+        let (total, buffered) = items
+            .iter()
+            .fold((0, 0), |(t, p), &(_, w)| (t + w, p + w.max(1)));
+        if b > 0 {
+            metrics.record_buffered(buffered);
         }
-        let total: u64 = items.iter().map(|&(_, w)| w).sum();
+        self.scratch
+            .buffer(self.obj.sketch.hashes(), items, b, |scratch| {
+                let swept = lease.sweep(scratch);
+                if b > 0 {
+                    metrics.record_flush(swept);
+                }
+            });
         self.obj.ingest.update_slot(lease.shard(), total);
         self.obj.ops.note_updates(items.len() as u64, 0); // observed comes from `ingest`
     }
@@ -901,11 +884,8 @@ impl ObjectWriter for CmWriter<'_> {
     }
 
     fn flush(&mut self) {
-        if let (Some(buf), Some(lease)) = (self.buffer.as_mut(), self.lease.as_mut()) {
-            if !buf.is_empty() {
-                let flushed = buf.drain(|cols, count| lease.apply_rows(cols, count));
-                self.metrics.record_flush(flushed);
-            }
+        if let Some(lease) = self.lease.as_mut().filter(|_| !self.scratch.is_empty()) {
+            self.metrics.record_flush(lease.sweep(&mut self.scratch));
         }
     }
 

@@ -119,8 +119,9 @@ pub struct ServerConfig {
     /// `write_buffer` from this config.
     pub objects: Vec<ObjectConfig>,
     /// Write-buffer batch size `b` (0 disables buffering). When set,
-    /// each writer (connection thread / reactor) coalesces updates in
-    /// a local [`UpdateBuffer`] and propagates to the shared sketch
+    /// each writer (connection thread / reactor) keeps its frame
+    /// scratch ([`BatchScratch`](ivl_concurrent::BatchScratch)) across
+    /// frames as a coalescing buffer and sweeps it into its shard lease
     /// every `b` acknowledged weight — the paper's batched-counter
     /// construction (Lemma 10, DESIGN §9). Queries stay direct reads;
     /// the served envelope carries `lag = shards·b` so clients see the
@@ -540,8 +541,8 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn: u32) {
     let process = ProcessId(conn);
     // The connection's writer state, per object: for a CountMin, a
     // shard lease acquired lazily on first update and held (single
-    // writer) until the connection ends, plus the local update buffer
-    // when write buffering is on.
+    // writer) until the connection ends, plus the frame scratch that
+    // is also its write buffer.
     let mut updater = WriterSet::new(shared);
     let mut applied: u64 = 0;
     // Resumable decoder + reusable scratch: the steady-state frame
@@ -816,8 +817,6 @@ fn apply_updates<'a>(
             writer.apply(key, weight);
             recorder.respond_update(op);
         }
-    } else if let [(key, weight)] = *items {
-        writer.apply(key, weight);
     } else {
         // Batch kernel: coalesced, one hashing sweep, row-major cell
         // touches (per-object override; the default loops `apply`).
@@ -863,6 +862,8 @@ mod tests {
         assert_eq!(stats.queries, 1);
         assert_eq!(stats.batches, 1);
         assert_eq!(stats.stream_len, 10);
+        // At b = 0 every frame is swept before its ack: nothing buffers.
+        assert_eq!((stats.buffered_pending, stats.flushes), (0, 0));
         drop(c);
         let joined = h.join();
         assert_eq!(joined.stats.updates, 3);
