@@ -410,7 +410,11 @@ fn envelope_variant_missing_from_compose_is_flagged() {
             "    },\n",
             "}\n",
             "impl ErrorEnvelope {\n",
-            "    pub fn compose(parts: &[Self]) -> Result<Self, ComposeError> {\n",
+            "    pub fn compose(parts: &[Self], policy: MergePolicy) -> Result<Self, ComposeError> {\n",
+            "        let law = |acc: u64, v: u64| match policy {\n",
+            "            MergePolicy::Add => acc.saturating_add(v),\n",
+            "            MergePolicy::Join => acc.max(v),\n",
+            "        };\n",
             "        match parts {\n",
             "            [ErrorEnvelope::Frequency(head), ..] => todo!(),\n",
             "            _ => Err(ComposeError::KindMismatch),\n",

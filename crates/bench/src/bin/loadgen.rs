@@ -5,7 +5,7 @@
 //!                [--ops N] [--keys N] [--queries N] [--batch N]
 //!                [--shards N] [--write-buffer B] [--mix SPEC]
 //!                [--replicas N] [--mode partition|mirror]
-//!                [--query-ratio R] [--no-delta] [--rejoin]
+//!                [--query-ratio R] [--rejoin]
 //!                [--addr HOST:PORT] [--json FILE] [--history-out FILE]
 //!                [--shutdown] [--no-check]
 //! ```
@@ -78,9 +78,11 @@
 //! replicated report then carries merged-read accounting: how the
 //! snapshot roundtrips split across `unchanged`/delta/full replies
 //! and the bytes they moved, in text and under `"merged_reads"` in
-//! `--json`. `--no-delta` turns the querier's delta cache off (every
-//! merged read fetches full snapshots), giving the like-for-like
-//! wire-byte baseline the delta path is judged against.
+//! `--json`. After the load, one full-state `SNAPSHOT_SINCE` reply
+//! per queried object is read over a direct client; their size,
+//! weighted by the query mix, is reported as `full_reply_bytes` — the
+//! per-roundtrip cost of a merged read with nothing cached, which the
+//! delta path's `bytes_in / reads` is judged against.
 
 use ivl_bench::{mops, timed_scope, Worker};
 use ivl_replica::{DeltaStats, MergedRead, ReplicaError, ReplicaGroup, ReplicaMode};
@@ -213,7 +215,6 @@ struct Opts {
     replicas: usize,
     replica_mode: ReplicaMode,
     query_ratio: Option<f64>,
-    delta_reads: bool,
     rejoin: bool,
     check: bool,
     addr: Option<String>,
@@ -237,7 +238,6 @@ impl Default for Opts {
             replicas: 0,
             replica_mode: ReplicaMode::Partition,
             query_ratio: None,
-            delta_reads: true,
             rejoin: false,
             check: true,
             addr: None,
@@ -271,7 +271,6 @@ fn parse() -> Option<Opts> {
                 }
                 o.query_ratio = Some(r);
             }
-            "--no-delta" => o.delta_reads = false,
             "--rejoin" => o.rejoin = true,
             "--no-check" => o.check = false,
             "--shutdown" => o.shutdown = true,
@@ -386,7 +385,15 @@ struct RunOutcome {
     /// Merged-read snapshot accounting (replicated runs only): how the
     /// group's reads split across unchanged/delta/full replies and
     /// what they cost on the wire.
-    merged_reads: Option<DeltaStats>,
+    merged_reads: Option<MergedReads>,
+}
+
+/// A replicated run's merged-read accounting and its yardstick.
+struct MergedReads {
+    stats: DeltaStats,
+    /// Mean size of one full-state `SNAPSHOT_SINCE` reply over the
+    /// queried objects, weighted by the query mix.
+    full_reply_bytes: f64,
 }
 
 impl RunOutcome {
@@ -404,11 +411,14 @@ impl RunOutcome {
             })
             .collect();
         let merged_reads = match &self.merged_reads {
-            Some(d) => format!(
+            Some(MergedReads {
+                stats: d,
+                full_reply_bytes,
+            }) => format!(
                 ",\n      \"merged_reads\": {{\"reads\": {}, \"unchanged\": {}, \
                  \"deltas\": {}, \"fulls\": {}, \"unchanged_rate\": {:.4}, \
                  \"delta_rate\": {:.4}, \"full_rate\": {:.4}, \
-                 \"bytes_out\": {}, \"bytes_in\": {}}}",
+                 \"bytes_out\": {}, \"bytes_in\": {}, \"full_reply_bytes\": {:.1}}}",
                 d.reads,
                 d.unchanged,
                 d.deltas,
@@ -418,6 +428,7 @@ impl RunOutcome {
                 d.full_rate(),
                 d.bytes_out,
                 d.bytes_in,
+                full_reply_bytes,
             ),
             None => String::new(),
         };
@@ -1083,13 +1094,11 @@ fn replicated_query(
     replica_lat: &[Samples],
     recorders: Option<&Vec<ClientRecorder>>,
     process: ProcessId,
-    delta_reads: bool,
     delta_out: &Mutex<DeltaStats>,
 ) {
     let n = addrs.len();
     let mut group =
         ReplicaGroup::new(addrs.to_vec(), mode, seed_group).expect("non-empty replica group");
-    group.set_delta_reads(delta_reads);
     let mut direct: Vec<Client> = addrs
         .iter()
         .map(|a| Client::connect(a.parse::<SocketAddr>().expect("replica addr")))
@@ -1141,17 +1150,31 @@ fn replicated_query(
     *delta_out.lock().unwrap() = group.delta_stats();
 }
 
+/// The size of one full-state `SNAPSHOT_SINCE` reply (`u64::MAX` names
+/// no real epoch) from the replica at `addr`, averaged over the
+/// objects the run queries with the query mix as weights.
+fn full_reply_bytes(addr: &str, plan: &MixPlan) -> Result<f64, String> {
+    let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
+    let (mut bytes, mut weight) = (0u64, 0u64);
+    for (entry, &id) in plan.entries.iter().zip(&plan.ids) {
+        if entry.weight == 0 {
+            continue;
+        }
+        let (_, in0) = client.wire_bytes();
+        client
+            .snapshot_since(id, u64::MAX)
+            .map_err(|e| e.to_string())?;
+        let (_, in1) = client.wire_bytes();
+        bytes += entry.weight * (in1 - in0);
+        weight += entry.weight;
+    }
+    Ok(bytes as f64 / weight.max(1) as f64)
+}
+
 /// Boots `n` in-process replicas sharing a seed and drives them
 /// through per-worker [`ReplicaGroup`]s. Overall tails are the merged
 /// group latencies; the per-"object" rows are per-replica tails.
-/// `delta_reads` false runs the full-snapshot merged-read baseline
-/// (labelled `-full`) the delta path is compared against.
-fn run_replicated(
-    o: &Opts,
-    backend: Backend,
-    n: usize,
-    delta_reads: bool,
-) -> Result<RunOutcome, String> {
+fn run_replicated(o: &Opts, backend: Backend, n: usize) -> Result<RunOutcome, String> {
     let mode = o.replica_mode;
     let plan = MixPlan::in_process(&o.mix);
     let handles: Vec<_> = (0..n)
@@ -1228,13 +1251,15 @@ fn run_replicated(
                 rlat,
                 rec,
                 ProcessId(threads as u32),
-                delta_reads,
                 delta_out,
             );
         }));
     }
     let wall = timed_scope(workers);
-    let merged_reads = delta_out.into_inner().unwrap();
+    let merged_reads = MergedReads {
+        stats: delta_out.into_inner().unwrap(),
+        full_reply_bytes: full_reply_bytes(&addrs[0], &plan)?,
+    };
 
     let batch_ns = Tail::of(&merged_batch.sorted());
     let query_ns = Tail::of(&merged_query.sorted());
@@ -1247,11 +1272,7 @@ fn run_replicated(
         });
     }
 
-    let label = if delta_reads {
-        format!("replicated-{mode}-x{n}")
-    } else {
-        format!("replicated-{mode}-x{n}-full")
-    };
+    let label = format!("replicated-{mode}-x{n}");
     report_named(
         &label,
         o.threads,
@@ -1262,19 +1283,22 @@ fn run_replicated(
         query_ns,
     );
     report_objects(&label, &objects);
-    if merged_reads.reads > 0 {
+    let d = &merged_reads.stats;
+    if d.reads > 0 {
         println!(
             "[{label}] merged reads: {} snapshot roundtrips ({} unchanged, {} delta, \
-             {} full; rates {:.2} / {:.2} / {:.2}), wire {} B out + {} B in",
-            merged_reads.reads,
-            merged_reads.unchanged,
-            merged_reads.deltas,
-            merged_reads.fulls,
-            merged_reads.unchanged_rate(),
-            merged_reads.delta_rate(),
-            merged_reads.full_rate(),
-            merged_reads.bytes_out,
-            merged_reads.bytes_in,
+             {} full; rates {:.2} / {:.2} / {:.2}), wire {} B out + {} B in \
+             ({:.0} B per full reply)",
+            d.reads,
+            d.unchanged,
+            d.deltas,
+            d.fulls,
+            d.unchanged_rate(),
+            d.delta_rate(),
+            d.full_rate(),
+            d.bytes_out,
+            d.bytes_in,
+            merged_reads.full_reply_bytes,
         );
     }
 
@@ -1794,9 +1818,9 @@ fn run(o: &Opts) -> Result<(), String> {
             // layer's own overhead from the fan-out/merge cost.
             let first = runs.len();
             if o.replicas > 1 {
-                runs.push(run_replicated(o, backend, 1, o.delta_reads)?);
+                runs.push(run_replicated(o, backend, 1)?);
             }
-            runs.push(run_replicated(o, backend, o.replicas, o.delta_reads)?);
+            runs.push(run_replicated(o, backend, o.replicas)?);
             if o.replicas > 1 {
                 let (one, many) = (&runs[first], &runs[first + 1]);
                 println!(
@@ -1815,27 +1839,6 @@ fn run(o: &Opts) -> Result<(), String> {
                     many.query_ns.p50 as f64 / one.query_ns.p50.max(1) as f64,
                 );
             }
-            // The full-snapshot baseline: the same query-heavy load
-            // with the delta cache off, so the wire-byte savings of
-            // the `SNAPSHOT_SINCE` path are measured like-for-like
-            // (and committed alongside it in `--json`).
-            if o.replicas > 1 && o.delta_reads {
-                let delta_at = runs.len() - 1;
-                runs.push(run_replicated(o, backend, o.replicas, false)?);
-                let (d, f) = (&runs[delta_at], runs.last().expect("just pushed"));
-                if let (Some(d), Some(f)) = (&d.merged_reads, &f.merged_reads) {
-                    let total_d = d.bytes_out + d.bytes_in;
-                    let total_f = f.bytes_out + f.bytes_in;
-                    println!(
-                        "compare merged-read wire bytes over {} reads: delta {} B \
-                         vs full {} B ({:.1}x fewer)",
-                        d.reads,
-                        total_d,
-                        total_f,
-                        total_f as f64 / total_d.max(1) as f64,
-                    );
-                }
-            }
         }
     }
     write_json(o, &runs)
@@ -1847,7 +1850,7 @@ fn main() -> ExitCode {
             "usage: loadgen [--backend threaded|event-loop|both] [--threads N] \
              [--ops N] [--keys N] [--queries N] [--batch N] [--shards N] \
              [--write-buffer B] [--mix cm=8,hll=1,morris=1] [--replicas N] \
-             [--mode partition|mirror] [--query-ratio R] [--no-delta] [--rejoin] \
+             [--mode partition|mirror] [--query-ratio R] [--rejoin] \
              [--addr HOST:PORT] [--json FILE] [--history-out FILE] \
              [--shutdown] [--no-check]"
         );

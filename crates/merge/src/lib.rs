@@ -323,8 +323,9 @@ impl std::error::Error for MergeError {}
 
 /// What [`MergeableState::apply_change`] did to the cached state, with
 /// enough detail for a caller keeping a derived accumulator (the
-/// replica group's merged cells) to patch it incrementally instead of
-/// rebuilding from every cache.
+/// replica group's merged state) to fold it in with
+/// [`MergeableState::fold_patch`] instead of rebuilding from every
+/// cache.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StatePatch {
     /// The delta was `Unchanged`: the cache is already current.
@@ -405,6 +406,9 @@ pub const KIND_MISMATCH: &str = "peer state kind does not match the served objec
 ///   never matters.
 /// * `apply_change` applies a `SNAPSHOT_SINCE` delta to a cached copy;
 ///   runs carry absolute values, so re-application is idempotent.
+///   `fold_patch` carries what it reports into a merged accumulator:
+///   folding every cache's patch equals re-merging the patched caches
+///   (property-pinned).
 /// * `absorb_into` pushes the state into a live structure through an
 ///   [`AbsorbSink`] — `absorb`-then-snapshot equals
 ///   snapshot-then-`merge_into` (also property-pinned).
@@ -430,6 +434,14 @@ pub trait MergeableState: Sized {
 
     /// Applies a delta to this cached state, reporting what changed.
     fn apply_change(&mut self, change: DeltaChange) -> Result<StatePatch, MergeError>;
+
+    /// Folds one cache's [`StatePatch`] into `self`, an accumulator
+    /// holding the `policy` merge of every cache, so the accumulator
+    /// follows its caches without re-merging them. A patch that cannot
+    /// be folded exactly — a `Replaced` cache, another kind, an index
+    /// out of bounds, a CountMin cell that moved down — is refused, and
+    /// the caller rebuilds with [`merge_states`].
+    fn fold_patch(&mut self, patch: &StatePatch, policy: MergePolicy) -> Result<(), MergeError>;
 
     /// Absorbs this state into a live served structure.
     fn absorb_into(&self, sink: &mut dyn AbsorbSink) -> Result<(), MergeError>;
@@ -666,6 +678,37 @@ impl MergeableState for SnapshotState {
                 cached[lo..lo + registers.len()].copy_from_slice(&registers);
                 Ok(StatePatch::HllRange { lo, registers })
             }
+        }
+    }
+
+    fn fold_patch(&mut self, patch: &StatePatch, policy: MergePolicy) -> Result<(), MergeError> {
+        match (patch, self) {
+            (StatePatch::Unchanged, _) => Ok(()),
+            (StatePatch::CmCells(moved), SnapshotState::CountMin { cells, .. }) => {
+                for &(idx, old, new) in moved {
+                    let cell = cells
+                        .get_mut(idx)
+                        .filter(|_| new >= old)
+                        .ok_or_else(|| MergeError::new("cell patch out of bounds or downward"))?;
+                    // The cache's cell rose by `new - old`: a sum rises by
+                    // as much, a max to at least `new`.
+                    *cell = match policy {
+                        MergePolicy::Add => *cell + (new - old),
+                        MergePolicy::Join => (*cell).max(new),
+                    };
+                }
+                Ok(())
+            }
+            (StatePatch::HllRange { lo, registers }, SnapshotState::Hll { registers: acc, .. }) => {
+                let span = acc
+                    .get_mut(*lo..lo + registers.len())
+                    .ok_or_else(|| MergeError::new("register patch out of bounds"))?;
+                for (a, &r) in span.iter_mut().zip(registers) {
+                    *a = (*a).max(r);
+                }
+                Ok(())
+            }
+            _ => Err(MergeError::new("patch cannot fold into this state")),
         }
     }
 

@@ -6,31 +6,39 @@
 //! min registers are scalars with obvious joins. This crate is the
 //! distributed layer that cashes that property in: a [`ReplicaGroup`]
 //! fans updates out to N independent `ivl_serve` backends and answers
-//! reads by pulling each replica's `SNAPSHOT` (its mergeable state
-//! plus the [`ErrorEnvelope`] in force), merging the states, and
+//! reads by keeping each replica's mergeable state (plus the
+//! [`ErrorEnvelope`] in force) cached, merging the states, and
 //! shipping one composed envelope ([`ErrorEnvelope::compose`]) instead
-//! of inventing a bound.
+//! of inventing a bound. Every merged read — [`ReplicaGroup::query`]
+//! and [`ReplicaGroup::snapshot_merged`] alike — takes that one path:
+//! refresh the caches, fold them into one merged state, compose the
+//! parts' envelopes under the placement mode's merge law, re-derive
+//! what the merged state knows better (the CountMin point estimate,
+//! the HLL estimate), and widen for what the ledger says the merge
+//! cannot see.
 //!
-//! Two placement modes ([`ReplicaMode`]):
+//! Two placement modes ([`ReplicaMode`]), one [`MergePolicy`] each:
 //!
-//! * **partition** — each update goes to exactly one replica (routed
-//!   by key hash, with failover); replicas hold disjoint substreams
-//!   and merged state is the *sum* (CountMin cells add, estimates
-//!   add). The composed envelope sums `ε`, `lag`, `stream_len` and
-//!   union-bounds `δ` — exactly the sequential merge theorem, read
-//!   through Theorem 6.
-//! * **mirror** — each update goes to every reachable replica;
-//!   replicas hold the same stream and merged state is the cell-wise
-//!   *max* (sound because cells are monotone counters of one stream;
-//!   HLL/min merges are idempotent, so mirror and partition coincide
-//!   for them).
+//! * **partition** (`Add`) — each update goes to exactly one replica
+//!   (routed by key hash, with failover); replicas hold disjoint
+//!   substreams and merged state is the *sum* (CountMin cells add,
+//!   estimates add). The composed envelope sums `ε`, `lag`,
+//!   `stream_len` and union-bounds `δ` — exactly the sequential merge
+//!   theorem, read through Theorem 6.
+//! * **mirror** (`Join`) — each update goes to every reachable
+//!   replica; replicas hold the same stream and merged state is the
+//!   cell-wise *max* (sound because cells are monotone counters of one
+//!   stream; HLL/min merges are idempotent, so mirror and partition
+//!   coincide for them). The composed envelope takes the max of every
+//!   term.
 //!
 //! **Health and degradation.** Each replica has a ledger: connect
 //! failures are retried a bounded number of times with backoff; a
-//! replica that stays unreachable is dropped from the merge and the
-//! group degrades to the reachable quorum rather than erroring. The
-//! merged frequency envelope *widens* to account for what the merge
-//! can no longer see: the missing replica's recorded update weight
+//! replica that stays unreachable is served from its cache (see below)
+//! or, with none, dropped from the merge, and the group degrades to
+//! the reachable quorum rather than erroring. The merged frequency
+//! envelope *widens* to account for what the merge can no longer see:
+//! in partition mode the missing replica's recorded update weight
 //! (its last observed count) is added to `lag` — acknowledged weight
 //! that may be invisible to this read is precisely what `lag` bounds
 //! (Lemma 10's shape, at replica granularity). Partition-mode updates
@@ -45,15 +53,16 @@
 //! the connection generation, and asks each replica `SNAPSHOT_SINCE`
 //! its cached epoch. A quiescent replica answers a tiny `Unchanged`
 //! frame; an active one answers a sparse delta that patches the cache
-//! in place; a merged accumulator absorbs the patches so a read on a
-//! quiescent group re-merges nothing. Staleness is IVL-quantified, not
-//! refused: a replica that stops answering keeps contributing its
-//! cached cells, with the frequency `lag` widened by the weight that
-//! may have landed there since the cache was taken. A reconnect (new
-//! [`Client::generation`]) invalidates the replica's cache before a
-//! base epoch is chosen, so no delta is ever applied across
-//! connections; servers predating `SNAPSHOT_SINCE` are detected by
-//! their `Protocol` refusal and served full snapshots thereafter.
+//! in place; a merged accumulator (one [`SnapshotState`] per object)
+//! folds the patches in, so a read on a quiescent group re-merges
+//! nothing. Staleness is IVL-quantified, not refused: a replica that
+//! stops answering keeps contributing its cached cells, with the
+//! frequency `lag` widened by the weight that may have landed there
+//! since the cache was taken. A reconnect (new [`Client::generation`])
+//! invalidates the replica's cache before a base epoch is chosen, so
+//! no delta is ever applied across connections. Every server in the
+//! tree answers `SNAPSHOT_SINCE`, the `ivl_replicate` frontend
+//! included; a replica that refuses it is surfaced as an error.
 //!
 //! **Catch-up (anti-entropy).** A replica that restarts comes back
 //! empty; reactive degradation alone would widen merged envelopes by
@@ -88,8 +97,8 @@
 
 use ivl_service::{
     cm_hash_fingerprint, hll_hash_fingerprint, merge_states, slot_coins, Client, ClientError,
-    ComposeError, DeltaChange, Envelope, ErrorCode, ErrorEnvelope, MergePolicy, MergeableState,
-    ObjectInfo, ObjectKind, ObjectSnapshot, SnapshotDelta, SnapshotState, StatePatch, WireError,
+    ComposeError, DeltaChange, ErrorCode, ErrorEnvelope, MergeError, MergePolicy, MergeableState,
+    ObjectInfo, ObjectKind, SnapshotDelta, SnapshotState, StatePatch, WireError,
 };
 use ivl_sketch::countmin::{CountMin, CountMinParams};
 use ivl_sketch::hll::HyperLogLog;
@@ -214,8 +223,11 @@ pub struct MergedRead {
     /// Replicas configured.
     pub total: usize,
     /// Acknowledged weight possibly invisible to this read — missing
-    /// replicas' recorded counts plus cached-but-silent replicas'
-    /// overhang — the amount the frequency `lag` was widened by.
+    /// replicas' recorded counts, cached-but-silent replicas' overhang,
+    /// and weight a rejoined replica lost and has not yet been caught
+    /// up on. Partition-mode frequency `lag` widens by all of it (plus
+    /// in-doubt weight); mirror mode widens by the overhang and lost
+    /// weight plus the smallest miss among the merged copies.
     pub missing_observed: u64,
 }
 
@@ -233,9 +245,13 @@ pub struct MergedSnapshot {
     /// The composed envelope (frequency `key`/`estimate` are the
     /// snapshot-form zero sentinels).
     pub envelope: ErrorEnvelope,
-    /// Per-replica acknowledged weight (`None` = unreachable).
+    /// Per-replica acknowledged weight at the state that merged
+    /// (`None` = unreachable with no cached state).
     pub parts: Vec<Option<u64>>,
-    /// Recorded update weight of the unreachable replicas.
+    /// Acknowledged weight possibly invisible to this snapshot, as in
+    /// [`MergedRead::missing_observed`]: missing replicas' recorded
+    /// counts, cached-but-silent replicas' overhang, and weight a
+    /// rejoined replica lost and has not yet been caught up on.
     pub missing_observed: u64,
 }
 
@@ -285,18 +301,18 @@ enum Proto {
     Hll(HyperLogLog),
 }
 
-/// Cumulative accounting for the delta-read path (and for full
-/// gathers, so `--no-delta` runs compare like for like).
+/// Cumulative accounting for the merged reads' `SNAPSHOT_SINCE`
+/// roundtrips.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaStats {
-    /// Snapshot roundtrips that returned (delta or full).
+    /// Snapshot roundtrips that returned (unchanged, delta or full).
     pub reads: u64,
     /// Replies that were `Unchanged` — the epoch fast path.
     pub unchanged: u64,
     /// Replies that were a sparse delta (CountMin runs / HLL range).
     pub deltas: u64,
-    /// Replies that carried full state (no cache, evicted base, delta
-    /// not worth it, or a non-delta-capable replica).
+    /// Replies that carried full state (no cache, a reconnect, an
+    /// evicted base, or a delta not worth it).
     pub fulls: u64,
     /// Request bytes those roundtrips wrote, frame prefixes included.
     pub bytes_out: u64,
@@ -369,38 +385,14 @@ struct CachedSnapshot {
     /// [`Client::generation`] of the connection the cache was read
     /// over. A cache from another generation is never used as a base.
     generation: u64,
-    /// The replica's update epoch at cache time (`u64::MAX` for caches
-    /// filled over plain `SNAPSHOT`, which carries no epoch — such a
-    /// cache still merges but never serves as a delta base).
+    /// The replica's update epoch at cache time — the base the next
+    /// `SNAPSHOT_SINCE` over the same connection generation names.
     epoch: u64,
-    /// The cached state and envelope.
-    snapshot: ObjectSnapshot,
-}
-
-/// The persistent merged accumulator: per-replica patches fold into it
-/// so a read on a quiescent group re-merges nothing.
-#[derive(Debug)]
-enum MergedCells {
-    Cm {
-        width: u32,
-        depth: u32,
-        hash_fp: u64,
-        cells: Vec<u64>,
-    },
-    Hll {
-        hash_fp: u64,
-        registers: Vec<u8>,
-    },
-}
-
-/// What one replica's refresh did to its cache.
-enum RefreshOutcome {
-    /// Stayed unreachable; the cache (if any) is served stale.
-    Unreachable,
-    /// The cache is current; the [`StatePatch`] reported by
-    /// [`MergeableState::apply_change`] says what moved (nothing, a
-    /// foldable sparse patch, or a wholesale replacement).
-    Refreshed(StatePatch),
+    /// The cached mergeable state.
+    state: SnapshotState,
+    /// The envelope in force when the state was read (refreshed by
+    /// every reply, `Unchanged` included).
+    envelope: ErrorEnvelope,
 }
 
 /// Why a single-replica write did not succeed.
@@ -429,15 +421,8 @@ pub struct ReplicaGroup {
     protos: HashMap<u32, Proto>,
     /// Per-replica, per-object cached snapshots — the delta bases.
     caches: Vec<HashMap<u32, CachedSnapshot>>,
-    /// Per-object merged accumulator over the caches.
-    accums: HashMap<u32, MergedCells>,
-    /// Cleared for a replica the first time it refuses
-    /// `SNAPSHOT_SINCE` with a `Protocol` error (a pre-delta server);
-    /// it is served plain full snapshots from then on.
-    supports_delta: Vec<bool>,
-    /// Whether merged reads use the delta path at all (`--no-delta`
-    /// benchmarking flips this off).
-    delta_reads: bool,
+    /// Per-object merge of the caches under the mode's policy.
+    accums: HashMap<u32, SnapshotState>,
     delta_stats: DeltaStats,
     /// Retained states awaiting a catch-up push to a rejoined replica.
     pending_pushes: Vec<PendingPush>,
@@ -506,8 +491,6 @@ impl ReplicaGroup {
             protos: HashMap::new(),
             caches: (0..n).map(|_| HashMap::new()).collect(),
             accums: HashMap::new(),
-            supports_delta: vec![true; n],
-            delta_reads: true,
             delta_stats: DeltaStats::default(),
             pending_pushes: Vec::new(),
             catchup: CatchupStats::default(),
@@ -538,14 +521,6 @@ impl ReplicaGroup {
     /// Sets the pause between reconnect attempts (default 20ms).
     pub fn set_backoff(&mut self, backoff: Duration) {
         self.backoff = backoff;
-    }
-
-    /// Turns the delta-cached read path off (on by default): merged
-    /// reads then pull full snapshots every time, as before
-    /// `SNAPSHOT_SINCE` existed — the baseline the wire-byte savings
-    /// are measured against.
-    pub fn set_delta_reads(&mut self, enabled: bool) {
-        self.delta_reads = enabled;
     }
 
     /// Cumulative snapshot-read accounting (deltas and fulls alike).
@@ -788,37 +763,8 @@ impl ReplicaGroup {
         }
     }
 
-    /// Pulls every reachable replica's snapshot of `object`; `None`
-    /// entries are replicas that stayed unreachable after retries.
-    fn gather(&mut self, object: u32) -> Result<Vec<Option<ObjectSnapshot>>, ReplicaError> {
-        let mut parts = Vec::with_capacity(self.addrs.len());
-        for i in 0..self.addrs.len() {
-            let got = self.read_on(i, move |c| {
-                let (out0, in0) = c.wire_bytes();
-                let snap = c.snapshot(object)?;
-                let (out1, in1) = c.wire_bytes();
-                Ok((snap, out1 - out0, in1 - in0))
-            })?;
-            let snap = got.map(|(s, bytes_out, bytes_in)| {
-                self.delta_stats.reads += 1;
-                self.delta_stats.fulls += 1;
-                self.delta_stats.bytes_out += bytes_out;
-                self.delta_stats.bytes_in += bytes_in;
-                self.ledgers[i]
-                    .last_seen
-                    .insert(object, s.envelope.observed());
-                s
-            });
-            parts.push(snap);
-        }
-        if parts.iter().all(Option::is_none) {
-            return Err(ReplicaError::AllUnreachable { what: "snapshot" });
-        }
-        Ok(parts)
-    }
-
-    /// Refreshes every replica's cached snapshot of `object` over the
-    /// delta protocol and folds the changes into the merged
+    /// Refreshes every replica's cached snapshot of `object` over
+    /// `SNAPSHOT_SINCE` and folds the changes into the merged
     /// accumulator. Returns which replicas answered this round.
     fn refresh(&mut self, object: u32) -> Result<Vec<bool>, ReplicaError> {
         // Catch-up pushes detected by the previous refresh go out
@@ -840,7 +786,7 @@ impl ReplicaGroup {
     /// lost history. The displaced cache is retained as the catch-up
     /// payload and the forgotten weight moves to the `lost` ledger
     /// bucket, widening merged envelopes until the push lands.
-    fn note_rejoin(&mut self, i: usize, object: u32, old: ObjectSnapshot, lost: u64) {
+    fn note_rejoin(&mut self, i: usize, object: u32, old: CachedSnapshot, lost: u64) {
         self.catchup.detected += 1;
         Ledger::bump(&mut self.ledgers[i].lost, object, lost);
         let observed = old.envelope.observed();
@@ -953,17 +899,12 @@ impl ReplicaGroup {
 
     fn refresh_inner(&mut self, object: u32) -> Result<Vec<bool>, ReplicaError> {
         let n = self.addrs.len();
-        let mut outcomes: Vec<Option<RefreshOutcome>> = (0..n).map(|_| None).collect();
         // Phase 1: pipeline the `SNAPSHOT_SINCE` sends over every
-        // already-live delta-capable connection, so the steady-state
-        // merged read costs one roundtrip total instead of one per
-        // replica. Cold or failed connections fall through to the
-        // sequential pass below.
+        // already-live connection, so the steady-state merged read
+        // costs one roundtrip total instead of one per replica. Cold or
+        // failed connections fall through to the sequential pass below.
         let mut sent = vec![false; n];
         for (i, sent_flag) in sent.iter_mut().enumerate() {
-            if !(self.delta_reads && self.supports_delta[i]) {
-                continue;
-            }
             let cached = self.caches[i].get(&object).map(|c| (c.epoch, c.generation));
             let Some(c) = self.clients[i].as_mut() else {
                 continue;
@@ -989,7 +930,9 @@ impl ReplicaGroup {
                 }
             }
         }
-        // Phase 2: collect the pipelined replies in send order.
+        // Phase 2: collect the pipelined replies in send order; `None`
+        // leaves the replica to the sequential pass.
+        let mut piped: Vec<Option<StatePatch>> = vec![None; n];
         for i in 0..n {
             if !sent[i] {
                 continue;
@@ -1002,12 +945,12 @@ impl ReplicaGroup {
                 let (_, in1) = c.wire_bytes();
                 (r.map(|delta| (delta, in1 - in0)), generation)
             };
-            outcomes[i] = match result {
+            match result {
                 Ok((delta, bytes_in)) => {
                     self.delta_stats.reads += 1;
                     self.delta_stats.bytes_in += bytes_in;
                     match self.apply_delta(i, object, delta, generation) {
-                        Ok(outcome) => Some(outcome),
+                        Ok(patch) => piped[i] = Some(patch),
                         Err(e) => {
                             self.drop_unread(&sent, i + 1);
                             return Err(e);
@@ -1019,15 +962,6 @@ impl ReplicaGroup {
                     // a fresh connection (full snapshot).
                     self.clients[i] = None;
                     self.ledgers[i].failures += 1;
-                    None
-                }
-                Err(ClientError::Server {
-                    code: ErrorCode::Protocol,
-                    ..
-                }) => {
-                    // A pre-delta server: 0x15 did not parse there.
-                    self.supports_delta[i] = false;
-                    None
                 }
                 Err(e) => {
                     self.drop_unread(&sent, i + 1);
@@ -1036,43 +970,34 @@ impl ReplicaGroup {
                     }
                     return Err(e.into());
                 }
-            };
+            }
         }
         // Phase 3: anything unresolved goes through the sequential
-        // path — cold connections, failed sends or reads, pre-delta
-        // replicas.
+        // path — cold connections, failed sends or reads.
         let mut reached = vec![false; n];
-        let mut rebuild = false;
-        let mut patches: Vec<StatePatch> = Vec::new();
-        for (i, (flag, outcome)) in reached.iter_mut().zip(outcomes).enumerate() {
-            let outcome = match outcome {
-                Some(o) => o,
+        // `Unchanged` folds to nothing, so a quiet round collects none.
+        let mut patches = Vec::new();
+        for (i, piped) in piped.into_iter().enumerate() {
+            let patch = match piped {
+                Some(patch) => Some(patch),
                 None => self.refresh_one(i, object)?,
             };
-            match outcome {
-                RefreshOutcome::Unreachable => {}
-                RefreshOutcome::Refreshed(StatePatch::Unchanged) => *flag = true,
-                RefreshOutcome::Refreshed(StatePatch::Replaced) => {
-                    *flag = true;
-                    rebuild = true;
-                }
-                RefreshOutcome::Refreshed(patch) => {
-                    *flag = true;
+            if let Some(patch) = patch {
+                reached[i] = true;
+                if patch != StatePatch::Unchanged {
                     patches.push(patch);
                 }
             }
         }
-        self.fold_accum(object, rebuild, patches)?;
+        self.fold_accum(object, &patches)?;
         Ok(reached)
     }
 
     /// One replica's refresh: `SNAPSHOT_SINCE` the cached epoch when
-    /// the cache's connection generation is still live, a full
-    /// snapshot otherwise.
-    fn refresh_one(&mut self, i: usize, object: u32) -> Result<RefreshOutcome, ReplicaError> {
-        if !(self.delta_reads && self.supports_delta[i]) {
-            return self.refresh_one_full(i, object);
-        }
+    /// the cache's connection generation is still live, full state
+    /// otherwise. `None` when the replica stays unreachable (its
+    /// cache, if any, is served stale); otherwise what moved.
+    fn refresh_one(&mut self, i: usize, object: u32) -> Result<Option<StatePatch>, ReplicaError> {
         let cached = self.caches[i].get(&object).map(|c| (c.epoch, c.generation));
         let got = self.read_on(i, move |c| {
             // A cache from another connection generation is dead: its
@@ -1087,65 +1012,14 @@ impl ReplicaGroup {
             let delta = c.snapshot_since(object, base)?;
             let (out1, in1) = c.wire_bytes();
             Ok((delta, c.generation(), out1 - out0, in1 - in0))
-        });
-        match got {
-            Ok(None) => Ok(RefreshOutcome::Unreachable),
-            Ok(Some((delta, generation, bytes_out, bytes_in))) => {
-                self.delta_stats.reads += 1;
-                self.delta_stats.bytes_out += bytes_out;
-                self.delta_stats.bytes_in += bytes_in;
-                self.apply_delta(i, object, delta, generation)
-            }
-            Err(ReplicaError::Client(ClientError::Server {
-                code: ErrorCode::Protocol,
-                ..
-            })) => {
-                // A pre-delta server: 0x15 did not parse there. Mark it
-                // and serve it plain full snapshots from now on.
-                self.supports_delta[i] = false;
-                self.refresh_one_full(i, object)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Full-snapshot refresh for replicas that cannot (or should not)
-    /// speak deltas; the cache still fills so the replica can be
-    /// served stale later, but it never becomes a delta base.
-    fn refresh_one_full(&mut self, i: usize, object: u32) -> Result<RefreshOutcome, ReplicaError> {
-        let got = self.read_on(i, move |c| {
-            let (out0, in0) = c.wire_bytes();
-            let snap = c.snapshot(object)?;
-            let (out1, in1) = c.wire_bytes();
-            Ok((snap, c.generation(), out1 - out0, in1 - in0))
         })?;
-        let Some((snapshot, generation, bytes_out, bytes_in)) = got else {
-            return Ok(RefreshOutcome::Unreachable);
+        let Some((delta, generation, bytes_out, bytes_in)) = got else {
+            return Ok(None);
         };
         self.delta_stats.reads += 1;
-        self.delta_stats.fulls += 1;
         self.delta_stats.bytes_out += bytes_out;
         self.delta_stats.bytes_in += bytes_in;
-        let observed = snapshot.envelope.observed();
-        self.ledgers[i].last_seen.insert(object, observed);
-        if let Some(old) = self.caches[i].get(&object) {
-            let old_observed = old.snapshot.envelope.observed();
-            if observed < old_observed {
-                let old = self.caches[i].remove(&object).expect("just found");
-                self.note_rejoin(i, object, old.snapshot, old_observed - observed);
-            }
-        }
-        // Plain `SNAPSHOT` carries no epoch: `u64::MAX` keeps the
-        // cache mergeable without ever offering it as a base.
-        self.caches[i].insert(
-            object,
-            CachedSnapshot {
-                generation,
-                epoch: u64::MAX,
-                snapshot,
-            },
-        );
-        Ok(RefreshOutcome::Refreshed(StatePatch::Replaced))
+        self.apply_delta(i, object, delta, generation).map(Some)
     }
 
     /// Applies one `SNAPSHOT_SINCE` reply to replica `i`'s cache. The
@@ -1158,7 +1032,7 @@ impl ReplicaGroup {
         object: u32,
         delta: SnapshotDelta,
         generation: u64,
-    ) -> Result<RefreshOutcome, ReplicaError> {
+    ) -> Result<StatePatch, ReplicaError> {
         let observed = delta.envelope.observed();
         self.ledgers[i].last_seen.insert(object, observed);
         // A full state needs no base: it installs a fresh cache. It is
@@ -1168,27 +1042,19 @@ impl ReplicaGroup {
         // history; the displaced cache becomes the catch-up payload.
         if let DeltaChange::Full(state) = delta.change {
             self.delta_stats.fulls += 1;
-            if let Some(old) = self.caches[i].get(&object) {
-                let old_observed = old.snapshot.envelope.observed();
+            let fresh = CachedSnapshot {
+                generation,
+                epoch: delta.epoch,
+                state,
+                envelope: delta.envelope,
+            };
+            if let Some(old) = self.caches[i].insert(object, fresh) {
+                let old_observed = old.envelope.observed();
                 if observed < old_observed {
-                    let old = self.caches[i].remove(&object).expect("just found");
-                    self.note_rejoin(i, object, old.snapshot, old_observed - observed);
+                    self.note_rejoin(i, object, old, old_observed - observed);
                 }
             }
-            self.caches[i].insert(
-                object,
-                CachedSnapshot {
-                    generation,
-                    epoch: delta.epoch,
-                    snapshot: ObjectSnapshot {
-                        object,
-                        kind: delta.kind,
-                        state,
-                        envelope: delta.envelope,
-                    },
-                },
-            );
-            return Ok(RefreshOutcome::Refreshed(StatePatch::Replaced));
+            return Ok(StatePatch::Replaced);
         }
         // Everything else patches the cache in place; the base the
         // server claims must be the cache actually held, over the same
@@ -1238,258 +1104,153 @@ impl ReplicaGroup {
         // mergeable-state layer's job; this layer only prefixes the
         // object for the operator.
         let patch = cache
-            .snapshot
             .state
             .apply_change(delta.change)
-            .map_err(|e| ReplicaError::MergeMismatch {
-                why: format!("object {object}: {e}"),
-            })?;
+            .map_err(|e| mismatch(object, e))?;
         cache.epoch = delta.epoch;
-        cache.snapshot.envelope = delta.envelope;
-        Ok(RefreshOutcome::Refreshed(patch))
+        cache.envelope = delta.envelope;
+        Ok(patch)
     }
 
-    /// Folds this round's cache changes into the merged accumulator —
-    /// sparse patches in place; a rebuild when some replica's state was
-    /// wholesale replaced, the accumulator does not exist yet, or a
-    /// patch does not fit (resync beats guessing).
-    fn fold_accum(
-        &mut self,
-        object: u32,
-        rebuild: bool,
-        patches: Vec<StatePatch>,
-    ) -> Result<(), ReplicaError> {
-        if rebuild || (!patches.is_empty() && !self.accums.contains_key(&object)) {
-            return self.rebuild_accum(object);
-        }
-        if patches.is_empty() {
+    /// Folds this round's cache patches into the merged accumulator, or
+    /// rebuilds it from every cache when there is none yet or a patch
+    /// does not fold (a replaced cache; resync beats guessing).
+    fn fold_accum(&mut self, object: u32, patches: &[StatePatch]) -> Result<(), ReplicaError> {
+        let policy = policy_for(self.mode);
+        let folded = self
+            .accums
+            .get_mut(&object)
+            .is_some_and(|accum| patches.iter().all(|p| accum.fold_patch(p, policy).is_ok()));
+        if folded {
             return Ok(());
         }
-        let mode = self.mode;
-        let mut resync = false;
-        if let Some(accum) = self.accums.get_mut(&object) {
-            'fold: for op in &patches {
-                match (op, &mut *accum) {
-                    (StatePatch::CmCells(patch), MergedCells::Cm { cells, .. }) => {
-                        for &(idx, old, new) in patch {
-                            if idx >= cells.len() || new < old {
-                                resync = true;
-                                break 'fold;
-                            }
-                            match mode {
-                                // The accumulator is the sum over
-                                // replicas; this replica's cell moved
-                                // by `new - old` (cells are monotone
-                                // within one connection).
-                                ReplicaMode::Partition => cells[idx] += new - old,
-                                ReplicaMode::Mirror => cells[idx] = cells[idx].max(new),
-                            }
-                        }
-                    }
-                    (
-                        StatePatch::HllRange { lo, registers },
-                        MergedCells::Hll { registers: acc, .. },
-                    ) => {
-                        if lo + registers.len() > acc.len() {
-                            resync = true;
-                            break 'fold;
-                        }
-                        for (k, &b) in registers.iter().enumerate() {
-                            acc[lo + k] = acc[lo + k].max(b);
-                        }
-                    }
-                    _ => {
-                        resync = true;
-                        break 'fold;
-                    }
-                }
-            }
-        }
-        if resync {
-            return self.rebuild_accum(object);
+        let states: Vec<&SnapshotState> = self
+            .caches
+            .iter()
+            .filter_map(|m| m.get(&object))
+            .map(|c| &c.state)
+            .collect();
+        if states.is_empty() {
+            self.accums.remove(&object);
+        } else {
+            let merged = merge_states(policy, &states).map_err(|e| mismatch(object, e))?;
+            self.accums.insert(object, merged);
         }
         Ok(())
     }
 
-    /// Rebuilds the merged accumulator for `object` from every cached
-    /// snapshot (scalar kinds keep no accumulator — their merge is
-    /// already O(replicas)).
-    fn rebuild_accum(&mut self, object: u32) -> Result<(), ReplicaError> {
-        let mut states: Vec<&SnapshotState> = Vec::new();
-        let mut kind = None;
-        for cache in self.caches.iter().filter_map(|m| m.get(&object)) {
-            match kind {
-                None => kind = Some(cache.snapshot.kind),
-                Some(k) if k != cache.snapshot.kind => {
-                    return Err(ReplicaError::MergeMismatch {
-                        why: format!("object {object}: replicas disagree on object kind"),
-                    });
-                }
-                Some(_) => {}
-            }
-            states.push(&cache.snapshot.state);
-        }
-        let accum = match kind {
-            None => None,
-            Some(ObjectKind::CountMin) => {
-                let (width, depth, hash_fp, cells) = cm_merge_cells(self.mode, object, &states)?;
-                Some(MergedCells::Cm {
-                    width,
-                    depth,
-                    hash_fp,
-                    cells,
-                })
-            }
-            Some(ObjectKind::Hll) => {
-                let (hash_fp, registers) = hll_merge_registers(object, &states)?;
-                Some(MergedCells::Hll { hash_fp, registers })
-            }
-            Some(ObjectKind::Morris | ObjectKind::MinRegister) => None,
-        };
-        match accum {
-            Some(a) => {
-                self.accums.insert(object, a);
-            }
-            None => {
-                self.accums.remove(&object);
-            }
-        }
-        Ok(())
-    }
-
-    /// Composes a merged read from the caches — the fast path behind
-    /// [`query`](Self::query). `reached[i]` says whether replica `i`
-    /// answered this round; a cached-but-silent replica still
-    /// contributes its cells, with the weight that may have landed
+    /// The one merged-read path behind [`query`](Self::query) and
+    /// [`snapshot_merged`](Self::snapshot_merged). Refreshes the caches,
+    /// composes their envelopes under the mode's [`MergePolicy`],
+    /// re-derives from the merged state what it knows better than any
+    /// part — the CountMin point estimate for `key` (`None` keeps the
+    /// snapshot-form zero sentinels) and the HLL estimate — and widens
+    /// the frequency envelope by the ledger. A cached-but-silent replica
+    /// still contributes its cells, with the weight that may have landed
     /// there since the cache was taken priced into `lag`.
-    fn answer_cached(
-        &mut self,
-        object: u32,
-        key: u64,
-        reached: &[bool],
-    ) -> Result<MergedRead, ReplicaError> {
+    fn merged_read(&mut self, object: u32, key: Option<u64>) -> Result<MergedRead, ReplicaError> {
+        let reached = self.refresh(object)?;
         let n = self.addrs.len();
-        let mut kind: Option<ObjectKind> = None;
-        let mut envelopes = Vec::new();
+        let mut envelopes = Vec::with_capacity(n);
         let mut parts: Vec<Option<u64>> = vec![None; n];
         let mut missing = 0u64; // unreachable with nothing cached
         let mut stale = 0u64; // cached but silent this round
-        for i in 0..n {
-            let known = Ledger::get(&self.ledgers[i].acked, object)
-                .max(Ledger::get(&self.ledgers[i].last_seen, object));
-            match self.caches[i].get(&object) {
-                Some(cache) => {
-                    match kind {
-                        None => kind = Some(cache.snapshot.kind),
-                        Some(k) if k != cache.snapshot.kind => {
-                            return Err(ReplicaError::MergeMismatch {
-                                why: format!("object {object}: replicas disagree on object kind"),
-                            });
-                        }
-                        Some(_) => {}
-                    }
-                    envelopes.push(cache.snapshot.envelope.clone());
-                    parts[i] = Some(cache.snapshot.envelope.observed());
-                    if !reached[i] {
-                        stale += known.saturating_sub(cache.snapshot.envelope.observed());
-                    }
-                }
-                None => missing += known,
+        let mut missed = u64::MAX; // the smallest miss among the merged copies
+        for (i, ledger) in self.ledgers.iter().enumerate() {
+            let known =
+                Ledger::get(&ledger.acked, object).max(Ledger::get(&ledger.last_seen, object));
+            let Some(cache) = self.caches[i].get(&object) else {
+                missing = missing.saturating_add(known);
+                continue;
+            };
+            let observed = cache.envelope.observed();
+            envelopes.push(cache.envelope.clone());
+            parts[i] = Some(observed);
+            missed = missed.min(Ledger::get(&ledger.missed, object));
+            if !reached[i] {
+                stale = stale.saturating_add(known.saturating_sub(observed));
             }
         }
-        let Some(kind) = kind else {
+        if envelopes.is_empty() {
             return Err(ReplicaError::AllUnreachable { what: "snapshot" });
+        }
+        let policy = policy_for(self.mode);
+        let (doubt, lost) = (self.doubt(object), self.lost(object));
+        // What the merged parts cannot see. Disjoint parts (`Add`) lose
+        // a missing replica's whole count; every mirrored copy (`Join`)
+        // holds the stream but for what it missed, so the smallest miss
+        // bounds the merge. In-doubt weight only accrues under `Add`.
+        let invisible = match policy {
+            MergePolicy::Add => missing,
+            MergePolicy::Join => missed,
         };
-        let doubt = self.doubt(object);
-        let lost = self.lost(object);
-        let mirror_missed = (0..n)
-            .filter(|&i| parts[i].is_some())
-            .map(|i| Ledger::get(&self.ledgers[i].missed, object))
-            .min()
-            .unwrap_or(0);
-        let envelope = match kind {
-            ObjectKind::CountMin => {
-                let Some(MergedCells::Cm {
+        let mut envelope = ErrorEnvelope::compose(&envelopes, policy)?;
+        let observed = envelope.observed();
+        let Some(state) = self.accums.get(&object) else {
+            return Err(ReplicaError::MergeMismatch {
+                why: format!("object {object}: merged accumulator lost sync with caches"),
+            });
+        };
+        match (&mut envelope, state) {
+            (
+                ErrorEnvelope::Frequency(env),
+                SnapshotState::CountMin {
                     width,
                     depth,
                     hash_fp,
                     cells,
-                }) = self.accums.get(&object)
-                else {
-                    return Err(ReplicaError::MergeMismatch {
-                        why: format!("object {object}: merged accumulator lost sync with caches"),
-                    });
-                };
-                let (widen_lag, widen_eps) = match self.mode {
-                    ReplicaMode::Partition => (missing + doubt + stale + lost, doubt),
-                    ReplicaMode::Mirror => (mirror_missed + stale + lost, 0),
-                };
-                cm_compose(
+                },
+            ) => {
+                let proto = cm_proto_for(
                     &mut self.protos,
                     self.seed,
-                    self.mode,
                     object,
-                    Some(key),
-                    (*width, *depth, *hash_fp),
-                    cells,
-                    &envelopes,
-                    widen_lag,
-                    widen_eps,
-                )?
-            }
-            ObjectKind::Hll => {
-                let Some(MergedCells::Hll { hash_fp, registers }) = self.accums.get(&object) else {
-                    return Err(ReplicaError::MergeMismatch {
-                        why: format!("object {object}: merged accumulator lost sync with caches"),
-                    });
-                };
-                hll_compose(
-                    &mut self.protos,
-                    self.seed,
-                    self.mode,
-                    object,
+                    *width,
+                    *depth,
                     *hash_fp,
-                    registers,
-                    &envelopes,
-                )?
+                )?;
+                env.key = key.unwrap_or(0);
+                env.estimate = key.map_or(0, |k| {
+                    (0..*depth as usize)
+                        .map(|row| cells[proto.cell_index(row, k)])
+                        .min()
+                        .unwrap_or(0)
+                });
+                // Unseen weight may be missing from the estimate (`lag`);
+                // in-doubt weight may also be counted twice (`ε`).
+                for unseen in [invisible, doubt, stale, lost] {
+                    env.lag = env.lag.saturating_add(unseen);
+                }
+                env.epsilon = env.epsilon.saturating_add(doubt);
             }
-            ObjectKind::Morris | ObjectKind::MinRegister => {
-                let included: Vec<&ObjectSnapshot> = self
-                    .caches
-                    .iter()
-                    .filter_map(|m| m.get(&object))
-                    .map(|c| &c.snapshot)
-                    .collect();
-                let (_, envelope) = if kind == ObjectKind::Morris {
-                    merge_morris(object, &included, &envelopes, self.mode)?
-                } else {
-                    merge_min(object, &included, &envelopes, self.mode)?
-                };
-                envelope
+            (
+                card @ ErrorEnvelope::Cardinality { .. },
+                SnapshotState::Hll { hash_fp, registers },
+            ) => {
+                let proto = hll_proto_for(
+                    &mut self.protos,
+                    self.seed,
+                    object,
+                    registers.len(),
+                    *hash_fp,
+                )?;
+                *card = ErrorEnvelope::cardinality(proto, registers, observed);
             }
-        };
+            (ErrorEnvelope::ApproxCount { .. }, SnapshotState::Morris { .. })
+            | (ErrorEnvelope::Minimum { .. }, SnapshotState::MinRegister { .. }) => {}
+            _ => {
+                return Err(ReplicaError::MergeMismatch {
+                    why: format!("object {object}: kind tag and envelope disagree"),
+                })
+            }
+        }
         Ok(MergedRead {
             envelope,
+            parts,
             reached: reached.iter().filter(|&&r| r).count(),
             total: n,
-            parts,
-            missing_observed: missing + stale + lost,
+            missing_observed: missing.saturating_add(stale).saturating_add(lost),
         })
-    }
-
-    /// The weight the merge cannot see: each unreachable replica's
-    /// recorded update count — the larger of what this group routed to
-    /// it and what its last snapshot reported.
-    fn missing_observed(&self, object: u32, parts: &[Option<ObjectSnapshot>]) -> u64 {
-        parts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_none())
-            .map(|(i, _)| {
-                Ledger::get(&self.ledgers[i].acked, object)
-                    .max(Ledger::get(&self.ledgers[i].last_seen, object))
-            })
-            .sum()
     }
 
     /// Total in-doubt weight for `object` (partition failovers whose
@@ -1511,158 +1272,33 @@ impl ReplicaGroup {
             .sum()
     }
 
-    /// Mirror-mode under-count bound: every included replica saw all
-    /// acknowledged weight except what it missed, so the max-merge
-    /// undershoots by at most the *smallest* miss among them.
-    fn mirror_missed(&self, object: u32, parts: &[Option<ObjectSnapshot>]) -> u64 {
-        parts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_some())
-            .map(|(i, _)| Ledger::get(&self.ledgers[i].missed, object))
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Merges gathered snapshots into one state + composed envelope.
-    /// `key` picks the frequency point estimate; `None` keeps the
-    /// snapshot-form zero sentinels.
-    fn merge_parts(
-        &mut self,
-        object: u32,
-        key: Option<u64>,
-        parts: Vec<Option<ObjectSnapshot>>,
-    ) -> Result<MergedSnapshot, ReplicaError> {
-        let included: Vec<&ObjectSnapshot> = parts.iter().flatten().collect();
-        let kind = included[0].kind;
-        if included.iter().any(|s| s.kind != kind) {
-            return Err(ReplicaError::MergeMismatch {
-                why: format!("object {object}: replicas disagree on object kind"),
-            });
-        }
-        let missing = self.missing_observed(object, &parts);
-        let doubt = self.doubt(object);
-        let lost = self.lost(object);
-        let mirror_missed = self.mirror_missed(object, &parts);
-        let envelopes: Vec<ErrorEnvelope> = included.iter().map(|s| s.envelope.clone()).collect();
-
-        let (state, envelope) = match kind {
-            ObjectKind::CountMin => self.merge_count_min(
-                object,
-                key,
-                &included,
-                &envelopes,
-                missing + lost,
-                doubt,
-                mirror_missed + lost,
-            )?,
-            ObjectKind::Hll => self.merge_hll(object, &included, &envelopes)?,
-            ObjectKind::Morris => merge_morris(object, &included, &envelopes, self.mode)?,
-            ObjectKind::MinRegister => merge_min(object, &included, &envelopes, self.mode)?,
-        };
+    /// A merged snapshot of `object`: the merged state itself, with the
+    /// envelope [`query`](Self::query) composes but its frequency
+    /// `key`/`estimate` left at the snapshot-form zero sentinels.
+    pub fn snapshot_merged(&mut self, object: u32) -> Result<MergedSnapshot, ReplicaError> {
+        let read = self.merged_read(object, None)?;
+        let state = self
+            .accums
+            .get(&object)
+            .cloned()
+            .expect("a successful merged read leaves its accumulator in place");
         Ok(MergedSnapshot {
             object,
-            kind,
+            kind: state.kind(),
             state,
-            envelope,
-            parts: parts
-                .iter()
-                .map(|p| p.as_ref().map(|s| s.envelope.observed()))
-                .collect(),
-            missing_observed: missing,
+            envelope: read.envelope,
+            parts: read.parts,
+            missing_observed: read.missing_observed,
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn merge_count_min(
-        &mut self,
-        object: u32,
-        key: Option<u64>,
-        included: &[&ObjectSnapshot],
-        envelopes: &[ErrorEnvelope],
-        missing: u64,
-        doubt: u64,
-        mirror_missed: u64,
-    ) -> Result<(SnapshotState, ErrorEnvelope), ReplicaError> {
-        let states: Vec<&SnapshotState> = included.iter().map(|s| &s.state).collect();
-        let (width, depth, hash_fp, merged) = cm_merge_cells(self.mode, object, &states)?;
-        let (widen_lag, widen_eps) = match self.mode {
-            ReplicaMode::Partition => (missing + doubt, doubt),
-            ReplicaMode::Mirror => (mirror_missed, 0),
-        };
-        let envelope = cm_compose(
-            &mut self.protos,
-            self.seed,
-            self.mode,
-            object,
-            key,
-            (width, depth, hash_fp),
-            &merged,
-            envelopes,
-            widen_lag,
-            widen_eps,
-        )?;
-        let state = SnapshotState::CountMin {
-            width,
-            depth,
-            hash_fp,
-            cells: merged,
-        };
-        Ok((state, envelope))
-    }
-
-    fn merge_hll(
-        &mut self,
-        object: u32,
-        included: &[&ObjectSnapshot],
-        envelopes: &[ErrorEnvelope],
-    ) -> Result<(SnapshotState, ErrorEnvelope), ReplicaError> {
-        let states: Vec<&SnapshotState> = included.iter().map(|s| &s.state).collect();
-        let (hash_fp, merged) = hll_merge_registers(object, &states)?;
-        let envelope = hll_compose(
-            &mut self.protos,
-            self.seed,
-            self.mode,
-            object,
-            hash_fp,
-            &merged,
-            envelopes,
-        )?;
-        Ok((
-            SnapshotState::Hll {
-                hash_fp,
-                registers: merged,
-            },
-            envelope,
-        ))
-    }
-
-    /// A merged snapshot of `object` over the reachable replicas.
-    pub fn snapshot_merged(&mut self, object: u32) -> Result<MergedSnapshot, ReplicaError> {
-        let parts = self.gather(object)?;
-        self.merge_parts(object, None, parts)
-    }
-
     /// Answers a query for `key` on `object` by merging the replicas'
-    /// states — the group's read primitive. With delta reads on (the
-    /// default) each replica is asked only what changed since its
-    /// cached epoch; quiescent replicas answer a tiny `Unchanged`
-    /// frame and the persistent accumulator re-merges nothing.
+    /// states — the group's read primitive. Each replica is asked only
+    /// what changed since its cached epoch; quiescent replicas answer a
+    /// tiny `Unchanged` frame and the persistent accumulator re-merges
+    /// nothing.
     pub fn query(&mut self, object: u32, key: u64) -> Result<MergedRead, ReplicaError> {
-        if !self.delta_reads {
-            let parts = self.gather(object)?;
-            let total = parts.len();
-            let merged = self.merge_parts(object, Some(key), parts)?;
-            return Ok(MergedRead {
-                reached: merged.parts.iter().flatten().count(),
-                total,
-                envelope: merged.envelope,
-                parts: merged.parts,
-                missing_observed: merged.missing_observed,
-            });
-        }
-        let reached = self.refresh(object)?;
-        self.answer_cached(object, key, &reached)
+        self.merged_read(object, Some(key))
     }
 
     /// The object roster, from the first reachable replica (rosters
@@ -1758,265 +1394,11 @@ fn hll_proto_for(
     }
 }
 
-/// Cell-merges CountMin states through the mergeable-state layer (sum
-/// in partition, max in mirror — [`policy_for`]) after it checks they
-/// share dimensions and coins. Returns
-/// `(width, depth, hash_fp, merged_cells)`.
-fn cm_merge_cells(
-    mode: ReplicaMode,
-    object: u32,
-    states: &[&SnapshotState],
-) -> Result<(u32, u32, u64, Vec<u64>), ReplicaError> {
-    let merged =
-        merge_states(policy_for(mode), states).map_err(|e| ReplicaError::MergeMismatch {
-            why: format!("object {object}: {e}"),
-        })?;
-    let SnapshotState::CountMin {
-        width,
-        depth,
-        hash_fp,
-        cells,
-    } = merged
-    else {
-        return Err(ReplicaError::MergeMismatch {
-            why: format!("object {object}: kind tag and state disagree"),
-        });
-    };
-    Ok((width, depth, hash_fp, cells))
-}
-
-/// Composes the CountMin envelope for already-merged cells: derives
-/// the point estimate from them, composes the parts' envelopes, and
-/// widens `lag` by `widen_lag` and `ε` by `widen_eps` (the weight the
-/// merge cannot see, and the weight that may have double-counted).
-#[allow(clippy::too_many_arguments)]
-fn cm_compose(
-    protos: &mut HashMap<u32, Proto>,
-    seed: u64,
-    mode: ReplicaMode,
-    object: u32,
-    key: Option<u64>,
-    dims: (u32, u32, u64),
-    merged: &[u64],
-    envelopes: &[ErrorEnvelope],
-    widen_lag: u64,
-    widen_eps: u64,
-) -> Result<ErrorEnvelope, ReplicaError> {
-    let (width, depth, hash_fp) = dims;
-    let proto = cm_proto_for(protos, seed, object, width, depth, hash_fp)?;
-    let estimate = key
-        .map(|k| {
-            (0..depth as usize)
-                .map(|row| merged[proto.cell_index(row, k)])
-                .min()
-                .unwrap_or(0)
-        })
-        .unwrap_or(0);
-    match mode {
-        ReplicaMode::Partition => {
-            // Compose the parts' (ε, δ, n, lag), then install the
-            // estimate derived from the merged (summed) cells and
-            // widen for what the merge cannot see.
-            let keyed: Vec<ErrorEnvelope> = envelopes
-                .iter()
-                .map(|e| match e {
-                    ErrorEnvelope::Frequency(env) => {
-                        let mut env = *env;
-                        env.key = key.unwrap_or(0);
-                        env.estimate = 0;
-                        ErrorEnvelope::Frequency(env)
-                    }
-                    other => other.clone(),
-                })
-                .collect();
-            let ErrorEnvelope::Frequency(mut acc) = ErrorEnvelope::compose(&keyed)? else {
-                return Err(ReplicaError::MergeMismatch {
-                    why: format!("object {object}: kind tag and envelope disagree"),
-                });
-            };
-            acc.estimate = estimate;
-            acc.lag += widen_lag;
-            acc.epsilon += widen_eps;
-            Ok(ErrorEnvelope::Frequency(acc))
-        }
-        ReplicaMode::Mirror => {
-            let freqs: Vec<&Envelope> = envelopes
-                .iter()
-                .filter_map(ErrorEnvelope::frequency)
-                .collect();
-            if freqs.len() != envelopes.len() {
-                return Err(ReplicaError::MergeMismatch {
-                    why: format!("object {object}: kind tag and envelope disagree"),
-                });
-            }
-            let head = freqs[0];
-            if freqs.iter().any(|e| e.alpha != head.alpha) {
-                return Err(ReplicaError::Compose(ComposeError::ParamMismatch("alpha")));
-            }
-            let stream_len = freqs.iter().map(|e| e.stream_len).max().unwrap_or(0);
-            let lag = freqs.iter().map(|e| e.lag).max().unwrap_or(0);
-            let mut env = Envelope::new(
-                key.unwrap_or(0),
-                estimate,
-                stream_len,
-                head.alpha,
-                head.delta,
-                lag,
-            );
-            // Every included replica missed at most the smallest
-            // recorded miss (plus any staleness), folded in by the
-            // caller as `widen_lag`.
-            env.lag += widen_lag;
-            env.epsilon += widen_eps;
-            Ok(ErrorEnvelope::Frequency(env))
-        }
+/// A refused merge, prefixed with the object for the operator.
+fn mismatch(object: u32, e: MergeError) -> ReplicaError {
+    ReplicaError::MergeMismatch {
+        why: format!("object {object}: {e}"),
     }
-}
-
-/// Register-merges HLL states through the mergeable-state layer (max
-/// in both modes — the register join is idempotent) after it checks
-/// they share precision and coins. Returns `(hash_fp, merged_registers)`.
-fn hll_merge_registers(
-    object: u32,
-    states: &[&SnapshotState],
-) -> Result<(u64, Vec<u8>), ReplicaError> {
-    let merged =
-        merge_states(MergePolicy::Join, states).map_err(|e| ReplicaError::MergeMismatch {
-            why: format!("object {object}: {e}"),
-        })?;
-    let SnapshotState::Hll { hash_fp, registers } = merged else {
-        return Err(ReplicaError::MergeMismatch {
-            why: format!("object {object}: kind tag and state disagree"),
-        });
-    };
-    Ok((hash_fp, registers))
-}
-
-/// Composes the cardinality envelope for already-merged HLL registers.
-fn hll_compose(
-    protos: &mut HashMap<u32, Proto>,
-    seed: u64,
-    mode: ReplicaMode,
-    object: u32,
-    hash_fp: u64,
-    merged: &[u8],
-    envelopes: &[ErrorEnvelope],
-) -> Result<ErrorEnvelope, ReplicaError> {
-    let proto = hll_proto_for(protos, seed, object, merged.len(), hash_fp)?;
-    let mut seq = proto.clone();
-    seq.merge_registers(merged);
-    let register_sum: u64 = merged.iter().map(|&b| b as u64).sum();
-    let observed = envelopes
-        .iter()
-        .map(ErrorEnvelope::observed)
-        .fold(0u64, |acc, o| match mode {
-            ReplicaMode::Partition => acc + o,
-            ReplicaMode::Mirror => acc.max(o),
-        });
-    Ok(ErrorEnvelope::Cardinality {
-        estimate: seq.estimate(),
-        rel_std_err: seq.standard_error(),
-        registers: merged.len() as u64,
-        register_sum,
-        observed,
-    })
-}
-
-/// Morris merge: envelope-level (the exponent is the state). Partition
-/// sums the unbiased estimates over disjoint substreams; mirror keeps
-/// the max. The merged state keeps the max exponent as the monotone
-/// indicator in both modes.
-fn merge_morris(
-    object: u32,
-    included: &[&ObjectSnapshot],
-    envelopes: &[ErrorEnvelope],
-    mode: ReplicaMode,
-) -> Result<(SnapshotState, ErrorEnvelope), ReplicaError> {
-    let states: Vec<&SnapshotState> = included.iter().map(|s| &s.state).collect();
-    let merged =
-        merge_states(MergePolicy::Join, &states).map_err(|e| ReplicaError::MergeMismatch {
-            why: format!("object {object}: {e}"),
-        })?;
-    let SnapshotState::Morris { exponent: exp_max } = merged else {
-        return Err(ReplicaError::MergeMismatch {
-            why: format!("object {object}: kind tag and state disagree"),
-        });
-    };
-    let envelope = match mode {
-        ReplicaMode::Partition => ErrorEnvelope::compose(envelopes)?,
-        ReplicaMode::Mirror => {
-            let (mut est, mut a_param, mut obs) = (0.0f64, None, 0u64);
-            for env in envelopes {
-                let ErrorEnvelope::ApproxCount {
-                    estimate,
-                    a,
-                    observed,
-                    ..
-                } = env
-                else {
-                    return Err(ReplicaError::MergeMismatch {
-                        why: format!("object {object}: kind tag and envelope disagree"),
-                    });
-                };
-                match a_param {
-                    None => a_param = Some(*a),
-                    Some(p) if p != *a => {
-                        return Err(ReplicaError::Compose(ComposeError::ParamMismatch("a")))
-                    }
-                    Some(_) => {}
-                }
-                est = est.max(*estimate);
-                obs = obs.max(*observed);
-            }
-            ErrorEnvelope::ApproxCount {
-                estimate: est,
-                a: a_param.expect("at least one envelope"),
-                exponent: exp_max,
-                observed: obs,
-            }
-        }
-    };
-    Ok((SnapshotState::Morris { exponent: exp_max }, envelope))
-}
-
-/// Min-register merge: the union minimum is the min of part minima in
-/// both modes; `observed` sums over disjoint substreams and maxes over
-/// mirrored copies.
-fn merge_min(
-    object: u32,
-    included: &[&ObjectSnapshot],
-    envelopes: &[ErrorEnvelope],
-    mode: ReplicaMode,
-) -> Result<(SnapshotState, ErrorEnvelope), ReplicaError> {
-    let states: Vec<&SnapshotState> = included.iter().map(|s| &s.state).collect();
-    let merged =
-        merge_states(MergePolicy::Join, &states).map_err(|e| ReplicaError::MergeMismatch {
-            why: format!("object {object}: {e}"),
-        })?;
-    let SnapshotState::MinRegister { minimum: min } = merged else {
-        return Err(ReplicaError::MergeMismatch {
-            why: format!("object {object}: kind tag and state disagree"),
-        });
-    };
-    let envelope = match mode {
-        ReplicaMode::Partition => ErrorEnvelope::compose(envelopes)?,
-        ReplicaMode::Mirror => {
-            let mut obs = 0u64;
-            for env in envelopes {
-                let ErrorEnvelope::Minimum { observed, .. } = env else {
-                    return Err(ReplicaError::MergeMismatch {
-                        why: format!("object {object}: kind tag and envelope disagree"),
-                    });
-                };
-                obs = obs.max(*observed);
-            }
-            ErrorEnvelope::Minimum {
-                minimum: min,
-                observed: obs,
-            }
-        }
-    };
-    Ok((SnapshotState::MinRegister { minimum: min }, envelope))
 }
 
 #[cfg(test)]

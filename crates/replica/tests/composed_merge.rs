@@ -7,8 +7,8 @@
 
 use ivl_service::{
     cm_hash_fingerprint, hll_hash_fingerprint, slot_coins, CellRun, ComposeError, DeltaChange,
-    Envelope, ErrorEnvelope, Metrics, ObjectConfig, ObjectKind, ObjectRegistry, SnapshotDelta,
-    SnapshotState,
+    Envelope, ErrorEnvelope, MergePolicy, Metrics, ObjectConfig, ObjectKind, ObjectRegistry,
+    SnapshotDelta, SnapshotState,
 };
 use ivl_sketch::countmin::{CountMin, CountMinParams};
 use ivl_sketch::{FrequencySketch, HyperLogLog};
@@ -198,7 +198,7 @@ proptest! {
                     ))
                 })
                 .collect();
-            let composed = match ErrorEnvelope::compose(&part_envs) {
+            let composed = match ErrorEnvelope::compose(&part_envs, MergePolicy::Add) {
                 Ok(env) => env,
                 Err(e) => return Err(proptest::test_runner::TestCaseError::fail(
                     format!("same-coin parts must compose: {e}"),
@@ -286,12 +286,12 @@ proptest! {
         let freq = ErrorEnvelope::Frequency(Envelope::new(key, est, n, 0.01, 0.01, 0));
         let other_alpha = ErrorEnvelope::Frequency(Envelope::new(key, est, n, 0.02, 0.01, 0));
         prop_assert!(matches!(
-            ErrorEnvelope::compose(&[freq.clone(), other_alpha]),
+            ErrorEnvelope::compose(&[freq.clone(), other_alpha], MergePolicy::Add),
             Err(ComposeError::ParamMismatch("alpha"))
         ));
         let other_key = ErrorEnvelope::Frequency(Envelope::new(key + 1, est, n, 0.01, 0.01, 0));
         prop_assert!(matches!(
-            ErrorEnvelope::compose(&[freq.clone(), other_key]),
+            ErrorEnvelope::compose(&[freq.clone(), other_key], MergePolicy::Add),
             Err(ComposeError::ParamMismatch("key"))
         ));
         let minimum = ErrorEnvelope::Minimum {
@@ -299,11 +299,11 @@ proptest! {
             observed: n,
         };
         prop_assert!(matches!(
-            ErrorEnvelope::compose(&[freq, minimum]),
+            ErrorEnvelope::compose(&[freq, minimum], MergePolicy::Add),
             Err(ComposeError::KindMismatch)
         ));
         prop_assert!(matches!(
-            ErrorEnvelope::compose(&[]),
+            ErrorEnvelope::compose(&[], MergePolicy::Add),
             Err(ComposeError::Empty)
         ));
     }
@@ -572,7 +572,7 @@ proptest! {
                     ))
                 })
                 .collect();
-            let composed = match ErrorEnvelope::compose(&part_envs) {
+            let composed = match ErrorEnvelope::compose(&part_envs, MergePolicy::Add) {
                 Ok(env) => env,
                 Err(e) => return Err(proptest::test_runner::TestCaseError::fail(
                     format!("same-coin parts must compose: {e}"),

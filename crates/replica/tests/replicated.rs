@@ -7,8 +7,10 @@
 
 use ivl_replica::{ReplicaError, ReplicaGroup, ReplicaMode};
 use ivl_service::{
+    merge_states,
     objects::{ObjectConfig, ObjectKind},
-    Backend, ClientError, ErrorEnvelope, ServerConfig, ServerHandle, WireError,
+    Backend, Client, ClientError, ErrorEnvelope, MergePolicy, ObjectSnapshot, ServerConfig,
+    ServerHandle, SnapshotState, WireError,
 };
 use ivl_sketch::stream::ZipfStream;
 use std::collections::HashMap;
@@ -221,6 +223,34 @@ fn mirrored_run(backend: Backend) {
         other => panic!("wanted cardinality envelope, got {other:?}"),
     }
 
+    // Morris and the min register compose under the same `Join` law:
+    // every copy saw every update, so the acknowledged weight is the
+    // max over the parts, not their sum, and the minimum is the
+    // minimum over the parts.
+    for k in 0..8u64 {
+        group.update(2, k, 1).expect("mirrored morris update");
+        group.update(3, k + 100, 1).expect("mirrored min update");
+    }
+    let read = group.query(2, 0).expect("merged mirror morris query");
+    assert!(read.parts.iter().all(|p| *p == Some(8)));
+    match &read.envelope {
+        ErrorEnvelope::ApproxCount {
+            estimate, observed, ..
+        } => {
+            assert_eq!(*observed, 8, "mirror does not sum the copies' weight");
+            assert!(*estimate > 0.0);
+        }
+        other => panic!("wanted approx-count envelope, got {other:?}"),
+    }
+    let read = group.query(3, 0).expect("merged mirror min query");
+    assert_eq!(
+        read.envelope,
+        ErrorEnvelope::Minimum {
+            minimum: 100,
+            observed: 8,
+        }
+    );
+
     // Kill a replica: mirrored reads keep the full stream (the
     // survivors each hold a complete copy) with no widening needed.
     let victim = replicas.remove(0);
@@ -257,6 +287,70 @@ fn mirrored_three_replicas_threaded() {
 #[test]
 fn mirrored_three_replicas_event_loop() {
     mirrored_run(Backend::EventLoop);
+}
+
+/// `snapshot_merged` is the query path with the state attached: its
+/// state is the mode's merge of fresh per-replica snapshots, and its
+/// envelope is the composed query envelope bar the frequency
+/// key/estimate sentinels.
+fn snapshot_merged_run(mode: ReplicaMode) {
+    let replicas: Vec<ServerHandle> = (0..3)
+        .map(|_| spawn_replica(Backend::EventLoop, SEED))
+        .collect();
+    let mut group = group_over(&replicas, mode);
+    for k in 0..16u64 {
+        group.update(0, k, k + 1).expect("cm update");
+        group.update(1, k, 1).expect("hll update");
+        group.update(2, k, 1).expect("morris update");
+        group.update(3, k + 100, 1).expect("min update");
+    }
+    let policy = match mode {
+        ReplicaMode::Partition => MergePolicy::Add,
+        ReplicaMode::Mirror => MergePolicy::Join,
+    };
+    let mut direct: Vec<Client> = replicas
+        .iter()
+        .map(|r| Client::connect(r.addr()).expect("direct client"))
+        .collect();
+    for object in 0..4u32 {
+        let merged = group.snapshot_merged(object).expect("merged snapshot");
+        let fresh: Vec<ObjectSnapshot> = direct
+            .iter_mut()
+            .map(|c| c.snapshot(object).expect("fresh snapshot"))
+            .collect();
+        let states: Vec<&SnapshotState> = fresh.iter().map(|s| &s.state).collect();
+        assert_eq!(merged.object, object);
+        assert_eq!(merged.kind, fresh[0].kind);
+        assert_eq!(
+            merged.state,
+            merge_states(policy, &states).expect("same coins")
+        );
+        let observed: Vec<Option<u64>> =
+            fresh.iter().map(|s| Some(s.envelope.observed())).collect();
+        assert_eq!(merged.parts, observed);
+        assert_eq!(merged.missing_observed, 0);
+
+        let mut want = group.query(object, 7).expect("merged query").envelope;
+        if let ErrorEnvelope::Frequency(env) = &mut want {
+            (env.key, env.estimate) = (0, 0);
+        }
+        assert_eq!(merged.envelope, want, "object {object} in {mode} mode");
+    }
+    drop(direct);
+    drop(group);
+    for r in replicas {
+        drop(r.join());
+    }
+}
+
+#[test]
+fn snapshot_merged_matches_fresh_snapshots_partitioned() {
+    snapshot_merged_run(ReplicaMode::Partition);
+}
+
+#[test]
+fn snapshot_merged_matches_fresh_snapshots_mirrored() {
+    snapshot_merged_run(ReplicaMode::Mirror);
 }
 
 #[test]

@@ -27,6 +27,9 @@
 //! reconstruct exactly that guarantee without knowing the sketch's
 //! dimensions.
 
+use ivl_merge::MergePolicy;
+use ivl_sketch::hll::HyperLogLog;
+
 /// A frequency estimate together with its Theorem 6 (ε,δ) bound,
 /// widened by the deferred-visibility `lag` when write buffering is
 /// enabled (Lemma 10, DESIGN §9).
@@ -79,7 +82,7 @@ impl Envelope {
     /// — CountMin never underestimates; with buffering, up to `lag`
     /// acknowledged weight may still be pending in writer buffers.
     pub fn upper_bound(&self) -> u64 {
-        self.estimate + self.lag
+        self.estimate.saturating_add(self.lag)
     }
 
     /// The Theorem 6 check for a concurrent query: `f_start` is the
@@ -91,7 +94,7 @@ impl Envelope {
     /// `estimate ≤ f_end + ε`. Returns whether the served envelope
     /// satisfies both.
     pub fn covers(&self, f_start: u64, f_end: u64) -> bool {
-        f_start <= self.estimate + self.lag && self.estimate <= f_end + self.epsilon
+        f_start <= self.upper_bound() && self.estimate <= f_end.saturating_add(self.epsilon)
     }
 }
 
@@ -184,34 +187,77 @@ impl ErrorEnvelope {
         }
     }
 
-    /// Composes per-replica envelopes of *partitioned* substreams into
-    /// one envelope covering their union — the replication layer's
-    /// merged answer ships this instead of inventing a bound.
+    /// The cardinality envelope of an HLL whose registers are
+    /// `registers`: the estimate and standard error of `prototype` (the
+    /// object's empty sketch, which carries the hash) raised to those
+    /// registers, plus their sum — the monotone indicator the verdict
+    /// checks.
+    pub fn cardinality(prototype: &HyperLogLog, registers: &[u8], observed: u64) -> ErrorEnvelope {
+        let mut seq = prototype.clone();
+        seq.merge_registers(registers);
+        ErrorEnvelope::Cardinality {
+            estimate: seq.estimate(),
+            rel_std_err: seq.standard_error(),
+            registers: registers.len() as u64,
+            register_sum: registers.iter().map(|&r| r as u64).sum(),
+            observed,
+        }
+    }
+
+    /// The approximate-count envelope of a Morris counter with accuracy
+    /// parameter `a` at `exponent`: the unbiased estimate
+    /// `((1+a)^x − 1)/a`.
+    pub fn approx_count(a: f64, exponent: u32, observed: u64) -> ErrorEnvelope {
+        ErrorEnvelope::ApproxCount {
+            estimate: ((1.0 + a).powi(exponent as i32) - 1.0) / a,
+            a,
+            exponent,
+            observed,
+        }
+    }
+
+    /// Composes per-replica envelopes into one envelope covering what
+    /// the merged state covers — the replication layer's merged answer
+    /// ships this instead of inventing a bound. `policy` is the law the
+    /// replicas' states merged under: [`MergePolicy::Add`] for
+    /// *partitioned* (disjoint) substreams, [`MergePolicy::Join`] for
+    /// *mirrored* copies of one stream.
     ///
     /// Soundness per kind, with every part's guarantee over its own
-    /// substream:
+    /// substream (`Add`) or copy (`Join`):
     ///
-    /// * **Frequency** — merged CountMin cells are cell-wise sums, so
-    ///   the merged estimate is at most the sum of part estimates and
-    ///   at least the union frequency. Summing `epsilon` terms is the
-    ///   union bound over the parts' (ε,δ) events
+    /// * **Frequency** — `Add`: merged CountMin cells are cell-wise
+    ///   sums, so the merged estimate is at most the sum of part
+    ///   estimates and at least the union frequency. Summing `epsilon`
+    ///   terms is the union bound over the parts' (ε,δ) events
     ///   (`⌈αΣnᵢ⌉ ≤ Σ⌈αnᵢ⌉`), `delta` adds (capped at 1), and
     ///   `stream_len`/`lag` add because the substreams and writer sets
-    ///   are disjoint. Parts must agree on `key` and `alpha`.
+    ///   are disjoint. `Join`: merged cells are cell-wise maxima of
+    ///   copies that share their hash functions, so they never pass
+    ///   the cells of one sketch over the whole stream — the parts
+    ///   share one (ε,δ) event, and every term takes its max
+    ///   (`ε = max ⌈αnᵢ⌉ = ⌈α·max nᵢ⌉`). Parts must agree on `key` and
+    ///   `alpha`.
     /// * **Cardinality** — register-wise max merging only grows
     ///   registers, so the max of part `register_sum`s (and of the
     ///   monotone-in-registers raw estimates) lower-bounds the merged
-    ///   sketch; the caller re-estimates from merged registers for the
-    ///   served value. Parts must agree on `registers` (same
-    ///   precision) and `rel_std_err`.
-    /// * **ApproxCount** — estimates add (each part counted a disjoint
-    ///   substream); the composed `exponent` keeps the max as the
-    ///   monotone indicator. Parts must agree on `a`.
-    /// * **Minimum** — the union minimum is the min of part minima,
-    ///   exactly.
+    ///   sketch under either law; the caller re-estimates from merged
+    ///   registers for the served value. Parts must agree on
+    ///   `registers` (same precision) and `rel_std_err`.
+    /// * **ApproxCount** — `Add`: estimates add (each part counted a
+    ///   disjoint substream); `Join`: the largest copy's estimate. The
+    ///   composed `exponent` keeps the max as the monotone indicator
+    ///   under both. Parts must agree on `a`.
+    /// * **Minimum** — the minimum of the union (or of the common
+    ///   stream) is the min of part minima, exactly, under both.
     ///
-    /// `observed` always sums: acknowledged weight over disjoint
-    /// substreams is additive.
+    /// `observed` follows the law: acknowledged weight sums over
+    /// disjoint substreams and takes the max over copies.
+    ///
+    /// Every sum saturates at `u64::MAX`. The parts are decoded from
+    /// replica frames without validation, and a wrapped sum would
+    /// narrow the envelope into one that lies; a saturated one only
+    /// stops saying anything.
     ///
     /// # Errors
     ///
@@ -220,8 +266,16 @@ impl ErrorEnvelope {
     /// envelope kinds, [`ComposeError::ParamMismatch`] when parts
     /// disagree on a parameter that must be shared (key, alpha,
     /// register count, `a`).
-    pub fn compose(parts: &[ErrorEnvelope]) -> Result<ErrorEnvelope, ComposeError> {
+    pub fn compose(
+        parts: &[ErrorEnvelope],
+        policy: MergePolicy,
+    ) -> Result<ErrorEnvelope, ComposeError> {
         let (first, rest) = parts.split_first().ok_or(ComposeError::Empty)?;
+        // The law's fold of one additive term.
+        let law = |acc: u64, v: u64| match policy {
+            MergePolicy::Add => acc.saturating_add(v),
+            MergePolicy::Join => acc.max(v),
+        };
         match first {
             ErrorEnvelope::Frequency(head) => {
                 let mut acc = *head;
@@ -236,11 +290,14 @@ impl ErrorEnvelope {
                     if env.alpha != acc.alpha {
                         return Err(ComposeError::ParamMismatch("alpha"));
                     }
-                    acc.estimate += env.estimate;
-                    acc.epsilon += env.epsilon;
-                    acc.delta = (acc.delta + env.delta).min(1.0);
-                    acc.stream_len += env.stream_len;
-                    acc.lag += env.lag;
+                    acc.estimate = law(acc.estimate, env.estimate);
+                    acc.epsilon = law(acc.epsilon, env.epsilon);
+                    acc.delta = match policy {
+                        MergePolicy::Add => (acc.delta + env.delta).min(1.0),
+                        MergePolicy::Join => acc.delta.max(env.delta),
+                    };
+                    acc.stream_len = law(acc.stream_len, env.stream_len);
+                    acc.lag = law(acc.lag, env.lag);
                 }
                 Ok(ErrorEnvelope::Frequency(acc))
             }
@@ -271,7 +328,7 @@ impl ErrorEnvelope {
                     }
                     est = est.max(*estimate);
                     sum = sum.max(*register_sum);
-                    obs += observed;
+                    obs = law(obs, *observed);
                 }
                 Ok(ErrorEnvelope::Cardinality {
                     estimate: est,
@@ -301,9 +358,12 @@ impl ErrorEnvelope {
                     if part_a != a {
                         return Err(ComposeError::ParamMismatch("a"));
                     }
-                    est += estimate;
+                    est = match policy {
+                        MergePolicy::Add => est + estimate,
+                        MergePolicy::Join => est.max(*estimate),
+                    };
                     exp = exp.max(*exponent);
-                    obs += observed;
+                    obs = law(obs, *observed);
                 }
                 Ok(ErrorEnvelope::ApproxCount {
                     estimate: est,
@@ -319,7 +379,7 @@ impl ErrorEnvelope {
                         return Err(ComposeError::KindMismatch);
                     };
                     min = min.min(*minimum);
-                    obs += observed;
+                    obs = law(obs, *observed);
                 }
                 Ok(ErrorEnvelope::Minimum {
                     minimum: min,
@@ -442,7 +502,9 @@ mod tests {
     fn compose_frequency_sums_terms_and_caps_delta() {
         let a = ErrorEnvelope::Frequency(Envelope::new(7, 12, 1_000, 0.005, 0.6, 2));
         let b = ErrorEnvelope::Frequency(Envelope::new(7, 5, 401, 0.005, 0.6, 1));
-        let ErrorEnvelope::Frequency(c) = ErrorEnvelope::compose(&[a, b]).unwrap() else {
+        let parts = [a, b];
+        let ErrorEnvelope::Frequency(c) = ErrorEnvelope::compose(&parts, MergePolicy::Add).unwrap()
+        else {
             panic!("kind preserved");
         };
         assert_eq!(c.key, 7);
@@ -451,15 +513,46 @@ mod tests {
         assert_eq!(c.stream_len, 1_401);
         assert_eq!(c.lag, 3);
         assert_eq!(c.delta, 1.0); // union bound capped
+                                  // Mirrored copies share one (ε,δ) event: every term is the max,
+                                  // and ε is the one a single sketch of the longest copy states.
+        let ErrorEnvelope::Frequency(m) =
+            ErrorEnvelope::compose(&parts, MergePolicy::Join).unwrap()
+        else {
+            panic!("kind preserved");
+        };
+        assert_eq!(m, Envelope::new(7, 12, 1_000, 0.005, 0.6, 2));
+        assert_eq!(m.epsilon, 5); // ⌈0.005·max(1000, 401)⌉
     }
 
     #[test]
     fn compose_of_one_is_identity() {
-        let env = ErrorEnvelope::Frequency(Envelope::new(3, 9, 100, 0.01, 0.05, 0));
-        assert_eq!(
-            ErrorEnvelope::compose(std::slice::from_ref(&env)).unwrap(),
-            env
-        );
+        for env in [
+            ErrorEnvelope::Frequency(Envelope::new(3, 9, 100, 0.01, 0.05, 0)),
+            ErrorEnvelope::Cardinality {
+                estimate: 90.0,
+                rel_std_err: 0.016,
+                registers: 4096,
+                register_sum: 80,
+                observed: 100,
+            },
+            ErrorEnvelope::ApproxCount {
+                estimate: 30.0,
+                a: 0.5,
+                exponent: 9,
+                observed: 31,
+            },
+            ErrorEnvelope::Minimum {
+                minimum: 9,
+                observed: 4,
+            },
+        ] {
+            for policy in [MergePolicy::Add, MergePolicy::Join] {
+                assert_eq!(
+                    ErrorEnvelope::compose(std::slice::from_ref(&env), policy).unwrap(),
+                    env
+                );
+            }
+        }
     }
 
     #[test]
@@ -478,19 +571,23 @@ mod tests {
             register_sum: 95,
             observed: 140,
         };
-        let c = ErrorEnvelope::compose(&[a, b]).unwrap();
-        let ErrorEnvelope::Cardinality {
-            estimate,
-            register_sum,
-            observed,
-            ..
-        } = c
-        else {
-            panic!("kind preserved");
-        };
-        assert_eq!(estimate, 120.0);
-        assert_eq!(register_sum, 95);
-        assert_eq!(observed, 240);
+        // Register maxima are the same under both laws; only the
+        // acknowledged weight tells disjoint substreams from copies.
+        for (policy, want_observed) in [(MergePolicy::Add, 240), (MergePolicy::Join, 140)] {
+            let c = ErrorEnvelope::compose(&[a.clone(), b.clone()], policy).unwrap();
+            let ErrorEnvelope::Cardinality {
+                estimate,
+                register_sum,
+                observed,
+                ..
+            } = c
+            else {
+                panic!("kind preserved");
+            };
+            assert_eq!(estimate, 120.0);
+            assert_eq!(register_sum, 95);
+            assert_eq!(observed, want_observed);
+        }
     }
 
     #[test]
@@ -507,7 +604,8 @@ mod tests {
             exponent: 7,
             observed: 13,
         };
-        let c = ErrorEnvelope::compose(&[a, b]).unwrap();
+        let parts = [a.clone(), b];
+        let c = ErrorEnvelope::compose(&parts, MergePolicy::Add).unwrap();
         assert_eq!(
             c,
             ErrorEnvelope::ApproxCount {
@@ -516,6 +614,11 @@ mod tests {
                 exponent: 9,
                 observed: 44,
             }
+        );
+        // Mirrored: the largest copy, max exponent, max weight.
+        assert_eq!(
+            ErrorEnvelope::compose(&parts, MergePolicy::Join).unwrap(),
+            a
         );
     }
 
@@ -529,47 +632,136 @@ mod tests {
             minimum: 3,
             observed: 6,
         };
+        let parts = [a, b];
         assert_eq!(
-            ErrorEnvelope::compose(&[a, b]).unwrap(),
+            ErrorEnvelope::compose(&parts, MergePolicy::Add).unwrap(),
             ErrorEnvelope::Minimum {
                 minimum: 3,
                 observed: 10,
+            }
+        );
+        assert_eq!(
+            ErrorEnvelope::compose(&parts, MergePolicy::Join).unwrap(),
+            ErrorEnvelope::Minimum {
+                minimum: 3,
+                observed: 6,
             }
         );
     }
 
     #[test]
     fn compose_rejects_empty_mixed_kinds_and_mismatched_params() {
-        assert_eq!(ErrorEnvelope::compose(&[]), Err(ComposeError::Empty));
-        let freq = ErrorEnvelope::Frequency(Envelope::new(1, 1, 10, 0.005, 0.01, 0));
-        let min = ErrorEnvelope::Minimum {
-            minimum: 1,
-            observed: 1,
+        for policy in [MergePolicy::Add, MergePolicy::Join] {
+            assert_eq!(
+                ErrorEnvelope::compose(&[], policy),
+                Err(ComposeError::Empty)
+            );
+            let freq = ErrorEnvelope::Frequency(Envelope::new(1, 1, 10, 0.005, 0.01, 0));
+            let min = ErrorEnvelope::Minimum {
+                minimum: 1,
+                observed: 1,
+            };
+            assert_eq!(
+                ErrorEnvelope::compose(&[freq.clone(), min.clone()], policy),
+                Err(ComposeError::KindMismatch)
+            );
+            assert_eq!(
+                ErrorEnvelope::compose(&[min, freq.clone()], policy),
+                Err(ComposeError::KindMismatch)
+            );
+            let other_key = ErrorEnvelope::Frequency(Envelope::new(2, 1, 10, 0.005, 0.01, 0));
+            assert_eq!(
+                ErrorEnvelope::compose(&[freq.clone(), other_key], policy),
+                Err(ComposeError::ParamMismatch("key"))
+            );
+            let other_alpha = ErrorEnvelope::Frequency(Envelope::new(1, 1, 10, 0.01, 0.01, 0));
+            assert_eq!(
+                ErrorEnvelope::compose(&[freq, other_alpha], policy),
+                Err(ComposeError::ParamMismatch("alpha"))
+            );
+            let card = |regs: u64| ErrorEnvelope::Cardinality {
+                estimate: 1.0,
+                rel_std_err: 1.04 / (regs as f64).sqrt(),
+                registers: regs,
+                register_sum: 1,
+                observed: 1,
+            };
+            assert_eq!(
+                ErrorEnvelope::compose(&[card(4096), card(1024)], policy),
+                Err(ComposeError::ParamMismatch("registers"))
+            );
+            let approx = |a: f64| ErrorEnvelope::ApproxCount {
+                estimate: 1.0,
+                a,
+                exponent: 1,
+                observed: 1,
+            };
+            assert_eq!(
+                ErrorEnvelope::compose(&[approx(0.5), approx(0.25)], policy),
+                Err(ComposeError::ParamMismatch("a"))
+            );
+        }
+    }
+
+    #[test]
+    fn compose_saturates_instead_of_wrapping() {
+        // A replica frame claiming near-`u64::MAX` weight must pin the
+        // composed envelope at its widest, never wrap it narrow.
+        let huge = Envelope {
+            lag: u64::MAX - 1,
+            ..Envelope::new(1, u64::MAX - 1, u64::MAX - 1, 0.005, 0.01, 0)
         };
-        assert_eq!(
-            ErrorEnvelope::compose(&[freq.clone(), min]),
-            Err(ComposeError::KindMismatch)
-        );
-        let other_key = ErrorEnvelope::Frequency(Envelope::new(2, 1, 10, 0.005, 0.01, 0));
-        assert_eq!(
-            ErrorEnvelope::compose(&[freq.clone(), other_key]),
-            Err(ComposeError::ParamMismatch("key"))
-        );
-        let other_alpha = ErrorEnvelope::Frequency(Envelope::new(1, 1, 10, 0.01, 0.01, 0));
-        assert_eq!(
-            ErrorEnvelope::compose(&[freq, other_alpha]),
-            Err(ComposeError::ParamMismatch("alpha"))
-        );
-        let card = |regs: u64| ErrorEnvelope::Cardinality {
-            estimate: 1.0,
-            rel_std_err: 1.04 / (regs as f64).sqrt(),
-            registers: regs,
-            register_sum: 1,
-            observed: 1,
+        let small = Envelope::new(1, 5, 5, 0.005, 0.01, 5);
+        let ErrorEnvelope::Frequency(c) = ErrorEnvelope::compose(
+            &[
+                ErrorEnvelope::Frequency(huge),
+                ErrorEnvelope::Frequency(small),
+            ],
+            MergePolicy::Add,
+        )
+        .unwrap() else {
+            panic!("kind preserved");
         };
-        assert_eq!(
-            ErrorEnvelope::compose(&[card(4096), card(1024)]),
-            Err(ComposeError::ParamMismatch("registers"))
-        );
+        assert_eq!(c.stream_len, u64::MAX, "not 3");
+        assert_eq!(c.lag, u64::MAX);
+        assert_eq!(c.estimate, u64::MAX);
+        assert_eq!(c.epsilon, huge.epsilon.saturating_add(small.epsilon));
+        assert_eq!(c.upper_bound(), u64::MAX);
+        assert!(c.covers(u64::MAX, u64::MAX));
+        for (big, five) in [
+            (
+                ErrorEnvelope::Cardinality {
+                    estimate: 1.0,
+                    rel_std_err: 0.016,
+                    registers: 4096,
+                    register_sum: 1,
+                    observed: u64::MAX - 1,
+                },
+                ErrorEnvelope::Cardinality {
+                    estimate: 1.0,
+                    rel_std_err: 0.016,
+                    registers: 4096,
+                    register_sum: 1,
+                    observed: 5,
+                },
+            ),
+            (
+                ErrorEnvelope::approx_count(0.5, 3, u64::MAX - 1),
+                ErrorEnvelope::approx_count(0.5, 3, 5),
+            ),
+            (
+                ErrorEnvelope::Minimum {
+                    minimum: 1,
+                    observed: u64::MAX - 1,
+                },
+                ErrorEnvelope::Minimum {
+                    minimum: 1,
+                    observed: 5,
+                },
+            ),
+        ] {
+            let c = ErrorEnvelope::compose(&[big, five], MergePolicy::Add).unwrap();
+            assert_eq!(c.observed(), u64::MAX);
+        }
     }
 }

@@ -979,6 +979,12 @@ impl ServedHll {
             proto: self.hll.prototype().clone(),
         }
     }
+
+    /// The served envelope of one register snapshot.
+    fn envelope(&self, snap: &[u8]) -> ErrorEnvelope {
+        let observed = self.ops.observed.load(Ordering::Relaxed);
+        ErrorEnvelope::cardinality(self.hll.prototype(), snap, observed)
+    }
 }
 
 impl ServedObject for ServedHll {
@@ -995,16 +1001,7 @@ impl ServedObject for ServedHll {
         // One snapshot feeds both the estimate and the checkable sum,
         // so the recorded query value matches the served envelope.
         let snap = self.hll.registers_snapshot();
-        let register_sum = snap.iter().map(|&r| r as u64).sum();
-        let mut seq = self.hll.prototype().clone();
-        seq.merge_registers(&snap);
-        ErrorEnvelope::Cardinality {
-            estimate: seq.estimate(),
-            rel_std_err: seq.standard_error(),
-            registers: snap.len() as u64,
-            register_sum,
-            observed: self.ops.observed.load(Ordering::Relaxed),
-        }
+        self.envelope(&snap)
     }
 
     fn snapshot(&self) -> (SnapshotState, ErrorEnvelope) {
@@ -1012,16 +1009,7 @@ impl ServedObject for ServedHll {
         // One register snapshot feeds both the shipped state and the
         // envelope, so they describe the same intermediate mix.
         let snap = self.hll.registers_snapshot();
-        let register_sum = snap.iter().map(|&r| r as u64).sum();
-        let mut seq = self.hll.prototype().clone();
-        seq.merge_registers(&snap);
-        let envelope = ErrorEnvelope::Cardinality {
-            estimate: seq.estimate(),
-            rel_std_err: seq.standard_error(),
-            registers: snap.len() as u64,
-            register_sum,
-            observed: self.ops.observed.load(Ordering::Relaxed),
-        };
+        let envelope = self.envelope(&snap);
         let state = SnapshotState::Hll {
             hash_fp: hll_hash_fingerprint(self.hll.prototype()),
             registers: snap,
@@ -1040,16 +1028,7 @@ impl ServedObject for ServedHll {
         // over-read harmless on re-apply).
         let epoch = self.hll.epoch();
         let snap = self.hll.registers_snapshot();
-        let register_sum = snap.iter().map(|&r| r as u64).sum();
-        let mut seq = self.hll.prototype().clone();
-        seq.merge_registers(&snap);
-        let envelope = ErrorEnvelope::Cardinality {
-            estimate: seq.estimate(),
-            rel_std_err: seq.standard_error(),
-            registers: snap.len() as u64,
-            register_sum,
-            observed: self.ops.observed.load(Ordering::Relaxed),
-        };
+        let envelope = self.envelope(&snap);
         if epoch == base {
             return (epoch, DeltaChange::Unchanged, envelope);
         }
@@ -1197,23 +1176,14 @@ impl ServedObject for ServedMorris {
         // exponent, and reading the monotone value first keeps the
         // recorded value a lower bound of what the envelope shows.
         let exponent = self.morris.exponent();
-        ErrorEnvelope::ApproxCount {
-            estimate: ((1.0 + self.a).powi(exponent as i32) - 1.0) / self.a,
-            a: self.a,
-            exponent,
-            observed: self.ops.observed.load(Ordering::Relaxed),
-        }
+        ErrorEnvelope::approx_count(self.a, exponent, self.ops.observed.load(Ordering::Relaxed))
     }
 
     fn snapshot(&self) -> (SnapshotState, ErrorEnvelope) {
         self.ops.note_query();
         let exponent = self.morris.exponent();
-        let envelope = ErrorEnvelope::ApproxCount {
-            estimate: ((1.0 + self.a).powi(exponent as i32) - 1.0) / self.a,
-            a: self.a,
-            exponent,
-            observed: self.ops.observed.load(Ordering::Relaxed),
-        };
+        let observed = self.ops.observed.load(Ordering::Relaxed);
+        let envelope = ErrorEnvelope::approx_count(self.a, exponent, observed);
         (SnapshotState::Morris { exponent }, envelope)
     }
 
