@@ -10,30 +10,22 @@
 //! [`ConcurrentHll::estimate`] is monotone too, but float-valued and
 //! piecewise, so tests quantize via the indicator instead).
 
-use ivl_sketch::hll::HyperLogLog;
+use ivl_sketch::hll::{HyperLogLog, RegisterSummary};
 use ivl_sketch::CoinFlips;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// A shared HyperLogLog sketch.
+///
+/// The registers are the whole state, with no epoch beside them: their
+/// sum ([`RegisterSummary::register_sum`]) is strictly monotone in the
+/// vector, so a reader that loaded the same sum twice loaded the same
+/// registers — which is what a served `Unchanged` reply rests on.
 #[derive(Debug)]
 pub struct ConcurrentHll {
     /// A sequential prototype holding the routing hash (same coins ⇒
     /// same deterministic algorithm as the sequential sketch).
     proto: HyperLogLog,
     registers: Vec<AtomicU8>,
-    /// Update epoch: bumped (`fetch_add`, multi-writer) only by
-    /// updates that actually raised a register, so an unchanged epoch
-    /// means an unchanged register vector — the `Unchanged` fast path
-    /// of delta snapshots. The bump follows the register's
-    /// `fetch_max`; a reader that observes the bump (`Acquire`)
-    /// therefore sees the raised register.
-    epoch: AtomicU64,
-    /// Cumulative dirty register range `[lo, hi)`: `fetch_min`/
-    /// `fetch_max` widened by raising updates, never narrowed — a
-    /// delta reader over-approximates (registers outside the range
-    /// still hold their initial 0).
-    dirty_lo: AtomicU32,
-    dirty_hi: AtomicU32,
 }
 
 impl ConcurrentHll {
@@ -49,33 +41,19 @@ impl ConcurrentHll {
         ConcurrentHll {
             proto,
             registers: (0..m).map(|_| AtomicU8::new(0)).collect(),
-            epoch: AtomicU64::new(0),
-            dirty_lo: AtomicU32::new(m as u32),
-            dirty_hi: AtomicU32::new(0),
         }
     }
 
-    /// Observes `item`: one `fetch_max` on its register. When the
-    /// register actually rises, the dirty range widens over it and the
-    /// update epoch is bumped (duplicates stay RMW-free beyond the
-    /// `fetch_max` itself).
+    /// Observes `item`: one `fetch_max` on its register.
     pub fn update(&self, item: u64) {
         let (idx, rank) = self.proto.route(item);
-        let prev = self.registers[idx].fetch_max(rank, Ordering::AcqRel);
-        if prev < rank {
-            self.dirty_lo.fetch_min(idx as u32, Ordering::AcqRel);
-            self.dirty_hi.fetch_max(idx as u32 + 1, Ordering::AcqRel);
-            self.epoch.fetch_add(1, Ordering::AcqRel);
-        }
+        self.registers[idx].fetch_max(rank, Ordering::AcqRel);
     }
 
     /// Absorbs a peer's full register vector — the HLL absorb path of
     /// replication catch-up: register-wise `fetch_max`, i.e. exactly
     /// the union-merge the sequential sketch performs, applied with
     /// the same monotone-merge discipline as [`update`](Self::update).
-    /// Registers that actually rise widen the dirty range; the epoch
-    /// is bumped once when anything rose (so delta snapshots notice),
-    /// and not at all for an absorb that changes nothing.
     ///
     /// # Panics
     ///
@@ -87,54 +65,11 @@ impl ConcurrentHll {
             self.registers.len(),
             "peer register vector must match this sketch's precision"
         );
-        let mut raised: Option<(u32, u32)> = None;
-        for (idx, &rank) in registers.iter().enumerate() {
-            if rank == 0 {
-                continue;
-            }
-            let prev = self.registers[idx].fetch_max(rank, Ordering::AcqRel);
-            if prev < rank {
-                let (lo, hi) = raised.unwrap_or((idx as u32, idx as u32 + 1));
-                raised = Some((lo.min(idx as u32), hi.max(idx as u32 + 1)));
+        for (reg, &rank) in self.registers.iter().zip(registers) {
+            if rank != 0 {
+                reg.fetch_max(rank, Ordering::AcqRel);
             }
         }
-        if let Some((lo, hi)) = raised {
-            self.dirty_lo.fetch_min(lo, Ordering::AcqRel);
-            self.dirty_hi.fetch_max(hi, Ordering::AcqRel);
-            self.epoch.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-
-    /// The sketch's update epoch (`Acquire`): monotone, equal across
-    /// two reads only if the register vector is unchanged between
-    /// them.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// The cumulative dirty register range `[lo, hi)` (`Acquire`);
-    /// `lo >= hi` means no register was ever raised. Registers outside
-    /// the range still hold their initial 0.
-    pub fn dirty_range(&self) -> (u32, u32) {
-        (
-            self.dirty_lo.load(Ordering::Acquire),
-            self.dirty_hi.load(Ordering::Acquire),
-        )
-    }
-
-    /// Loads the registers in `[lo, hi)` (`Acquire` each), appending
-    /// to `out` — the sparse read backing a delta snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) on an out-of-range span.
-    pub fn registers_range_into(&self, lo: usize, hi: usize, out: &mut Vec<u8>) {
-        debug_assert!(hi <= self.registers.len() && lo <= hi);
-        out.extend(
-            self.registers[lo..hi]
-                .iter()
-                .map(|r| r.load(Ordering::Acquire)),
-        );
     }
 
     /// Loads the register vector.
@@ -145,16 +80,16 @@ impl ConcurrentHll {
             .collect()
     }
 
+    /// One pass over the registers (`Acquire` each, no copy): the
+    /// summary every query of this sketch reads.
+    pub fn summary(&self) -> RegisterSummary {
+        RegisterSummary::from_ranks(self.registers.iter().map(|r| r.load(Ordering::Acquire)))
+    }
+
     /// The corrected cardinality estimate (same estimator as the
     /// sequential sketch, evaluated on the loaded registers).
     pub fn estimate(&self) -> f64 {
-        let mut seq = self.proto.clone();
-        // Rebuild a sequential sketch with the loaded registers by
-        // merging a snapshot; `merge` takes register-wise max against
-        // the all-zero prototype, i.e. installs the snapshot.
-        let snap = self.registers_snapshot();
-        seq.merge_registers(&snap);
-        seq.estimate()
+        self.summary().estimate()
     }
 
     /// A strictly monotone integer functional of the register vector:
@@ -163,13 +98,8 @@ impl ConcurrentHll {
     /// IVL checks (the paper's quantitative-object query must be
     /// totally ordered; monotone in every register).
     pub fn indicator(&self) -> u128 {
-        self.registers
-            .iter()
-            .map(|r| {
-                let m = r.load(Ordering::Acquire) as u32;
-                (1u128 << 64) - (1u128 << (64 - m.min(64)))
-            })
-            .sum()
+        let summary = self.summary();
+        ((summary.registers() as u128) << 64) - summary.inverse_sum_fixed()
     }
 
     /// Number of registers.
@@ -272,69 +202,54 @@ mod tests {
     }
 
     #[test]
-    fn absorb_takes_register_max_and_bumps_the_epoch_once() {
+    fn absorb_takes_register_max_and_a_repeat_changes_nothing() {
         let mut coins = CoinFlips::from_seed(6);
         let a = ConcurrentHll::new(8, &mut coins);
         let mut peer_coins = CoinFlips::from_seed(6);
         let b = ConcurrentHll::new(8, &mut peer_coins);
+        let mut union = a.prototype().clone();
         for x in 0..500u64 {
             a.update(x);
+            union.update(x);
         }
         for x in 300..900u64 {
             b.update(x);
+            union.update(x);
         }
-        // The union via absorb equals the sequential union-merge.
-        let mut seq = a.prototype().clone();
-        seq.merge_registers(&a.registers_snapshot());
-        seq.merge_registers(&b.registers_snapshot());
-        let e = a.epoch();
+        // The union via absorb equals the sequential sketch of the union.
         a.absorb(&b.registers_snapshot());
-        assert_eq!(a.registers_snapshot(), seq.registers().to_vec());
-        assert_eq!(a.epoch(), e + 1, "raising absorb bumps the epoch once");
-        // Absorbing the same peer again raises nothing: epoch frozen.
+        assert_eq!(a.registers_snapshot(), union.registers().to_vec());
+        assert_eq!(a.estimate(), union.estimate());
+        // Absorbing the same peer again raises nothing.
+        let sum = a.summary().register_sum();
         a.absorb(&b.registers_snapshot());
-        assert_eq!(a.epoch(), e + 1, "no-op absorb must not bump the epoch");
-        // Dirty range still covers every nonzero register.
-        let snap = a.registers_snapshot();
-        let (lo, hi) = a.dirty_range();
-        for (idx, &r) in snap.iter().enumerate() {
-            if r != 0 {
-                assert!((lo as usize) <= idx && idx < hi as usize);
-            }
-        }
+        assert_eq!(a.registers_snapshot(), union.registers().to_vec());
+        assert_eq!(a.summary().register_sum(), sum);
     }
 
     #[test]
-    fn epoch_moves_only_on_raising_updates_and_range_covers_them() {
+    fn register_sum_moves_only_on_raising_updates() {
         let mut coins = CoinFlips::from_seed(5);
         let hll = ConcurrentHll::new(8, &mut coins);
-        assert_eq!(hll.epoch(), 0);
-        let (lo, hi) = hll.dirty_range();
-        assert!(lo >= hi, "clean sketch has no dirty range");
+        assert_eq!(hll.summary().register_sum(), 0);
         for x in 0..100u64 {
             hll.update(x);
         }
-        let e = hll.epoch();
-        assert!(e > 0, "raising updates must bump the epoch");
-        // Duplicates raise nothing: epoch frozen.
+        let summary = hll.summary();
+        assert!(summary.register_sum() > 0, "raising updates move the sum");
+        // Duplicates raise nothing: the sum, and so the summary, stay.
         for x in 0..100u64 {
             hll.update(x);
         }
-        assert_eq!(hll.epoch(), e, "duplicate updates must not bump the epoch");
-        // Every nonzero register sits inside the dirty range, and the
-        // range read matches the full snapshot's slice.
+        assert_eq!(hll.summary(), summary);
+        // The summary is the one of the loaded registers, and the
+        // indicator is its fixed-point complement.
         let snap = hll.registers_snapshot();
-        let (lo, hi) = hll.dirty_range();
-        for (idx, &r) in snap.iter().enumerate() {
-            if r != 0 {
-                assert!(
-                    (lo as usize) <= idx && idx < hi as usize,
-                    "raised register {idx} outside dirty range [{lo}, {hi})"
-                );
-            }
-        }
-        let mut ranged = Vec::new();
-        hll.registers_range_into(lo as usize, hi as usize, &mut ranged);
-        assert_eq!(ranged, snap[lo as usize..hi as usize]);
+        assert_eq!(RegisterSummary::from_ranks(snap.iter().copied()), summary);
+        let indicator: u128 = snap
+            .iter()
+            .map(|&m| (1u128 << 64) - (1u128 << (64 - m as u32)))
+            .sum();
+        assert_eq!(hll.indicator(), indicator);
     }
 }

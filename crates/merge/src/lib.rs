@@ -184,6 +184,8 @@ impl CellRun {
 }
 
 /// How a `SNAPSHOT_SINCE` reply changes the client's cached state.
+/// Only a CountMin answers a sparse delta; the other kinds answer
+/// `Unchanged` or `Full`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DeltaChange {
     /// Nothing changed since the client's base epoch: keep the cached
@@ -200,16 +202,6 @@ pub enum DeltaChange {
         /// The replacement cell sums of every run, concatenated in run
         /// order — one allocation however many runs a delta has.
         values: Vec<u64>,
-    },
-    /// A register-range overwrite against a cached HLL whose epoch is
-    /// `base_epoch`: `registers` replace `[lo, lo + registers.len())`.
-    HllRange {
-        /// The cache epoch this range patches.
-        base_epoch: u64,
-        /// First register (inclusive) of the overwrite.
-        lo: u32,
-        /// The replacement register bytes.
-        registers: Vec<u8>,
     },
     /// A full replacement state: the client's base was unknown (or too
     /// old to diff), or a delta would not beat the full frame.
@@ -333,14 +325,6 @@ pub enum StatePatch {
     /// Sparse CountMin overwrites were applied; each entry is
     /// `(flat cell index, old value, new value)` of a cell that moved.
     CmCells(Vec<(usize, u64, u64)>),
-    /// An HLL register range `[lo, lo + registers.len())` was
-    /// overwritten with `registers`.
-    HllRange {
-        /// First overwritten register.
-        lo: usize,
-        /// The bytes now in place.
-        registers: Vec<u8>,
-    },
     /// The delta carried a full state; the cache was replaced wholesale.
     Replaced,
 }
@@ -664,20 +648,6 @@ impl MergeableState for SnapshotState {
                 }
                 Ok(StatePatch::CmCells(patched))
             }
-            DeltaChange::HllRange { lo, registers, .. } => {
-                let SnapshotState::Hll {
-                    registers: cached, ..
-                } = self
-                else {
-                    return Err(MergeError::new("HLL range for a non-HLL cache"));
-                };
-                let lo = lo as usize;
-                if lo + registers.len() > cached.len() {
-                    return Err(MergeError::new("delta register range out of bounds"));
-                }
-                cached[lo..lo + registers.len()].copy_from_slice(&registers);
-                Ok(StatePatch::HllRange { lo, registers })
-            }
         }
     }
 
@@ -696,15 +666,6 @@ impl MergeableState for SnapshotState {
                         MergePolicy::Add => *cell + (new - old),
                         MergePolicy::Join => (*cell).max(new),
                     };
-                }
-                Ok(())
-            }
-            (StatePatch::HllRange { lo, registers }, SnapshotState::Hll { registers: acc, .. }) => {
-                let span = acc
-                    .get_mut(*lo..lo + registers.len())
-                    .ok_or_else(|| MergeError::new("register patch out of bounds"))?;
-                for (a, &r) in span.iter_mut().zip(registers) {
-                    *a = (*a).max(r);
                 }
                 Ok(())
             }
@@ -875,25 +836,12 @@ mod tests {
             hash_fp: 0,
             registers: vec![1, 2, 3, 4],
         };
-        let patch = hll
-            .apply_change(DeltaChange::HllRange {
-                base_epoch: 1,
-                lo: 2,
-                registers: vec![9, 9],
-            })
-            .unwrap();
-        assert_eq!(
-            patch,
-            StatePatch::HllRange {
-                lo: 2,
-                registers: vec![9, 9]
-            }
-        );
+        // Cell runs patch only a CountMin cache.
         assert!(hll
-            .apply_change(DeltaChange::HllRange {
+            .apply_change(DeltaChange::CmRuns {
                 base_epoch: 1,
-                lo: 3,
-                registers: vec![9, 9],
+                runs: Vec::new(),
+                values: Vec::new(),
             })
             .is_err());
         assert!(matches!(

@@ -101,7 +101,7 @@ use ivl_service::{
     ObjectInfo, ObjectKind, SnapshotDelta, SnapshotState, StatePatch, WireError,
 };
 use ivl_sketch::countmin::{CountMin, CountMinParams};
-use ivl_sketch::hll::HyperLogLog;
+use ivl_sketch::hll::{HyperLogLog, RegisterSummary};
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
@@ -309,7 +309,7 @@ pub struct DeltaStats {
     pub reads: u64,
     /// Replies that were `Unchanged` — the epoch fast path.
     pub unchanged: u64,
-    /// Replies that were a sparse delta (CountMin runs / HLL range).
+    /// Replies that were a sparse delta (CountMin runs).
     pub deltas: u64,
     /// Replies that carried full state (no cache, a reconnect, an
     /// evicted base, or a delta not worth it).
@@ -395,6 +395,17 @@ struct CachedSnapshot {
     envelope: ErrorEnvelope,
 }
 
+/// One object's merged state: the merge of every replica's cache under
+/// the mode's policy, plus what a read derives from that state alone.
+#[derive(Debug)]
+struct Accum {
+    state: SnapshotState,
+    /// The merged HLL registers' summary (estimate and register sum).
+    /// A pure function of `state`, so it is computed by the first read
+    /// after `state` changes and dropped whenever it does.
+    hll: Option<RegisterSummary>,
+}
+
 /// Why a single-replica write did not succeed.
 enum SendFailure {
     /// No connection could be established (nothing was sent — safe to
@@ -422,7 +433,7 @@ pub struct ReplicaGroup {
     /// Per-replica, per-object cached snapshots — the delta bases.
     caches: Vec<HashMap<u32, CachedSnapshot>>,
     /// Per-object merge of the caches under the mode's policy.
-    accums: HashMap<u32, SnapshotState>,
+    accums: HashMap<u32, Accum>,
     delta_stats: DeltaStats,
     /// Retained states awaiting a catch-up push to a rejoined replica.
     pending_pushes: Vec<PendingPush>,
@@ -1061,9 +1072,7 @@ impl ReplicaGroup {
         // connection generation.
         let (unchanged, base_epoch) = match &delta.change {
             DeltaChange::Unchanged => (true, None),
-            DeltaChange::CmRuns { base_epoch, .. } | DeltaChange::HllRange { base_epoch, .. } => {
-                (false, Some(*base_epoch))
-            }
+            DeltaChange::CmRuns { base_epoch, .. } => (false, Some(*base_epoch)),
             DeltaChange::Full(_) => unreachable!("handled above"),
         };
         if unchanged {
@@ -1117,12 +1126,16 @@ impl ReplicaGroup {
     /// does not fold (a replaced cache; resync beats guessing).
     fn fold_accum(&mut self, object: u32, patches: &[StatePatch]) -> Result<(), ReplicaError> {
         let policy = policy_for(self.mode);
-        let folded = self
-            .accums
-            .get_mut(&object)
-            .is_some_and(|accum| patches.iter().all(|p| accum.fold_patch(p, policy).is_ok()));
-        if folded {
-            return Ok(());
+        if let Some(accum) = self.accums.get_mut(&object) {
+            if patches
+                .iter()
+                .all(|p| accum.state.fold_patch(p, policy).is_ok())
+            {
+                if !patches.is_empty() {
+                    accum.hll = None;
+                }
+                return Ok(());
+            }
         }
         let states: Vec<&SnapshotState> = self
             .caches
@@ -1133,8 +1146,8 @@ impl ReplicaGroup {
         if states.is_empty() {
             self.accums.remove(&object);
         } else {
-            let merged = merge_states(policy, &states).map_err(|e| mismatch(object, e))?;
-            self.accums.insert(object, merged);
+            let state = merge_states(policy, &states).map_err(|e| mismatch(object, e))?;
+            self.accums.insert(object, Accum { state, hll: None });
         }
         Ok(())
     }
@@ -1186,12 +1199,12 @@ impl ReplicaGroup {
         };
         let mut envelope = ErrorEnvelope::compose(&envelopes, policy)?;
         let observed = envelope.observed();
-        let Some(state) = self.accums.get(&object) else {
+        let Some(accum) = self.accums.get_mut(&object) else {
             return Err(ReplicaError::MergeMismatch {
                 why: format!("object {object}: merged accumulator lost sync with caches"),
             });
         };
-        match (&mut envelope, state) {
+        match (&mut envelope, &accum.state) {
             (
                 ErrorEnvelope::Frequency(env),
                 SnapshotState::CountMin {
@@ -1227,14 +1240,22 @@ impl ReplicaGroup {
                 card @ ErrorEnvelope::Cardinality { .. },
                 SnapshotState::Hll { hash_fp, registers },
             ) => {
-                let proto = hll_proto_for(
-                    &mut self.protos,
-                    self.seed,
-                    object,
-                    registers.len(),
-                    *hash_fp,
-                )?;
-                *card = ErrorEnvelope::cardinality(proto, registers, observed);
+                let summary = match accum.hll {
+                    Some(summary) => summary,
+                    None => {
+                        check_hll_coins(
+                            &mut self.protos,
+                            self.seed,
+                            object,
+                            registers.len(),
+                            *hash_fp,
+                        )?;
+                        *accum
+                            .hll
+                            .insert(RegisterSummary::from_ranks(registers.iter().copied()))
+                    }
+                };
+                *card = ErrorEnvelope::cardinality(&summary, observed);
             }
             (ErrorEnvelope::ApproxCount { .. }, SnapshotState::Morris { .. })
             | (ErrorEnvelope::Minimum { .. }, SnapshotState::MinRegister { .. }) => {}
@@ -1280,7 +1301,7 @@ impl ReplicaGroup {
         let state = self
             .accums
             .get(&object)
-            .cloned()
+            .map(|accum| accum.state.clone())
             .expect("a successful merged read leaves its accumulator in place");
         Ok(MergedSnapshot {
             object,
@@ -1363,31 +1384,31 @@ fn cm_proto_for(
     }
 }
 
-/// The HLL prototype for `object`, rebuilt from the group seed and
-/// checked against the snapshot fingerprint.
-fn hll_proto_for(
+/// Checks merged HLL registers against the prototype for `object`,
+/// rebuilt from the group seed: the precision the register count names
+/// and the snapshot fingerprint must both match.
+fn check_hll_coins(
     protos: &mut HashMap<u32, Proto>,
     seed: u64,
     object: u32,
     registers: usize,
     hash_fp: u64,
-) -> Result<&HyperLogLog, ReplicaError> {
+) -> Result<(), ReplicaError> {
+    let precision = registers.trailing_zeros();
+    if !registers.is_power_of_two() || !(4..=16).contains(&precision) {
+        return Err(ReplicaError::MergeMismatch {
+            why: format!("object {object}: {registers} HLL registers is no served precision"),
+        });
+    }
     let entry = protos.entry(object).or_insert_with(|| {
-        let precision = registers.trailing_zeros();
         let mut coins = slot_coins(seed, object);
         Proto::Hll(HyperLogLog::new(precision, &mut coins))
     });
     match entry {
-        Proto::Hll(proto) => {
-            if hll_hash_fingerprint(proto) != hash_fp {
-                return Err(ReplicaError::MergeMismatch {
-                    why: format!(
-                        "object {object}: replica HLL coins do not match group seed {seed}"
-                    ),
-                });
-            }
-            Ok(proto)
-        }
+        Proto::Hll(proto) if hll_hash_fingerprint(proto) == hash_fp => Ok(()),
+        Proto::Hll(_) => Err(ReplicaError::MergeMismatch {
+            why: format!("object {object}: replica HLL coins do not match group seed {seed}"),
+        }),
         _ => Err(ReplicaError::MergeMismatch {
             why: format!("object {object} changed kind across reads"),
         }),
@@ -1443,6 +1464,23 @@ mod tests {
             hit.iter().all(|&h| h),
             "64 keys should touch all 3 replicas"
         );
+    }
+
+    #[test]
+    fn hll_state_of_no_served_precision_is_a_typed_mismatch() {
+        // A replica's register count names the precision the group
+        // rebuilds the prototype at; one no sketch can have must be
+        // refused, not handed to a constructor that panics on it.
+        let proto = HyperLogLog::new(4, &mut slot_coins(1, 0));
+        let fp = hll_hash_fingerprint(&proto);
+        let mut protos = HashMap::new();
+        for registers in [0, 3, 8, 1 << 17] {
+            assert!(matches!(
+                check_hll_coins(&mut protos, 1, 0, registers, fp),
+                Err(ReplicaError::MergeMismatch { .. })
+            ));
+        }
+        assert!(check_hll_coins(&mut protos, 1, 0, 16, fp).is_ok());
     }
 
     #[test]

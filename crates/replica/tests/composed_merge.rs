@@ -75,9 +75,9 @@ fn feed(r: &ObjectRegistry, metrics: &Metrics, id: u32, batch: &[(u64, u64)]) {
 
 /// Applies a `SNAPSHOT_SINCE` reply into a client-side `(epoch, state)`
 /// cache exactly as `ReplicaGroup` does: `Unchanged` keeps the cells,
-/// runs and register ranges overwrite in place (runs carry summed
-/// values, so patching is idempotent), `Full` replaces — refusing any
-/// delta whose base epoch does not match the cache.
+/// CountMin runs overwrite in place (runs carry summed values, so
+/// patching is idempotent), `Full` replaces — refusing any delta whose
+/// base epoch does not match the cache.
 fn apply_delta(
     cache: &mut Option<(u64, SnapshotState)>,
     delta: SnapshotDelta,
@@ -119,32 +119,6 @@ fn apply_delta(
                 }
                 cells[row * w + lo..row * w + lo + new.len()].copy_from_slice(new);
             }
-            *epoch = delta.epoch;
-        }
-        DeltaChange::HllRange {
-            base_epoch,
-            lo,
-            registers,
-        } => {
-            let Some((
-                epoch,
-                SnapshotState::Hll {
-                    registers: cached, ..
-                },
-            )) = cache
-            else {
-                return Err("register range against a missing or non-HLL cache".into());
-            };
-            if *epoch != base_epoch {
-                return Err(format!(
-                    "delta diffed from base {base_epoch}, cache holds epoch {epoch}"
-                ));
-            }
-            let lo = lo as usize;
-            if lo + registers.len() > cached.len() {
-                return Err("delta register range out of bounds".into());
-            }
-            cached[lo..lo + registers.len()].copy_from_slice(&registers);
             *epoch = delta.epoch;
         }
         DeltaChange::Full(state) => *cache = Some((delta.epoch, state)),
@@ -310,8 +284,7 @@ proptest! {
 
     /// Random update/delta interleavings against a served registry: a
     /// client cache maintained purely by applying `SNAPSHOT_SINCE`
-    /// replies (unchanged / sparse runs / register ranges / full
-    /// fallback) stays cell-identical to a fresh full snapshot at
+    /// replies (unchanged / sparse runs / full fallback) stays cell-identical to a fresh full snapshot at
     /// every sync point, for both the CountMin and the HLL — the
     /// equivalence the replicated delta read path rests on. Rounds
     /// that drop the cache (a reconnect) must be answered with a full

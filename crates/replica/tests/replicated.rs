@@ -5,13 +5,14 @@
 //! might have landed since, no wrong values) instead of erroring.
 //! Exercised on both serving backends.
 
-use ivl_replica::{ReplicaError, ReplicaGroup, ReplicaMode};
+use ivl_replica::{MergedSnapshot, ReplicaError, ReplicaGroup, ReplicaMode};
 use ivl_service::{
     merge_states,
     objects::{ObjectConfig, ObjectKind},
     Backend, Client, ClientError, ErrorEnvelope, MergePolicy, ObjectSnapshot, ServerConfig,
     ServerHandle, SnapshotState, WireError,
 };
+use ivl_sketch::hll::RegisterSummary;
 use ivl_sketch::stream::ZipfStream;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -605,6 +606,84 @@ fn rejoined_replica_converges_after_catchup_push() {
         "the rejoined replica holds its substream again"
     );
     assert_freq_within(&read2.envelope, truth[7]);
+
+    drop(group);
+    drop(reborn.join());
+    for r in replicas {
+        drop(r.join());
+    }
+}
+
+/// The group keeps the merged HLL summary next to its accumulator, so a
+/// summary kept past a change to the merged state would serve a stale
+/// estimate. After every kind of round — quiet, raising, a reconnect, a
+/// rejoin and its acknowledged catch-up push — the envelope must be the
+/// envelope of the merged state the group holds, and a query that
+/// follows it while nothing moves must serve it again from the kept
+/// summary.
+#[test]
+fn merged_hll_envelope_is_the_envelope_of_the_merged_state() {
+    let mut replicas: Vec<ServerHandle> = (0..3)
+        .map(|_| spawn_replica(Backend::Threaded, SEED))
+        .collect();
+    let mut group = group_over(&replicas, ReplicaMode::Partition);
+    group.set_retry_limit(3);
+    group.set_backoff(Duration::from_millis(5));
+    // The envelope of a merged snapshot must be that of its own state;
+    // returns the merged register sum.
+    let checked = |merged: &MergedSnapshot, what: &str| -> u64 {
+        let SnapshotState::Hll { registers, .. } = &merged.state else {
+            panic!("{what}: object 1 merges as an HLL");
+        };
+        let summary = RegisterSummary::from_ranks(registers.iter().copied());
+        let want = ErrorEnvelope::cardinality(&summary, merged.envelope.observed());
+        assert_eq!(merged.envelope, want, "{what}: snapshot");
+        summary.register_sum()
+    };
+    // One merged snapshot, then a query that must serve the same
+    // envelope from the kept summary.
+    let round = |group: &mut ReplicaGroup, what: &str| -> u64 {
+        let merged = group.snapshot_merged(1).expect("merged hll snapshot");
+        let read = group.query(1, 0).expect("merged hll query");
+        assert_eq!(read.envelope, merged.envelope, "{what}: query");
+        checked(&merged, what)
+    };
+    for k in 0..64u64 {
+        group.update(1, k, 1).expect("hll update");
+    }
+    let first = round(&mut group, "first read");
+
+    let before = group.delta_stats();
+    assert_eq!(round(&mut group, "quiet round"), first);
+    let quiet = group.delta_stats();
+    assert_eq!(
+        quiet.unchanged - before.unchanged,
+        6,
+        "two reads of 3 replicas"
+    );
+
+    for k in 64..4096u64 {
+        group.update(1, k, 1).expect("hll update");
+    }
+    let raised = round(&mut group, "raising round");
+    assert!(raised > first);
+
+    group.disconnect(1);
+    assert_eq!(round(&mut group, "reconnect"), raised);
+    assert!(group.delta_stats().fulls > quiet.fulls);
+
+    let victim = replicas.remove(0);
+    let addr = victim.addr().to_string();
+    group.disconnect(0);
+    drop(victim.join());
+    let reborn = respawn_at(&addr, SEED);
+    // The snapshot detects the rejoin (the reborn replica is empty);
+    // the query after it flushes the catch-up push and re-reads.
+    let merged = group.snapshot_merged(1).expect("rejoin-detection read");
+    assert!(checked(&merged, "rejoin") < raised);
+    assert_eq!(group.catchup_stats().detected, 1);
+    assert_eq!(round(&mut group, "catch-up push"), raised);
+    assert_eq!(group.catchup_stats().acked, 1);
 
     drop(group);
     drop(reborn.join());

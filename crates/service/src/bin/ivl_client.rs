@@ -132,16 +132,6 @@ fn print_snapshot(delta: &SnapshotDelta, base: u64) {
                 values.len()
             );
         }
-        DeltaChange::HllRange {
-            base_epoch,
-            lo,
-            registers,
-        } => {
-            println!(
-                "  state: HLL register overwrite [{lo}, {}) against epoch {base_epoch}",
-                *lo as usize + registers.len()
-            );
-        }
     }
     match &delta.envelope {
         ErrorEnvelope::Frequency(env) => println!(
@@ -260,7 +250,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 }
                 DeltaChange::Full(_) => ("full", 1),
                 DeltaChange::CmRuns { values, .. } => ("delta", values.len()),
-                DeltaChange::HllRange { registers, .. } => ("delta", registers.len()),
             };
             println!(
                 "  reply: {bucket}, {cells} cells, {} B on the wire",

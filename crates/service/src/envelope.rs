@@ -28,7 +28,7 @@
 //! dimensions.
 
 use ivl_merge::MergePolicy;
-use ivl_sketch::hll::HyperLogLog;
+use ivl_sketch::hll::RegisterSummary;
 
 /// A frequency estimate together with its Theorem 6 (ε,δ) bound,
 /// widened by the deferred-visibility `lag` when write buffering is
@@ -187,19 +187,15 @@ impl ErrorEnvelope {
         }
     }
 
-    /// The cardinality envelope of an HLL whose registers are
-    /// `registers`: the estimate and standard error of `prototype` (the
-    /// object's empty sketch, which carries the hash) raised to those
-    /// registers, plus their sum — the monotone indicator the verdict
-    /// checks.
-    pub fn cardinality(prototype: &HyperLogLog, registers: &[u8], observed: u64) -> ErrorEnvelope {
-        let mut seq = prototype.clone();
-        seq.merge_registers(registers);
+    /// The cardinality envelope of an HLL whose registers `summary`
+    /// summarizes: their estimate and standard error, plus their sum —
+    /// the monotone indicator the verdict checks.
+    pub fn cardinality(summary: &RegisterSummary, observed: u64) -> ErrorEnvelope {
         ErrorEnvelope::Cardinality {
-            estimate: seq.estimate(),
-            rel_std_err: seq.standard_error(),
-            registers: registers.len() as u64,
-            register_sum: registers.iter().map(|&r| r as u64).sum(),
+            estimate: summary.estimate(),
+            rel_std_err: summary.standard_error(),
+            registers: summary.registers(),
+            register_sum: summary.register_sum(),
             observed,
         }
     }

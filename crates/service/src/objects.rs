@@ -46,7 +46,7 @@ use ivl_concurrent::{
 use ivl_counter::{IvlBatchedCounter, SharedBatchedCounter};
 use ivl_merge::{AbsorbSink, MergeError, MergeableState};
 use ivl_sketch::countmin::{CountMin, CountMinParams};
-use ivl_sketch::hll::HyperLogLog;
+use ivl_sketch::hll::{HyperLogLog, RegisterSummary};
 use ivl_sketch::CoinFlips;
 use ivl_spec::history::History;
 use ivl_spec::ivl::check_ivl_monotone;
@@ -262,8 +262,8 @@ pub trait ServedObject: Send + Sync + fmt::Debug {
     /// Answers `SNAPSHOT_SINCE` against a client base epoch: the
     /// current epoch, the change to apply, and the envelope in force.
     /// The default is epoch-compare only — `Unchanged` when the base
-    /// is current, a full replacement otherwise. Objects with sparse
-    /// dirty tracking (CountMin, HLL) override with real deltas.
+    /// is current, a full replacement otherwise. The CountMin overrides
+    /// it with sparse deltas, the HLL to answer from one register load.
     fn snapshot_since(&self, base: u64) -> (u64, DeltaChange, ErrorEnvelope) {
         let epoch = self.epoch();
         let (state, envelope) = self.snapshot();
@@ -980,10 +980,22 @@ impl ServedHll {
         }
     }
 
-    /// The served envelope of one register snapshot.
-    fn envelope(&self, snap: &[u8]) -> ErrorEnvelope {
+    /// The served envelope of one register load.
+    fn envelope(&self, summary: &RegisterSummary) -> ErrorEnvelope {
         let observed = self.ops.observed.load(Ordering::Relaxed);
-        ErrorEnvelope::cardinality(self.hll.prototype(), snap, observed)
+        ErrorEnvelope::cardinality(summary, observed)
+    }
+
+    /// One register load as a reply: the shipped state, its envelope
+    /// and its epoch (the register sum), all of the same bytes.
+    fn load(&self) -> (SnapshotState, ErrorEnvelope, u64) {
+        let registers = self.hll.registers_snapshot();
+        let summary = RegisterSummary::from_ranks(registers.iter().copied());
+        let state = SnapshotState::Hll {
+            hash_fp: hll_hash_fingerprint(self.hll.prototype()),
+            registers,
+        };
+        (state, self.envelope(&summary), summary.register_sum())
     }
 }
 
@@ -998,64 +1010,38 @@ impl ServedObject for ServedHll {
 
     fn query(&self, _key: u64) -> ErrorEnvelope {
         self.ops.note_query();
-        // One snapshot feeds both the estimate and the checkable sum,
-        // so the recorded query value matches the served envelope.
-        let snap = self.hll.registers_snapshot();
-        self.envelope(&snap)
+        // One pass feeds both the estimate and the checkable sum, so
+        // the recorded query value matches the served envelope.
+        self.envelope(&self.hll.summary())
     }
 
     fn snapshot(&self) -> (SnapshotState, ErrorEnvelope) {
         self.ops.note_query();
-        // One register snapshot feeds both the shipped state and the
-        // envelope, so they describe the same intermediate mix.
-        let snap = self.hll.registers_snapshot();
-        let envelope = self.envelope(&snap);
-        let state = SnapshotState::Hll {
-            hash_fp: hll_hash_fingerprint(self.hll.prototype()),
-            registers: snap,
-        };
+        let (state, envelope, _) = self.load();
         (state, envelope)
     }
 
+    /// The register sum. Registers only grow, so two loads with equal
+    /// sums loaded equal registers: the sum is an exact epoch, and it
+    /// moves exactly when a register does.
     fn epoch(&self) -> u64 {
-        self.hll.epoch()
+        self.hll.summary().register_sum()
     }
 
+    /// `Unchanged` only when the registers equal those of the reply that
+    /// returned `base`: a pass that sums to `base` answers from that
+    /// pass without allocating. Any other base gets a fresh load whose
+    /// state, envelope and epoch all describe the same bytes — an epoch
+    /// counted apart from the registers could lag a raise whose update
+    /// was already acknowledged, and hide it behind `Unchanged`.
     fn snapshot_since(&self, base: u64) -> (u64, DeltaChange, ErrorEnvelope) {
         self.ops.note_query();
-        // Epoch before registers: the shipped registers are at least
-        // as new as the reported epoch (register-wise max makes any
-        // over-read harmless on re-apply).
-        let epoch = self.hll.epoch();
-        let snap = self.hll.registers_snapshot();
-        let envelope = self.envelope(&snap);
-        if epoch == base {
-            return (epoch, DeltaChange::Unchanged, envelope);
+        let summary = self.hll.summary();
+        if summary.register_sum() == base {
+            return (base, DeltaChange::Unchanged, self.envelope(&summary));
         }
-        let (lo, hi) = self.hll.dirty_range();
-        let (lo, hi) = if lo < hi {
-            (lo as usize, hi as usize)
-        } else {
-            (0, 0)
-        };
-        // The dirty range is cumulative (never narrows), so it always
-        // covers every register the client's base missed. Ship the
-        // full frame when the base is not a real prior epoch (the
-        // no-cache sentinel is `u64::MAX`) or when the range is
-        // nearly the whole vector.
-        let change = if base > epoch || hi - lo + 16 >= snap.len() {
-            DeltaChange::Full(SnapshotState::Hll {
-                hash_fp: hll_hash_fingerprint(self.hll.prototype()),
-                registers: snap,
-            })
-        } else {
-            DeltaChange::HllRange {
-                base_epoch: base,
-                lo: lo as u32,
-                registers: snap[lo..hi].to_vec(),
-            }
-        };
-        (epoch, change, envelope)
+        let (state, envelope, epoch) = self.load();
+        (epoch, DeltaChange::Full(state), envelope)
     }
 
     fn op_stats(&self) -> ObjectStats {
@@ -1751,28 +1737,24 @@ mod tests {
             DeltaChange::Unchanged
         );
 
-        // HLL: a dirty register range patches the cached vector.
+        // HLL: a raising update answers the whole vector, keyed by the
+        // register sum.
         let h0 = r.snapshot_since(1, u64::MAX).unwrap();
-        let mut hcache = match h0.change {
-            DeltaChange::Full(SnapshotState::Hll { registers, .. }) => registers,
-            other => panic!("unknown base must go full, got {other:?}"),
-        };
+        assert!(matches!(h0.change, DeltaChange::Full(_)));
         write(1, 12345, 1);
         let h1 = r.snapshot_since(1, h0.epoch).unwrap();
-        match &h1.change {
-            DeltaChange::HllRange { lo, registers, .. } => {
-                hcache[*lo as usize..*lo as usize + registers.len()].copy_from_slice(registers);
+        match (&h1.change, r.snapshot(1).unwrap().state) {
+            (
+                DeltaChange::Full(SnapshotState::Hll { registers, .. }),
+                SnapshotState::Hll {
+                    registers: fresh, ..
+                },
+            ) => {
+                assert_eq!(registers, &fresh);
+                let sum: u64 = fresh.iter().map(|&b| b as u64).sum();
+                assert_eq!(h1.epoch, sum, "the HLL epoch is the register sum");
             }
-            DeltaChange::Unchanged => panic!("a raising update must change the epoch"),
-            // A near-full dirty range legitimately falls back.
-            DeltaChange::Full(SnapshotState::Hll { registers, .. }) => {
-                hcache = registers.clone();
-            }
-            other => panic!("wanted an hll delta, got {other:?}"),
-        }
-        match r.snapshot(1).unwrap().state {
-            SnapshotState::Hll { registers, .. } => assert_eq!(hcache, registers),
-            other => panic!("wanted hll state, got {other:?}"),
+            other => panic!("a raising update must answer the full vector, got {other:?}"),
         }
         assert_eq!(
             r.snapshot_since(1, h1.epoch).unwrap().change,
@@ -1790,6 +1772,77 @@ mod tests {
             );
         }
         assert!(r.snapshot_since(9, 0).is_none());
+    }
+
+    /// Replays a polling client against one served HLL: `base` is the
+    /// epoch of the last reply, `cached` its registers.
+    fn poll_hll(hll: &ServedHll, base: &mut u64, cached: &mut Vec<u8>) -> bool {
+        let (epoch, change, envelope) = hll.snapshot_since(*base);
+        let unchanged = match change {
+            DeltaChange::Unchanged => true,
+            DeltaChange::Full(SnapshotState::Hll { registers, .. }) => {
+                *cached = registers;
+                false
+            }
+            other => panic!("an HLL answers unchanged or full, got {other:?}"),
+        };
+        assert_eq!(
+            envelope.value(),
+            epoch,
+            "the envelope counts the reply's registers"
+        );
+        *base = epoch;
+        unchanged
+    }
+
+    #[test]
+    fn hll_answers_unchanged_only_when_the_registers_equal_the_base_reply() {
+        let hll = ServedHll::new(4, &mut CoinFlips::from_seed(3));
+        let (mut base, mut cached) = (u64::MAX, Vec::new());
+        assert!(!poll_hll(&hll, &mut base, &mut cached));
+        // Keys repeat, so some updates raise a register and some do not.
+        for key in (0..400u64).map(|i| (i * 7) % 97) {
+            let before = hll.hll.registers_snapshot();
+            hll.apply_one(key, 1);
+            let after = hll.hll.registers_snapshot();
+            assert_eq!(poll_hll(&hll, &mut base, &mut cached), before == after);
+            assert_eq!(cached, after);
+        }
+    }
+
+    #[test]
+    fn hll_unchanged_never_hides_a_completed_update() {
+        // A writer acknowledges updates while a poller keeps a cache; an
+        // `Unchanged` reply must leave every register at least as high as
+        // the rank of every update acknowledged before the poll began.
+        let hll = ServedHll::new(8, &mut CoinFlips::from_seed(9));
+        let keys: Vec<u64> = (0..20_000u64).map(|i| i % 5_000).collect();
+        let acked = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for (n, &key) in keys.iter().enumerate() {
+                    hll.apply_one(key, 1);
+                    acked.store(n as u64 + 1, Ordering::Release);
+                }
+            });
+            // Registers only grow, so a cache that covered an update
+            // keeps covering it: each poll checks the newly acked keys.
+            let (mut base, mut cached) = (u64::MAX, Vec::new());
+            let mut covered = 0;
+            while covered < keys.len() {
+                let done = acked.load(Ordering::Acquire) as usize;
+                poll_hll(&hll, &mut base, &mut cached);
+                for &key in &keys[covered..done] {
+                    let (idx, rank) = hll.hll.prototype().route(key);
+                    assert!(cached[idx] >= rank, "an acknowledged update is missing");
+                }
+                covered = done;
+            }
+            assert!(
+                poll_hll(&hll, &mut base, &mut cached),
+                "a quiet poll is unchanged"
+            );
+        });
     }
 
     #[test]

@@ -288,12 +288,11 @@ const OP_ABSORBED: u8 = 0x89;
 const OP_ERROR: u8 = 0xEE;
 
 /// Change tags of the `SNAPSHOT_DELTA_REPLY` body (one per
-/// [`DeltaChange`] variant; which sparse tag is legal depends on the
-/// reply's object kind — CountMin runs for CountMin, a register range
-/// for HLL, and epoch-only objects only ever ship `Unchanged`/full).
+/// [`DeltaChange`] variant; cell runs are legal on a CountMin reply
+/// only, every other kind ships `Unchanged`/full). Tag 2, a retired HLL
+/// register range, decodes as an unknown tag.
 const DELTA_UNCHANGED: u8 = 0;
 const DELTA_CM_RUNS: u8 = 1;
-const DELTA_HLL_RANGE: u8 = 2;
 const DELTA_FULL: u8 = 3;
 
 /// Kind tags of the kind-tagged envelope body shared by `ENVELOPE2`
@@ -712,17 +711,6 @@ impl Response {
                             }
                         }
                     }
-                    DeltaChange::HllRange {
-                        base_epoch,
-                        lo,
-                        registers,
-                    } => {
-                        b.push(DELTA_HLL_RANGE);
-                        push_u64(b, *base_epoch);
-                        push_u32(b, *lo);
-                        push_u32(b, registers.len() as u32);
-                        b.extend_from_slice(registers);
-                    }
                     DeltaChange::Full(state) => {
                         b.push(DELTA_FULL);
                         push_snapshot_state(b, state);
@@ -823,26 +811,6 @@ impl Response {
                             base_epoch,
                             runs,
                             values,
-                        }
-                    }
-                    DELTA_HLL_RANGE => {
-                        if kind != ObjectKind::Hll {
-                            return Err(WireError::Malformed(
-                                "register range on a non-HLL delta reply",
-                            ));
-                        }
-                        let base_epoch = b.u64()?;
-                        let lo = b.u32()?;
-                        let len = b.u32()? as usize;
-                        if b.rest.len() < len {
-                            return Err(WireError::Malformed("body shorter than its schema"));
-                        }
-                        let (raw, rest) = b.rest.split_at(len);
-                        b.rest = rest;
-                        DeltaChange::HllRange {
-                            base_epoch,
-                            lo,
-                            registers: raw.to_vec(),
                         }
                     }
                     DELTA_FULL => DeltaChange::Full(read_snapshot_state(&mut b, kind)?),
@@ -1473,17 +1441,6 @@ mod tests {
                 object: 1,
                 kind: ObjectKind::Hll,
                 epoch: 4,
-                change: DeltaChange::HllRange {
-                    base_epoch: 2,
-                    lo: 9,
-                    registers: vec![3, 0, 7],
-                },
-                envelope: card.clone(),
-            }),
-            Response::SnapshotDelta(SnapshotDelta {
-                object: 1,
-                kind: ObjectKind::Hll,
-                epoch: 4,
                 change: DeltaChange::Full(SnapshotState::Hll {
                     hash_fp: 42,
                     registers: vec![0, 7, 1, 0],
@@ -1628,15 +1585,15 @@ mod tests {
             WireError::Malformed("cell runs on a non-CountMin delta reply")
         );
 
-        // A register range is only legal on an HLL reply.
+        // Tag 2 (a retired HLL register range) is an unknown tag.
         let mut payload = vec![OP_SNAPSHOT_DELTA_REPLY];
-        payload.extend_from_slice(&0u32.to_le_bytes());
-        payload.push(ObjectKind::Morris.to_u8());
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.push(ObjectKind::Hll.to_u8());
         payload.extend_from_slice(&9u64.to_le_bytes());
-        payload.push(DELTA_HLL_RANGE);
+        payload.push(2);
         assert_eq!(
             Response::decode(&payload).unwrap_err(),
-            WireError::Malformed("register range on a non-HLL delta reply")
+            WireError::Malformed("unknown delta change tag")
         );
 
         // Unknown change tag.

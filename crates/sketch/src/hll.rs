@@ -13,9 +13,120 @@
 //! quantitative object family of the workspace (`ivl-concurrent`
 //! parallelizes it with CAS-max and checks IVL via the interval fast
 //! path).
+//!
+//! Every estimate — of this sketch, of the concurrent one, of a merged
+//! replica state — goes through one [`RegisterSummary`]: one pass over
+//! the register bytes, no copy of the sketch.
 
 use crate::coins::CoinFlips;
 use crate::hash::MixHash;
+
+/// What a query reads from a register vector, gathered in one pass.
+///
+/// The pass builds the rank histogram `counts[r]` (how many registers
+/// hold rank `r`) and folds it into the register count, the zero count
+/// `counts[0]`, the register sum `Σ r·counts[r]` and the harmonic sum
+/// `Σ 2^−r` as the exact 64-bit fixed-point integer
+/// `Σ counts[r]·2^(64−r)`, converted to `f64` once. The sum is exact for
+/// every rank [`HyperLogLog::route`] produces (at most 61); ranks above
+/// 64 count as 64 in it.
+///
+/// # Examples
+///
+/// ```
+/// use ivl_sketch::hll::RegisterSummary;
+///
+/// let s = RegisterSummary::from_ranks([0u8, 1, 3, 3]);
+/// assert_eq!((s.registers(), s.register_sum()), (4, 7));
+/// // 2^0 + 2^-1 + 2 * 2^-3, scaled by 2^64.
+/// assert_eq!(s.inverse_sum_fixed(), (7u128 << 64) / 4);
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RegisterSummary {
+    registers: u64,
+    zeros: u64,
+    register_sum: u64,
+    inverse_sum_fixed: u128,
+}
+
+impl RegisterSummary {
+    /// Summarizes a register vector in one pass.
+    pub fn from_ranks(ranks: impl IntoIterator<Item = u8>) -> Self {
+        // Four interleaved histograms, so that a run of equal ranks (a
+        // young sketch is mostly zeros) does not serialize on one
+        // counter: this halves the pass on such a sketch.
+        let mut lanes = [[0u32; 256]; 4];
+        let mut ranks = ranks.into_iter();
+        'fill: loop {
+            for lane in &mut lanes {
+                let Some(r) = ranks.next() else {
+                    break 'fill;
+                };
+                lane[r as usize] += 1;
+            }
+        }
+        let count = |r: usize| lanes.iter().map(|lane| lane[r] as u64).sum::<u64>();
+        let mut summary = RegisterSummary {
+            registers: 0,
+            zeros: count(0),
+            register_sum: 0,
+            inverse_sum_fixed: 0,
+        };
+        for r in 0..256 {
+            let c = count(r);
+            summary.registers += c;
+            summary.register_sum += r as u64 * c;
+            summary.inverse_sum_fixed += (c as u128) << (64 - r.min(64));
+        }
+        summary
+    }
+
+    /// Number of registers `m`.
+    pub fn registers(&self) -> u64 {
+        self.registers
+    }
+
+    /// The sum of all registers — a strictly monotone integer
+    /// functional of the vector, so two vectors of one growing sketch
+    /// with equal sums are equal.
+    pub fn register_sum(&self) -> u64 {
+        self.register_sum
+    }
+
+    /// `Σ 2^(64 − r)`: the harmonic sum `Σ 2^−r` in 64-bit fixed point.
+    pub fn inverse_sum_fixed(&self) -> u128 {
+        self.inverse_sum_fixed
+    }
+
+    /// The bias-corrected cardinality estimate, with the linear-counting
+    /// correction for small cardinalities.
+    pub fn estimate(&self) -> f64 {
+        let m = self.registers as f64;
+        // 2^-64 is exact, so this is the correctly rounded Σ 2^-r.
+        let sum = self.inverse_sum_fixed as f64 * (1.0 / 18_446_744_073_709_551_616.0);
+        let raw = alpha(self.registers) * m * m / sum;
+        if raw <= 2.5 * m && self.zeros > 0 {
+            // Small-range (linear counting) correction.
+            return m * (m / self.zeros as f64).ln();
+        }
+        raw
+    }
+
+    /// The standard error `1.04/√m` of the estimate.
+    pub fn standard_error(&self) -> f64 {
+        1.04 / (self.registers as f64).sqrt()
+    }
+}
+
+/// Bias-correction constant `α_m` for `m` registers.
+fn alpha(m: u64) -> f64 {
+    match m {
+        16 => 0.673,
+        32 => 0.697,
+        64 => 0.709,
+        _ => 0.7213 / (1.0 + 1.079 / m as f64),
+    }
+}
 
 /// A HyperLogLog sketch with `2^precision` registers.
 ///
@@ -84,30 +195,9 @@ impl HyperLogLog {
         }
     }
 
-    /// Bias-correction constant `α_m`.
-    fn alpha(&self) -> f64 {
-        let m = self.registers.len() as f64;
-        match self.registers.len() {
-            16 => 0.673,
-            32 => 0.697,
-            64 => 0.709,
-            _ => 0.7213 / (1.0 + 1.079 / m),
-        }
-    }
-
     /// Estimates the number of distinct items observed.
     pub fn estimate(&self) -> f64 {
-        let m = self.registers.len() as f64;
-        let sum: f64 = self.registers.iter().map(|&r| 2f64.powi(-(r as i32))).sum();
-        let raw = self.alpha() * m * m / sum;
-        if raw <= 2.5 * m {
-            // Small-range (linear counting) correction.
-            let zeros = self.registers.iter().filter(|&&r| r == 0).count();
-            if zeros > 0 {
-                return m * (m / zeros as f64).ln();
-            }
-        }
-        raw
+        RegisterSummary::from_ranks(self.registers.iter().copied()).estimate()
     }
 
     /// The standard error `1.04/√m` of the estimate.
@@ -132,9 +222,8 @@ impl HyperLogLog {
         self.merge_registers(&other.registers);
     }
 
-    /// Merges a raw register vector (register-wise max) — used by
-    /// concurrent implementations to install a loaded snapshot into a
-    /// sequential sketch for estimation.
+    /// Merges a raw register vector (register-wise max), e.g. a state
+    /// loaded from a concurrent sketch or shipped by a replica.
     ///
     /// # Panics
     ///
