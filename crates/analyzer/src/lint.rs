@@ -38,9 +38,10 @@
 //!    `thread::sleep` on its own or the following line is a finding:
 //!    dead allows silently widen the exemption surface.
 //! 6. **frame-tags** — the wire-protocol tag bytes in
-//!    `crates/service/src/protocol.rs` are pairwise distinct within
-//!    each namespace (the constant's name prefix: `OP_*` frame
-//!    opcodes, `ENV_*` envelope kind tags, ...).
+//!    `crates/service/src/protocol.rs` and in the state, delta and
+//!    envelope codecs of `crates/merge/src` are pairwise distinct
+//!    within each namespace (the constant's name prefix: `OP_*` frame
+//!    opcodes, `DELTA_*` change tags, `ENV_*` envelope kind tags, ...).
 //! 7. **frame-docs** — every `OP_*` opcode constant appears (by its
 //!    byte, e.g. `0x14`) in the README's frame table, and (by its
 //!    name) in `protocol.rs` test code — the round-trip suite — so
@@ -52,9 +53,11 @@
 //!    structure it serves and arguing why its recorded projection is
 //!    checkable.
 //! 9. **envelope-compose** — every `ErrorEnvelope` variant declared in
-//!    `crates/service/src/envelope.rs` appears in the body of
+//!    `crates/merge/src/envelope.rs` appears in the body of
 //!    `ErrorEnvelope::compose`, so replicated merges of every kind
-//!    stay boundable.
+//!    stay boundable. In a tree with a `crates/merge` crate, a missing
+//!    envelope file is itself a finding: moving the enum must move the
+//!    check, never switch it off.
 //! 10. **baselines-boundary** — non-test sources of `crates/service`,
 //!     `crates/replica` and `crates/merge` name none of
 //!     `ivl-concurrent`'s reproduction objects and baselines (`Pcm`,
@@ -404,38 +407,40 @@ fn parse_u8_consts(file: &ScannedFile<'_>) -> Vec<(String, u8, u32)> {
 }
 
 fn check_frame_tags(root: &Path, report: &mut LintReport) {
-    let path = root
-        .join("crates")
-        .join("service")
-        .join("src")
-        .join("protocol.rs");
-    let Ok(text) = fs::read_to_string(&path) else {
-        return;
-    };
-    report.files_scanned += 1;
-    let file = ScannedFile::new(&text);
-    // A tag byte must be unique within its namespace — the constant's
-    // name prefix up to the first `_`. `OP_*` bytes share the frame
-    // opcode position; `ENV_*` bytes tag envelope kinds inside an
-    // ENVELOPE2 body and may reuse the same small integers without
-    // ambiguity.
-    let mut seen: Vec<(String, String, u8, u32)> = Vec::new();
-    for (name, value, line) in parse_u8_consts(&file) {
-        let namespace = name.split('_').next().unwrap_or(&name).to_string();
-        if let Some((_, other, _, other_line)) = seen
-            .iter()
-            .find(|(ns, _, v, _)| *ns == namespace && *v == value)
-        {
-            report.findings.push(LintFinding {
-                check: "frame-tags",
-                file: rel(root, &path),
-                line: line as usize,
-                message: format!(
-                    "frame tag {name} = {value:#04x} collides with {other} (line {other_line}); every wire opcode must be unique"
-                ),
-            });
+    let crates = root.join("crates");
+    for path in [
+        crates.join("service").join("src").join("protocol.rs"),
+        crates.join("merge").join("src").join("lib.rs"),
+        crates.join("merge").join("src").join("envelope.rs"),
+    ] {
+        let Ok(text) = fs::read_to_string(&path) else {
+            continue;
+        };
+        report.files_scanned += 1;
+        let file = ScannedFile::new(&text);
+        // A tag byte must be unique within its namespace — the
+        // constant's name prefix up to the first `_`. `OP_*` bytes
+        // share the frame opcode position; `ENV_*` bytes tag envelope
+        // kinds inside an envelope body and may reuse the same small
+        // integers without ambiguity.
+        let mut seen: Vec<(String, String, u8, u32)> = Vec::new();
+        for (name, value, line) in parse_u8_consts(&file) {
+            let namespace = name.split('_').next().unwrap_or(&name).to_string();
+            if let Some((_, other, _, other_line)) = seen
+                .iter()
+                .find(|(ns, _, v, _)| *ns == namespace && *v == value)
+            {
+                report.findings.push(LintFinding {
+                    check: "frame-tags",
+                    file: rel(root, &path),
+                    line: line as usize,
+                    message: format!(
+                        "frame tag {name} = {value:#04x} collides with {other} (line {other_line}); every wire opcode must be unique"
+                    ),
+                });
+            }
+            seen.push((namespace, name, value, line));
         }
-        seen.push((namespace, name, value, line));
     }
 }
 
@@ -648,12 +653,21 @@ fn envelope_variants(text: &str) -> Vec<(String, usize)> {
 }
 
 fn check_envelope_compose(root: &Path, report: &mut LintReport) {
-    let path = root
-        .join("crates")
-        .join("service")
-        .join("src")
-        .join("envelope.rs");
+    let src = root.join("crates").join("merge").join("src");
+    let path = src.join("envelope.rs");
     let Ok(text) = fs::read_to_string(&path) else {
+        // No merge crate, no kind algebra to check; a merge crate whose
+        // envelope file is gone would silently switch the check off.
+        if src.join("lib.rs").exists() {
+            report.findings.push(LintFinding {
+                check: "envelope-compose",
+                file: rel(root, &path),
+                line: 0,
+                message: "crates/merge has no envelope.rs: ErrorEnvelope and its compose() \
+                          must live there, so every envelope kind keeps a composition rule"
+                    .to_string(),
+            });
+        }
         return;
     };
     report.files_scanned += 1;

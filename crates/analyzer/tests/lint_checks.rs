@@ -397,9 +397,9 @@ fn unlisted_served_objects_are_flagged() {
 #[test]
 fn envelope_variant_missing_from_compose_is_flagged() {
     let fx = Fixture::new("lint_fx_compose");
-    fx.write("crates/service/src/lib.rs", CLEAN_LIB);
+    fx.write("crates/merge/src/lib.rs", CLEAN_LIB);
     fx.write(
-        "crates/service/src/envelope.rs",
+        "crates/merge/src/envelope.rs",
         concat!(
             "pub enum ErrorEnvelope {\n",
             "    /// Handled below.\n",
@@ -437,6 +437,27 @@ fn envelope_variant_missing_from_compose_is_flagged() {
     assert!(f.file.ends_with("envelope.rs"));
     assert_eq!(f.line, 4);
     assert!(f.message.contains("ErrorEnvelope::Cardinality"));
+}
+
+#[test]
+fn missing_envelope_file_in_a_merge_crate_is_flagged() {
+    let fx = Fixture::new("lint_fx_compose_missing");
+    fx.write("crates/merge/src/lib.rs", CLEAN_LIB);
+    // Where the enum used to live does not count.
+    fx.write(
+        "crates/service/src/envelope.rs",
+        "pub enum ErrorEnvelope {\n    Frequency(Envelope),\n}\n",
+    );
+    let report = run_lints(&fx.root);
+    assert_eq!(report.findings.len(), 1, "{}", report.render());
+    let f = &report.findings[0];
+    assert_eq!(f.check, "envelope-compose");
+    assert_eq!(f.file, "crates/merge/src/envelope.rs");
+    assert!(f.message.contains("no envelope.rs"));
+    // A tree without a merge crate has nothing to check.
+    let bare = Fixture::new("lint_fx_compose_bare");
+    bare.write("crates/service/src/lib.rs", CLEAN_LIB);
+    assert!(run_lints(&bare.root).is_clean());
 }
 
 #[test]

@@ -31,15 +31,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// .unwrap();
 /// assert_eq!(r.min(), 7);
 /// ```
+///
+/// The register keeps no update epoch beside its value: the minimum is
+/// the whole state, so a served object uses it as its own epoch. A
+/// counter bumped after the `fetch_min` could lag a lowering whose
+/// insert was already acknowledged.
 #[derive(Debug)]
 pub struct ConcurrentMinRegister {
     value: AtomicU64,
-    /// Update epoch: bumped only by inserts that actually lowered the
-    /// minimum (`fetch_min` returned a larger previous value), so an
-    /// unchanged epoch means an unchanged minimum — the `Unchanged`
-    /// fast path of delta snapshots. The bump follows the `fetch_min`;
-    /// a reader observing it (`Acquire`) sees the lowered value.
-    lowerings: AtomicU64,
 }
 
 impl Default for ConcurrentMinRegister {
@@ -53,29 +52,18 @@ impl ConcurrentMinRegister {
     pub fn new() -> Self {
         ConcurrentMinRegister {
             value: AtomicU64::new(u64::MAX),
-            lowerings: AtomicU64::new(0),
         }
     }
 
     /// Lowers the stored minimum to at most `key`. Wait-free, one
-    /// atomic `fetch_min` (plus an epoch `fetch_add` when the minimum
-    /// actually dropped).
+    /// atomic `fetch_min`.
     pub fn insert(&self, key: u64) {
-        let prev = self.value.fetch_min(key, Ordering::AcqRel);
-        if key < prev {
-            self.lowerings.fetch_add(1, Ordering::AcqRel);
-        }
+        self.value.fetch_min(key, Ordering::AcqRel);
     }
 
     /// The least key inserted so far (`u64::MAX` when none).
     pub fn min(&self) -> u64 {
         self.value.load(Ordering::Acquire)
-    }
-
-    /// The register's update epoch (`Acquire`): monotone, equal across
-    /// two reads only if the minimum is unchanged between them.
-    pub fn epoch(&self) -> u64 {
-        self.lowerings.load(Ordering::Acquire)
     }
 }
 
@@ -95,19 +83,6 @@ mod tests {
         r.insert(4);
         r.insert(7);
         assert_eq!(r.min(), 4);
-    }
-
-    #[test]
-    fn epoch_moves_only_when_the_minimum_drops() {
-        let r = ConcurrentMinRegister::new();
-        assert_eq!(r.epoch(), 0);
-        r.insert(9);
-        assert_eq!(r.epoch(), 1);
-        r.insert(12); // not a lowering
-        r.insert(9); // not a lowering
-        assert_eq!(r.epoch(), 1);
-        r.insert(4);
-        assert_eq!(r.epoch(), 2);
     }
 
     #[test]

@@ -1,35 +1,35 @@
-//! `ivl-merge`: the mergeable-state layer shared by the serving and
-//! replication subsystems.
+//! `ivl-merge`: the kind algebra shared by the serving and replication
+//! subsystems — for each quantitative kind, one home for its state, its
+//! envelope, their byte layouts, and their merge and compose laws.
 //!
-//! The full *Fast Concurrent Data Sketches* line of work builds on one
-//! algebraic fact: the served sketches are **mergeable summaries** —
-//! CountMin cell matrices add cell-wise, HyperLogLog registers max
-//! register-wise, Morris exponents and min registers join as scalars —
-//! so any number of independently grown copies combine into one
-//! summary of the union (or, for mirrored copies, the common stream).
-//! Before this crate existed that algebra was written three times:
-//! once in the served objects (snapshot bodies), once in the wire
-//! codec (`SNAPSHOT`/`SNAPSHOT_SINCE` frames), and once in the replica
-//! group's per-kind merge arms. This crate is the single home:
+//! The served sketches are **mergeable summaries** (the algebra *Fast
+//! Concurrent Data Sketches* builds on): CountMin cell matrices add
+//! cell-wise, HyperLogLog registers max register-wise, Morris exponents
+//! and min registers join as scalars, so independently grown copies
+//! combine into one summary of the union (or, mirrored, of the common
+//! stream). Theorem 6 transfers each sequential (ε,δ) bound to the
+//! concurrent object and Theorem 1 makes the argument per object, so
+//! each kind needs one state, one envelope, one codec and one law:
 //!
-//! * [`SnapshotState`] — the kind-tagged state itself, with
+//! * [`SnapshotState`] — the kind-tagged state, with
 //!   [`CellRun`]/[`DeltaChange`] as its sparse-delta vocabulary.
-//! * [`MergeableState`] — the trait tying the algebra together:
-//!   kind-tagged `encode_into`/`decode_from` (the exact wire schema of
-//!   the snapshot frames), `merge_into` (the summary join, under a
-//!   [`MergePolicy`]), `apply_change` (delta application against a
-//!   cached copy), fingerprints, and `absorb_into` — the entry point
-//!   replication catch-up uses to push a peer's state back into a
-//!   *live* served structure through an [`AbsorbSink`].
+//! * [`MergeableState`] — the state algebra: `encode_into`/`decode_from`
+//!   (the exact wire schema of the snapshot frames), `merge_into` (the
+//!   summary join, under a [`MergePolicy`]) and `apply_change` (delta
+//!   application against a cached copy).
+//! * [`envelope`] — [`ErrorEnvelope`], the per-kind guarantee every
+//!   answer carries: its wire body, on the same readers ([`take_u64`]
+//!   and kin) as the state codec, and [`ErrorEnvelope::compose`], the
+//!   envelope counterpart of `merge_into`.
 //! * [`cm_hash_fingerprint`]/[`hll_hash_fingerprint`]/[`slot_coins`] —
-//!   the coin/fingerprint discipline that makes merging safe: state is
-//!   only combined when both sides provably sampled the same hash
-//!   functions, and a mismatch is a typed [`MergeError`] (the wire's
-//!   `MergeMismatch`), never a silent wrong merge.
+//!   the coin discipline that makes merging safe: state is only combined
+//!   when both sides provably sampled the same hash functions, and a
+//!   mismatch is a typed [`MergeError`] (the wire's `MergeMismatch`).
 //!
-//! Everything here is sequential and allocation-explicit; the
-//! concurrent absorb paths (shard leases, register `fetch_max`) live
-//! with the live structures and implement [`AbsorbSink`].
+//! Everything here is sequential and allocation-explicit. The
+//! concurrent absorb paths live with the live structures: a served
+//! object takes its own [`SnapshotState`] variant and refuses every
+//! other kind with a [`MergeError`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +39,10 @@ use ivl_sketch::hash::PairwiseHash;
 use ivl_sketch::hll::HyperLogLog;
 use ivl_sketch::CoinFlips;
 use std::fmt;
+
+pub mod envelope;
+
+pub use envelope::{ComposeError, Envelope, ErrorEnvelope};
 
 /// The kinds of quantitative objects the server can register. The
 /// discriminant is the wire tag used by kind-tagged envelope frames
@@ -148,6 +152,52 @@ pub enum SnapshotState {
     },
 }
 
+impl SnapshotState {
+    /// How many cells the state ships: CountMin cells, HLL registers,
+    /// or the one scalar of a Morris counter or min register.
+    pub fn cell_count(&self) -> usize {
+        match self {
+            SnapshotState::CountMin { cells, .. } => cells.len(),
+            SnapshotState::Hll { registers, .. } => registers.len(),
+            SnapshotState::Morris { .. } | SnapshotState::MinRegister { .. } => 1,
+        }
+    }
+}
+
+/// A one-line summary of the state — its shape, how much of it is set,
+/// and the coin fingerprint that guards its merges — not its cells.
+impl fmt::Display for SnapshotState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SnapshotState::CountMin {
+                width,
+                depth,
+                hash_fp,
+                cells,
+            } => {
+                let nonzero = cells.iter().filter(|&&c| c != 0).count();
+                write!(
+                    f,
+                    "CountMin {depth}x{width} ({nonzero} nonzero cells, fingerprint {hash_fp:#018x})"
+                )
+            }
+            SnapshotState::Hll { hash_fp, registers } => {
+                let set = registers.iter().filter(|&&r| r != 0).count();
+                write!(
+                    f,
+                    "HLL ({} registers, {set} set, fingerprint {hash_fp:#018x})",
+                    registers.len()
+                )
+            }
+            SnapshotState::Morris { exponent } => write!(f, "Morris exponent {exponent}"),
+            SnapshotState::MinRegister { minimum: u64::MAX } => write!(f, "min register, empty"),
+            SnapshotState::MinRegister { minimum } => {
+                write!(f, "min register, minimum {minimum}")
+            }
+        }
+    }
+}
+
 /// One sparse overwrite run of a CountMin delta: the next `len` of the
 /// delta's `values` replace the client's cached cells `[lo, lo + len)`
 /// of `row`. Runs carry current summed cell values (not increments),
@@ -206,6 +256,80 @@ pub enum DeltaChange {
     /// A full replacement state: the client's base was unknown (or too
     /// old to diff), or a delta would not beat the full frame.
     Full(SnapshotState),
+}
+
+/// Change tags of the `SNAPSHOT_DELTA_REPLY` body, one per
+/// [`DeltaChange`] variant. Tag 2, a retired HLL register range,
+/// decodes as an unknown tag.
+const DELTA_UNCHANGED: u8 = 0;
+const DELTA_CM_RUNS: u8 = 1;
+const DELTA_FULL: u8 = 3;
+
+impl DeltaChange {
+    /// Appends the change body: the tag byte, then for cell runs the
+    /// base epoch, the run count and each run's header followed by its
+    /// own cells (the flat `values` is an in-memory layout, not a wire
+    /// change), for a full state its kind-implied body.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            DeltaChange::Unchanged => out.push(DELTA_UNCHANGED),
+            DeltaChange::CmRuns {
+                base_epoch,
+                runs,
+                values,
+            } => {
+                out.push(DELTA_CM_RUNS);
+                out.extend_from_slice(&base_epoch.to_le_bytes());
+                out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+                for (run, cells) in CellRun::zip_values(runs, values) {
+                    for word in [run.row, run.lo, run.len] {
+                        out.extend_from_slice(&word.to_le_bytes());
+                    }
+                    for cell in cells {
+                        out.extend_from_slice(&cell.to_le_bytes());
+                    }
+                }
+            }
+            DeltaChange::Full(state) => {
+                out.push(DELTA_FULL);
+                state.encode_into(out);
+            }
+        }
+    }
+
+    /// Decodes the change body of a reply about a `kind` object from
+    /// the front of `body`, consuming exactly the encoded bytes. Cell
+    /// runs are legal on a CountMin reply only.
+    pub fn decode_from(kind: ObjectKind, body: &mut &[u8]) -> Result<Self, &'static str> {
+        match take_u8(body)? {
+            DELTA_UNCHANGED => Ok(DeltaChange::Unchanged),
+            DELTA_CM_RUNS if kind != ObjectKind::CountMin => {
+                Err("cell runs on a non-CountMin delta reply")
+            }
+            DELTA_CM_RUNS => {
+                let base_epoch = take_u64(body)?;
+                let count = take_u32(body)?;
+                let mut runs = Vec::with_capacity(count.min(1024) as usize);
+                // Every cell is still ahead in the body, which bounds
+                // the allocation against a lying header.
+                let mut values = Vec::with_capacity(body.len() / 8);
+                for _ in 0..count {
+                    let (row, lo, len) = (take_u32(body)?, take_u32(body)?, take_u32(body)?);
+                    for _ in 0..len {
+                        values.push(take_u64(body)?);
+                    }
+                    runs.push(CellRun { row, lo, len });
+                }
+                Ok(DeltaChange::CmRuns {
+                    base_epoch,
+                    runs,
+                    values,
+                })
+            }
+            DELTA_FULL => SnapshotState::decode_from(kind, body).map(DeltaChange::Full),
+            _ => Err("unknown delta change tag"),
+        }
+    }
 }
 
 /// Fixed probe keys hashed by the fingerprint helpers. Two hash
@@ -329,55 +453,6 @@ pub enum StatePatch {
     Replaced,
 }
 
-/// A live served structure a peer's [`SnapshotState`] can be absorbed
-/// into — the receiving half of replication catch-up.
-///
-/// [`MergeableState::absorb_into`] dispatches on the state's kind;
-/// implementations override exactly the method matching the structure
-/// they serve (the defaults refuse with a kind-mismatch
-/// [`MergeError`]), and own whatever concurrency discipline the write
-/// needs: the CountMin sink adds cells under its shard lease
-/// (single-writer stores, one epoch commit), the HLL sink `fetch_max`es
-/// registers, Morris raises its exponent by CAS, the min register
-/// `fetch_min`s. All four absorb operations are joins with the
-/// structure's own update algebra, so absorbing an IVL snapshot keeps
-/// the structure an intermediate mix of real updates.
-pub trait AbsorbSink {
-    /// Absorbs a CountMin cell matrix (cell-wise add).
-    fn absorb_cm(
-        &mut self,
-        width: u32,
-        depth: u32,
-        hash_fp: u64,
-        cells: &[u64],
-    ) -> Result<(), MergeError> {
-        let _ = (width, depth, hash_fp, cells);
-        Err(MergeError::new(KIND_MISMATCH))
-    }
-
-    /// Absorbs HLL registers (register-wise max).
-    fn absorb_hll(&mut self, hash_fp: u64, registers: &[u8]) -> Result<(), MergeError> {
-        let _ = (hash_fp, registers);
-        Err(MergeError::new(KIND_MISMATCH))
-    }
-
-    /// Absorbs a Morris exponent (raise to at least `exponent`).
-    fn absorb_morris(&mut self, exponent: u32) -> Result<(), MergeError> {
-        let _ = exponent;
-        Err(MergeError::new(KIND_MISMATCH))
-    }
-
-    /// Absorbs a minimum (lower to at most `minimum`).
-    fn absorb_min(&mut self, minimum: u64) -> Result<(), MergeError> {
-        let _ = minimum;
-        Err(MergeError::new(KIND_MISMATCH))
-    }
-}
-
-/// Default [`AbsorbSink`] refusal: the pushed state's kind does not
-/// match the structure absorbing it.
-pub const KIND_MISMATCH: &str = "peer state kind does not match the served object";
-
 /// The mergeable-summary algebra, tied to a wire schema.
 ///
 /// One implementation ships ([`SnapshotState`]); the trait names the
@@ -393,16 +468,9 @@ pub const KIND_MISMATCH: &str = "peer state kind does not match the served objec
 ///   `fold_patch` carries what it reports into a merged accumulator:
 ///   folding every cache's patch equals re-merging the patched caches
 ///   (property-pinned).
-/// * `absorb_into` pushes the state into a live structure through an
-///   [`AbsorbSink`] — `absorb`-then-snapshot equals
-///   snapshot-then-`merge_into` (also property-pinned).
 pub trait MergeableState: Sized {
     /// This state's kind tag.
     fn kind(&self) -> ObjectKind;
-
-    /// The hash/coin fingerprint guarding merges, for kinds that carry
-    /// one (CountMin, HLL).
-    fn fingerprint(&self) -> Option<u64>;
 
     /// Appends the kind-specific wire body (little-endian, no kind
     /// tag — the frame carries that).
@@ -426,30 +494,44 @@ pub trait MergeableState: Sized {
     /// out of bounds, a CountMin cell that moved down — is refused, and
     /// the caller rebuilds with [`merge_states`].
     fn fold_patch(&mut self, patch: &StatePatch, policy: MergePolicy) -> Result<(), MergeError>;
-
-    /// Absorbs this state into a live served structure.
-    fn absorb_into(&self, sink: &mut dyn AbsorbSink) -> Result<(), MergeError>;
 }
 
-fn take_u32(body: &mut &[u8]) -> Result<u32, &'static str> {
+/// Takes one byte off the front of `body`. With [`take_u32`] and
+/// [`take_u64`] (little-endian), the one family of readers every codec
+/// of the wire stack decodes with: a body shorter than its schema is
+/// [`SHORT_BODY`], never a panic or an over-read. Inlined: the wire
+/// layer's batch decode reads every item through them.
+#[inline]
+pub fn take_u8(body: &mut &[u8]) -> Result<u8, &'static str> {
+    let (&byte, rest) = body.split_first().ok_or(SHORT_BODY)?;
+    *body = rest;
+    Ok(byte)
+}
+
+/// Takes a little-endian `u32` off the front of `body`.
+#[inline]
+pub fn take_u32(body: &mut &[u8]) -> Result<u32, &'static str> {
     if body.len() < 4 {
         return Err(SHORT_BODY);
     }
     let (head, rest) = body.split_at(4);
     *body = rest;
-    Ok(u32::from_le_bytes(head.try_into().unwrap()))
+    Ok(u32::from_le_bytes(head.try_into().expect("4 bytes")))
 }
 
-fn take_u64(body: &mut &[u8]) -> Result<u64, &'static str> {
+/// Takes a little-endian `u64` off the front of `body`.
+#[inline]
+pub fn take_u64(body: &mut &[u8]) -> Result<u64, &'static str> {
     if body.len() < 8 {
         return Err(SHORT_BODY);
     }
     let (head, rest) = body.split_at(8);
     *body = rest;
-    Ok(u64::from_le_bytes(head.try_into().unwrap()))
+    Ok(u64::from_le_bytes(head.try_into().expect("8 bytes")))
 }
 
-const SHORT_BODY: &str = "body shorter than its schema";
+/// The refusal of a body that ends before its schema does.
+pub const SHORT_BODY: &str = "body shorter than its schema";
 
 impl MergeableState for SnapshotState {
     fn kind(&self) -> ObjectKind {
@@ -458,15 +540,6 @@ impl MergeableState for SnapshotState {
             SnapshotState::Hll { .. } => ObjectKind::Hll,
             SnapshotState::Morris { .. } => ObjectKind::Morris,
             SnapshotState::MinRegister { .. } => ObjectKind::MinRegister,
-        }
-    }
-
-    fn fingerprint(&self) -> Option<u64> {
-        match self {
-            SnapshotState::CountMin { hash_fp, .. } | SnapshotState::Hll { hash_fp, .. } => {
-                Some(*hash_fp)
-            }
-            SnapshotState::Morris { .. } | SnapshotState::MinRegister { .. } => None,
         }
     }
 
@@ -672,20 +745,6 @@ impl MergeableState for SnapshotState {
             _ => Err(MergeError::new("patch cannot fold into this state")),
         }
     }
-
-    fn absorb_into(&self, sink: &mut dyn AbsorbSink) -> Result<(), MergeError> {
-        match self {
-            SnapshotState::CountMin {
-                width,
-                depth,
-                hash_fp,
-                cells,
-            } => sink.absorb_cm(*width, *depth, *hash_fp, cells),
-            SnapshotState::Hll { hash_fp, registers } => sink.absorb_hll(*hash_fp, registers),
-            SnapshotState::Morris { exponent } => sink.absorb_morris(*exponent),
-            SnapshotState::MinRegister { minimum } => sink.absorb_min(*minimum),
-        }
-    }
 }
 
 /// Folds any number of same-kind states into one merged summary under
@@ -851,22 +910,34 @@ mod tests {
     }
 
     #[test]
-    fn default_sink_refuses_every_kind() {
-        struct Deaf;
-        impl AbsorbSink for Deaf {}
-        let mut deaf = Deaf;
-        for state in [
-            cm(vec![0; 6]),
+    fn state_summaries_are_one_line_per_kind() {
+        let lines = [
+            cm(vec![0, 2, 0, 0, 5, 0]),
             SnapshotState::Hll {
-                hash_fp: 0,
-                registers: vec![0],
+                hash_fp: 9,
+                registers: vec![0, 3, 1, 0],
             },
-            SnapshotState::Morris { exponent: 0 },
-            SnapshotState::MinRegister { minimum: 0 },
-        ] {
-            let err = state.absorb_into(&mut deaf).unwrap_err();
-            assert_eq!(err.to_string(), KIND_MISMATCH);
-        }
+            SnapshotState::Morris { exponent: 12 },
+            SnapshotState::MinRegister { minimum: 41 },
+            SnapshotState::MinRegister { minimum: u64::MAX },
+        ]
+        .map(|state| (state.to_string(), state.cell_count()));
+        assert_eq!(
+            lines,
+            [
+                (
+                    "CountMin 2x3 (2 nonzero cells, fingerprint 0x000000000000feed)".into(),
+                    6
+                ),
+                (
+                    "HLL (4 registers, 2 set, fingerprint 0x0000000000000009)".into(),
+                    4
+                ),
+                ("Morris exponent 12".into(), 1),
+                ("min register, minimum 41".into(), 1),
+                ("min register, empty".into(), 1),
+            ]
+        );
     }
 
     #[test]

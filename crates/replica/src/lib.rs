@@ -1070,11 +1070,11 @@ impl ReplicaGroup {
         // Everything else patches the cache in place; the base the
         // server claims must be the cache actually held, over the same
         // connection generation.
-        let (unchanged, base_epoch) = match &delta.change {
-            DeltaChange::Unchanged => (true, None),
-            DeltaChange::CmRuns { base_epoch, .. } => (false, Some(*base_epoch)),
-            DeltaChange::Full(_) => unreachable!("handled above"),
+        let base_epoch = match &delta.change {
+            DeltaChange::CmRuns { base_epoch, .. } => Some(*base_epoch),
+            _ => None,
         };
+        let unchanged = base_epoch.is_none();
         if unchanged {
             self.delta_stats.unchanged += 1;
         } else {

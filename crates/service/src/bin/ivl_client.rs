@@ -18,8 +18,7 @@
 //! ```
 
 use ivl_service::client::Client;
-use ivl_service::envelope::ErrorEnvelope;
-use ivl_service::{DeltaChange, MergeableState, SnapshotDelta, SnapshotState};
+use ivl_service::DeltaChange;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -28,146 +27,6 @@ fn usage() -> ExitCode {
          batch <key:weight>... | snapshot [--since EPOCH] | objects | stats | shutdown>"
     );
     ExitCode::from(1)
-}
-
-fn print_envelope(key: u64, env: &ErrorEnvelope) {
-    match env {
-        ErrorEnvelope::Frequency(env) => println!(
-            "key {}: estimate {} (true frequency in [{}, {}] w.p. >= {:.3}; \
-             epsilon {} = ceil({:.4} * {}), write-buffer lag {})",
-            env.key,
-            env.estimate,
-            env.lower_bound(),
-            env.upper_bound(),
-            1.0 - env.delta,
-            env.epsilon,
-            env.alpha,
-            env.stream_len,
-            env.lag
-        ),
-        ErrorEnvelope::Cardinality {
-            estimate,
-            rel_std_err,
-            registers,
-            register_sum,
-            observed,
-        } => println!(
-            "cardinality: estimate {estimate:.1} (rel std err {rel_std_err:.4}, \
-             {registers} registers, register sum {register_sum}, observed weight {observed})"
-        ),
-        ErrorEnvelope::ApproxCount {
-            estimate,
-            a,
-            exponent,
-            observed,
-        } => println!(
-            "approximate count: estimate {estimate:.1} (a {a}, exponent {exponent}, \
-             acknowledged weight {observed})"
-        ),
-        ErrorEnvelope::Minimum { minimum, observed } => {
-            if *minimum == u64::MAX {
-                println!("minimum: empty (observed weight {observed}); queried key {key}");
-            } else {
-                println!("minimum: {minimum} (observed weight {observed}); queried key {key}");
-            }
-        }
-    }
-}
-
-fn state_fingerprint(state: &SnapshotState) -> String {
-    match state.fingerprint() {
-        Some(fp) => format!("{fp:#018x}"),
-        None => "none".into(),
-    }
-}
-
-fn print_snapshot(delta: &SnapshotDelta, base: u64) {
-    println!(
-        "object {} [{}] at epoch {}",
-        delta.object, delta.kind, delta.epoch
-    );
-    match &delta.change {
-        DeltaChange::Full(state) => match state {
-            SnapshotState::CountMin {
-                width,
-                depth,
-                cells,
-                ..
-            } => {
-                let nonzero = cells.iter().filter(|&&c| c != 0).count();
-                println!(
-                    "  state: full CountMin {depth}x{width} ({nonzero} nonzero cells, \
-                     fingerprint {})",
-                    state_fingerprint(state)
-                );
-            }
-            SnapshotState::Hll { registers, .. } => {
-                let set = registers.iter().filter(|&&r| r != 0).count();
-                println!(
-                    "  state: full HLL ({} registers, {set} set, fingerprint {})",
-                    registers.len(),
-                    state_fingerprint(state)
-                );
-            }
-            SnapshotState::Morris { exponent } => {
-                println!("  state: full Morris exponent {exponent} (fingerprint none)");
-            }
-            SnapshotState::MinRegister { minimum } => {
-                if *minimum == u64::MAX {
-                    println!("  state: full min register, empty (fingerprint none)");
-                } else {
-                    println!("  state: full min register, minimum {minimum} (fingerprint none)");
-                }
-            }
-        },
-        DeltaChange::Unchanged => println!("  state: unchanged since epoch {base}"),
-        DeltaChange::CmRuns {
-            base_epoch,
-            runs,
-            values,
-        } => {
-            println!(
-                "  state: {} CountMin overwrite runs ({} cells) against epoch {base_epoch}",
-                runs.len(),
-                values.len()
-            );
-        }
-    }
-    match &delta.envelope {
-        ErrorEnvelope::Frequency(env) => println!(
-            "  envelope: epsilon {} = ceil({:.4} * {}) w.p. >= {:.3}, write-buffer lag {}",
-            env.epsilon,
-            env.alpha,
-            env.stream_len,
-            1.0 - env.delta,
-            env.lag
-        ),
-        ErrorEnvelope::Cardinality {
-            rel_std_err,
-            registers,
-            register_sum,
-            observed,
-            ..
-        } => println!(
-            "  envelope: rel std err {rel_std_err:.4}, {registers} registers \
-             (sum {register_sum}), observed weight {observed}"
-        ),
-        ErrorEnvelope::ApproxCount {
-            a,
-            exponent,
-            observed,
-            ..
-        } => println!(
-            "  envelope: Morris a {a}, exponent {exponent}, acknowledged weight {observed}"
-        ),
-        ErrorEnvelope::Minimum { minimum, observed } => {
-            if *minimum == u64::MAX {
-                println!("  envelope: minimum empty, observed weight {observed}");
-            } else {
-                println!("  envelope: minimum {minimum}, observed weight {observed}");
-            }
-        }
-    }
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -206,7 +65,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 .object_id(object.unwrap_or(0))
                 .query(key)
                 .map_err(|e| e.to_string())?;
-            print_envelope(key, &env);
+            println!("{env}");
         }
         ("batch", items) if !items.is_empty() => {
             let mut pairs = Vec::with_capacity(items.len());
@@ -239,18 +98,35 @@ fn run(args: &[String]) -> Result<(), String> {
             let delta = client
                 .snapshot_since(object.unwrap_or(0), since)
                 .map_err(|e| e.to_string())?;
-            print_snapshot(&delta, since);
+            println!(
+                "object {} [{}] at epoch {}",
+                delta.object, delta.kind, delta.epoch
+            );
             // The bucket a replica group's `DeltaStats` would count
             // this reply in, and what it cost on the wire.
             let (bucket, cells) = match &delta.change {
-                DeltaChange::Unchanged => ("unchanged", 0),
-                DeltaChange::Full(SnapshotState::CountMin { cells, .. }) => ("full", cells.len()),
-                DeltaChange::Full(SnapshotState::Hll { registers, .. }) => {
-                    ("full", registers.len())
+                DeltaChange::Unchanged => {
+                    println!("  state: unchanged since epoch {since}");
+                    ("unchanged", 0)
                 }
-                DeltaChange::Full(_) => ("full", 1),
-                DeltaChange::CmRuns { values, .. } => ("delta", values.len()),
+                DeltaChange::CmRuns {
+                    base_epoch,
+                    runs,
+                    values,
+                } => {
+                    println!(
+                        "  state: {} CountMin overwrite runs ({} cells) against epoch {base_epoch}",
+                        runs.len(),
+                        values.len()
+                    );
+                    ("delta", values.len())
+                }
+                DeltaChange::Full(state) => {
+                    println!("  state: full {state}");
+                    ("full", state.cell_count())
+                }
             };
+            println!("  envelope: {}", delta.envelope);
             println!(
                 "  reply: {bucket}, {cells} cells, {} B on the wire",
                 client.wire_bytes().1 - in0

@@ -12,10 +12,10 @@
 //! [`Client::object_id`]) and issue requests through it; handles
 //! share the connection, so only one may be in flight at a time.
 
-use crate::envelope::{Envelope, ErrorEnvelope};
 use crate::metrics::StatsReport;
 use crate::objects::{ObjectInfo, ObjectSnapshot, SnapshotDelta, SnapshotState};
 use crate::protocol::{self, ErrorCode, FrameDecoder, Request, Response, WireError};
+use crate::{Envelope, ErrorEnvelope};
 use std::fmt;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};

@@ -25,15 +25,15 @@
 //!   servers interoperate. `SNAPSHOT` serializes an object's
 //!   mergeable state for the replication layer (`ivl-replica`), and
 //!   `PUSH_STATE` carries a peer's state the other way — the absorb
-//!   half of replica catch-up (anti-entropy). State bodies encode and
-//!   decode through the [`MergeableState`] trait of `ivl-merge`, so
-//!   their byte layout lives in exactly one place.
-//! * [`envelope`] — every query answer carries an **IVL error
-//!   envelope** ([`ErrorEnvelope`]): for the CountMin,
-//!   `(estimate, ε, δ, n, lag)` with `ε = α·n`, the Theorem 6
-//!   transfer of the sequential (ε,δ) bound to the concurrent serving
-//!   setting; the other kinds carry the bound shapes their estimators
-//!   admit.
+//!   half of replica catch-up (anti-entropy). The protocol only frames
+//!   state and envelope bodies: their byte layouts live in `ivl-merge`,
+//!   next to the kinds they encode.
+//! * Every query answer carries an **IVL error envelope**
+//!   ([`ErrorEnvelope`], defined in `ivl-merge` and re-exported here):
+//!   for the CountMin, `(estimate, ε, δ, n, lag)` with `ε = α·n`, the
+//!   Theorem 6 transfer of the sequential (ε,δ) bound to the
+//!   concurrent serving setting; the other kinds carry the bound
+//!   shapes their estimators admit.
 //! * [`metrics`] — wait-free op counters and `log₂` latency
 //!   histograms, themselves read IVL-style by `STATS`, now with
 //!   per-object operation rows.
@@ -60,7 +60,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod client;
-pub mod envelope;
 pub mod metrics;
 pub mod objects;
 pub mod protocol;
@@ -68,12 +67,12 @@ pub mod server;
 pub mod wspec;
 
 pub use client::{Client, ClientError, ObjectHandle};
-pub use envelope::{ComposeError, Envelope, ErrorEnvelope};
-// The mergeable-state layer (`ivl-merge`) this service serves over the
-// wire: re-exported whole so servers, replicas, and tools name one
-// vocabulary for kind-tagged state, merging, and absorption.
+// The kind algebra (`ivl-merge`) this service serves over the wire:
+// re-exported whole so servers, replicas, and tools name one
+// vocabulary for kind-tagged state, envelopes, merging and composing.
 pub use ivl_merge::{
-    merge_states, AbsorbSink, MergeError, MergePolicy, MergeableState, StatePatch,
+    merge_states, ComposeError, Envelope, ErrorEnvelope, MergeError, MergePolicy, MergeableState,
+    StatePatch,
 };
 pub use metrics::{Metrics, ObjectStats, StatsReport};
 pub use objects::{

@@ -7,7 +7,7 @@
 //! [`ObjectRegistry`] holds the named instances (object ids are
 //! registry indices, carried in every protocol-v2 frame), and each
 //! object supplies its own error-envelope form
-//! ([`crate::envelope::ErrorEnvelope`]) plus a sequential spec for
+//! ([`ErrorEnvelope`]) plus a sequential spec for
 //! verifying *its own projection* of a recorded run. The server checks
 //! (and `ivl_check` reports) one verdict per object — the history as a
 //! whole is IVL exactly when every row of that table is.
@@ -37,14 +37,14 @@
 //! CountMin's per-(object, shard) lease discipline and the lock-free
 //! objects' wait-free updates coexist behind one interface.
 
-use crate::envelope::{Envelope, ErrorEnvelope};
 use crate::metrics::{Metrics, ObjectStats};
 use crate::wspec::WeightedCmSpec;
+use crate::{Envelope, ErrorEnvelope};
 use ivl_concurrent::{
     BatchScratch, ConcurrentHll, ConcurrentMinRegister, ConcurrentMorris, ShardLease, ShardedPcm,
 };
 use ivl_counter::{IvlBatchedCounter, SharedBatchedCounter};
-use ivl_merge::{AbsorbSink, MergeError, MergeableState};
+use ivl_merge::{MergeError, MergeableState};
 use ivl_sketch::countmin::{CountMin, CountMinParams};
 use ivl_sketch::hll::{HyperLogLog, RegisterSummary};
 use ivl_sketch::CoinFlips;
@@ -246,33 +246,23 @@ pub trait ServedObject: Send + Sync + fmt::Debug {
     /// Answers a query with this object's error envelope.
     fn query(&self, key: u64) -> ErrorEnvelope;
 
-    /// This object's mergeable state plus its current envelope — the
-    /// `SNAPSHOT` read primitive of the replication layer. Each piece
-    /// of the returned state is an IVL read (an intermediate mix of
-    /// the concurrent updates), so merging snapshots composes exactly
-    /// like merging sequential summaries.
-    fn snapshot(&self) -> (SnapshotState, ErrorEnvelope);
-
-    /// This object's monotone update epoch. Equal epochs across two
-    /// reads mean the snapshot state is unchanged between them, so a
-    /// client holding state at epoch `e` can be answered `Unchanged`
-    /// while the epoch is still `e`.
+    /// This object's update epoch. Equal epochs across two reads mean
+    /// the snapshot state is equal between them, so a client holding
+    /// state at epoch `e` can be answered `Unchanged` while the epoch is
+    /// still `e`. Every kind's epoch is a function of the state itself
+    /// (the min register's is its minimum), never a counter bumped
+    /// beside it that could lag an acknowledged update.
     fn epoch(&self) -> u64;
 
-    /// Answers `SNAPSHOT_SINCE` against a client base epoch: the
-    /// current epoch, the change to apply, and the envelope in force.
-    /// The default is epoch-compare only — `Unchanged` when the base
-    /// is current, a full replacement otherwise. The CountMin overrides
-    /// it with sparse deltas, the HLL to answer from one register load.
-    fn snapshot_since(&self, base: u64) -> (u64, DeltaChange, ErrorEnvelope) {
-        let epoch = self.epoch();
-        let (state, envelope) = self.snapshot();
-        if epoch == base {
-            (epoch, DeltaChange::Unchanged, envelope)
-        } else {
-            (epoch, DeltaChange::Full(state), envelope)
-        }
-    }
+    /// The one state read: answers `SNAPSHOT_SINCE` against the epoch
+    /// of the client's cached state with the current epoch, the change
+    /// to apply, and the envelope in force. `Unchanged` only when
+    /// `base` is the current epoch; `None` is a client with no cache,
+    /// always answered `Full` — which is also the whole `SNAPSHOT`
+    /// reply. Each piece of the state is an IVL read (an intermediate
+    /// mix of the concurrent updates), so merging snapshots composes
+    /// exactly like merging sequential summaries.
+    fn snapshot_since(&self, base: Option<u64>) -> (u64, DeltaChange, ErrorEnvelope);
 
     /// Per-object operation counters (the `STATS` rows).
     fn op_stats(&self) -> ObjectStats;
@@ -412,24 +402,29 @@ impl ObjectRegistry {
         self.get(id).and_then(ServedObject::as_count_min)
     }
 
-    /// A `SNAPSHOT` reply for object `id` (`None` for unknown ids).
+    /// A `SNAPSHOT` reply for object `id` (`None` for unknown ids): the
+    /// full state a client with no cache is sent.
     pub fn snapshot(&self, id: u32) -> Option<ObjectSnapshot> {
-        self.get(id).map(|o| {
-            let (state, envelope) = o.snapshot();
-            ObjectSnapshot {
-                object: id,
-                kind: o.kind(),
-                state,
-                envelope,
-            }
+        let delta = self.snapshot_since(id, u64::MAX)?;
+        let DeltaChange::Full(state) = delta.change else {
+            unreachable!("a client with no cache is answered in full");
+        };
+        Some(ObjectSnapshot {
+            object: id,
+            kind: delta.kind,
+            state,
+            envelope: delta.envelope,
         })
     }
 
     /// A `SNAPSHOT_SINCE` reply for object `id` against a client base
-    /// epoch (`None` for unknown ids).
+    /// epoch (`None` for unknown ids). `u64::MAX` is the wire's no-cache
+    /// base: it is answered in full here, once for every kind, so no
+    /// object's epoch — an empty min register's is `u64::MAX` — can be
+    /// mistaken for it.
     pub fn snapshot_since(&self, id: u32, base: u64) -> Option<SnapshotDelta> {
         self.get(id).map(|o| {
-            let (epoch, change, envelope) = o.snapshot_since(base);
+            let (epoch, change, envelope) = o.snapshot_since((base != u64::MAX).then_some(base));
             SnapshotDelta {
                 object: id,
                 kind: o.kind(),
@@ -516,13 +511,8 @@ struct OpCounters {
 }
 
 impl OpCounters {
-    fn note_update(&self, weight: u64) {
-        self.updates.fetch_add(1, Ordering::Relaxed);
-        self.observed.fetch_add(weight, Ordering::Relaxed);
-    }
-
-    /// Batch-frame accounting: `n` updates of `weight` total observed
-    /// weight in two atomic adds instead of `2n`.
+    /// Accounts `n` updates of `weight` total observed weight: two
+    /// atomic adds, whether for one update or a whole batch frame.
     fn note_updates(&self, n: u64, weight: u64) {
         self.updates.fetch_add(n, Ordering::Relaxed);
         self.observed.fetch_add(weight, Ordering::Relaxed);
@@ -629,19 +619,61 @@ impl ServedCountMin {
             .map(|(_, v)| v.clone())
     }
 
-    /// The frequency envelope served alongside snapshots and deltas
-    /// (key/estimate zeroed — the receiver queries the merged state).
-    fn snapshot_envelope(&self) -> ErrorEnvelope {
+    /// The frequency envelope of `estimate` for `key`, read after it:
+    /// cells lead the ingest counter on the write side. Snapshots and
+    /// deltas serve key and estimate 0 — the receiver queries the
+    /// merged state.
+    fn envelope(&self, key: u64, estimate: u64) -> ErrorEnvelope {
         let stream_len = self.ingest.read();
         let params = self.proto.params();
         ErrorEnvelope::Frequency(Envelope::new(
-            0,
-            0,
+            key,
+            estimate,
             stream_len,
             params.alpha(),
             params.delta(),
             self.lag_bound(),
         ))
+    }
+
+    /// The whole cell matrix as a mergeable state.
+    fn full_state(&self) -> SnapshotState {
+        let params = self.proto.params();
+        SnapshotState::CountMin {
+            width: params.width as u32,
+            depth: params.depth as u32,
+            hash_fp: cm_hash_fingerprint(self.proto.hashes()),
+            cells: self.sketch.cells_snapshot(),
+        }
+    }
+
+    /// Sparse overwrite runs bringing a cache at `base` — whose
+    /// per-shard decomposition is `base_epochs` — up to date, or `None`
+    /// when a shard's log lapped the base or sparseness does not pay.
+    fn runs_since(&self, base: u64, base_epochs: &[u64]) -> Option<DeltaChange> {
+        let params = self.proto.params();
+        let dirty = self.sketch.dirty_spans_since(base_epochs)?;
+        // A run costs 12 bytes of header plus its cells; fall back to
+        // the full frame when sparseness does not pay.
+        let cells: usize = dirty.iter().map(|&(_, lo, hi)| (hi - lo) as usize).sum();
+        if 12 * dirty.len() + 8 * cells >= params.width * params.depth * 8 {
+            return None;
+        }
+        let mut values = Vec::with_capacity(cells);
+        self.sketch.sum_runs_into(&dirty, &mut values);
+        let runs = dirty
+            .into_iter()
+            .map(|(row, lo, hi)| CellRun {
+                row,
+                lo,
+                len: hi - lo,
+            })
+            .collect();
+        Some(DeltaChange::CmRuns {
+            base_epoch: base,
+            runs,
+            values,
+        })
     }
 
     /// The sketch dimensions in force.
@@ -692,93 +724,33 @@ impl ServedObject for ServedCountMin {
 
     fn query(&self, key: u64) -> ErrorEnvelope {
         self.ops.note_query();
-        let estimate = self.sketch.estimate(key);
-        let stream_len = self.ingest.read();
-        let params = self.proto.params();
-        ErrorEnvelope::Frequency(Envelope::new(
-            key,
-            estimate,
-            stream_len,
-            params.alpha(),
-            params.delta(),
-            self.lag_bound(),
-        ))
-    }
-
-    fn snapshot(&self) -> (SnapshotState, ErrorEnvelope) {
-        self.ops.note_query();
-        let params = self.proto.params();
-        // Epochs before cells: the shipped cells are then at least as
-        // new as the recorded decomposition, so a later delta against
-        // this epoch only ever re-sends (never misses) a write.
-        let mut shard_epochs = Vec::with_capacity(self.sketch.num_shards());
-        self.sketch.shard_epochs_into(&mut shard_epochs);
-        self.ledger_exchange(shard_epochs, None);
-        // Cells before stream length, the same read discipline as
-        // `query` (cells lead the ingest counter on the write side).
-        let cells = self.sketch.cells_snapshot();
-        let state = SnapshotState::CountMin {
-            width: params.width as u32,
-            depth: params.depth as u32,
-            hash_fp: cm_hash_fingerprint(self.proto.hashes()),
-            cells,
-        };
-        (state, self.snapshot_envelope())
+        self.envelope(key, self.sketch.estimate(key))
     }
 
     fn epoch(&self) -> u64 {
         self.sketch.epoch()
     }
 
-    fn snapshot_since(&self, base: u64) -> (u64, DeltaChange, ErrorEnvelope) {
+    fn snapshot_since(&self, base: Option<u64>) -> (u64, DeltaChange, ErrorEnvelope) {
         self.ops.note_query();
+        // Epochs before cells: the shipped cells are then at least as
+        // new as the recorded decomposition, so a later delta against
+        // this epoch only ever re-sends (never misses) a write.
         let mut shard_epochs = Vec::with_capacity(self.sketch.num_shards());
         self.sketch.shard_epochs_into(&mut shard_epochs);
         let epoch: u64 = shard_epochs.iter().sum();
-        let base_epochs = self.ledger_exchange(shard_epochs, (epoch != base).then_some(base));
-        if epoch == base {
+        let base_epochs = self.ledger_exchange(shard_epochs, base.filter(|&b| b != epoch));
+        if base == Some(epoch) {
             // Per-shard epochs are monotone, so equal sums mean the
             // decomposition (hence every shard's log, hence every cell
             // the client holds) is unchanged.
-            return (epoch, DeltaChange::Unchanged, self.snapshot_envelope());
+            return (epoch, DeltaChange::Unchanged, self.envelope(0, 0));
         }
-        let params = self.proto.params();
-        let change = base_epochs
-            // `None` again when a shard's log has lapped the base.
-            .and_then(|base_epochs| self.sketch.dirty_spans_since(&base_epochs))
-            .and_then(|dirty| {
-                // A run costs 12 bytes of header plus its cells; fall
-                // back to the full frame when sparseness does not pay.
-                let cells: usize = dirty.iter().map(|&(_, lo, hi)| (hi - lo) as usize).sum();
-                if 12 * dirty.len() + 8 * cells >= params.width * params.depth * 8 {
-                    return None;
-                }
-                let mut values = Vec::with_capacity(cells);
-                self.sketch.sum_runs_into(&dirty, &mut values);
-                let runs = dirty
-                    .into_iter()
-                    .map(|(row, lo, hi)| CellRun {
-                        row,
-                        lo,
-                        len: hi - lo,
-                    })
-                    .collect();
-                Some(DeltaChange::CmRuns {
-                    base_epoch: base,
-                    runs,
-                    values,
-                })
-            })
-            .unwrap_or_else(|| {
-                let cells = self.sketch.cells_snapshot();
-                DeltaChange::Full(SnapshotState::CountMin {
-                    width: params.width as u32,
-                    depth: params.depth as u32,
-                    hash_fp: cm_hash_fingerprint(self.proto.hashes()),
-                    cells,
-                })
-            });
-        (epoch, change, self.snapshot_envelope())
+        let change = base
+            .zip(base_epochs)
+            .and_then(|(base, base_epochs)| self.runs_since(base, &base_epochs))
+            .unwrap_or_else(|| DeltaChange::Full(self.full_state()));
+        (epoch, change, self.envelope(0, 0))
     }
 
     fn op_stats(&self) -> ObjectStats {
@@ -874,11 +846,33 @@ impl ObjectWriter for CmWriter<'_> {
         self.obj.ops.note_updates(items.len() as u64, 0); // observed comes from `ingest`
     }
 
+    /// Peer cells add into the leased shard under the single-writer
+    /// discipline (plain stores, one epoch commit) after the
+    /// fingerprint/dimension guard — merging a peer's matrix is the
+    /// same algebra as applying its substream locally.
     fn absorb(&mut self, state: &SnapshotState, observed: u64) -> Result<(), MergeError> {
-        state.absorb_into(self)?;
+        let SnapshotState::CountMin {
+            width,
+            depth,
+            hash_fp,
+            cells,
+        } = state
+        else {
+            return Err(foreign_kind(ObjectKind::CountMin, state));
+        };
+        let params = self.obj.proto.params();
+        if (*width as usize, *depth as usize) != (params.width, params.depth)
+            || cells.len() != params.width * params.depth
+            || *hash_fp != cm_hash_fingerprint(self.obj.proto.hashes())
+        {
+            return Err(MergeError::new(
+                "peer CountMin dimensions or coins do not match the served object",
+            ));
+        }
+        let lease = self.lease.as_mut().expect("ensure_ready acquired a lease");
+        lease.absorb_cells(cells);
         // Cells lead the ingest counter, the same discipline as the
         // update path.
-        let lease = self.lease.as_ref().expect("ensure_ready acquired a lease");
         self.obj.ingest.update_slot(lease.shard(), observed);
         Ok(())
     }
@@ -892,33 +886,6 @@ impl ObjectWriter for CmWriter<'_> {
     fn release(&mut self) -> bool {
         self.flush();
         self.lease.take().is_some()
-    }
-}
-
-/// The CountMin's absorb sink: peer cells add into the leased shard
-/// under the single-writer discipline (plain stores, one epoch commit)
-/// after the fingerprint/dimension guard — merging a peer's matrix is
-/// the same algebra as applying its substream locally.
-impl AbsorbSink for CmWriter<'_> {
-    fn absorb_cm(
-        &mut self,
-        width: u32,
-        depth: u32,
-        hash_fp: u64,
-        cells: &[u64],
-    ) -> Result<(), MergeError> {
-        let params = self.obj.proto.params();
-        if (width as usize, depth as usize) != (params.width, params.depth)
-            || cells.len() != params.width * params.depth
-            || hash_fp != cm_hash_fingerprint(self.obj.proto.hashes())
-        {
-            return Err(MergeError::new(
-                "peer CountMin dimensions or coins do not match the served object",
-            ));
-        }
-        let lease = self.lease.as_mut().expect("ensure_ready acquired a lease");
-        lease.absorb_cells(cells);
-        Ok(())
     }
 }
 
@@ -1015,12 +982,6 @@ impl ServedObject for ServedHll {
         self.envelope(&self.hll.summary())
     }
 
-    fn snapshot(&self) -> (SnapshotState, ErrorEnvelope) {
-        self.ops.note_query();
-        let (state, envelope, _) = self.load();
-        (state, envelope)
-    }
-
     /// The register sum. Registers only grow, so two loads with equal
     /// sums loaded equal registers: the sum is an exact epoch, and it
     /// moves exactly when a register does.
@@ -1034,11 +995,13 @@ impl ServedObject for ServedHll {
     /// state, envelope and epoch all describe the same bytes — an epoch
     /// counted apart from the registers could lag a raise whose update
     /// was already acknowledged, and hide it behind `Unchanged`.
-    fn snapshot_since(&self, base: u64) -> (u64, DeltaChange, ErrorEnvelope) {
+    fn snapshot_since(&self, base: Option<u64>) -> (u64, DeltaChange, ErrorEnvelope) {
         self.ops.note_query();
-        let summary = self.hll.summary();
-        if summary.register_sum() == base {
-            return (base, DeltaChange::Unchanged, self.envelope(&summary));
+        if let Some(base) = base {
+            let summary = self.hll.summary();
+            if summary.register_sum() == base {
+                return (base, DeltaChange::Unchanged, self.envelope(&summary));
+            }
         }
         let (state, envelope, epoch) = self.load();
         (epoch, DeltaChange::Full(state), envelope)
@@ -1064,26 +1027,18 @@ impl AtomicApply for ServedHll {
         // Set semantics: the item is observed once; `weight` only
         // feeds the acknowledged-weight counter.
         self.hll.update(key);
-        self.ops.note_update(weight);
+        self.ops.note_updates(1, weight);
     }
 
-    fn absorb_state(&self, state: &SnapshotState) -> Result<(), MergeError> {
-        let mut sink = self;
-        state.absorb_into(&mut sink)
-    }
-
-    fn note_absorbed(&self, weight: u64) {
-        self.ops.note_absorbed(weight);
-    }
-}
-
-/// The HLL's absorb sink: register-wise `fetch_max` into the live
-/// vector after the fingerprint guard — a join with the update path,
-/// so concurrent updates and an absorb interleave safely.
-impl AbsorbSink for &ServedHll {
-    fn absorb_hll(&mut self, hash_fp: u64, registers: &[u8]) -> Result<(), MergeError> {
+    /// Register-wise `fetch_max` into the live vector after the
+    /// fingerprint guard — a join with the update path, so concurrent
+    /// updates and an absorb interleave safely.
+    fn absorb_state(&self, state: &SnapshotState, observed: u64) -> Result<(), MergeError> {
+        let SnapshotState::Hll { hash_fp, registers } = state else {
+            return Err(foreign_kind(ObjectKind::Hll, state));
+        };
         let proto = self.hll.prototype();
-        if hash_fp != hll_hash_fingerprint(proto)
+        if *hash_fp != hll_hash_fingerprint(proto)
             || registers.len() as u64 != proto.num_registers() as u64
         {
             return Err(MergeError::new(
@@ -1091,6 +1046,7 @@ impl AbsorbSink for &ServedHll {
             ));
         }
         self.hll.absorb(registers);
+        self.ops.note_absorbed(observed);
         Ok(())
     }
 }
@@ -1145,6 +1101,11 @@ impl ServedMorris {
             ops: OpCounters::default(),
         }
     }
+
+    /// The served envelope at `exponent`.
+    fn envelope(&self, exponent: u32) -> ErrorEnvelope {
+        ErrorEnvelope::approx_count(self.a, exponent, self.ops.observed.load(Ordering::Relaxed))
+    }
 }
 
 impl ServedObject for ServedMorris {
@@ -1161,22 +1122,19 @@ impl ServedObject for ServedMorris {
         // Exponent before estimate: the estimate is derived from the
         // exponent, and reading the monotone value first keeps the
         // recorded value a lower bound of what the envelope shows.
-        let exponent = self.morris.exponent();
-        ErrorEnvelope::approx_count(self.a, exponent, self.ops.observed.load(Ordering::Relaxed))
-    }
-
-    fn snapshot(&self) -> (SnapshotState, ErrorEnvelope) {
-        self.ops.note_query();
-        let exponent = self.morris.exponent();
-        let observed = self.ops.observed.load(Ordering::Relaxed);
-        let envelope = ErrorEnvelope::approx_count(self.a, exponent, observed);
-        (SnapshotState::Morris { exponent }, envelope)
+        self.envelope(self.morris.exponent())
     }
 
     fn epoch(&self) -> u64 {
-        // The exponent is the whole state and only ever grows: it is
-        // its own update epoch.
+        // The exponent is the whole state: it is its own update epoch.
         self.morris.exponent() as u64
+    }
+
+    fn snapshot_since(&self, base: Option<u64>) -> (u64, DeltaChange, ErrorEnvelope) {
+        self.ops.note_query();
+        let exponent = self.morris.exponent();
+        let state = SnapshotState::Morris { exponent };
+        scalar_reply(base, exponent as u64, state, self.envelope(exponent))
     }
 
     fn op_stats(&self) -> ObjectStats {
@@ -1201,25 +1159,18 @@ impl AtomicApply for ServedMorris {
         for _ in 0..weight.min(MORRIS_MAX_EVENTS_PER_UPDATE) {
             self.morris.update();
         }
-        self.ops.note_update(weight);
+        self.ops.note_updates(1, weight);
     }
 
-    fn absorb_state(&self, state: &SnapshotState) -> Result<(), MergeError> {
-        let mut sink = self;
-        state.absorb_into(&mut sink)
-    }
-
-    fn note_absorbed(&self, weight: u64) {
-        self.ops.note_absorbed(weight);
-    }
-}
-
-/// The Morris counter's absorb sink: raise the exponent to at least
-/// the peer's (exponent max is the Morris merge; no coins are
-/// involved, so there is nothing to fingerprint).
-impl AbsorbSink for &ServedMorris {
-    fn absorb_morris(&mut self, exponent: u32) -> Result<(), MergeError> {
-        self.morris.raise_to(exponent);
+    /// Raises the exponent to at least the peer's (exponent max is the
+    /// Morris merge; no coins are involved, so there is nothing to
+    /// fingerprint).
+    fn absorb_state(&self, state: &SnapshotState, observed: u64) -> Result<(), MergeError> {
+        let SnapshotState::Morris { exponent } = state else {
+            return Err(foreign_kind(ObjectKind::Morris, state));
+        };
+        self.morris.raise_to(*exponent);
+        self.ops.note_absorbed(observed);
         Ok(())
     }
 }
@@ -1267,6 +1218,14 @@ impl ServedMinRegister {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The served envelope at `minimum`.
+    fn envelope(&self, minimum: u64) -> ErrorEnvelope {
+        ErrorEnvelope::Minimum {
+            minimum,
+            observed: self.ops.observed.load(Ordering::Relaxed),
+        }
+    }
 }
 
 impl ServedObject for ServedMinRegister {
@@ -1280,24 +1239,21 @@ impl ServedObject for ServedMinRegister {
 
     fn query(&self, _key: u64) -> ErrorEnvelope {
         self.ops.note_query();
-        ErrorEnvelope::Minimum {
-            minimum: self.reg.min(),
-            observed: self.ops.observed.load(Ordering::Relaxed),
-        }
+        self.envelope(self.reg.min())
     }
 
-    fn snapshot(&self) -> (SnapshotState, ErrorEnvelope) {
+    /// The minimum itself: it is the whole state, so equal minima are
+    /// equal states. (An epoch counted beside the `fetch_min` could lag
+    /// a lowering whose insert was already acknowledged.)
+    fn epoch(&self) -> u64 {
+        self.reg.min()
+    }
+
+    fn snapshot_since(&self, base: Option<u64>) -> (u64, DeltaChange, ErrorEnvelope) {
         self.ops.note_query();
         let minimum = self.reg.min();
-        let envelope = ErrorEnvelope::Minimum {
-            minimum,
-            observed: self.ops.observed.load(Ordering::Relaxed),
-        };
-        (SnapshotState::MinRegister { minimum }, envelope)
-    }
-
-    fn epoch(&self) -> u64 {
-        self.reg.epoch()
+        let state = SnapshotState::MinRegister { minimum };
+        scalar_reply(base, minimum, state, self.envelope(minimum))
     }
 
     fn op_stats(&self) -> ObjectStats {
@@ -1318,27 +1274,45 @@ impl ServedObject for ServedMinRegister {
 impl AtomicApply for ServedMinRegister {
     fn apply_one(&self, key: u64, weight: u64) {
         self.reg.insert(key);
-        self.ops.note_update(weight);
+        self.ops.note_updates(1, weight);
     }
 
-    fn absorb_state(&self, state: &SnapshotState) -> Result<(), MergeError> {
-        let mut sink = self;
-        state.absorb_into(&mut sink)
-    }
-
-    fn note_absorbed(&self, weight: u64) {
-        self.ops.note_absorbed(weight);
+    /// `fetch_min` with the peer's minimum (`u64::MAX` is the empty
+    /// sentinel and inserting it is a no-op join either way).
+    fn absorb_state(&self, state: &SnapshotState, observed: u64) -> Result<(), MergeError> {
+        let SnapshotState::MinRegister { minimum } = state else {
+            return Err(foreign_kind(ObjectKind::MinRegister, state));
+        };
+        self.reg.insert(*minimum);
+        self.ops.note_absorbed(observed);
+        Ok(())
     }
 }
 
-/// The min register's absorb sink: `fetch_min` with the peer's
-/// minimum (`u64::MAX` is the empty sentinel and inserting it is a
-/// no-op join either way).
-impl AbsorbSink for &ServedMinRegister {
-    fn absorb_min(&mut self, minimum: u64) -> Result<(), MergeError> {
-        self.reg.insert(minimum);
-        Ok(())
-    }
+/// The reply of a kind whose whole state is one scalar that is its own
+/// epoch: `Unchanged` when the client's cache holds it, the state
+/// otherwise.
+fn scalar_reply(
+    base: Option<u64>,
+    epoch: u64,
+    state: SnapshotState,
+    envelope: ErrorEnvelope,
+) -> (u64, DeltaChange, ErrorEnvelope) {
+    let change = if base == Some(epoch) {
+        DeltaChange::Unchanged
+    } else {
+        DeltaChange::Full(state)
+    };
+    (epoch, change, envelope)
+}
+
+/// The one refusal every served kind gives a pushed state of another
+/// kind (the wire's `MergeMismatch`).
+fn foreign_kind(served: ObjectKind, state: &SnapshotState) -> MergeError {
+    MergeError::new(format!(
+        "peer {} state does not match the served {served} object",
+        state.kind()
+    ))
 }
 
 /// Shared writer shape for the wait-free objects: updates go straight
@@ -1347,12 +1321,10 @@ trait AtomicApply: ServedObject {
     /// Applies one update to the shared object.
     fn apply_one(&self, key: u64, weight: u64);
 
-    /// Absorbs a peer's pushed state into the shared object (the
-    /// kind dispatch goes through [`ivl_merge::AbsorbSink`]).
-    fn absorb_state(&self, state: &SnapshotState) -> Result<(), MergeError>;
-
-    /// Credits absorbed acknowledged weight to the observed counter.
-    fn note_absorbed(&self, weight: u64);
+    /// Absorbs a peer's pushed state of this object's own kind into the
+    /// shared object and credits the `observed` weight it covers,
+    /// refusing every other kind.
+    fn absorb_state(&self, state: &SnapshotState, observed: u64) -> Result<(), MergeError>;
 }
 
 struct AtomicWriter<'a, T: AtomicApply + ?Sized> {
@@ -1375,9 +1347,7 @@ impl<T: AtomicApply + ?Sized> ObjectWriter for AtomicWriter<'_, T> {
     }
 
     fn absorb(&mut self, state: &SnapshotState, observed: u64) -> Result<(), MergeError> {
-        self.obj.absorb_state(state)?;
-        self.obj.note_absorbed(observed);
-        Ok(())
+        self.obj.absorb_state(state, observed)
     }
 
     fn flush(&mut self) {}
@@ -1761,8 +1731,8 @@ mod tests {
             DeltaChange::Unchanged
         );
 
-        // Morris and the min register use the epoch-only default:
-        // stale base → full state, current base → `Unchanged`.
+        // Morris and the min register are scalars that are their own
+        // epochs: stale base → full state, current base → `Unchanged`.
         for id in [2u32, 3] {
             let f = r.snapshot_since(id, u64::MAX).unwrap();
             assert!(matches!(f.change, DeltaChange::Full(_)));
@@ -1775,8 +1745,9 @@ mod tests {
     }
 
     /// Replays a polling client against one served HLL: `base` is the
-    /// epoch of the last reply, `cached` its registers.
-    fn poll_hll(hll: &ServedHll, base: &mut u64, cached: &mut Vec<u8>) -> bool {
+    /// epoch of the last reply (`None` before the first), `cached` its
+    /// registers.
+    fn poll_hll(hll: &ServedHll, base: &mut Option<u64>, cached: &mut Vec<u8>) -> bool {
         let (epoch, change, envelope) = hll.snapshot_since(*base);
         let unchanged = match change {
             DeltaChange::Unchanged => true,
@@ -1791,14 +1762,14 @@ mod tests {
             epoch,
             "the envelope counts the reply's registers"
         );
-        *base = epoch;
+        *base = Some(epoch);
         unchanged
     }
 
     #[test]
     fn hll_answers_unchanged_only_when_the_registers_equal_the_base_reply() {
         let hll = ServedHll::new(4, &mut CoinFlips::from_seed(3));
-        let (mut base, mut cached) = (u64::MAX, Vec::new());
+        let (mut base, mut cached) = (None, Vec::new());
         assert!(!poll_hll(&hll, &mut base, &mut cached));
         // Keys repeat, so some updates raise a register and some do not.
         for key in (0..400u64).map(|i| (i * 7) % 97) {
@@ -1827,7 +1798,7 @@ mod tests {
             });
             // Registers only grow, so a cache that covered an update
             // keeps covering it: each poll checks the newly acked keys.
-            let (mut base, mut cached) = (u64::MAX, Vec::new());
+            let (mut base, mut cached) = (None, Vec::new());
             let mut covered = 0;
             while covered < keys.len() {
                 let done = acked.load(Ordering::Acquire) as usize;
@@ -1843,6 +1814,120 @@ mod tests {
                 "a quiet poll is unchanged"
             );
         });
+    }
+
+    #[test]
+    fn equal_minima_give_equal_epochs() {
+        // Insert 5 then 3, against insert 3: the same minimum is the
+        // same state, so it must be the same epoch — a counter of
+        // lowering inserts would tell them apart, and could lag one.
+        let (twice, once) = (ServedMinRegister::new(), ServedMinRegister::new());
+        twice.apply_one(5, 1);
+        twice.apply_one(3, 1);
+        once.apply_one(3, 1);
+        assert_eq!(twice.epoch(), once.epoch());
+    }
+
+    #[test]
+    fn min_answers_unchanged_only_when_the_minimum_equals_the_base_reply() {
+        let reg = ServedMinRegister::new();
+        let (mut base, mut cached) = (None, None);
+        // Raises, repeats and lowered minima, down to 0 (an epoch that must
+        // not be special).
+        for key in [50u64, 70, 50, 20, 20, 90, 0, 0, 5] {
+            let before = reg.reg.min();
+            reg.apply_one(key, 1);
+            let after = reg.reg.min();
+            let (epoch, change, envelope) = reg.snapshot_since(base);
+            match change {
+                DeltaChange::Unchanged => assert!(base.is_some() && before == after),
+                DeltaChange::Full(SnapshotState::MinRegister { minimum }) => {
+                    assert!(base.is_none() || before != after, "{key}: needless full");
+                    cached = Some(minimum);
+                }
+                other => panic!("a min register answers unchanged or full, got {other:?}"),
+            }
+            assert_eq!(cached, Some(after));
+            assert_eq!((epoch, envelope.value()), (after, after));
+            base = Some(epoch);
+        }
+    }
+
+    #[test]
+    fn every_kind_answers_the_no_cache_base_in_full() {
+        // Fresh, an empty min register's epoch is `u64::MAX` itself;
+        // after the writes it holds 0. Neither may be taken for a
+        // client that has no cache.
+        let metrics = Metrics::new();
+        let r = registry();
+        let no_cache = |id: u32| {
+            let d = r.snapshot_since(id, u64::MAX).unwrap();
+            assert!(
+                matches!(d.change, DeltaChange::Full(_)),
+                "object {id}: the no-cache base must go full, got {:?}",
+                d.change
+            );
+            assert_eq!(r.snapshot(id).unwrap().state.kind(), d.kind);
+        };
+        for id in 0..4u32 {
+            no_cache(id);
+            let mut w = r.get(id).unwrap().writer(&metrics);
+            w.ensure_ready().unwrap();
+            w.apply(0, 3);
+            w.apply(41, 2);
+            w.release();
+            no_cache(id);
+        }
+        assert_eq!(r.get(3).unwrap().epoch(), 0);
+    }
+
+    #[test]
+    fn absorb_refuses_every_foreign_kind() {
+        // Each served kind absorbs its own kind's state and refuses the
+        // other three with a typed error, leaving its epoch and its
+        // acknowledged weight where they were.
+        let metrics = Metrics::new();
+        let (r, peer) = (registry(), registry());
+        for id in 0..4u32 {
+            let mut w = peer.get(id).unwrap().writer(&metrics);
+            w.ensure_ready().unwrap();
+            for key in [5u64, 9, 31] {
+                w.apply(key, 2);
+            }
+            w.release();
+        }
+        let states: Vec<SnapshotState> =
+            (0..4).map(|id| peer.snapshot(id).unwrap().state).collect();
+        for id in 0..4u32 {
+            let obj = r.get(id).unwrap();
+            for (from, state) in (0u32..).zip(&states) {
+                let (epoch, observed) = (obj.epoch(), obj.op_stats().observed);
+                let mut w = obj.writer(&metrics);
+                w.ensure_ready().unwrap();
+                let absorbed = w.absorb(state, 7);
+                w.release();
+                if from == id {
+                    absorbed.unwrap();
+                    assert_eq!(obj.op_stats().observed, observed + 7);
+                    continue;
+                }
+                let err: MergeError = absorbed.unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    format!(
+                        "peer {} state does not match the served {} object",
+                        state.kind(),
+                        obj.kind()
+                    )
+                );
+                assert_eq!(
+                    (obj.epoch(), obj.op_stats().observed),
+                    (epoch, observed),
+                    "object {id} moved on a refused {} state",
+                    state.kind()
+                );
+            }
+        }
     }
 
     #[test]

@@ -29,16 +29,18 @@
 //! `PUSH_STATE` was merged into the served object), `ERROR` 0xEE.
 //!
 //! Mergeable-state bodies (the kind-tagged cells/registers payloads of
-//! `SNAPSHOT`/`SNAPSHOT_DELTA`/`PUSH_STATE`) are encoded and decoded
-//! by the [`ivl_merge::MergeableState`] trait itself — the wire layer
-//! only frames them, so a state's byte layout is defined exactly once.
+//! `SNAPSHOT`/`SNAPSHOT_DELTA`/`PUSH_STATE`) and envelope bodies (the
+//! legacy untagged frequency body of `ENVELOPE`, the kind-tagged one
+//! of `ENVELOPE2` and the snapshot replies) are encoded and decoded by
+//! `ivl-merge`, next to the kinds themselves — the wire layer only
+//! frames them, so each byte layout is defined exactly once.
 
-use crate::envelope::{Envelope, ErrorEnvelope};
 use crate::metrics::{ObjectStats, StatsReport};
 use crate::objects::{
-    CellRun, DeltaChange, ObjectInfo, ObjectKind, ObjectSnapshot, SnapshotDelta, SnapshotState,
+    DeltaChange, ObjectInfo, ObjectKind, ObjectSnapshot, SnapshotDelta, SnapshotState,
 };
-use ivl_merge::MergeableState;
+use crate::{Envelope, ErrorEnvelope};
+use ivl_merge::{take_u32, take_u64, take_u8, MergeableState, SHORT_BODY};
 use std::fmt;
 use std::io::{self, Read};
 
@@ -287,24 +289,6 @@ const OP_SNAPSHOT_DELTA_REPLY: u8 = 0x88;
 const OP_ABSORBED: u8 = 0x89;
 const OP_ERROR: u8 = 0xEE;
 
-/// Change tags of the `SNAPSHOT_DELTA_REPLY` body (one per
-/// [`DeltaChange`] variant; cell runs are legal on a CountMin reply
-/// only, every other kind ships `Unchanged`/full). Tag 2, a retired HLL
-/// register range, decodes as an unknown tag.
-const DELTA_UNCHANGED: u8 = 0;
-const DELTA_CM_RUNS: u8 = 1;
-const DELTA_FULL: u8 = 3;
-
-/// Kind tags of the kind-tagged envelope body shared by `ENVELOPE2`
-/// and the `SNAPSHOT` reply (one per [`ErrorEnvelope`] variant; an
-/// *encoded* `ENVELOPE2` never carries `ENV_FREQUENCY` — frequency
-/// rides the legacy `ENVELOPE` — but decoding accepts it anywhere the
-/// tagged body appears).
-const ENV_FREQUENCY: u8 = 0;
-const ENV_CARDINALITY: u8 = 1;
-const ENV_APPROX_COUNT: u8 = 2;
-const ENV_MINIMUM: u8 = 3;
-
 /// Sequential reader over a frame body with schema-error reporting.
 struct Body<'a> {
     rest: &'a [u8],
@@ -316,34 +300,25 @@ impl<'a> Body<'a> {
     }
 
     fn u8(&mut self) -> Result<u8, WireError> {
-        let (&b, rest) = self
-            .rest
-            .split_first()
-            .ok_or(WireError::Malformed("body shorter than its schema"))?;
-        self.rest = rest;
-        Ok(b)
+        self.take(take_u8)
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        if self.rest.len() < 4 {
-            return Err(WireError::Malformed("body shorter than its schema"));
-        }
-        let (head, rest) = self.rest.split_at(4);
-        self.rest = rest;
-        Ok(u32::from_le_bytes(head.try_into().expect("4 bytes")))
+        self.take(take_u32)
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        if self.rest.len() < 8 {
-            return Err(WireError::Malformed("body shorter than its schema"));
-        }
-        let (head, rest) = self.rest.split_at(8);
-        self.rest = rest;
-        Ok(u64::from_le_bytes(head.try_into().expect("8 bytes")))
+        self.take(take_u64)
     }
 
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
+    /// Decodes the next section of the body with one of `ivl-merge`'s
+    /// readers or codecs, which own the state, change and envelope byte
+    /// layouts.
+    fn take<T>(
+        &mut self,
+        decode: impl FnOnce(&mut &'a [u8]) -> Result<T, &'static str>,
+    ) -> Result<T, WireError> {
+        decode(&mut self.rest).map_err(WireError::Malformed)
     }
 
     fn finish(self) -> Result<(), WireError> {
@@ -361,97 +336,6 @@ fn push_u32(buf: &mut Vec<u8>, v: u32) {
 
 fn push_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// The legacy `ENVELOPE` body field order (also the `ENV_FREQUENCY`
-/// tagged-body payload).
-fn push_frequency_body(buf: &mut Vec<u8>, env: &Envelope) {
-    push_u64(buf, env.key);
-    push_u64(buf, env.estimate);
-    push_u64(buf, env.epsilon);
-    push_u64(buf, env.stream_len);
-    push_u64(buf, env.alpha.to_bits());
-    push_u64(buf, env.delta.to_bits());
-    push_u64(buf, env.lag);
-}
-
-fn read_frequency_body(b: &mut Body<'_>) -> Result<Envelope, WireError> {
-    Ok(Envelope {
-        key: b.u64()?,
-        estimate: b.u64()?,
-        epsilon: b.u64()?,
-        stream_len: b.u64()?,
-        alpha: b.f64()?,
-        delta: b.f64()?,
-        lag: b.u64()?,
-    })
-}
-
-/// Appends a kind-tagged envelope body (`ENV_*` tag byte + fields) —
-/// the shared sub-encoding of `ENVELOPE2` and the `SNAPSHOT` reply.
-fn push_envelope(buf: &mut Vec<u8>, env: &ErrorEnvelope) {
-    match env {
-        ErrorEnvelope::Frequency(env) => {
-            buf.push(ENV_FREQUENCY);
-            push_frequency_body(buf, env);
-        }
-        ErrorEnvelope::Cardinality {
-            estimate,
-            rel_std_err,
-            registers,
-            register_sum,
-            observed,
-        } => {
-            buf.push(ENV_CARDINALITY);
-            push_u64(buf, estimate.to_bits());
-            push_u64(buf, rel_std_err.to_bits());
-            push_u64(buf, *registers);
-            push_u64(buf, *register_sum);
-            push_u64(buf, *observed);
-        }
-        ErrorEnvelope::ApproxCount {
-            estimate,
-            a,
-            exponent,
-            observed,
-        } => {
-            buf.push(ENV_APPROX_COUNT);
-            push_u64(buf, estimate.to_bits());
-            push_u64(buf, a.to_bits());
-            push_u32(buf, *exponent);
-            push_u64(buf, *observed);
-        }
-        ErrorEnvelope::Minimum { minimum, observed } => {
-            buf.push(ENV_MINIMUM);
-            push_u64(buf, *minimum);
-            push_u64(buf, *observed);
-        }
-    }
-}
-
-/// Reads a kind-tagged envelope body written by [`push_envelope`].
-fn read_envelope(b: &mut Body<'_>) -> Result<ErrorEnvelope, WireError> {
-    Ok(match b.u8()? {
-        ENV_FREQUENCY => ErrorEnvelope::Frequency(read_frequency_body(b)?),
-        ENV_CARDINALITY => ErrorEnvelope::Cardinality {
-            estimate: b.f64()?,
-            rel_std_err: b.f64()?,
-            registers: b.u64()?,
-            register_sum: b.u64()?,
-            observed: b.u64()?,
-        },
-        ENV_APPROX_COUNT => ErrorEnvelope::ApproxCount {
-            estimate: b.f64()?,
-            a: b.f64()?,
-            exponent: b.u32()?,
-            observed: b.u64()?,
-        },
-        ENV_MINIMUM => ErrorEnvelope::Minimum {
-            minimum: b.u64()?,
-            observed: b.u64()?,
-        },
-        _ => return Err(WireError::Malformed("unknown envelope kind tag")),
-    })
 }
 
 /// Appends one whole frame (prefix + opcode + body) built by `body` to
@@ -528,7 +412,7 @@ impl Request {
                 push_u32(b, *object);
                 b.push(state.kind().to_u8());
                 push_u64(b, *observed);
-                push_snapshot_state(b, state);
+                state.encode_into(b);
             }),
             Request::Stats => frame(buf, OP_STATS, |_| {}),
             Request::Objects => frame(buf, OP_OBJECTS, |_| {}),
@@ -585,7 +469,7 @@ impl Request {
                 let kind = ObjectKind::from_u8(b.u8()?)
                     .ok_or(WireError::Malformed("unknown object kind tag"))?;
                 let observed = b.u64()?;
-                let state = read_snapshot_state(&mut b, kind)?;
+                let state = b.take(|rest| SnapshotState::decode_from(kind, rest))?;
                 Request::PushState {
                     object,
                     observed,
@@ -647,26 +531,6 @@ pub fn decode_batch_into(
     Ok(Some(object))
 }
 
-/// Writes the kind-implied snapshot state body shared by the
-/// `SNAPSHOT_REPLY` frame, the full-change arm of the
-/// `SNAPSHOT_DELTA_REPLY` frame, and the `PUSH_STATE` request — a
-/// framing shim over [`MergeableState::encode_into`], which owns the
-/// byte layout.
-fn push_snapshot_state(b: &mut Vec<u8>, state: &SnapshotState) {
-    state.encode_into(b);
-}
-
-/// Reads a snapshot state body for `kind` (the inverse of
-/// [`push_snapshot_state`]) — a framing shim over
-/// [`MergeableState::decode_from`], which guards every allocation
-/// against lying dimension headers.
-fn read_snapshot_state(b: &mut Body<'_>, kind: ObjectKind) -> Result<SnapshotState, WireError> {
-    let mut rest = b.rest;
-    let state = SnapshotState::decode_from(kind, &mut rest).map_err(WireError::Malformed)?;
-    b.rest = rest;
-    Ok(state)
-}
-
 impl Response {
     /// Appends this response as one frame to `buf`.
     pub fn encode(&self, buf: &mut Vec<u8>) {
@@ -676,47 +540,21 @@ impl Response {
             // v1 peers see byte-identical responses; every other kind
             // (and the snapshot reply) uses the kind-tagged body.
             Response::Envelope(ErrorEnvelope::Frequency(env)) => {
-                frame(buf, OP_ENVELOPE, |b| push_frequency_body(b, env))
+                frame(buf, OP_ENVELOPE, |b| env.encode_into(b))
             }
-            Response::Envelope(env) => frame(buf, OP_ENVELOPE2, |b| push_envelope(b, env)),
+            Response::Envelope(env) => frame(buf, OP_ENVELOPE2, |b| env.encode_into(b)),
             Response::Snapshot(snap) => frame(buf, OP_SNAPSHOT_REPLY, |b| {
                 push_u32(b, snap.object);
                 b.push(snap.kind.to_u8());
-                push_snapshot_state(b, &snap.state);
-                push_envelope(b, &snap.envelope);
+                snap.state.encode_into(b);
+                snap.envelope.encode_into(b);
             }),
             Response::SnapshotDelta(delta) => frame(buf, OP_SNAPSHOT_DELTA_REPLY, |b| {
                 push_u32(b, delta.object);
                 b.push(delta.kind.to_u8());
                 push_u64(b, delta.epoch);
-                match &delta.change {
-                    DeltaChange::Unchanged => b.push(DELTA_UNCHANGED),
-                    DeltaChange::CmRuns {
-                        base_epoch,
-                        runs,
-                        values,
-                    } => {
-                        b.push(DELTA_CM_RUNS);
-                        push_u64(b, *base_epoch);
-                        push_u32(b, runs.len() as u32);
-                        // Each run's header is followed by its own
-                        // cells: the flat `values` is an in-memory
-                        // layout, not a wire change.
-                        for (run, cells) in CellRun::zip_values(runs, values) {
-                            push_u32(b, run.row);
-                            push_u32(b, run.lo);
-                            push_u32(b, run.len);
-                            for v in cells {
-                                push_u64(b, *v);
-                            }
-                        }
-                    }
-                    DeltaChange::Full(state) => {
-                        b.push(DELTA_FULL);
-                        push_snapshot_state(b, state);
-                    }
-                }
-                push_envelope(b, &delta.envelope);
+                delta.change.encode_into(b);
+                delta.envelope.encode_into(b);
             }),
             Response::Absorbed {
                 object,
@@ -763,15 +601,15 @@ impl Response {
         let rsp = match b.u8()? {
             OP_ACK => Response::Ack { applied: b.u64()? },
             OP_ENVELOPE => {
-                Response::Envelope(ErrorEnvelope::Frequency(read_frequency_body(&mut b)?))
+                Response::Envelope(ErrorEnvelope::Frequency(b.take(Envelope::decode_from)?))
             }
-            OP_ENVELOPE2 => Response::Envelope(read_envelope(&mut b)?),
+            OP_ENVELOPE2 => Response::Envelope(b.take(ErrorEnvelope::decode_from)?),
             OP_SNAPSHOT_REPLY => {
                 let object = b.u32()?;
                 let kind = ObjectKind::from_u8(b.u8()?)
                     .ok_or(WireError::Malformed("unknown object kind tag"))?;
-                let state = read_snapshot_state(&mut b, kind)?;
-                let envelope = read_envelope(&mut b)?;
+                let state = b.take(|rest| SnapshotState::decode_from(kind, rest))?;
+                let envelope = b.take(ErrorEnvelope::decode_from)?;
                 Response::Snapshot(ObjectSnapshot {
                     object,
                     kind,
@@ -784,39 +622,8 @@ impl Response {
                 let kind = ObjectKind::from_u8(b.u8()?)
                     .ok_or(WireError::Malformed("unknown object kind tag"))?;
                 let epoch = b.u64()?;
-                let change = match b.u8()? {
-                    DELTA_UNCHANGED => DeltaChange::Unchanged,
-                    DELTA_CM_RUNS => {
-                        if kind != ObjectKind::CountMin {
-                            return Err(WireError::Malformed(
-                                "cell runs on a non-CountMin delta reply",
-                            ));
-                        }
-                        let base_epoch = b.u64()?;
-                        let count = b.u32()?;
-                        let mut runs = Vec::with_capacity(count.min(1024) as usize);
-                        // Every cell is still ahead in the body, which
-                        // bounds the allocation against a lying header.
-                        let mut values = Vec::with_capacity(b.rest.len() / 8);
-                        for _ in 0..count {
-                            let row = b.u32()?;
-                            let lo = b.u32()?;
-                            let len = b.u32()?;
-                            for _ in 0..len {
-                                values.push(b.u64()?);
-                            }
-                            runs.push(CellRun { row, lo, len });
-                        }
-                        DeltaChange::CmRuns {
-                            base_epoch,
-                            runs,
-                            values,
-                        }
-                    }
-                    DELTA_FULL => DeltaChange::Full(read_snapshot_state(&mut b, kind)?),
-                    _ => return Err(WireError::Malformed("unknown delta change tag")),
-                };
-                let envelope = read_envelope(&mut b)?;
+                let change = b.take(|rest| DeltaChange::decode_from(kind, rest))?;
+                let envelope = b.take(ErrorEnvelope::decode_from)?;
                 Response::SnapshotDelta(SnapshotDelta {
                     object,
                     kind,
@@ -856,7 +663,7 @@ impl Response {
                         .ok_or(WireError::Malformed("unknown object kind tag"))?;
                     let len = b.u32()? as usize;
                     if b.rest.len() < len {
-                        return Err(WireError::Malformed("body shorter than its schema"));
+                        return Err(WireError::Malformed(SHORT_BODY));
                     }
                     let (raw, rest) = b.rest.split_at(len);
                     b.rest = rest;
@@ -872,7 +679,7 @@ impl Response {
                 let code = ErrorCode::from_u8(b.u8()?)?;
                 let len = b.u32()? as usize;
                 if b.rest.len() < len {
-                    return Err(WireError::Malformed("body shorter than its schema"));
+                    return Err(WireError::Malformed(SHORT_BODY));
                 }
                 let (msg, rest) = b.rest.split_at(len);
                 b.rest = rest;
@@ -1070,6 +877,11 @@ pub fn read_frame<R: Read>(r: &mut R, max_len: u32) -> Result<Option<Vec<u8>>, W
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CellRun;
+
+    /// The cell-runs change tag of a `SNAPSHOT_DELTA_REPLY` body, as the
+    /// wire carries it.
+    const DELTA_CM_RUNS: u8 = 1;
 
     fn roundtrip_request(req: &Request) -> Request {
         let mut buf = Vec::new();
@@ -1247,7 +1059,7 @@ mod tests {
 
     #[test]
     fn response_roundtrips() {
-        let env = crate::envelope::Envelope {
+        let env = Envelope {
             key: 5,
             estimate: 100,
             epsilon: 3,
@@ -1322,7 +1134,7 @@ mod tests {
 
     #[test]
     fn snapshot_responses_roundtrip() {
-        let freq = ErrorEnvelope::Frequency(crate::envelope::Envelope {
+        let freq = ErrorEnvelope::Frequency(Envelope {
             key: 5,
             estimate: 100,
             epsilon: 3,
@@ -1390,7 +1202,7 @@ mod tests {
 
     #[test]
     fn snapshot_delta_responses_roundtrip() {
-        let freq = ErrorEnvelope::Frequency(crate::envelope::Envelope {
+        let freq = ErrorEnvelope::Frequency(Envelope {
             key: 0,
             estimate: 0,
             epsilon: 3,
@@ -1489,7 +1301,7 @@ mod tests {
             kind: ObjectKind::CountMin,
             epoch: u64::MAX,
             change: DeltaChange::Unchanged,
-            envelope: ErrorEnvelope::Frequency(crate::envelope::Envelope {
+            envelope: ErrorEnvelope::Frequency(Envelope {
                 key: 0,
                 estimate: 0,
                 epsilon: 3,
@@ -1548,7 +1360,7 @@ mod tests {
                 expected.extend_from_slice(&cell.to_le_bytes());
             }
         }
-        push_envelope(&mut expected, &delta.envelope);
+        delta.envelope.encode_into(&mut expected);
         let mut buf = Vec::new();
         Response::SnapshotDelta(delta).encode(&mut buf);
         assert_eq!(buf[..4], (expected.len() as u32).to_le_bytes());
@@ -1776,7 +1588,7 @@ mod tests {
     /// a lint failure, so a new frame cannot ship untested.
     #[test]
     fn every_opcode_byte_matches_its_constant_and_roundtrips() {
-        let freq = crate::envelope::Envelope {
+        let freq = Envelope {
             key: 5,
             estimate: 100,
             epsilon: 3,
@@ -1915,6 +1727,353 @@ mod tests {
                 .unwrap()
                 .unwrap();
             assert_eq!(Response::decode(&payload).unwrap(), rsp);
+        }
+    }
+
+    /// Wire identity, pinned byte for byte. Every frame below is spelled
+    /// out literally, field by field, so a change to the encoder and the
+    /// decoder together — which every round-trip test above would pass —
+    /// still fails here.
+    mod golden_frames {
+        use crate::protocol::{read_frame, Request, Response, DEFAULT_MAX_FRAME_LEN};
+        use crate::{
+            CellRun, DeltaChange, Envelope, ErrorEnvelope, ObjectKind, ObjectSnapshot,
+            SnapshotDelta, SnapshotState,
+        };
+
+        fn unhex(hex: &str) -> Vec<u8> {
+            (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digits"))
+                .collect()
+        }
+
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        }
+
+        fn payload(golden: &str) -> Vec<u8> {
+            read_frame(&mut unhex(golden).as_slice(), DEFAULT_MAX_FRAME_LEN)
+                .unwrap()
+                .unwrap()
+        }
+
+        fn pin_response(rsp: Response, golden: &str) {
+            let mut buf = Vec::new();
+            rsp.encode(&mut buf);
+            assert_eq!(hex(&buf), golden, "encoding of {rsp:?}");
+            assert_eq!(Response::decode(&payload(golden)).unwrap(), rsp);
+        }
+
+        fn freq() -> ErrorEnvelope {
+            ErrorEnvelope::Frequency(Envelope {
+                key: 5,
+                estimate: 100,
+                epsilon: 3,
+                stream_len: 500,
+                alpha: 0.005,
+                delta: 0.01,
+                lag: 128,
+            })
+        }
+
+        fn card() -> ErrorEnvelope {
+            ErrorEnvelope::Cardinality {
+                estimate: 812.5,
+                rel_std_err: 0.016,
+                registers: 4,
+                register_sum: 8,
+                observed: 900,
+            }
+        }
+
+        fn approx() -> ErrorEnvelope {
+            ErrorEnvelope::ApproxCount {
+                estimate: 14.0,
+                a: 0.5,
+                exponent: 9,
+                observed: 15,
+            }
+        }
+
+        fn minimum() -> ErrorEnvelope {
+            ErrorEnvelope::Minimum {
+                minimum: 3,
+                observed: 44,
+            }
+        }
+
+        const FREQUENCY_FIELDS: &str = concat!(
+            "0500000000000000", // key
+            "6400000000000000", // estimate
+            "0300000000000000", // epsilon
+            "f401000000000000", // stream_len
+            "7b14ae47e17a743f", // alpha 0.005
+            "7b14ae47e17a843f", // delta 0.01
+            "8000000000000000", // lag
+        );
+
+        const CARDINALITY_BODY: &str = concat!(
+            "01",               // cardinality tag
+            "0000000000648940", // estimate 812.5
+            "fca9f1d24d62903f", // rel_std_err 0.016
+            "0400000000000000", // registers
+            "0800000000000000", // register_sum
+            "8403000000000000", // observed
+        );
+
+        const APPROX_COUNT_BODY: &str = concat!(
+            "02",               // approx-count tag
+            "0000000000002c40", // estimate 14.0
+            "000000000000e03f", // a 0.5
+            "09000000",         // exponent
+            "0f00000000000000", // observed
+        );
+
+        const MINIMUM_BODY: &str = concat!(
+            "03",               // minimum tag
+            "0300000000000000", // minimum
+            "2c00000000000000", // observed
+        );
+
+        #[test]
+        fn envelope_frames_are_byte_identical() {
+            // The legacy untagged frequency body.
+            pin_response(
+                Response::Envelope(freq()),
+                &["39000000", "82", FREQUENCY_FIELDS].concat(),
+            );
+            pin_response(
+                Response::Envelope(card()),
+                &["2a000000", "83", CARDINALITY_BODY].concat(),
+            );
+            pin_response(
+                Response::Envelope(approx()),
+                &["1e000000", "83", APPROX_COUNT_BODY].concat(),
+            );
+            pin_response(
+                Response::Envelope(minimum()),
+                &["12000000", "83", MINIMUM_BODY].concat(),
+            );
+        }
+
+        #[test]
+        fn snapshot_replies_are_byte_identical() {
+            let snapshot = |object, kind, state, envelope| {
+                Response::Snapshot(ObjectSnapshot {
+                    object,
+                    kind,
+                    state,
+                    envelope,
+                })
+            };
+            pin_response(
+                snapshot(
+                    0,
+                    ObjectKind::CountMin,
+                    SnapshotState::CountMin {
+                        width: 3,
+                        depth: 2,
+                        hash_fp: 0xDEAD_BEEF,
+                        cells: vec![1, 2, 3, 4, 5, 6],
+                    },
+                    freq(),
+                ),
+                &[
+                    "7f000000",         // payload length
+                    "87",               // SNAPSHOT_REPLY
+                    "00000000",         // object
+                    "00",               // kind: CountMin
+                    "03000000",         // width
+                    "02000000",         // depth
+                    "efbeadde00000000", // hash_fp
+                    "0100000000000000", // cells
+                    "0200000000000000",
+                    "0300000000000000",
+                    "0400000000000000",
+                    "0500000000000000",
+                    "0600000000000000",
+                    "00", // frequency tag
+                    FREQUENCY_FIELDS,
+                ]
+                .concat(),
+            );
+            pin_response(
+                snapshot(
+                    1,
+                    ObjectKind::Hll,
+                    SnapshotState::Hll {
+                        hash_fp: 42,
+                        registers: vec![0, 7, 1, 0],
+                    },
+                    card(),
+                ),
+                &[
+                    "3f000000",         // payload length
+                    "87",               // SNAPSHOT_REPLY
+                    "01000000",         // object
+                    "01",               // kind: HLL
+                    "2a00000000000000", // hash_fp
+                    "04000000",         // register count
+                    "00070100",         // registers
+                    CARDINALITY_BODY,
+                ]
+                .concat(),
+            );
+            pin_response(
+                snapshot(
+                    2,
+                    ObjectKind::Morris,
+                    SnapshotState::Morris { exponent: 9 },
+                    approx(),
+                ),
+                &[
+                    "27000000", // payload length
+                    "87",       // SNAPSHOT_REPLY
+                    "02000000", // object
+                    "02",       // kind: Morris
+                    "09000000", // exponent
+                    APPROX_COUNT_BODY,
+                ]
+                .concat(),
+            );
+            pin_response(
+                snapshot(
+                    3,
+                    ObjectKind::MinRegister,
+                    SnapshotState::MinRegister { minimum: 3 },
+                    minimum(),
+                ),
+                &[
+                    "1f000000",         // payload length
+                    "87",               // SNAPSHOT_REPLY
+                    "03000000",         // object
+                    "03",               // kind: min register
+                    "0300000000000000", // minimum
+                    MINIMUM_BODY,
+                ]
+                .concat(),
+            );
+        }
+
+        #[test]
+        fn snapshot_delta_replies_are_byte_identical() {
+            pin_response(
+                Response::SnapshotDelta(SnapshotDelta {
+                    object: 0,
+                    kind: ObjectKind::CountMin,
+                    epoch: 17,
+                    change: DeltaChange::Unchanged,
+                    envelope: freq(),
+                }),
+                &[
+                    "48000000",         // payload length
+                    "88",               // SNAPSHOT_DELTA_REPLY
+                    "00000000",         // object
+                    "00",               // kind: CountMin
+                    "1100000000000000", // epoch
+                    "00",               // change: unchanged
+                    "00",               // frequency tag
+                    FREQUENCY_FIELDS,
+                ]
+                .concat(),
+            );
+            pin_response(
+                Response::SnapshotDelta(SnapshotDelta {
+                    object: 0,
+                    kind: ObjectKind::CountMin,
+                    epoch: 21,
+                    change: DeltaChange::CmRuns {
+                        base_epoch: 17,
+                        runs: vec![
+                            CellRun {
+                                row: 0,
+                                lo: 3,
+                                len: 2,
+                            },
+                            CellRun {
+                                row: 2,
+                                lo: 7,
+                                len: 1,
+                            },
+                        ],
+                        values: vec![5, 9, 1],
+                    },
+                    envelope: freq(),
+                }),
+                &[
+                    "84000000",         // payload length
+                    "88",               // SNAPSHOT_DELTA_REPLY
+                    "00000000",         // object
+                    "00",               // kind: CountMin
+                    "1500000000000000", // epoch
+                    "01",               // change: cell runs
+                    "1100000000000000", // base epoch
+                    "02000000",         // run count
+                    "00000000",         // row
+                    "03000000",         // lo
+                    "02000000",         // len
+                    "0500000000000000", // cells
+                    "0900000000000000",
+                    "02000000",         // row
+                    "07000000",         // lo
+                    "01000000",         // len
+                    "0100000000000000", // cell
+                    "00",               // frequency tag
+                    FREQUENCY_FIELDS,
+                ]
+                .concat(),
+            );
+            pin_response(
+                Response::SnapshotDelta(SnapshotDelta {
+                    object: 3,
+                    kind: ObjectKind::MinRegister,
+                    epoch: 3,
+                    change: DeltaChange::Full(SnapshotState::MinRegister { minimum: 3 }),
+                    envelope: minimum(),
+                }),
+                &[
+                    "28000000",         // payload length
+                    "88",               // SNAPSHOT_DELTA_REPLY
+                    "03000000",         // object
+                    "03",               // kind: min register
+                    "0300000000000000", // epoch
+                    "03",               // change: full
+                    "0300000000000000", // minimum
+                    MINIMUM_BODY,
+                ]
+                .concat(),
+            );
+        }
+
+        #[test]
+        fn push_state_request_is_byte_identical() {
+            let req = Request::PushState {
+                object: 2,
+                observed: 501,
+                state: SnapshotState::CountMin {
+                    width: 2,
+                    depth: 1,
+                    hash_fp: 0xDEAD_BEEF,
+                    cells: vec![4, 5],
+                },
+            };
+            let golden = concat!(
+                "2e000000",         // payload length
+                "16",               // PUSH_STATE
+                "02000000",         // object
+                "00",               // kind: CountMin
+                "f501000000000000", // observed
+                "02000000",         // width
+                "01000000",         // depth
+                "efbeadde00000000", // hash_fp
+                "0400000000000000", // cells
+                "0500000000000000",
+            );
+            let mut buf = Vec::new();
+            req.encode(&mut buf);
+            assert_eq!(hex(&buf), golden);
+            assert_eq!(Request::decode(&payload(golden)).unwrap(), req);
         }
     }
 }

@@ -962,7 +962,7 @@ mod tests {
             other => panic!("wanted CountMin state, got {other:?}"),
         }
         match snap.envelope {
-            crate::envelope::ErrorEnvelope::Frequency(env) => assert_eq!(env.stream_len, 7),
+            crate::ErrorEnvelope::Frequency(env) => assert_eq!(env.stream_len, 7),
             other => panic!("wanted frequency envelope, got {other:?}"),
         }
         let snap = c.snapshot(1).unwrap();
@@ -1042,7 +1042,7 @@ mod tests {
         );
         assert_eq!(env.stream_len, 10, "absorb credits the pushed weight");
         match b.object_id(1).query(0).unwrap() {
-            crate::envelope::ErrorEnvelope::Cardinality {
+            crate::ErrorEnvelope::Cardinality {
                 estimate, observed, ..
             } => {
                 assert!(
@@ -1054,7 +1054,7 @@ mod tests {
             other => panic!("wanted cardinality envelope, got {other:?}"),
         }
         match b.object_id(3).query(0).unwrap() {
-            crate::envelope::ErrorEnvelope::Minimum { minimum, .. } => {
+            crate::ErrorEnvelope::Minimum { minimum, .. } => {
                 assert_eq!(minimum, 17, "absorb joins the peer's minimum");
             }
             other => panic!("wanted minimum envelope, got {other:?}"),

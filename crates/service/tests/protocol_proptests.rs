@@ -4,12 +4,12 @@
 //! bytes are rejected with a protocol error — never a panic, never a
 //! bogus frame.
 
-use ivl_service::envelope::{Envelope, ErrorEnvelope};
 use ivl_service::metrics::{ObjectStats, StatsReport};
 use ivl_service::objects::{ObjectInfo, ObjectKind};
 use ivl_service::protocol::{
     read_frame, FrameDecoder, Request, Response, WireError, DEFAULT_MAX_FRAME_LEN, MAX_BATCH_ITEMS,
 };
+use ivl_service::{Envelope, ErrorEnvelope};
 use proptest::collection::vec;
 use proptest::prelude::*;
 

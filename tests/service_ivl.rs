@@ -180,7 +180,7 @@ fn small_serving_run_passes_the_exact_checker(backend: Backend) {
 #[derive(Debug, PartialEq)]
 struct MultiObjectOutcome {
     verdicts: Vec<(u32, String, String, usize, Option<bool>)>,
-    envelopes: Vec<(String, ivl_core::service::envelope::ErrorEnvelope)>,
+    envelopes: Vec<(String, ivl_core::service::ErrorEnvelope)>,
 }
 
 /// Serves a CountMin, an HLL, a Morris counter, and a min register
