@@ -7,8 +7,10 @@
 //! for strict, a one-entry sweep for sharded, a coalescing-table insert
 //! and amortized propagation for buffered. The `buffered_lease` and
 //! `batch32_buf64` rows run the served CountMin write path: a lease
-//! plus a scratch kept across frames as the write buffer. Committed
-//! results live in `BENCH_core.json`.
+//! plus a scratch kept across frames as the write buffer. The
+//! `frame4096` row is the benchmark's `ingest-bulk` frame shape without
+//! the socket, and `fastmod_rem` times the row hash's `% w` alone.
+//! Committed results live in `BENCH_core.json`.
 //!
 //! Beyond the usual criterion CLI, this bench accepts:
 //!
@@ -23,8 +25,10 @@ use criterion::{BenchmarkId, Criterion, Throughput};
 use ivl_concurrent::{BatchScratch, BufferedPcm, ConcurrentSketch, Pcm, ShardedPcm, SketchHandle};
 use ivl_service::protocol::MAX_BATCH_ITEMS;
 use ivl_sketch::countmin::CountMinParams;
+use ivl_sketch::hash::{FastMod, MixHash};
 use ivl_sketch::stream::ZipfStream;
 use ivl_sketch::CoinFlips;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const ALPHABET: usize = 10_000;
@@ -49,6 +53,9 @@ const FRAME_ALPHABET: usize = 512;
 /// pair measures this regime while the serving-default pair is
 /// reported alongside it (see EXPERIMENTS E20 for both).
 const FRAME_HOT_S: f64 = 1.5;
+/// Key alphabet of the `frame4096` row: the benchmark's `ingest-bulk`
+/// universe.
+const BULK_KEYS: usize = 1 << 20;
 
 fn params() -> CountMinParams {
     // α ≈ 0.1%, δ ≈ 1%: the dimensions a production deployment uses.
@@ -267,6 +274,42 @@ fn bench_batch_kernel(c: &mut Criterion, n: usize) {
             });
         });
     }
+
+    // The benchmark's `ingest-bulk` shape without the socket: full
+    // 4096-item frames of 2^20 scrambled Zipf keys into one lease of a
+    // two-shard α = 1e-4, δ = 0.01 sketch (about 1 MiB per shard).
+    let keys = MixHash::draw(&mut CoinFlips::from_seed(46));
+    let bulk: Vec<(u64, u64)> = ZipfStream::new(BULK_KEYS, ZIPF_S, 46)
+        .take(n)
+        .map(|rank| (keys.hash(rank), 1))
+        .collect();
+    let bulk_params = CountMinParams::for_bounds(1e-4, 0.01);
+    group.bench_function(BenchmarkId::new("frame4096", "z=1.1"), |b| {
+        b.iter_custom(|iters| {
+            timed_passes(iters, &[], |coins, _| {
+                let sketch = ShardedPcm::new(bulk_params, 2, coins);
+                let mut lease = sketch.lease().expect("fresh sketch has free shards");
+                let mut scratch =
+                    BatchScratch::with_capacity(bulk_params.depth, MAX_BATCH_ITEMS as usize);
+                let start = Instant::now();
+                for frame in bulk.chunks(MAX_BATCH_ITEMS as usize) {
+                    lease.apply_batch(frame, &mut scratch);
+                }
+                start.elapsed()
+            })
+        });
+    });
+
+    // The row hash's `% w` alone, at `ingest-bulk`'s width.
+    let wmod = FastMod::new(bulk_params.width as u64);
+    let inputs: Vec<u64> = bulk.iter().map(|&(k, _)| k).collect();
+    group.bench_function(BenchmarkId::new("fastmod_rem", bulk_params.width), |b| {
+        b.iter(|| {
+            black_box(&inputs)
+                .iter()
+                .fold(0u64, |acc, &x| acc ^ wmod.rem(x))
+        })
+    });
     group.finish();
 }
 

@@ -16,6 +16,15 @@
 //! single-writer store ([`ShardLease::sweep`]) and `Pcm`'s `fetch_add`
 //! (`Pcm::update_batch` and `BufferedPcm`'s flush).
 //!
+//! The coalescing table is open-addressed with linear probing over
+//! `u32` entry indices, twice the scratch's capacity in slots: 32 KiB
+//! at a 4096-item frame, which stays in L1. A probe confirms a key
+//! against the entry's own `keys[e]`, and a key's home slot is one
+//! Fibonacci multiply. Both were measured, not argued: inline
+//! `(u64, u32)` slots (128 KiB, no dependent load) and the SplitMix
+//! finalizer as the slot hash were each slower on full frames
+//! (EXPERIMENTS E24, DESIGN §13.2).
+//!
 //! The scratch is also the write buffer — the batched counter of
 //! Algorithm 2 with batch bound `b` ([`buffer`](BatchScratch::buffer)).
 //! Entries stay live across frames until the pending weight reaches
@@ -47,18 +56,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// costs ~2 ns/cell when it doesn't).
 const PREFETCH_DIST: usize = 16;
 
-/// Free-slot marker in the coalescing table's entry half (a scratch
-/// holds at most its capacity ≪ `u32::MAX` distinct keys).
+/// Free-slot marker in the coalescing table (a scratch holds at most
+/// its capacity ≪ `u32::MAX` distinct keys).
 const EMPTY: u32 = u32::MAX;
 
-/// SplitMix64 finalizer: spreads key bits for the coalescing table.
-/// Only placement in the *local* table depends on it, never sketch
+/// A key's home slot in a table of `2^(64 − shift)` slots: Fibonacci
+/// hashing, one multiply by `2^64/φ` keeping the top bits. Only
+/// placement in the *local* table depends on it, never sketch
 /// contents, so it needs no drawn randomness.
 #[inline]
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+fn home(key: u64, shift: u32) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
 }
 
 /// Reusable write scratch: a coalescing table over pending updates plus
@@ -84,11 +92,14 @@ pub struct BatchScratch {
     cap: usize,
     /// Live distinct keys (`entries` below).
     len: usize,
-    /// Open-addressed key → entry table. The key is stored *in* the
-    /// slot so a probe is one 16-byte load with no dependent lookup
-    /// into `keys`; [`EMPTY`] in the entry half marks a free slot.
-    slots: Vec<(u64, u32)>,
+    /// Open-addressed key → entry table of `u32` entry indices, a probe
+    /// confirming its key against `keys[e]`; [`EMPTY`] marks a free
+    /// slot. Twice `cap` slots of 4 bytes: 32 KiB at a 4096-item frame,
+    /// which fits L1.
+    slots: Vec<u32>,
     mask: usize,
+    /// `64 − log2(slots.len())`, the [`home`] shift.
+    shift: u32,
     /// Distinct keys in first-seen order (first `len` live).
     keys: Vec<u64>,
     /// Coalesced weight per distinct key (first `len` live).
@@ -123,6 +134,7 @@ impl BatchScratch {
             len: 0,
             slots: Vec::new(),
             mask: 0,
+            shift: 0,
             keys: Vec::new(),
             counts: Vec::new(),
             slot_of: Vec::new(),
@@ -143,8 +155,9 @@ impl BatchScratch {
     fn grow(&mut self, max_items: usize) {
         self.cap = max_items.next_power_of_two();
         let slots = self.cap * 2;
-        self.slots = vec![(0, EMPTY); slots];
+        self.slots = vec![EMPTY; slots];
         self.mask = slots - 1;
+        self.shift = 64 - slots.trailing_zeros();
         self.keys = vec![0; self.cap];
         self.counts = vec![0; self.cap];
         self.slot_of = vec![0; self.cap];
@@ -172,7 +185,7 @@ impl BatchScratch {
     /// returns the pending weight it held.
     pub fn clear(&mut self) -> u64 {
         for &i in &self.slot_of[..self.len] {
-            self.slots[i as usize] = (0, EMPTY);
+            self.slots[i as usize] = EMPTY;
         }
         self.len = 0;
         std::mem::take(&mut self.pending)
@@ -199,10 +212,9 @@ impl BatchScratch {
             );
             self.grow(items.len());
         }
-        let cap = self.cap;
-        let mask = self.mask;
+        let (cap, mask, shift) = (self.cap, self.mask, self.shift);
         let slots = &mut self.slots[..];
-        let keys = &mut self.keys[..];
+        let keys = &mut self.keys[..cap];
         let counts = &mut self.counts[..];
         let slot_of = &mut self.slot_of[..];
         let cols = &mut self.cols[..];
@@ -210,15 +222,18 @@ impl BatchScratch {
         let mut len = self.len;
         let mut pending = self.pending;
         for &(key, weight) in items {
-            let mut i = mix(key) as usize & mask;
+            let mut i = home(key, shift);
             let e = loop {
-                let (k, e) = slots[i];
+                let e = slots[i];
                 // One merged exit test (`|`, not `||`): "stop here" is
                 // taken on nearly every first probe, so the only branch
-                // in the loop predicts well. Whether the stop was a
-                // free slot or a duplicate is resolved *below* by
-                // selects, not by a second (data-random) branch.
-                if (e == EMPTY) | (k == key) {
+                // in the loop predicts well. A free slot reads the
+                // (live or stale, never out-of-range) key `cap − 1`
+                // instead of branching around the compare; the stop is
+                // still fresh, and whether it was a free slot or a
+                // duplicate is resolved *below* by selects, not by a
+                // second (data-random) branch.
+                if (e == EMPTY) | (keys[e as usize & (cap - 1)] == key) {
                     break e;
                 }
                 i = (i + 1) & mask;
@@ -229,7 +244,7 @@ impl BatchScratch {
             // entry's own key/slot with identical values, which lets
             // the compiler lower the fresh/dup split to conditional
             // moves instead of a 30-70 random branch.
-            slots[i] = (key, idx as u32);
+            slots[i] = idx as u32;
             keys[idx] = key;
             slot_of[idx] = i as u32;
             counts[idx] = if fresh { weight } else { counts[idx] + weight };
@@ -339,6 +354,7 @@ impl BatchScratch {
 mod tests {
     use super::*;
     use ivl_sketch::CoinFlips;
+    use std::collections::HashMap;
 
     fn hashes(depth: usize, w: u64) -> Vec<PairwiseHash> {
         let mut coins = CoinFlips::from_seed(11);
@@ -387,10 +403,7 @@ mod tests {
         assert_eq!(s.clear(), 4, "clear hands back the pending weight");
         assert!(s.is_empty());
         assert_eq!(s.pending(), 0);
-        assert!(
-            s.slots.iter().all(|&(_, e)| e == EMPTY),
-            "a slot stayed dirty"
-        );
+        assert!(s.slots.iter().all(|&e| e == EMPTY), "a slot stayed dirty");
         // Keys seen before the clear start fresh entries.
         s.absorb(&hs, &[(2, 5)]);
         assert_eq!(entries(&s), [(2, 5)]);
@@ -443,6 +456,74 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Coalesced entries must equal a `HashMap` fold of the frame, in
+    /// first-seen order, with every distinct key's columns memoized.
+    fn assert_matches_reference(s: &BatchScratch, hs: &[PairwiseHash], frame: &[(u64, u64)]) {
+        let mut want: HashMap<u64, u64> = HashMap::new();
+        let mut order = Vec::new();
+        for &(k, w) in frame {
+            *want.entry(k).or_insert_with(|| {
+                order.push(k);
+                0
+            }) += w;
+        }
+        let want: Vec<(u64, u64)> = order.iter().map(|k| (*k, want[k])).collect();
+        assert_eq!(entries(s), want);
+        for (row, h) in hs.iter().enumerate() {
+            let direct: Vec<u32> = order.iter().map(|&k| h.hash(k) as u32).collect();
+            assert_eq!(s.row_cols(row), direct, "row {row}");
+        }
+    }
+
+    /// Keys chosen to share one probe run that starts two slots before
+    /// the table's end, so it wraps to slot 0: every probe past the
+    /// first confirms (and rejects) a live key, and the run crosses
+    /// the mask.
+    #[test]
+    fn one_wrapping_probe_run_coalesces_like_a_hash_map() {
+        let hs = hashes(3, 64);
+        let mut s = BatchScratch::with_capacity(3, 64);
+        let last = s.mask;
+        let run: Vec<u64> = (0u64..)
+            .filter(|&k| home(k, s.shift) >= last - 1)
+            .take(12)
+            .collect();
+        let frame: Vec<(u64, u64)> = run
+            .iter()
+            .chain(run.iter().rev())
+            .chain(&run[..5])
+            .enumerate()
+            .map(|(i, &k)| (k, i as u64 % 4))
+            .collect();
+        s.prepare(&hs, &frame);
+        assert_matches_reference(&s, &hs, &frame);
+        let used: Vec<usize> = s.slot_of[..s.len].iter().map(|&i| i as usize).collect();
+        assert!(
+            used.contains(&last) && used.contains(&0),
+            "the run must wrap"
+        );
+        s.clear();
+        assert!(s.slots.iter().all(|&e| e == EMPTY), "a slot stayed dirty");
+    }
+
+    /// A frame of `MAX_BATCH_ITEMS`-many distinct keys loads the table
+    /// to its full capacity (half its slots).
+    #[test]
+    fn an_all_distinct_full_capacity_frame_coalesces_like_a_hash_map() {
+        const FRAME: u64 = 4096;
+        let hs = hashes(5, 27_183);
+        let mut s = BatchScratch::with_capacity(5, FRAME as usize);
+        let frame: Vec<(u64, u64)> = (0..FRAME)
+            // An odd multiplier is a bijection: 4096 distinct keys.
+            .map(|i| (i.wrapping_mul(0xD6E8_FEB8_6659_FD93), i + 1))
+            .collect();
+        assert_eq!(s.prepare(&hs, &frame), FRAME as usize);
+        assert_eq!(s.cap, FRAME as usize, "no regrowth at capacity");
+        assert_matches_reference(&s, &hs, &frame);
+        s.clear();
+        assert!(s.slots.iter().all(|&e| e == EMPTY), "a slot stayed dirty");
     }
 
     #[test]

@@ -328,6 +328,18 @@ impl<'a> Body<'a> {
             Err(WireError::Malformed("trailing bytes after body"))
         }
     }
+
+    /// The rest of the body, which must be exactly `len` bytes: shorter
+    /// is the short-body error every field reader gives, longer the
+    /// trailing-bytes error of [`finish`](Self::finish).
+    fn rest_exactly(self, len: usize) -> Result<&'a [u8], WireError> {
+        let rest = self.rest;
+        if rest.len() < len {
+            return Err(WireError::Malformed(SHORT_BODY));
+        }
+        Body::new(&rest[len..]).finish()?;
+        Ok(rest)
+    }
 }
 
 fn push_u32(buf: &mut Vec<u8>, v: u32) {
@@ -356,18 +368,25 @@ pub fn encode_batch(buf: &mut Vec<u8>, object: u32, items: &[(u64, u64)]) {
     let op = if object == 0 { OP_BATCH } else { OP_BATCH2 };
     // The frame's size is known: one allocation, not a doubling chain
     // that ends with twice the frame.
-    buf.reserve(4 + 1 + 4 + 4 + 16 * items.len());
+    buf.reserve(4 + 1 + 4 + 4 + BATCH_RECORD * items.len());
     frame(buf, op, |b| {
         if object != 0 {
             push_u32(b, object);
         }
         push_u32(b, items.len() as u32);
-        for (k, w) in items {
-            push_u64(b, *k);
-            push_u64(b, *w);
+        // The records go into one resized region, 16 bytes each, with
+        // no per-field length bookkeeping.
+        let at = b.len();
+        b.resize(at + BATCH_RECORD * items.len(), 0);
+        for (record, (k, w)) in b[at..].chunks_exact_mut(BATCH_RECORD).zip(items) {
+            record[..8].copy_from_slice(&k.to_le_bytes());
+            record[8..].copy_from_slice(&w.to_le_bytes());
         }
     })
 }
+
+/// Bytes per `(key, weight)` record of a batch body.
+const BATCH_RECORD: usize = 16;
 
 impl Request {
     /// Appends this request as one frame to `buf`. Requests addressing
@@ -423,6 +442,12 @@ impl Request {
     /// Parses a request from a frame payload (opcode + body). v1
     /// opcodes decode with `object: 0`.
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
+        // Batches have one decoder, the in-place one; its length check
+        // precedes the allocation, so a hostile count sizes nothing.
+        let mut items = Vec::new();
+        if let Some(object) = decode_batch_into(payload, &mut items)? {
+            return Ok(Request::Batch { object, items });
+        }
         let mut b = Body::new(payload);
         let req = match b.u8()? {
             OP_UPDATE => Request::Update {
@@ -443,22 +468,6 @@ impl Request {
                 object: b.u32()?,
                 key: b.u64()?,
             },
-            op @ (OP_BATCH | OP_BATCH2) => {
-                let object = if op == OP_BATCH2 { b.u32()? } else { 0 };
-                let count = b.u32()?;
-                if count > MAX_BATCH_ITEMS {
-                    return Err(WireError::Malformed("batch exceeds MAX_BATCH_ITEMS"));
-                }
-                // Cap the pre-allocation: `count` is validated against
-                // MAX_BATCH_ITEMS above, but a hostile length should
-                // never size an allocation before the body bytes back
-                // it up (same pattern as the objects-list decode).
-                let mut items = Vec::with_capacity((count as usize).min(1024));
-                for _ in 0..count {
-                    items.push((b.u64()?, b.u64()?));
-                }
-                Request::Batch { object, items }
-            }
             OP_SNAPSHOT => Request::Snapshot { object: b.u32()? },
             OP_SNAPSHOT_SINCE => Request::SnapshotSince {
                 object: b.u32()?,
@@ -504,10 +513,14 @@ impl Request {
 /// allocation per frame. Returns `Ok(Some(object))` on a batch frame
 /// (with `items` cleared and refilled), `Ok(None)` when the payload is
 /// some other opcode (untouched — route it through
-/// [`Request::decode`]), and the same [`WireError`]s as the full
-/// decoder on a malformed batch. Growth of `items` is amortized: after
-/// one maximum-size frame (`MAX_BATCH_ITEMS`), steady-state decoding
-/// allocates nothing.
+/// [`Request::decode`]), and on a malformed batch the [`WireError`]
+/// [`Request::decode`] gives, which decodes batches through this
+/// function. The body length is checked against `count` once, before
+/// `items` is touched, so an error leaves `items` as it was and a
+/// hostile count never sizes an allocation the bytes do not back; the
+/// records are then read as 16-byte chunks. Growth of `items` is
+/// amortized: after one maximum-size frame (`MAX_BATCH_ITEMS`),
+/// steady-state decoding allocates nothing.
 pub fn decode_batch_into(
     payload: &[u8],
     items: &mut Vec<(u64, u64)>,
@@ -522,12 +535,14 @@ pub fn decode_batch_into(
     if count > MAX_BATCH_ITEMS {
         return Err(WireError::Malformed("batch exceeds MAX_BATCH_ITEMS"));
     }
+    let records = b.rest_exactly(BATCH_RECORD * count as usize)?;
+    let le = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
     items.clear();
-    items.reserve((count as usize).min(1024));
-    for _ in 0..count {
-        items.push((b.u64()?, b.u64()?));
-    }
-    b.finish()?;
+    items.extend(
+        records
+            .chunks_exact(BATCH_RECORD)
+            .map(|r| (le(&r[..8]), le(&r[8..]))),
+    );
     Ok(Some(object))
 }
 
@@ -1570,14 +1585,72 @@ mod tests {
             vec![(1, 1)],
             "non-batch payload must not clobber items"
         );
-        // Truncated batch body still errors.
-        let mut bad = vec![OP_BATCH];
-        bad.extend_from_slice(&2u32.to_le_bytes());
-        bad.extend_from_slice(&1u64.to_le_bytes());
-        assert!(matches!(
-            decode_batch_into(&bad, &mut items).unwrap_err(),
-            WireError::Truncated | WireError::Malformed(_)
-        ));
+        // Malformed batches: the in-place decoder gives the full
+        // decoder's error and leaves `items` untouched.
+        let batch = |op: u8, count: u32, body_bytes: usize| {
+            let mut payload = vec![op];
+            if op == OP_BATCH2 {
+                payload.extend_from_slice(&9u32.to_le_bytes());
+            }
+            payload.extend_from_slice(&count.to_le_bytes());
+            payload.extend((0..body_bytes).map(|i| i as u8));
+            payload
+        };
+        let short = WireError::Malformed(SHORT_BODY);
+        let trailing = WireError::Malformed("trailing bytes after body");
+        let oversized = WireError::Malformed("batch exceeds MAX_BATCH_ITEMS");
+        for op in [OP_BATCH, OP_BATCH2] {
+            for (payload, want) in [
+                (batch(op, 2, 8), short.clone()),
+                (batch(op, 2, 31), short.clone()),
+                (batch(op, 2, 33), trailing.clone()),
+                (batch(op, 0, 1), trailing.clone()),
+                (batch(op, MAX_BATCH_ITEMS + 1, 0), oversized.clone()),
+                (batch(op, u32::MAX, 16), oversized.clone()),
+                (batch(op, 3, 0)[..4].to_vec(), short.clone()),
+            ] {
+                assert_eq!(Request::decode(&payload).unwrap_err(), want);
+                assert_eq!(
+                    decode_batch_into(&payload, &mut items).unwrap_err(),
+                    want,
+                    "{payload:?}"
+                );
+                assert_eq!(items, vec![(1, 1)], "an error clobbered items");
+            }
+            // An empty batch is well formed.
+            let empty = batch(op, 0, 0);
+            let object = if op == OP_BATCH2 { 9 } else { 0 };
+            assert_eq!(decode_batch_into(&empty, &mut items).unwrap(), Some(object));
+            assert!(items.is_empty());
+            assert_eq!(
+                Request::decode(&empty).unwrap(),
+                Request::Batch {
+                    object,
+                    items: vec![]
+                }
+            );
+            items.push((1, 1));
+        }
+    }
+
+    /// A count the body does not back sizes no allocation: the length
+    /// check runs before `items` is touched.
+    #[test]
+    fn a_hostile_batch_count_over_a_short_body_allocates_nothing() {
+        let mut payload = vec![OP_BATCH];
+        payload.extend_from_slice(&MAX_BATCH_ITEMS.to_le_bytes());
+        payload.extend_from_slice(&[0; 16]);
+        let mut items: Vec<(u64, u64)> = Vec::new();
+        assert_eq!(
+            decode_batch_into(&payload, &mut items).unwrap_err(),
+            WireError::Malformed(SHORT_BODY)
+        );
+        assert_eq!(items.capacity(), 0);
+        let mut items = vec![(5, 5)];
+        let capacity = items.capacity();
+        assert!(decode_batch_into(&payload, &mut items).is_err());
+        assert_eq!(items.capacity(), capacity);
+        assert_eq!(items, [(5, 5)]);
     }
 
     /// Every wire opcode, exercised end-to-end: encode a
@@ -1735,7 +1808,9 @@ mod tests {
     /// decoder together — which every round-trip test above would pass —
     /// still fails here.
     mod golden_frames {
-        use crate::protocol::{read_frame, Request, Response, DEFAULT_MAX_FRAME_LEN};
+        use crate::protocol::{
+            decode_batch_into, encode_batch, read_frame, Request, Response, DEFAULT_MAX_FRAME_LEN,
+        };
         use crate::{
             CellRun, DeltaChange, Envelope, ErrorEnvelope, ObjectKind, ObjectSnapshot,
             SnapshotDelta, SnapshotState,
@@ -2043,6 +2118,57 @@ mod tests {
                     MINIMUM_BODY,
                 ]
                 .concat(),
+            );
+        }
+
+        #[test]
+        fn batch_requests_are_byte_identical() {
+            let pin = |req: Request, golden: &str| {
+                let mut buf = Vec::new();
+                req.encode(&mut buf);
+                assert_eq!(hex(&buf), golden, "encoding of {req:?}");
+                assert_eq!(Request::decode(&payload(golden)).unwrap(), req);
+                let Request::Batch { object, items } = req else {
+                    unreachable!("a batch request")
+                };
+                let mut direct = Vec::new();
+                encode_batch(&mut direct, object, &items);
+                assert_eq!(hex(&direct), golden, "encode_batch of {items:?}");
+                let mut decoded = Vec::new();
+                assert_eq!(
+                    decode_batch_into(&payload(golden), &mut decoded).unwrap(),
+                    Some(object)
+                );
+                assert_eq!(decoded, items);
+            };
+            pin(
+                Request::Batch {
+                    object: 0,
+                    items: vec![(7, 3), (0x0102_0304_0506_0708, u64::MAX)],
+                },
+                concat!(
+                    "25000000",         // payload length
+                    "03",               // BATCH
+                    "02000000",         // count
+                    "0700000000000000", // key
+                    "0300000000000000", // weight
+                    "0807060504030201", // key
+                    "ffffffffffffffff", // weight
+                ),
+            );
+            pin(
+                Request::Batch {
+                    object: 9,
+                    items: vec![(42, 1)],
+                },
+                concat!(
+                    "19000000",         // payload length
+                    "13",               // BATCH2
+                    "09000000",         // object
+                    "01000000",         // count
+                    "2a00000000000000", // key
+                    "0100000000000000", // weight
+                ),
             );
         }
 

@@ -14,19 +14,21 @@ use crate::coins::CoinFlips;
 /// The Mersenne prime `2^61 − 1`.
 pub const MERSENNE_61: u64 = (1 << 61) - 1;
 
-/// Reduces a 128-bit product modulo `2^61 − 1`.
+/// Reduces a 128-bit product modulo `2^61 − 1`, exactly for every
+/// `x < 2^122` (which covers `a·xr + b ≤ p·(p − 1)` for `a, xr, b < p`).
 #[inline]
 fn mod_mersenne61(x: u128) -> u64 {
-    // x = hi * 2^61 + lo, and 2^61 ≡ 1 (mod p). For inputs up to
-    // ~2^122, `hi` may itself reach p, so the fold can need two
-    // subtractions.
-    let lo = (x as u64) & MERSENNE_61;
-    let hi = (x >> 61) as u64;
-    let mut s = lo + hi;
-    while s >= MERSENNE_61 {
-        s -= MERSENNE_61;
+    debug_assert!(x >> 122 == 0, "input beyond the two-fold range");
+    // x = hi·2^61 + lo and 2^61 ≡ 1 (mod p). The first fold leaves
+    // s < 2^62, the second s ≤ 2^61 = p + 1, so one conditional
+    // subtract finishes — no loop, no data-dependent branch.
+    let s = ((x as u64) & MERSENNE_61) + (x >> 61) as u64;
+    let s = (s & MERSENNE_61) + (s >> 61);
+    if s >= MERSENNE_61 {
+        s - MERSENNE_61
+    } else {
+        s
     }
-    s
 }
 
 /// A pairwise-independent hash `x ↦ ((a·x + b) mod p) mod w` into
@@ -107,15 +109,20 @@ impl PairwiseHash {
     }
 }
 
-/// Exact strength-reduced `x % w` for a fixed divisor
-/// (Granlund–Montgomery / Lemire direct-remainder): a 128-bit magic
-/// `m = ⌈2^128 / w⌉` is precomputed once, after which a remainder is
-/// two multiplies — `(m·x mod 2^128) · w / 2^128` — instead of a
-/// hardware divide. Exact for every `x: u64` and `w ≥ 1`.
+/// Exact strength-reduced `x % w` for a fixed divisor: a 64-bit
+/// Barrett reduction. The magic `m = ⌊(2^64 − 1) / w⌋` is precomputed
+/// once; a remainder is then one widening multiply (the quotient
+/// estimate `q = ⌊m·x / 2^64⌋`), one low multiply (`r = x − q·w`) and
+/// one conditional subtract instead of a hardware divide.
+///
+/// Exact for every `x: u64` and `w ≥ 1`: writing `x = Q·w + R`,
+/// `m ≥ (2^64 − w)/w` gives `m·x / 2^64 ≥ x/w − x/2^64 > Q − 1`, and
+/// `m < 2^64/w` gives `m·x / 2^64 < x/w`, so `q ∈ {Q − 1, Q}` and
+/// `r ∈ [0, 2w)`; `r ≤ x` never overflows, even for `w > 2^63`.
 #[derive(Clone, Copy, Debug)]
 pub struct FastMod {
     w: u64,
-    m: u128,
+    m: u64,
 }
 
 impl FastMod {
@@ -126,12 +133,7 @@ impl FastMod {
     /// Panics if `w` is 0.
     pub fn new(w: u64) -> Self {
         assert!(w > 0, "divisor must be positive");
-        // ⌈2^128 / w⌉ computed as ⌊(2^128 − 1) / w⌋ + 1; for w = 1
-        // this wraps to 0, and m·x mod 2^128 = 0 ⇒ rem = 0 = x % 1.
-        FastMod {
-            w,
-            m: (u128::MAX / w as u128).wrapping_add(1),
-        }
+        FastMod { w, m: u64::MAX / w }
     }
 
     /// The divisor this magic was built for.
@@ -142,14 +144,13 @@ impl FastMod {
     /// `x % w`, exactly.
     #[inline]
     pub fn rem(&self, x: u64) -> u64 {
-        let low = self.m.wrapping_mul(x as u128);
-        // High 64 bits of the 128×64 product `low · w`, i.e.
-        // ⌊low · w / 2^128⌋: split low = hi·2^64 + lo and note the
-        // discarded fraction of `lo·w` can never carry past the floor.
-        let w = self.w as u128;
-        let hi = (low >> 64) * w;
-        let lo = (low & u64::MAX as u128) * w;
-        ((hi + (lo >> 64)) >> 64) as u64
+        let q = ((self.m as u128 * x as u128) >> 64) as u64;
+        let r = x - q * self.w;
+        if r >= self.w {
+            r - self.w
+        } else {
+            r
+        }
     }
 }
 
@@ -222,6 +223,29 @@ mod tests {
         }
     }
 
+    /// The edges of the fold's real inputs, `a·xr + b` with every
+    /// operand in `[0, p)`: all three at `p − 1` (the largest input,
+    /// `p·(p − 1)`), exact multiples of `p` (which must fold to 0, not
+    /// to `p`), and their neighbours.
+    #[test]
+    fn mersenne_reduction_is_exact_at_the_edges_of_its_inputs() {
+        let p = MERSENNE_61 as u128;
+        let mut inputs = vec![(p - 1) * (p - 1) + (p - 1), (p - 1) * (p - 1), p - 1, p + 1];
+        for k in [1, 2, 3, 1 << 30, p - 2, p - 1] {
+            inputs.extend([k * p - 1, k * p, k * p + 1]);
+        }
+        for a in [1, 2, p - 2, p - 1] {
+            for xr in [0, 1, p - 2, p - 1] {
+                for b in [0, 1, p - 1] {
+                    inputs.push(a * xr + b);
+                }
+            }
+        }
+        for x in inputs {
+            assert_eq!(mod_mersenne61(x), (x % p) as u64, "x={x}");
+        }
+    }
+
     #[test]
     fn hash_stays_in_range() {
         let mut coins = CoinFlips::from_seed(1);
@@ -271,11 +295,15 @@ mod tests {
             7,
             16,
             61,
+            544,
             2719,
+            27_183,
             65_536,
             (1 << 31) - 1,
             u32::MAX as u64,
+            1 << 32,
             MERSENNE_61,
+            (1 << 63) + 1,
             u64::MAX / 2,
             u64::MAX - 1,
             u64::MAX,
@@ -295,9 +323,48 @@ mod tests {
             for &s in &samples {
                 assert_eq!(f.rem(s), s % w, "x={s} w={w}");
             }
-            // Boundary values around the divisor itself.
-            for s in [w.wrapping_sub(1), w, w.wrapping_add(1)] {
+            // Boundary values around the divisor, the largest reduced
+            // hash input and the top of the range.
+            let edges = [
+                0,
+                w - 1,
+                w,
+                w.saturating_add(1),
+                w.saturating_mul(2).saturating_sub(1),
+                MERSENNE_61 - 1,
+                u64::MAX - 1,
+                u64::MAX,
+            ];
+            for s in edges {
                 assert_eq!(f.rem(s), s % w, "x={s} w={w}");
+            }
+        }
+    }
+
+    /// Seeded property: the strength-reduced row hash equals the
+    /// divide-based one over random draws of `(a, b, w)` — `w` from
+    /// 1 up to the whole `u64` range — and random reduced inputs.
+    #[test]
+    fn hash_reduced_fast_matches_hash_reduced_over_random_draws() {
+        let mut coins = CoinFlips::from_seed(31);
+        for _ in 0..2_000 {
+            let w = (coins.next_u64() >> coins.next_below(64)).max(1);
+            let h = PairwiseHash::draw(&mut coins, w);
+            let f = FastMod::new(w);
+            for _ in 0..16 {
+                let xr = PairwiseHash::reduce(coins.next_u64());
+                assert_eq!(
+                    h.hash_reduced_fast(xr, &f),
+                    h.hash_reduced(xr),
+                    "{h:?} xr={xr}"
+                );
+            }
+            for xr in [0, 1, MERSENNE_61 - 1] {
+                assert_eq!(
+                    h.hash_reduced_fast(xr, &f),
+                    h.hash_reduced(xr),
+                    "{h:?} xr={xr}"
+                );
             }
         }
     }
