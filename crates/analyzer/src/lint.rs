@@ -46,7 +46,9 @@
 //!    byte, e.g. `0x14`) in the README's frame table, and (by its
 //!    name) in `protocol.rs` test code — the round-trip suite — so
 //!    adding an opcode without documenting *and* testing it fails the
-//!    lint.
+//!    lint. The other direction holds too: every byte a frame-table
+//!    row names must be some `OP_*` constant's, so a deleted frame
+//!    cannot stay documented.
 //! 8. **served-objects** — every `impl ServedObject for <Type>` in
 //!    `crates/service` has a row in the "Served objects" table of
 //!    `crates/concurrent/ORDERINGS.md` naming the concurrent
@@ -444,11 +446,14 @@ fn check_frame_tags(root: &Path, report: &mut LintReport) {
     }
 }
 
-/// Cross-checks the `OP_*` opcode constants two ways: every opcode
-/// byte must appear (as `0xNN`) in a README frame-table line (a README
-/// line starting with `|`), and every opcode constant must be
-/// referenced by name from `protocol.rs` test code — the round-trip
-/// suite — so a new frame can land neither undocumented nor untested.
+/// Cross-checks the `OP_*` opcode constants three ways: every opcode
+/// byte must appear (as `0xNN`) in a README table line (a README line
+/// starting with `|`); every opcode constant must be referenced by
+/// name from `protocol.rs` test code — the round-trip suite — so a new
+/// frame can land neither undocumented nor untested; and every byte in
+/// a frame-table row (a table line whose second cell is a lone
+/// `` `0xNN` `` opcode) must be some opcode constant's, so a deleted
+/// frame cannot stay documented.
 fn check_frame_docs(root: &Path, report: &mut LintReport) {
     let path = root
         .join("crates")
@@ -471,23 +476,30 @@ fn check_frame_docs(root: &Path, report: &mut LintReport) {
     report.files_scanned += 1;
     // Bytes documented in README table rows.
     let mut documented: Vec<u8> = Vec::new();
-    for line in readme.lines() {
+    for (idx, line) in readme.lines().enumerate() {
         let line = line.trim_start();
         if !line.starts_with('|') {
             continue;
         }
-        let mut rest = line;
-        while let Some(at) = rest.find("0x") {
-            let hex: String = rest[at + 2..]
-                .chars()
-                .take_while(|c| c.is_ascii_hexdigit())
-                .collect();
-            if let Ok(v) = u8::from_str_radix(&hex, 16) {
-                if hex.len() <= 2 {
-                    documented.push(v);
-                }
+        let bytes = hex_bytes(line);
+        documented.extend(&bytes);
+        let opcode_cell = line.split('|').nth(2).map(str::trim);
+        let frame_row = opcode_cell
+            .is_some_and(|cell| cell.len() == 6 && cell.starts_with("`0x") && cell.ends_with('`'));
+        if !frame_row {
+            continue;
+        }
+        for byte in bytes {
+            if !ops.iter().any(|(_, value, _)| *value == byte) {
+                report.findings.push(LintFinding {
+                    check: "frame-docs",
+                    file: rel(root, &readme_path),
+                    line: idx + 1,
+                    message: format!(
+                        "the README frame table names byte {byte:#04x}, which no OP_* constant in protocol.rs carries; delete the row or reply (a removed frame must not stay documented)"
+                    ),
+                });
             }
-            rest = &rest[at + 2..];
         }
     }
     // Opcode names referenced from the file's `#[cfg(test)]` module —
@@ -519,6 +531,25 @@ fn check_frame_docs(root: &Path, report: &mut LintReport) {
             });
         }
     }
+}
+
+/// Every `0xNN` byte (one or two hex digits) written in `line`.
+fn hex_bytes(line: &str) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut rest = line;
+    while let Some(at) = rest.find("0x") {
+        let hex: String = rest[at + 2..]
+            .chars()
+            .take_while(|c| c.is_ascii_hexdigit())
+            .collect();
+        if let Ok(v) = u8::from_str_radix(&hex, 16) {
+            if hex.len() <= 2 {
+                bytes.push(v);
+            }
+        }
+        rest = &rest[at + 2..];
+    }
+    bytes
 }
 
 /// Parses "Served objects" rows from `ORDERINGS.md`:

@@ -358,6 +358,46 @@ fn untested_opcode_is_flagged() {
 }
 
 #[test]
+fn documented_frame_without_an_opcode_is_flagged() {
+    // A frame-table row (second cell a lone `0xNN`) whose request or
+    // reply byte no `OP_*` constant carries: the frame was deleted but
+    // stayed documented. Bytes in other tables and in prose are free.
+    let fx = Fixture::new("lint_fx_frame_stale");
+    fx.write("crates/service/src/lib.rs", CLEAN_LIB);
+    fx.write(
+        "crates/service/src/protocol.rs",
+        concat!(
+            "const OP_QUERY2: u8 = 0x12;\n",
+            "const OP_ENVELOPE2: u8 = 0x83;\n",
+            "#[cfg(test)]\n",
+            "mod tests {\n",
+            "    fn roundtrip() { let _ = (OP_QUERY2, OP_ENVELOPE2); }\n",
+            "}\n",
+        ),
+    );
+    fx.write(
+        "README.md",
+        concat!(
+            "| frame | opcode | body | reply |\n",
+            "|---|---|---|---|\n",
+            "| `QUERY2` | `0x12` | `object u32, key u64` | `ENVELOPE2 0x83` |\n",
+            "| `QUERY` | `0x02` | `key u64` | `ENVELOPE 0x82` |\n",
+            "| tag | byte |\n",
+            "| `ENV_MINIMUM` | 0x03 |\n",
+            "prose naming 0x7f is not a table row\n",
+        ),
+    );
+    let report = run_lints(&fx.root);
+    assert_eq!(report.findings.len(), 2, "{}", report.render());
+    for (f, byte) in report.findings.iter().zip(["0x02", "0x82"]) {
+        assert_eq!(f.check, "frame-docs");
+        assert_eq!((f.file.as_str(), f.line), ("README.md", 4));
+        assert!(f.message.contains(byte), "{}", f.message);
+        assert!(f.message.contains("no OP_* constant"), "{}", f.message);
+    }
+}
+
+#[test]
 fn unlisted_served_objects_are_flagged() {
     let fx = Fixture::new("lint_fx_served");
     fx.write("crates/service/src/lib.rs", CLEAN_LIB);

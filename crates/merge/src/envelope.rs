@@ -29,19 +29,16 @@
 //! dimensions.
 //!
 //! The byte layout lives here too, next to the state codec and on the
-//! same readers: [`Envelope::encode_into`] is the legacy untagged
-//! frequency body, [`ErrorEnvelope::encode_into`] the kind-tagged body
-//! the `ENVELOPE2`, `SNAPSHOT` and `SNAPSHOT_DELTA` frames carry. The
-//! wire layer only frames them.
+//! same readers: [`ErrorEnvelope::encode_into`] writes the kind-tagged
+//! body the `ENVELOPE2`, `SNAPSHOT` and `SNAPSHOT_DELTA` frames carry.
+//! The wire layer only frames it.
 
 use crate::{take_u32, take_u64, take_u8, MergePolicy};
 use ivl_sketch::hll::RegisterSummary;
 use std::fmt;
 
 /// Kind tags of the kind-tagged envelope body, one per [`ErrorEnvelope`]
-/// variant. An encoded `ENVELOPE2` frame never carries `ENV_FREQUENCY`
-/// — frequency rides the legacy `ENVELOPE` frame — but decoding
-/// accepts it anywhere the tagged body appears.
+/// variant.
 const ENV_FREQUENCY: u8 = 0;
 const ENV_CARDINALITY: u8 = 1;
 const ENV_APPROX_COUNT: u8 = 2;
@@ -124,11 +121,10 @@ impl Envelope {
         f_start <= self.upper_bound() && self.estimate <= f_end.saturating_add(self.epsilon)
     }
 
-    /// Appends the legacy untagged frequency body (little-endian; the
-    /// floats as IEEE-754 bit patterns): the whole body of an
-    /// `ENVELOPE` frame, and what follows the frequency tag in a
-    /// kind-tagged one.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    /// Appends the frequency fields (little-endian; the floats as
+    /// IEEE-754 bit patterns): what follows the frequency tag in a
+    /// kind-tagged body.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         put_u64s(
             out,
             &[
@@ -143,9 +139,9 @@ impl Envelope {
         );
     }
 
-    /// Decodes a frequency body from the front of `body`, consuming
+    /// Decodes the frequency fields from the front of `body`, consuming
     /// exactly the encoded bytes.
-    pub fn decode_from(body: &mut &[u8]) -> Result<Self, &'static str> {
+    fn decode_from(body: &mut &[u8]) -> Result<Self, &'static str> {
         Ok(Envelope {
             key: take_u64(body)?,
             estimate: take_u64(body)?,
@@ -273,8 +269,7 @@ impl ErrorEnvelope {
     }
 
     /// Appends the kind-tagged body: one tag byte, then the variant's
-    /// fields in declaration order (the frequency fields as
-    /// [`Envelope::encode_into`] writes them).
+    /// fields in declaration order.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             ErrorEnvelope::Frequency(env) => {

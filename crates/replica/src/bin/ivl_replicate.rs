@@ -104,6 +104,8 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) {
         let request = match Request::decode(&payload) {
             Ok(r) => r,
             Err(e) => {
+                // The frame was length-delimited, so the stream is
+                // still in sync: answer and read on at the next frame.
                 shared.metrics.record_protocol_error();
                 let rsp = Response::Error {
                     code: ErrorCode::Protocol,
@@ -111,8 +113,10 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) {
                 };
                 buf.clear();
                 rsp.encode(&mut buf);
-                let _ = stream.write_all(&buf);
-                return;
+                if stream.write_all(&buf).is_err() {
+                    return;
+                }
+                continue;
             }
         };
         if shared.shutdown.load(Ordering::Acquire) {

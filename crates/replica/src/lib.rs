@@ -1020,7 +1020,7 @@ impl ReplicaGroup {
                 _ => u64::MAX,
             };
             let (out0, in0) = c.wire_bytes();
-            let delta = c.snapshot_since(object, base)?;
+            let delta = c.object_id(object).snapshot_since(base)?;
             let (out1, in1) = c.wire_bytes();
             Ok((delta, c.generation(), out1 - out0, in1 - in0))
         })?;

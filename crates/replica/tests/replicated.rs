@@ -317,7 +317,7 @@ fn snapshot_merged_run(mode: ReplicaMode) {
         let merged = group.snapshot_merged(object).expect("merged snapshot");
         let fresh: Vec<ObjectSnapshot> = direct
             .iter_mut()
-            .map(|c| c.snapshot(object).expect("fresh snapshot"))
+            .map(|c| c.object_id(object).snapshot().expect("fresh snapshot"))
             .collect();
         let states: Vec<&SnapshotState> = fresh.iter().map(|s| &s.state).collect();
         assert_eq!(merged.object, object);
@@ -422,7 +422,10 @@ fn restarted_replica_never_gets_a_stale_epoch_delta() {
     // the dead server's had moved at cache time — the numeric
     // coincidence a stale base would be fooled by.
     let mut direct = ivl_service::Client::connect(addr.as_str()).expect("direct client");
-    direct.update(9, 1).expect("update the fresh server");
+    direct
+        .object_id(0)
+        .update(9, 1)
+        .expect("update the fresh server");
 
     let before = group.delta_stats();
     let read = group.query(0, 3).expect("query after restart");

@@ -13,8 +13,8 @@
 //!                             per-object operation rows
 //!   shutdown                  drain the server
 //!
-//! --object NAME routes update/query/batch to a named registered
-//! object (default: object 0, the v1-compatible CountMin).
+//! --object NAME routes update/query/batch/snapshot to a named
+//! registered object (default: object 0, whatever its kind).
 //! ```
 
 use ivl_service::client::Client;
@@ -45,24 +45,23 @@ fn run(args: &[String]) -> Result<(), String> {
     // Resolve the object roster once; --object addresses by wire id
     // from then on, so the lookup costs one extra roundtrip total.
     let object = match object {
-        Some(name) => Some(client.object(name).map_err(|e| e.to_string())?.id()),
-        None => None,
+        Some(name) => client.object(name).map_err(|e| e.to_string())?.id(),
+        None => 0,
     };
     match (command.as_str(), cmd_args) {
         ("update", [key, weight]) => {
             let key = key.parse().map_err(|_| "bad key")?;
             let weight = weight.parse().map_err(|_| "bad weight")?;
-            let applied = match object {
-                Some(id) => client.object_id(id).update(key, weight),
-                None => client.update(key, weight),
-            }
-            .map_err(|e| e.to_string())?;
+            let applied = client
+                .object_id(object)
+                .update(key, weight)
+                .map_err(|e| e.to_string())?;
             println!("ack: {applied} updates applied on this connection");
         }
         ("query", [key]) => {
             let key = key.parse().map_err(|_| "bad key")?;
             let env = client
-                .object_id(object.unwrap_or(0))
+                .object_id(object)
                 .query(key)
                 .map_err(|e| e.to_string())?;
             println!("{env}");
@@ -76,11 +75,10 @@ fn run(args: &[String]) -> Result<(), String> {
                     w.parse().map_err(|_| "bad weight")?,
                 ));
             }
-            let applied = match object {
-                Some(id) => client.object_id(id).batch(&pairs),
-                None => client.batch(&pairs),
-            }
-            .map_err(|e| e.to_string())?;
+            let applied = client
+                .object_id(object)
+                .batch(&pairs)
+                .map_err(|e| e.to_string())?;
             println!("ack: {applied} updates applied on this connection");
         }
         ("snapshot", rest) => {
@@ -96,7 +94,8 @@ fn run(args: &[String]) -> Result<(), String> {
             // and, unlike plain `SNAPSHOT`, carries the object epoch.
             let (_, in0) = client.wire_bytes();
             let delta = client
-                .snapshot_since(object.unwrap_or(0), since)
+                .object_id(object)
+                .snapshot_since(since)
                 .map_err(|e| e.to_string())?;
             println!(
                 "object {} [{}] at epoch {}",

@@ -1,21 +1,18 @@
 //! Blocking client for the sketch service.
 //!
 //! One request in flight at a time (lockstep request/response); use
-//! [`Client::batch`] to amortize round trips, or several clients for
-//! concurrency — the server shards per connection.
+//! [`ObjectHandle::batch`] to amortize round trips, or several clients
+//! for concurrency — the server shards per connection.
 //!
-//! The v1-era methods ([`Client::update`], [`Client::batch`],
-//! [`Client::query`]) address object 0 — always the default CountMin
-//! — and emit byte-identical v1 frames, so they interoperate with v1
-//! servers unchanged. To reach other registered objects, resolve a
-//! handle by name with [`Client::object`] (or by id with
+//! Updates, queries and snapshots address one registered object:
+//! resolve a handle by name with [`Client::object`] (or by id with
 //! [`Client::object_id`]) and issue requests through it; handles
 //! share the connection, so only one may be in flight at a time.
 
 use crate::metrics::StatsReport;
 use crate::objects::{ObjectInfo, ObjectSnapshot, SnapshotDelta, SnapshotState};
 use crate::protocol::{self, ErrorCode, FrameDecoder, Request, Response, WireError};
-use crate::{Envelope, ErrorEnvelope};
+use crate::ErrorEnvelope;
 use std::fmt;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -230,94 +227,6 @@ impl Client {
         }
     }
 
-    fn update_object(&mut self, object: u32, key: u64, weight: u64) -> Result<u64, ClientError> {
-        match self.roundtrip(&Request::Update {
-            object,
-            key,
-            weight,
-        })? {
-            Response::Ack { applied } => Ok(applied),
-            _ => Err(ClientError::Unexpected("wanted ACK")),
-        }
-    }
-
-    fn batch_object(&mut self, object: u32, items: &[(u64, u64)]) -> Result<u64, ClientError> {
-        self.send_frame(|buf| protocol::encode_batch(buf, object, items))?;
-        match self.read_response()? {
-            Response::Ack { applied } => Ok(applied),
-            _ => Err(ClientError::Unexpected("wanted ACK")),
-        }
-    }
-
-    fn query_object(&mut self, object: u32, key: u64) -> Result<ErrorEnvelope, ClientError> {
-        match self.roundtrip_idempotent(&Request::Query { object, key })? {
-            Response::Envelope(env) => Ok(env),
-            _ => Err(ClientError::Unexpected("wanted ENVELOPE")),
-        }
-    }
-
-    fn snapshot_object(&mut self, object: u32) -> Result<ObjectSnapshot, ClientError> {
-        match self.roundtrip_idempotent(&Request::Snapshot { object })? {
-            Response::Snapshot(snap) => Ok(snap),
-            _ => Err(ClientError::Unexpected("wanted SNAPSHOT_REPLY")),
-        }
-    }
-
-    fn snapshot_since_object(
-        &mut self,
-        object: u32,
-        base_epoch: u64,
-    ) -> Result<SnapshotDelta, ClientError> {
-        match self.roundtrip_idempotent(&Request::SnapshotSince { object, base_epoch })? {
-            Response::SnapshotDelta(delta) => Ok(delta),
-            _ => Err(ClientError::Unexpected("wanted SNAPSHOT_DELTA_REPLY")),
-        }
-    }
-
-    /// Ingests `weight` occurrences of `key` into object 0 (the
-    /// default CountMin); returns the connection's cumulative
-    /// applied-update count.
-    pub fn update(&mut self, key: u64, weight: u64) -> Result<u64, ClientError> {
-        self.update_object(0, key, weight)
-    }
-
-    /// Ingests many pairs under one frame (at most
-    /// [`protocol::MAX_BATCH_ITEMS`]) into object 0; returns the
-    /// cumulative applied-update count.
-    pub fn batch(&mut self, items: &[(u64, u64)]) -> Result<u64, ClientError> {
-        self.batch_object(0, items)
-    }
-
-    /// Queries `key`'s frequency on object 0; returns the estimate
-    /// inside its IVL error envelope.
-    pub fn query(&mut self, key: u64) -> Result<Envelope, ClientError> {
-        match self.query_object(0, key)? {
-            ErrorEnvelope::Frequency(env) => Ok(env),
-            _ => Err(ClientError::Unexpected("wanted a frequency envelope")),
-        }
-    }
-
-    /// Pulls a mergeable snapshot of object `object`'s state plus its
-    /// current envelope — the replication layer's read primitive.
-    pub fn snapshot(&mut self, object: u32) -> Result<ObjectSnapshot, ClientError> {
-        self.snapshot_object(object)
-    }
-
-    /// Asks object `object` what changed since `base_epoch` — the
-    /// delta-capable snapshot read. Pass `u64::MAX` (never a real
-    /// epoch) when holding no cached state; the reply is then a full
-    /// state. Beware reconnects: the retry inside is fine (the request
-    /// carries the base), but a cache written under an older
-    /// [`generation`](Self::generation) must be invalidated *before*
-    /// choosing `base_epoch`.
-    pub fn snapshot_since(
-        &mut self,
-        object: u32,
-        base_epoch: u64,
-    ) -> Result<SnapshotDelta, ClientError> {
-        self.snapshot_since_object(object, base_epoch)
-    }
-
     /// Writes a `SNAPSHOT_SINCE` request without waiting for the reply
     /// — the send half of a pipelined fan-out read across several
     /// servers. Pair with exactly one
@@ -414,9 +323,8 @@ impl Client {
 /// A request handle bound to one registered object on a [`Client`].
 ///
 /// Borrows the client, so requests remain lockstep: drop the handle
-/// (or let it fall out of scope) before issuing object-0 calls on the
-/// client directly. Handles for object 0 emit the same v1 frames the
-/// bare client methods do.
+/// (or let it fall out of scope) before issuing other calls on the
+/// client.
 #[derive(Debug)]
 pub struct ObjectHandle<'a> {
     client: &'a mut Client,
@@ -432,37 +340,73 @@ impl ObjectHandle<'_> {
     /// Ingests `weight` occurrences of `key` into this object;
     /// returns the connection's cumulative applied-update count.
     pub fn update(&mut self, key: u64, weight: u64) -> Result<u64, ClientError> {
-        self.client.update_object(self.object, key, weight)
+        match self.client.roundtrip(&Request::Update {
+            object: self.object,
+            key,
+            weight,
+        })? {
+            Response::Ack { applied } => Ok(applied),
+            _ => Err(ClientError::Unexpected("wanted ACK")),
+        }
     }
 
     /// Ingests many pairs under one frame (at most
     /// [`protocol::MAX_BATCH_ITEMS`]); returns the cumulative
     /// applied-update count.
     pub fn batch(&mut self, items: &[(u64, u64)]) -> Result<u64, ClientError> {
-        self.client.batch_object(self.object, items)
+        self.client
+            .send_frame(|buf| protocol::encode_batch(buf, self.object, items))?;
+        match self.client.read_response()? {
+            Response::Ack { applied } => Ok(applied),
+            _ => Err(ClientError::Unexpected("wanted ACK")),
+        }
     }
 
     /// Queries `key` on this object; returns the object's own error
     /// envelope form.
     pub fn query(&mut self, key: u64) -> Result<ErrorEnvelope, ClientError> {
-        self.client.query_object(self.object, key)
+        match self.client.roundtrip_idempotent(&Request::Query {
+            object: self.object,
+            key,
+        })? {
+            Response::Envelope(env) => Ok(env),
+            _ => Err(ClientError::Unexpected("wanted ENVELOPE")),
+        }
     }
 
-    /// Pulls a mergeable snapshot of this object's state.
+    /// Pulls a mergeable snapshot of this object's state plus its
+    /// current envelope — the replication layer's read primitive.
     pub fn snapshot(&mut self) -> Result<ObjectSnapshot, ClientError> {
-        self.client.snapshot_object(self.object)
+        match self.client.roundtrip_idempotent(&Request::Snapshot {
+            object: self.object,
+        })? {
+            Response::Snapshot(snap) => Ok(snap),
+            _ => Err(ClientError::Unexpected("wanted SNAPSHOT_REPLY")),
+        }
     }
 
-    /// Asks this object what changed since `base_epoch` (see
-    /// [`Client::snapshot_since`]).
+    /// Asks this object what changed since `base_epoch` — the
+    /// delta-capable snapshot read. Pass `u64::MAX` (never a real
+    /// epoch) when holding no cached state; the reply is then a full
+    /// state. Beware reconnects: the retry inside is fine (the request
+    /// carries the base), but a cache written under an older
+    /// [`generation`](Client::generation) must be invalidated *before*
+    /// choosing `base_epoch`.
     pub fn snapshot_since(&mut self, base_epoch: u64) -> Result<SnapshotDelta, ClientError> {
-        self.client.snapshot_since_object(self.object, base_epoch)
+        match self.client.roundtrip_idempotent(&Request::SnapshotSince {
+            object: self.object,
+            base_epoch,
+        })? {
+            Response::SnapshotDelta(delta) => Ok(delta),
+            _ => Err(ClientError::Unexpected("wanted SNAPSHOT_DELTA_REPLY")),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Envelope;
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -522,12 +466,13 @@ mod tests {
         let mut c = Client::connect(addr).unwrap();
         // First attempt dies mid-roundtrip; the client reconnects and
         // resends — two frames reach the fixture, one answer returns.
-        let env = c.query(5).unwrap();
+        let env = c.object_id(0).query(5).unwrap();
+        let env = env.frequency().unwrap();
         assert_eq!((env.key, env.estimate), (5, 7));
         assert_eq!(frames.load(Ordering::SeqCst), 2);
         // The reconnected stream keeps working without further drops.
-        let env = c.query(6).unwrap();
-        assert_eq!(env.key, 6);
+        let env = c.object_id(0).query(6).unwrap();
+        assert_eq!(env.frequency().unwrap().key, 6);
         assert_eq!(frames.load(Ordering::SeqCst), 3);
     }
 
@@ -536,7 +481,7 @@ mod tests {
         let (addr, _) = half_close_fixture(2);
         let mut c = Client::connect(addr).unwrap();
         let g0 = c.generation();
-        c.query(5).unwrap(); // first connection half-closes → reconnect
+        c.object_id(0).query(5).unwrap(); // first connection half-closes → reconnect
         let g1 = c.generation();
         assert_ne!(g0, g1, "reconnect must move the generation");
         let (out, inn) = c.wire_bytes();
@@ -552,7 +497,7 @@ mod tests {
     fn updates_are_never_silently_resent() {
         let (addr, frames) = half_close_fixture(u64::MAX);
         let mut c = Client::connect(addr).unwrap();
-        let err = c.update(5, 1).unwrap_err();
+        let err = c.object_id(0).update(5, 1).unwrap_err();
         assert!(
             Client::connection_died(&err),
             "wanted a dead-connection error, got {err:?}"
@@ -567,7 +512,7 @@ mod tests {
         let (addr, frames) = half_close_fixture(u64::MAX);
         let mut c = Client::connect(addr).unwrap();
         c.set_reconnect_limit(0);
-        let err = c.query(5).unwrap_err();
+        let err = c.object_id(0).query(5).unwrap_err();
         assert!(Client::connection_died(&err), "got {err:?}");
         assert_eq!(frames.load(Ordering::SeqCst), 1);
     }

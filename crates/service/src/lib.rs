@@ -17,12 +17,10 @@
 //!   writes). Either way each single-writer CountMin shard has
 //!   exactly one writing thread, so ingest is plain atomic stores —
 //!   no RMW, no lock — and the lease pool doubles as backpressure.
-//! * [`protocol`] — a compact length-prefixed binary wire format.
-//!   v1 frames (`UPDATE`/`QUERY`/`BATCH`/`STATS`/`SHUTDOWN`) address
-//!   object 0; v2 frames (`UPDATE2`/`QUERY2`/`BATCH2`/`OBJECTS`/
-//!   `SNAPSHOT`) carry an explicit object id, and object-0 requests
-//!   still encode in v1 form byte for byte, so old clients and
-//!   servers interoperate. `SNAPSHOT` serializes an object's
+//! * [`protocol`] — a compact length-prefixed binary wire format with
+//!   one generation: every object-addressed frame (`UPDATE2`/`QUERY2`/
+//!   `BATCH2`/`SNAPSHOT`/...) carries an explicit object id, and no
+//!   object, id 0 included, is special. `SNAPSHOT` serializes an object's
 //!   mergeable state for the replication layer (`ivl-replica`), and
 //!   `PUSH_STATE` carries a peer's state the other way — the absorb
 //!   half of replica catch-up (anti-entropy). The protocol only frames
@@ -42,8 +40,8 @@
 //!   replayed through [`ivl_spec`]'s IVL checkers.
 //! * [`client`] — a blocking client library used by the `ivl_client`
 //!   binary and the load generator in `ivl-bench`;
-//!   [`Client::object`] resolves named handles to non-default
-//!   objects.
+//!   [`Client::object`] resolves a name into an [`ObjectHandle`],
+//!   through which every per-object request goes.
 //!
 //! The point of the subsystem is the paper's thesis made operational:
 //! because the backing sketches are IVL (not linearizable — no

@@ -5,7 +5,7 @@
 //! made operational for the service: a [`ServedObject`] is any
 //! quantitative object the server can route wire requests to, an
 //! [`ObjectRegistry`] holds the named instances (object ids are
-//! registry indices, carried in every protocol-v2 frame), and each
+//! registry indices, carried in every object-addressed frame), and each
 //! object supplies its own error-envelope form
 //! ([`ErrorEnvelope`]) plus a sequential spec for
 //! verifying *its own projection* of a recorded run. The server checks
@@ -16,8 +16,7 @@
 //!
 //! * `cm` — the sharded CountMin ([`ServedCountMin`]): single-writer
 //!   shard leases, optional write buffering, the Theorem 6 frequency
-//!   envelope. Object 0 is always a CountMin so protocol-v1 frames
-//!   (which carry no object id) keep their exact old meaning.
+//!   envelope.
 //! * `hll` — [`ivl_concurrent::ConcurrentHll`]: `fetch_max` registers,
 //!   cardinality envelope with the standard-error bound, and the
 //!   monotone register-sum indicator as the checkable query value.
@@ -98,13 +97,6 @@ impl ObjectConfig {
     }
 }
 
-impl Default for ObjectConfig {
-    /// The default v1-compatible roster entry: a CountMin named "cm".
-    fn default() -> Self {
-        ObjectConfig::new("cm", ObjectKind::CountMin)
-    }
-}
-
 impl std::str::FromStr for ObjectConfig {
     type Err = String;
 
@@ -125,7 +117,7 @@ impl std::str::FromStr for ObjectConfig {
 /// A registry row as listed over the wire by `OBJECTS`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ObjectInfo {
-    /// Object id (the registry index carried in v2 frames).
+    /// Object id (the registry index carried in object-addressed frames).
     pub id: u32,
     /// Object kind.
     pub kind: ObjectKind,
@@ -273,8 +265,8 @@ pub trait ServedObject: Send + Sync + fmt::Debug {
         None
     }
 
-    /// Downcast hook for the CountMin (tests and the v1 compatibility
-    /// surface reach its sketch and spec through this).
+    /// Downcast hook for the CountMin (callers reach its sketch and
+    /// spec through [`ObjectRegistry::cm`]).
     fn as_count_min(&self) -> Option<&ServedCountMin> {
         None
     }
@@ -310,9 +302,8 @@ pub struct ObjectVerdict {
 }
 
 /// The named objects one server instance routes to. Object ids are
-/// indices into this registry and appear verbatim in v2 frames;
-/// object 0 is always a CountMin so v1 (object-id-less) frames keep
-/// their original meaning.
+/// indices into this registry and appear verbatim in every
+/// object-addressed frame; any kind may sit at any index.
 pub struct ObjectRegistry {
     entries: Vec<(String, Box<dyn ServedObject>)>,
 }
@@ -333,8 +324,7 @@ impl ObjectRegistry {
     ///
     /// # Panics
     ///
-    /// Panics if `objects` is empty, if object 0 is not a CountMin, or
-    /// if two objects share a name.
+    /// Panics if `objects` is empty or if two objects share a name.
     pub fn build(
         objects: &[ObjectConfig],
         alpha: f64,
@@ -344,11 +334,6 @@ impl ObjectRegistry {
         seed: u64,
     ) -> Self {
         assert!(!objects.is_empty(), "need at least one served object");
-        assert_eq!(
-            objects[0].kind,
-            ObjectKind::CountMin,
-            "object 0 must be a CountMin (the v1 frame target)"
-        );
         let mut entries: Vec<(String, Box<dyn ServedObject>)> = Vec::with_capacity(objects.len());
         for (idx, oc) in objects.iter().enumerate() {
             assert!(
@@ -1420,16 +1405,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "object 0 must be a CountMin")]
-    fn registry_rejects_non_cm_object_zero() {
-        ObjectRegistry::build(
-            &[ObjectConfig::new("h", ObjectKind::Hll)],
+    fn registry_serves_an_hll_as_object_zero() {
+        // Any kind may sit at index 0: a roster with no CountMin at all
+        // builds, routes, writes and reads like any other.
+        let r = ObjectRegistry::build(
+            &[ObjectConfig::new("hits", ObjectKind::Hll)],
             0.005,
             0.01,
             1,
             0,
             1,
         );
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.get(0).unwrap().kind(), ObjectKind::Hll);
+        assert!(r.cm(0).is_none());
+        assert_eq!(r.free_shards(), 0, "no lease pool without a CountMin");
+        let metrics = Metrics::new();
+        let mut w = r.get(0).unwrap().writer(&metrics);
+        w.ensure_ready().unwrap();
+        w.apply(7, 3);
+        w.release();
+        match r.get(0).unwrap().query(7) {
+            ErrorEnvelope::Cardinality { observed, .. } => assert_eq!(observed, 3),
+            other => panic!("wanted cardinality envelope, got {other:?}"),
+        }
+        let snap = r.snapshot(0).unwrap();
+        assert_eq!((snap.object, snap.kind), (0, ObjectKind::Hll));
+        assert_eq!(r.infos()[0].name, "hits");
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! the backend.
 //!
 //! An [`ObjectRegistry`] is shared by all connections: every update,
-//! query, or batch frame names one registered object by id (v1 frames
-//! implicitly name object 0, always a CountMin), and both backends
-//! route it through the object's [`ServedObject`] interface. For the
-//! CountMin that preserves the original discipline — in the threaded
-//! backend, the first update a connection sends checks out a
+//! query, or batch frame names one registered object by id, and both
+//! backends route it through the object's
+//! [`ServedObject`](crate::ServedObject) interface in one frame step
+//! (decode → route → apply). For the CountMin that preserves the
+//! original discipline — in the threaded backend, the first update a
+//! connection sends checks out a
 //! per-(object, shard) lease (a single-writer sub-matrix) and keeps it
 //! until the connection closes; in the event-loop backend each reactor
 //! thread leases once for all its connections. Either way the ingest
@@ -34,10 +35,7 @@
 
 use crate::metrics::{Metrics, StatsReport};
 use crate::objects::{ObjectConfig, ObjectKind, ObjectRegistry, ObjectVerdict, ObjectWriter};
-use crate::protocol::{self, ErrorCode, FrameDecoder, Request, Response};
-use crate::wspec::WeightedCmSpec;
-use ivl_concurrent::ShardedPcm;
-use ivl_sketch::countmin::CountMinParams;
+use crate::protocol::{self, ErrorCode, FrameDecoder, Request, Response, WireError};
 use ivl_spec::history::{History, ObjectId, ProcessId};
 use ivl_spec::record::Recorder;
 use polling::Poller;
@@ -113,8 +111,7 @@ pub struct ServerConfig {
     pub record: bool,
     /// Seed for the objects' coin flips (hash functions).
     pub seed: u64,
-    /// The objects to register, in id order. Object 0 must be a
-    /// CountMin (the target of v1, object-id-less frames); CountMin
+    /// The objects to register, in id order, of any kinds. CountMin
     /// entries take their `(alpha, delta)`, `shards`, and
     /// `write_buffer` from this config.
     pub objects: Vec<ObjectConfig>,
@@ -313,22 +310,6 @@ pub struct JoinedServer {
 }
 
 impl JoinedServer {
-    /// The sequential spec of object 0's CountMin (carries the sampled
-    /// hashes); feed it with `history` to `check_ivl_monotone` /
-    /// `check_ivl_exact`.
-    pub fn spec(&self) -> WeightedCmSpec {
-        self.cm0().spec()
-    }
-
-    /// Object 0's drained sharded sketch.
-    pub fn sketch(&self) -> &ShardedPcm {
-        self.cm0().sketch()
-    }
-
-    fn cm0(&self) -> &crate::objects::ServedCountMin {
-        self.registry.cm(0).expect("object 0 is always a CountMin")
-    }
-
     /// Per-object verdicts for the recorded history (Theorem 1's
     /// locality as a table); `None` when recording was off.
     pub fn verdicts(&self) -> Option<Vec<ObjectVerdict>> {
@@ -382,15 +363,6 @@ impl ServerHandle {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The sketch dimensions of object 0's CountMin.
-    pub fn params(&self) -> CountMinParams {
-        self.shared()
-            .registry
-            .cm(0)
-            .expect("object 0 is always a CountMin")
-            .params()
     }
 
     /// A live metrics snapshot (same data `STATS` serves).
@@ -483,15 +455,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Vec<JoinHandle<()>
             Err(_) => continue,
         };
         if shared.metrics.active() >= shared.cfg.max_connections {
-            shared.metrics.connection_rejected();
-            let mut buf = Vec::new();
-            Response::Error {
-                code: ErrorCode::Busy,
-                message: "connection limit reached".into(),
-            }
-            .encode(&mut buf);
-            let mut stream = stream;
-            let _ = stream.write_all(&buf);
+            reject(stream, &shared);
             continue;
         }
         shared.metrics.connection_accepted();
@@ -510,25 +474,18 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Vec<JoinHandle<()>
     conns
 }
 
-/// Per-connection (threaded backend) or per-reactor (event loop)
-/// ingest scratch: the batch-frame items vector the fast-path decoder
-/// fills in place, plus the response encode buffer the threaded
-/// backend reuses across frames. Both grow to their high-water mark
-/// once and then serve every further frame allocation-free.
-#[derive(Debug, Default)]
-struct IngestScratch {
-    /// `decode_batch_into` target; capacity is amortized to the
-    /// largest batch seen (at most `MAX_BATCH_ITEMS`).
-    items: Vec<(u64, u64)>,
-    /// Response encode buffer (threaded backend; the reactor pools
-    /// outbox buffers per connection instead).
-    out: Vec<u8>,
-}
-
-fn send(stream: &mut TcpStream, buf: &mut Vec<u8>, rsp: &Response) -> bool {
-    buf.clear();
-    rsp.encode(buf);
-    stream.write_all(buf).is_ok()
+/// Turns a connection away at the accept gate (both backends; accepted
+/// sockets do not inherit the listener's nonblocking mode, so this
+/// small write is a plain blocking send).
+fn reject(mut stream: TcpStream, shared: &Shared) {
+    shared.metrics.connection_rejected();
+    let mut buf = Vec::new();
+    Response::Error {
+        code: ErrorCode::Busy,
+        message: "connection limit reached".into(),
+    }
+    .encode(&mut buf);
+    let _ = stream.write_all(&buf);
 }
 
 fn serve_connection(shared: &Shared, stream: TcpStream, conn: u32) {
@@ -545,73 +502,34 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn: u32) {
     // is also its write buffer.
     let mut updater = WriterSet::new(shared);
     let mut applied: u64 = 0;
-    // Resumable decoder + reusable scratch: the steady-state frame
+    // Resumable decoder + reusable buffers: the steady-state frame
     // loop below performs no heap allocation — bytes land in the
-    // decoder's ring, batch items land in `scratch.items`, responses
-    // encode into `scratch.out`.
+    // decoder's ring, batch items in `items`, responses encode into
+    // `out`.
     let mut decoder = FrameDecoder::new(shared.cfg.max_frame_len);
-    let mut scratch = IngestScratch::default();
+    let mut items = Vec::new();
+    let mut out = Vec::new();
     'serve: loop {
         // Drain every complete frame already buffered before reading
         // more bytes from the socket.
         loop {
-            let payload = match decoder.next_frame() {
-                Ok(Some(p)) => p,
+            let (response, close) = match decoder.next_frame() {
+                Ok(Some(payload)) => serve_frame(
+                    shared,
+                    &mut updater,
+                    &mut items,
+                    &mut applied,
+                    process,
+                    payload,
+                ),
                 Ok(None) => break,
-                Err(e) => {
-                    // The stream cannot be resynchronized (oversized
-                    // or zero-length prefix). Report and close.
-                    shared.metrics.record_protocol_error();
-                    let _ = send(
-                        &mut writer,
-                        &mut scratch.out,
-                        &Response::Error {
-                            code: ErrorCode::Protocol,
-                            message: e.to_string(),
-                        },
-                    );
-                    break 'serve;
-                }
+                // The stream cannot be resynchronized (oversized or
+                // zero-length prefix). Report and close.
+                Err(e) => (protocol_error(shared, e), true),
             };
-            shared.metrics.record_frame();
-            // Batch-frame fast path: decode straight into the reusable
-            // items vector and apply through the batch kernel, no
-            // `Request` materialized. Everything else (including a
-            // malformed batch) takes the full decoder.
-            let (response, close) = match protocol::decode_batch_into(payload, &mut scratch.items) {
-                Ok(Some(object)) => {
-                    shared.metrics.record_batch();
-                    (
-                        apply_updates(
-                            shared,
-                            &mut updater,
-                            &mut applied,
-                            process,
-                            object,
-                            &scratch.items,
-                        ),
-                        false,
-                    )
-                }
-                _ => match Request::decode(payload) {
-                    Ok(request) => {
-                        execute_request(shared, &mut updater, &mut applied, process, request)
-                    }
-                    Err(e) => {
-                        // The frame was length-delimited, so the stream
-                        // is still in sync: answer and keep serving.
-                        shared.metrics.record_protocol_error();
-                        (
-                            Response::Error {
-                                code: ErrorCode::Protocol,
-                                message: e.to_string(),
-                            },
-                            false,
-                        )
-                    }
-                },
-            };
-            if !send(&mut writer, &mut scratch.out, &response) || close {
+            out.clear();
+            response.encode(&mut out);
+            if writer.write_all(&out).is_err() || close {
                 break 'serve;
             }
         }
@@ -634,6 +552,47 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn: u32) {
     let _ = reader.read(&mut [0u8; 64]);
 }
 
+/// The one frame step both backends run on each length-delimited
+/// payload: decode → route → apply, returning `(response,
+/// close_after_send)`. A batch frame decodes straight into the
+/// caller's reusable `items` vector and applies through the batch
+/// kernel, with no `Request` materialized; every other frame takes the
+/// full decoder. A body that does not parse is answered with a typed
+/// `Protocol` error and the connection stays open: the frame was
+/// length-delimited, so the stream is still in sync.
+fn serve_frame<'a>(
+    shared: &'a Shared,
+    writers: &mut WriterSet<'a>,
+    items: &mut Vec<(u64, u64)>,
+    applied: &mut u64,
+    process: ProcessId,
+    payload: &[u8],
+) -> (Response, bool) {
+    shared.metrics.record_frame();
+    let decoded = match protocol::decode_batch_into(payload, items) {
+        Ok(Some(object)) => {
+            shared.metrics.record_batch();
+            let response = apply_updates(shared, writers, applied, process, object, items);
+            return (response, false);
+        }
+        Ok(None) => Request::decode(payload),
+        Err(e) => Err(e),
+    };
+    match decoded {
+        Ok(request) => execute_request(shared, writers, applied, process, request),
+        Err(e) => (protocol_error(shared, e), false),
+    }
+}
+
+/// The refusal for a frame that does not parse.
+fn protocol_error(shared: &Shared, e: WireError) -> Response {
+    shared.metrics.record_protocol_error();
+    Response::Error {
+        code: ErrorCode::Protocol,
+        message: e.to_string(),
+    }
+}
+
 /// The refusal for a frame naming no registered object.
 fn unknown_object(shared: &Shared, object: u32) -> Response {
     shared.metrics.record_protocol_error();
@@ -648,7 +607,7 @@ fn unknown_object(shared: &Shared, object: u32) -> Response {
 
 /// Executes one decoded request against the shared registry and
 /// returns `(response, close_after_send)`. Both backends funnel every
-/// request through here, which is what makes IVL semantics
+/// request through here (via [`serve_frame`]), which is what makes IVL semantics
 /// backend-invariant: the recorder calls, the per-object writer
 /// discipline, and the envelope construction are literally the same
 /// code.
@@ -834,6 +793,15 @@ mod tests {
     use super::*;
     use crate::client::Client;
 
+    /// Queries `key` on object 0, the default roster's CountMin.
+    fn freq(c: &mut Client, key: u64) -> crate::Envelope {
+        *c.object_id(0)
+            .query(key)
+            .unwrap()
+            .frequency()
+            .expect("a frequency envelope")
+    }
+
     fn config(shards: usize, record: bool) -> ServerConfig {
         config_with(Backend::Threaded, shards, record)
     }
@@ -851,9 +819,9 @@ mod tests {
     fn updates_queries_and_stats_over_the_wire() {
         let h = serve("127.0.0.1:0", config(2, false)).unwrap();
         let mut c = Client::connect(h.addr()).unwrap();
-        assert_eq!(c.update(7, 3).unwrap(), 1);
-        assert_eq!(c.batch(&[(7, 2), (9, 5)]).unwrap(), 3);
-        let env = c.query(7).unwrap();
+        assert_eq!(c.object_id(0).update(7, 3).unwrap(), 1);
+        assert_eq!(c.object_id(0).batch(&[(7, 2), (9, 5)]).unwrap(), 3);
+        let env = freq(&mut c, 7);
         assert!(env.estimate >= 5, "estimate {} < true 5", env.estimate);
         assert_eq!(env.stream_len, 10);
         assert!(env.alpha > 0.0 && env.delta > 0.0);
@@ -875,8 +843,8 @@ mod tests {
         let h = serve("127.0.0.1:0", config(1, false)).unwrap();
         let mut a = Client::connect(h.addr()).unwrap();
         let mut b = Client::connect(h.addr()).unwrap();
-        a.update(1, 1).unwrap();
-        let err = b.update(2, 1).unwrap_err();
+        a.object_id(0).update(1, 1).unwrap();
+        let err = b.object_id(0).update(2, 1).unwrap_err();
         assert!(
             matches!(
                 &err,
@@ -888,7 +856,7 @@ mod tests {
             "expected busy, got {err:?}"
         );
         // Queries are reads and never need a lease.
-        assert!(b.query(1).unwrap().estimate >= 1);
+        assert!(freq(&mut b, 1).estimate >= 1);
         // Dropping the leasing connection frees the shard for b; the
         // condvar wakes us without polling.
         drop(a);
@@ -896,7 +864,7 @@ mod tests {
             h.wait_for_free_shard(Duration::from_secs(5)),
             "shard never freed"
         );
-        b.update(2, 1).unwrap();
+        b.object_id(0).update(2, 1).unwrap();
         assert_eq!(h.stats().busy_rejections, 1);
     }
 
@@ -904,7 +872,7 @@ mod tests {
     fn wait_for_free_shard_times_out_while_leased() {
         let h = serve("127.0.0.1:0", config(1, false)).unwrap();
         let mut a = Client::connect(h.addr()).unwrap();
-        a.update(1, 1).unwrap();
+        a.object_id(0).update(1, 1).unwrap();
         assert!(!h.wait_for_free_shard(Duration::from_millis(50)));
         drop(a);
         assert!(h.wait_for_free_shard(Duration::from_secs(5)));
@@ -951,8 +919,8 @@ mod tests {
         };
         let h = serve("127.0.0.1:0", cfg).unwrap();
         let mut c = Client::connect(h.addr()).unwrap();
-        c.batch(&[(7, 2), (9, 5)]).unwrap();
-        let snap = c.snapshot(0).unwrap();
+        c.object_id(0).batch(&[(7, 2), (9, 5)]).unwrap();
+        let snap = c.object_id(0).snapshot().unwrap();
         assert_eq!((snap.object, snap.kind), (0, ObjectKind::CountMin));
         match &snap.state {
             SnapshotState::CountMin { width, cells, .. } => {
@@ -965,9 +933,9 @@ mod tests {
             crate::ErrorEnvelope::Frequency(env) => assert_eq!(env.stream_len, 7),
             other => panic!("wanted frequency envelope, got {other:?}"),
         }
-        let snap = c.snapshot(1).unwrap();
+        let snap = c.object_id(1).snapshot().unwrap();
         assert!(matches!(snap.state, SnapshotState::Hll { .. }));
-        let err = c.snapshot(9).unwrap_err();
+        let err = c.object_id(9).snapshot().unwrap_err();
         assert!(
             matches!(
                 &err,
@@ -1012,8 +980,8 @@ mod tests {
         let mut a = Client::connect(ha.addr()).unwrap();
         let mut b = Client::connect(hb.addr()).unwrap();
         // Grow the two servers on disjoint streams.
-        a.batch(&[(7, 2), (9, 5)]).unwrap();
-        b.batch(&[(7, 3)]).unwrap();
+        a.object_id(0).batch(&[(7, 2), (9, 5)]).unwrap();
+        b.object_id(0).batch(&[(7, 3)]).unwrap();
         for x in 0..200u64 {
             a.object_id(1).update(x, 1).unwrap();
         }
@@ -1025,7 +993,7 @@ mod tests {
         // Absorb every one of A's objects into B: afterward B answers
         // for the union of the two streams.
         for id in 0..4u32 {
-            let snap = a.snapshot(id).unwrap();
+            let snap = a.object_id(id).snapshot().unwrap();
             let observed = match id {
                 0 => 7,
                 1 => 200,
@@ -1034,7 +1002,7 @@ mod tests {
             };
             b.push_state(id, observed, snap.state).unwrap();
         }
-        let env = b.query(7).unwrap();
+        let env = freq(&mut b, 7);
         assert!(
             env.estimate >= 5,
             "union estimate {} < true 5",
@@ -1067,8 +1035,8 @@ mod tests {
         // merge-mismatch, not merged into nonsense.
         let hc = serve("127.0.0.1:0", cfg(2)).unwrap();
         let mut c = Client::connect(hc.addr()).unwrap();
-        c.update(7, 1).unwrap();
-        let alien = c.snapshot(0).unwrap();
+        c.object_id(0).update(7, 1).unwrap();
+        let alien = c.object_id(0).snapshot().unwrap();
         let err = b.push_state(0, 1, alien.state).unwrap_err();
         assert!(
             matches!(
@@ -1189,9 +1157,9 @@ mod tests {
     fn event_loop_updates_queries_and_stats_over_the_wire() {
         let h = serve("127.0.0.1:0", config_with(Backend::EventLoop, 2, false)).unwrap();
         let mut c = Client::connect(h.addr()).unwrap();
-        assert_eq!(c.update(7, 3).unwrap(), 1);
-        assert_eq!(c.batch(&[(7, 2), (9, 5)]).unwrap(), 3);
-        let env = c.query(7).unwrap();
+        assert_eq!(c.object_id(0).update(7, 3).unwrap(), 1);
+        assert_eq!(c.object_id(0).batch(&[(7, 2), (9, 5)]).unwrap(), 3);
+        let env = freq(&mut c, 7);
         assert!(env.estimate >= 5, "estimate {} < true 5", env.estimate);
         assert_eq!(env.stream_len, 10);
         let stats = c.stats().unwrap();
@@ -1220,9 +1188,9 @@ mod tests {
                 thread::spawn(move || {
                     let mut c = Client::connect(addr).unwrap();
                     for k in 0..per_client {
-                        c.update(t, 1).unwrap();
+                        c.object_id(0).update(t, 1).unwrap();
                         if k % 10 == 0 {
-                            let env = c.query(t).unwrap();
+                            let env = freq(&mut c, t);
                             assert!(env.estimate <= env.stream_len);
                         }
                     }
@@ -1239,7 +1207,7 @@ mod tests {
         assert_eq!(stats.busy_rejections, 0);
         for t in 0..clients {
             let mut c = Client::connect(addr).unwrap();
-            assert!(c.query(t).unwrap().estimate >= per_client, "key {t}");
+            assert!(freq(&mut c, t).estimate >= per_client, "key {t}");
         }
         h.join();
     }
@@ -1310,6 +1278,60 @@ mod tests {
         h.join();
     }
 
+    /// The retired object-id-less request frames (`UPDATE` 0x01,
+    /// `QUERY` 0x02, `BATCH` 0x03, sent with their old bodies) are
+    /// unassigned bytes now: each is answered with a typed `Protocol`
+    /// error, applies nothing, and leaves the connection serviceable.
+    fn retired_request_bytes_get_protocol_errors(backend: Backend) {
+        let h = serve("127.0.0.1:0", config_with(backend, 1, false)).unwrap();
+        let mut s = TcpStream::connect(h.addr()).unwrap();
+        let read_response = |s: &mut TcpStream| {
+            let payload = protocol::read_frame(s, protocol::DEFAULT_MAX_FRAME_LEN)
+                .unwrap()
+                .unwrap();
+            Response::decode(&payload).unwrap()
+        };
+        let key_weight = [7u64.to_le_bytes(), 3u64.to_le_bytes()].concat();
+        let batch = [&1u32.to_le_bytes()[..], &key_weight].concat();
+        for (op, body) in [
+            (0x01, &key_weight[..]),
+            (0x02, &key_weight[..8]),
+            (0x03, &batch),
+        ] {
+            s.write_all(&(1 + body.len() as u32).to_le_bytes()).unwrap();
+            s.write_all(&[op]).unwrap();
+            s.write_all(body).unwrap();
+            match read_response(&mut s) {
+                Response::Error { code, message } => {
+                    assert_eq!(code, ErrorCode::Protocol);
+                    assert!(message.contains(&format!("0x{op:02x}")), "{message}");
+                }
+                other => panic!("{backend}: byte {op:#04x} answered {other:?}"),
+            }
+        }
+        let mut buf = Vec::new();
+        Request::Query { object: 0, key: 7 }.encode(&mut buf);
+        s.write_all(&buf).unwrap();
+        match read_response(&mut s) {
+            Response::Envelope(env) => assert_eq!(env.observed(), 0, "nothing was applied"),
+            other => panic!("{backend}: QUERY2 answered {other:?}"),
+        }
+        let stats = h.stats();
+        assert_eq!((stats.protocol_errors, stats.updates), (3, 0));
+        drop(s);
+        h.join();
+    }
+
+    #[test]
+    fn retired_request_bytes_get_protocol_errors_threaded() {
+        retired_request_bytes_get_protocol_errors(Backend::Threaded);
+    }
+
+    #[test]
+    fn retired_request_bytes_get_protocol_errors_event_loop() {
+        retired_request_bytes_get_protocol_errors(Backend::EventLoop);
+    }
+
     #[test]
     fn event_loop_oversized_frame_answers_then_closes() {
         let cfg = ServerConfig {
@@ -1339,12 +1361,12 @@ mod tests {
     fn event_loop_shutdown_frame_drains_and_join_returns_history() {
         let h = serve("127.0.0.1:0", config_with(Backend::EventLoop, 2, true)).unwrap();
         let mut c = Client::connect(h.addr()).unwrap();
-        c.update(3, 4).unwrap();
-        c.query(3).unwrap();
+        c.object_id(0).update(3, 4).unwrap();
+        freq(&mut c, 3);
         c.shutdown().unwrap();
         drop(c);
         let joined = h.join();
-        let spec = joined.spec();
+        let spec = joined.registry.cm(0).unwrap().spec();
         let history = joined.history.expect("recording was on");
         let ops = history.operations();
         assert_eq!(ops.iter().filter(|o| o.op.is_update()).count(), 1);
@@ -1363,12 +1385,12 @@ mod tests {
     fn shutdown_frame_drains_and_join_returns_history() {
         let h = serve("127.0.0.1:0", config(2, true)).unwrap();
         let mut c = Client::connect(h.addr()).unwrap();
-        c.update(3, 4).unwrap();
-        c.query(3).unwrap();
+        c.object_id(0).update(3, 4).unwrap();
+        freq(&mut c, 3);
         c.shutdown().unwrap();
         drop(c);
         let joined = h.join();
-        let spec = joined.spec();
+        let spec = joined.registry.cm(0).unwrap().spec();
         let history = joined.history.expect("recording was on");
         let ops = history.operations();
         assert_eq!(ops.iter().filter(|o| o.op.is_update()).count(), 1);
@@ -1385,9 +1407,9 @@ mod tests {
         let h = serve("127.0.0.1:0", cfg).unwrap();
         let mut c = Client::connect(h.addr()).unwrap();
         for _ in 0..20 {
-            c.update(9, 1).unwrap();
+            c.object_id(0).update(9, 1).unwrap();
         }
-        let env = c.query(9).unwrap();
+        let env = freq(&mut c, 9);
         // lag = shards * b, independent of what is actually pending.
         assert_eq!(env.lag, 8);
         assert_eq!(env.upper_bound(), env.estimate + 8);
@@ -1405,7 +1427,7 @@ mod tests {
         let joined = h.join();
         // Connection close flushed the remainder.
         assert_eq!(joined.stats.buffered_pending, 0);
-        assert_eq!(joined.sketch().estimate(9), 20);
+        assert_eq!(joined.registry.cm(0).unwrap().sketch().estimate(9), 20);
     }
 
     /// The flush-on-drain guarantee, end to end: a write buffer so
@@ -1426,7 +1448,7 @@ mod tests {
                 thread::spawn(move || {
                     let mut c = Client::connect(addr).unwrap();
                     for _ in 0..per_client {
-                        c.update(t, 1).unwrap();
+                        c.object_id(0).update(t, 1).unwrap();
                     }
                 })
             })
@@ -1444,13 +1466,18 @@ mod tests {
         );
         assert!(joined.stats.flushes >= 1);
         assert_eq!(
-            joined.sketch().stream_len_estimate(),
+            joined
+                .registry
+                .cm(0)
+                .unwrap()
+                .sketch()
+                .stream_len_estimate(),
             clients * per_client,
             "acknowledged weight lost through shutdown"
         );
         for t in 0..clients {
             assert!(
-                joined.sketch().estimate(t) >= per_client,
+                joined.registry.cm(0).unwrap().sketch().estimate(t) >= per_client,
                 "key {t}: updates lost through shutdown"
             );
         }

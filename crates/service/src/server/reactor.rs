@@ -11,22 +11,22 @@
 //! from a reusable ring buffer), writes drain a backpressure-aware
 //! queue with vectored writes.
 //!
-//! IVL semantics are backend-invariant by construction: every request
-//! executes through [`super::execute_request`] — the same code the
-//! threaded backend runs — against the same object registry. The
-//! single-writer shard invariant holds because a reactor thread is the
-//! sole owner of its (lazily acquired) per-object writers: where the
-//! threaded backend has one CountMin lease per updating connection,
-//! the reactor multiplexes all its connections over one lease per
-//! CountMin, which is sound for exactly the reason Lemma 7 allows
-//! batching — shard cells only ever see single-threaded
+//! IVL semantics are backend-invariant by construction: every frame
+//! goes through [`super::serve_frame`] — the same decode → route →
+//! apply step the threaded backend runs — against the same object
+//! registry. The single-writer shard invariant holds because a reactor
+//! thread is the sole owner of its (lazily acquired) per-object
+//! writers: where the threaded backend has one CountMin lease per
+//! updating connection, the reactor multiplexes all its connections
+//! over one lease per CountMin, which is sound for exactly the reason
+//! Lemma 7 allows batching — shard cells only ever see single-threaded
 //! read-modify-write-back. With write buffering on, the reactor
 //! thread is likewise one *writer*: its local update buffer serves
 //! all its connections and is flushed before the lease returns at
 //! drain, so graceful shutdown loses no acknowledged update.
 
-use super::{apply_updates, execute_request, IngestScratch, Shared, WriterSet};
-use crate::protocol::{self, ErrorCode, FrameDecoder, Request, Response, WireError};
+use super::{protocol_error, reject, serve_frame, Shared, WriterSet};
+use crate::protocol::{self, FrameDecoder, Response};
 use ivl_spec::history::ProcessId;
 use polling::{Event, PollMode, Poller};
 use std::collections::{HashMap, VecDeque};
@@ -142,20 +142,6 @@ fn accept_loop(
         }
     }
     threads
-}
-
-/// Turns a connection away at the accept gate (accepted sockets do
-/// not inherit the listener's nonblocking mode, so this small write
-/// is a plain blocking send).
-fn reject(mut stream: TcpStream, shared: &Shared) {
-    shared.metrics.connection_rejected();
-    let mut buf = Vec::new();
-    Response::Error {
-        code: ErrorCode::Busy,
-        message: "connection limit reached".into(),
-    }
-    .encode(&mut buf);
-    let _ = stream.write_all(&buf);
 }
 
 /// Per-connection state machine.
@@ -295,7 +281,7 @@ fn reactor_loop(shared: &Shared, mailbox: &Mailbox) {
     let mut writer = WriterSet::new(shared);
     // Shared across this reactor's connections: the batch-frame fast
     // path decodes into it, one frame at a time.
-    let mut scratch = IngestScratch::default();
+    let mut items = Vec::new();
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_key = LISTENER_KEY + 1;
     let mut events: Vec<Event> = Vec::new();
@@ -345,7 +331,7 @@ fn reactor_loop(shared: &Shared, mailbox: &Mailbox) {
         }
         for &key in &run {
             let alive = match conns.get_mut(&key) {
-                Some(conn) => pump(shared, &mut writer, &mut scratch, conn),
+                Some(conn) => pump(shared, &mut writer, &mut items, conn),
                 None => continue,
             };
             if !alive {
@@ -386,15 +372,9 @@ fn reactor_loop(shared: &Shared, mailbox: &Mailbox) {
 fn pump<'a>(
     shared: &'a Shared,
     writer: &mut WriterSet<'a>,
-    scratch: &mut IngestScratch,
+    items: &mut Vec<(u64, u64)>,
     conn: &mut Conn,
 ) -> bool {
-    /// One decoded frame: either the batch fast path (items already
-    /// in the reactor scratch) or a fully materialized request.
-    enum Step {
-        Batch(u32),
-        Full(Result<Request, WireError>),
-    }
     loop {
         let mut progressed = match conn.flush() {
             Ok(wrote) => wrote,
@@ -403,64 +383,24 @@ fn pump<'a>(
         // Decode and execute buffered frames while under the write
         // watermark.
         while !conn.closing && conn.queued < HIGH_WATERMARK {
-            let step = match conn.decoder.next_frame() {
-                // Batch-frame fast path: decode straight into the
-                // reusable items vector, no `Request` materialized.
-                // Anything else — including a malformed batch — goes
-                // through the full decoder.
-                Ok(Some(payload)) => match protocol::decode_batch_into(payload, &mut scratch.items)
-                {
-                    Ok(Some(object)) => Step::Batch(object),
-                    _ => Step::Full(Request::decode(payload)),
-                },
+            let (response, close) = match conn.decoder.next_frame() {
+                Ok(Some(payload)) => serve_frame(
+                    shared,
+                    writer,
+                    items,
+                    &mut conn.applied,
+                    conn.process,
+                    payload,
+                ),
                 Ok(None) => break,
-                Err(e) => {
-                    // Oversized or empty prefix: the stream cannot be
-                    // resynchronized. Report and close, exactly like
-                    // the threaded backend.
-                    shared.metrics.record_protocol_error();
-                    conn.enqueue(&Response::Error {
-                        code: ErrorCode::Protocol,
-                        message: e.to_string(),
-                    });
-                    conn.closing = true;
-                    progressed = true;
-                    break;
-                }
+                // Oversized or empty prefix: the stream cannot be
+                // resynchronized. Report and close, exactly like the
+                // threaded backend.
+                Err(e) => (protocol_error(shared, e), true),
             };
-            shared.metrics.record_frame();
+            conn.enqueue(&response);
+            conn.closing = close;
             progressed = true;
-            match step {
-                Step::Batch(object) => {
-                    shared.metrics.record_batch();
-                    let response = apply_updates(
-                        shared,
-                        writer,
-                        &mut conn.applied,
-                        conn.process,
-                        object,
-                        &scratch.items,
-                    );
-                    conn.enqueue(&response);
-                }
-                Step::Full(Ok(request)) => {
-                    let (response, close) =
-                        execute_request(shared, writer, &mut conn.applied, conn.process, request);
-                    conn.enqueue(&response);
-                    if close {
-                        conn.closing = true;
-                    }
-                }
-                Step::Full(Err(e)) => {
-                    // Length-delimited, so still in sync: answer and
-                    // keep serving.
-                    shared.metrics.record_protocol_error();
-                    conn.enqueue(&Response::Error {
-                        code: ErrorCode::Protocol,
-                        message: e.to_string(),
-                    });
-                }
-            }
         }
         // Pull more bytes when the watermark allows.
         if !conn.closing && !conn.peer_closed && conn.read_ready && conn.queued < HIGH_WATERMARK {

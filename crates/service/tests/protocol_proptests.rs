@@ -1,8 +1,6 @@
 //! Property tests for the wire protocol: encode→decode is the
-//! identity for every frame type — across both frame generations (v1
-//! object-0 frames and v2 object-addressed frames) — and malformed
-//! bytes are rejected with a protocol error — never a panic, never a
-//! bogus frame.
+//! identity for every frame type, and malformed bytes are rejected
+//! with a protocol error — never a panic, never a bogus frame.
 
 use ivl_service::metrics::{ObjectStats, StatsReport};
 use ivl_service::objects::{ObjectInfo, ObjectKind};
@@ -59,41 +57,6 @@ proptest! {
             _ => Request::Objects,
         };
         prop_assert_eq!(request_roundtrip(&req), req);
-    }
-
-    // --- v1 ↔ v2 interop: object 0 always travels as a v1 frame ---
-
-    #[test]
-    fn object_zero_updates_encode_as_v1(key in any::<u64>(), weight in any::<u64>()) {
-        let mut buf = Vec::new();
-        Request::Update { object: 0, key, weight }.encode(&mut buf);
-        // 4-byte length prefix + opcode 0x01 + key + weight: exactly
-        // the v1 layout, no object id on the wire.
-        prop_assert_eq!(buf.len(), 4 + 1 + 8 + 8);
-        prop_assert_eq!(buf[4], 0x01);
-        let mut v2 = Vec::new();
-        Request::Update { object: 1, key, weight }.encode(&mut v2);
-        prop_assert_eq!(v2.len(), buf.len() + 4, "v2 adds exactly the object id");
-        prop_assert_eq!(v2[4], 0x11);
-    }
-
-    #[test]
-    fn object_zero_queries_and_batches_encode_as_v1(
-        key in any::<u64>(),
-        items in vec((any::<u64>(), any::<u64>()), 0..8),
-    ) {
-        let mut buf = Vec::new();
-        Request::Query { object: 0, key }.encode(&mut buf);
-        prop_assert_eq!(buf[4], 0x02);
-        prop_assert_eq!(buf.len(), 4 + 1 + 8);
-        let mut buf = Vec::new();
-        Request::Batch { object: 0, items: items.clone() }.encode(&mut buf);
-        prop_assert_eq!(buf[4], 0x03);
-        prop_assert_eq!(buf.len(), 4 + 1 + 4 + 16 * items.len());
-        let mut v2 = Vec::new();
-        Request::Batch { object: 7, items }.encode(&mut v2);
-        prop_assert_eq!(v2[4], 0x13);
-        prop_assert_eq!(v2.len(), buf.len() + 4);
     }
 
     #[test]
@@ -183,12 +146,13 @@ proptest! {
     }
 
     #[test]
-    fn error_frames_roundtrip(code in 0u8..4, msg in vec(32u8..127, 0..40)) {
+    fn error_frames_roundtrip(code in 0u8..5, msg in vec(32u8..127, 0..40)) {
         let code = [
             ivl_service::ErrorCode::Busy,
             ivl_service::ErrorCode::Protocol,
             ivl_service::ErrorCode::ShuttingDown,
             ivl_service::ErrorCode::UnknownObject,
+            ivl_service::ErrorCode::MergeMismatch,
         ][code as usize];
         let message = String::from_utf8(msg).expect("ascii");
         let rsp = Response::Error { code, message };
@@ -226,27 +190,6 @@ proptest! {
     }
 
     #[test]
-    fn unknown_opcodes_are_rejected(
-        // 0x07..=0x10 and 0x14..=0x80 are unassigned request opcodes
-        // (v1 claims 0x01..=0x05, v2 adds 0x06 and 0x11..=0x13); the
-        // map folds the three assigned v2 opcodes onto the range top.
-        op in (0x07u8..0x7e).prop_map(|op| match op {
-            0x11 => 0x7e,
-            0x12 => 0x7f,
-            0x13 => 0x80,
-            other => other,
-        }),
-        tail in vec(0u8..=255, 0..16),
-    ) {
-        let mut payload = vec![op];
-        payload.extend(tail);
-        prop_assert_eq!(
-            Request::decode(&payload).expect_err("unassigned opcode"),
-            WireError::UnknownOpcode(op)
-        );
-    }
-
-    #[test]
     fn arbitrary_bytes_never_panic_the_decoder(bytes in vec(0u8..=255, 0..64)) {
         // Any outcome is fine except a panic; a successful decode must
         // re-encode to a frame that decodes to the same value.
@@ -260,15 +203,9 @@ proptest! {
     }
 
     #[test]
-    fn overlong_batches_are_rejected(extra in 1u32..1_000, object in any::<u32>(), v2 in any::<bool>()) {
-        // Both batch generations enforce the same item cap.
-        let mut payload = if v2 {
-            let mut p = vec![0x13];
-            p.extend_from_slice(&object.to_le_bytes());
-            p
-        } else {
-            vec![0x03]
-        };
+    fn overlong_batches_are_rejected(extra in 1u32..1_000, object in any::<u32>()) {
+        let mut payload = vec![0x13];
+        payload.extend_from_slice(&object.to_le_bytes());
         payload.extend_from_slice(&(MAX_BATCH_ITEMS + extra).to_le_bytes());
         prop_assert!(matches!(
             Request::decode(&payload),
@@ -359,8 +296,37 @@ proptest! {
     }
 }
 
-/// Strategy over all request variants and both frame generations
-/// (object 0 encodes v1, anything else v2; small batches keep cases
+/// The assigned request opcodes: `STATS`, `SHUTDOWN`, `OBJECTS`, then
+/// `UPDATE2`, `QUERY2`, `BATCH2`, `SNAPSHOT`, `SNAPSHOT_SINCE` and
+/// `PUSH_STATE`. Every other byte, the retired 0x01..=0x03 included,
+/// is unassigned.
+const REQUEST_OPCODES: [u8; 9] = [0x04, 0x05, 0x06, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16];
+
+/// Every byte outside [`REQUEST_OPCODES`] is refused as an unknown
+/// opcode, whatever body follows; no assigned byte ever is. Exhaustive
+/// over the byte, and over bodies of every length an assigned frame
+/// could take up to a push header.
+#[test]
+fn unknown_opcodes_are_rejected() {
+    for op in 0..=u8::MAX {
+        for len in 0..=24usize {
+            let mut payload = vec![op];
+            payload.extend((0..len).map(|i| i as u8));
+            let got = Request::decode(&payload);
+            if REQUEST_OPCODES.contains(&op) {
+                assert_ne!(got, Err(WireError::UnknownOpcode(op)), "assigned {op:#04x}");
+            } else {
+                assert_eq!(
+                    got,
+                    Err(WireError::UnknownOpcode(op)),
+                    "{op:#04x}, {len}-byte body"
+                );
+            }
+        }
+    }
+}
+
+/// Strategy over the request variants (small batches keep cases
 /// fast).
 fn arb_request() -> impl Strategy<Value = Request> {
     let object = 0u32..4;

@@ -12,6 +12,7 @@
 //! `FrameDecoder` ring growth, lazy writer/lease/scratch creation, the
 //! poller's event-buffer fill, and the reactor's response-buffer pool.
 
+use ivl_service::protocol::encode_batch;
 use ivl_service::{Backend, Client, ServerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
@@ -50,24 +51,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Hand-encodes one BATCH2 frame (opcode 0x13). `Request::encode`
-/// emits the v1 opcode for object 0, so the v2 framing is written
-/// explicitly: `[len:u32le][0x13][object:u32le][count:u32le][(key,
-/// weight):u64le×2]*`. Keys repeat so the frame exercises the
-/// coalescing path.
-fn encode_batch2(buf: &mut Vec<u8>, object: u32, items: &[(u64, u64)]) {
-    buf.clear();
-    let payload_len = 1 + 4 + 4 + items.len() * 16;
-    buf.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    buf.push(0x13);
-    buf.extend_from_slice(&object.to_le_bytes());
-    buf.extend_from_slice(&(items.len() as u32).to_le_bytes());
-    for &(k, w) in items {
-        buf.extend_from_slice(&k.to_le_bytes());
-        buf.extend_from_slice(&w.to_le_bytes());
-    }
-}
-
 /// Reads one length-prefixed response frame into `frame` (reused).
 fn read_response(stream: &mut TcpStream, frame: &mut Vec<u8>) {
     let mut len_bytes = [0u8; 4];
@@ -94,12 +77,12 @@ fn drive(backend: Backend, write_buffer: u64) {
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
 
-    // A duplicate-heavy frame, the common shape under a skewed
-    // workload; one weight-0 item rides along to cover that edge.
+    // A duplicate-heavy BATCH2 frame (keys repeat, so it exercises the
+    // coalescing path), the common shape under a skewed workload.
     let items: Vec<(u64, u64)> = (0..32u64).map(|i| (i % 11, (i % 3) + 1)).collect();
     let mut frame = Vec::with_capacity(1024);
     let mut rsp = Vec::with_capacity(256);
-    encode_batch2(&mut frame, 0, &items);
+    encode_batch(&mut frame, 0, &items);
 
     // Warmup: ring growth, writer/lease/scratch creation, response
     // pools, poller buffers.
