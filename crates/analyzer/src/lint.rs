@@ -43,7 +43,7 @@
 //!    within each namespace (the constant's name prefix: `OP_*` frame
 //!    opcodes, `DELTA_*` change tags, `ENV_*` envelope kind tags, ...).
 //! 7. **frame-docs** — every `OP_*` opcode constant appears (by its
-//!    byte, e.g. `0x14`) in the README's frame table, and (by its
+//!    byte, e.g. `0x15`) in the README's frame table, and (by its
 //!    name) in `protocol.rs` test code — the round-trip suite — so
 //!    adding an opcode without documenting *and* testing it fails the
 //!    lint. The other direction holds too: every byte a frame-table

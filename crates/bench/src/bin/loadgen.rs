@@ -1,7 +1,7 @@
-//! `loadgen`: multi-threaded load generator for `ivl-service`.
+//! `loadgen`: the service's scenario gates, driven over real TCP.
 //!
 //! ```text
-//! usage: loadgen [--backend threaded|event-loop|both] [--threads N]
+//! usage: loadgen [--backend threaded|event-loop] [--threads N]
 //!                [--ops N] [--keys N] [--queries N] [--batch N]
 //!                [--shards N] [--write-buffer B] [--mix SPEC]
 //!                [--replicas N] [--mode partition|mirror]
@@ -10,13 +10,18 @@
 //!                [--shutdown] [--no-check]
 //! ```
 //!
-//! By default boots an in-process recording server, hammers it over
-//! real TCP with `--threads` ingest connections (Zipf keys, batched
-//! frames) plus one querying connection, prints throughput and
-//! client-side p50/p95/p99 latencies, then drains and replays the
+//! Correctness gates only: latency and throughput of the served path
+//! are measured by the repository benchmark (`bash benchmark/run.sh`),
+//! not here. By default boots an in-process recording server, drives
+//! it over real TCP with `--threads` ingest connections (Zipf keys,
+//! batched frames) plus one querying connection, checks the server's
+//! update count against what was sent, then drains and replays the
 //! recorded history through the IVL checkers (one monotone verdict per
 //! registered object — Theorem 1 locality — plus an exact check over a
-//! second tiny run). Exit status 2 if a check fails.
+//! second tiny run). With `--write-buffer B > 0` the history check is
+//! replaced by the flush-on-drain check: every acknowledged CountMin
+//! weight must be visible in the drained sketch. Exit status 2 if a
+//! check fails.
 //!
 //! `--mix cm=8,hll=1,morris=1` spreads the load over several
 //! registered objects by weight (names double as object kinds; a
@@ -24,17 +29,7 @@
 //! differs from its kind, e.g. one registered on an external server
 //! with `ivl_serve --object hits=hll`). The in-process roster lists the
 //! mix entries in order, so the first entry is object 0 whatever its
-//! kind. Latency tails are reported per object, both in text and under
-//! `"objects"` in `--json`. `--rejoin` needs a CountMin in the mix.
-//!
-//! `--backend both` runs the same total load twice — once per serving
-//! backend, both times with 4x `--threads` ingest connections on the
-//! same shard budget. That connection count is beyond what the
-//! threaded backend's lease pool sustains (its surplus connections
-//! busy-bounce against the shard budget), while the event loop
-//! multiplexes all of them over its reactors without a single `busy`,
-//! so the comparison shows what serving 4x the provisioned
-//! concurrency costs each backend at the tail.
+//! kind. `--rejoin` needs a CountMin in the mix.
 //!
 //! `--addr` drives an external server (e.g. a separately launched
 //! `ivl_serve`) instead of booting one; server-side history checks are
@@ -45,24 +40,19 @@
 //! `ivl_check <file> counter`. `--shutdown` sends a SHUTDOWN frame
 //! when the load finishes.
 //!
-//! `--replicas N` appends replicated runs after the normal ones: N
+//! `--replicas N` appends a replicated run after the normal one: N
 //! in-process servers sharing a seed, every ingest worker driving its
-//! own `ReplicaGroup` in `--mode partition` (default) or `mirror`,
-//! plus the `N == 1` degenerate group as a baseline when `N > 1`.
-//! Reported tails are the *merged* batch/query latencies (the group's
-//! route-split sends and merge-on-query reads), with per-replica rows:
-//! partition-mode batch tails per routed replica, and direct
-//! single-replica query tails for the merge-on-query overhead
-//! comparison. `--history-out` writes one client-side counter history
-//! per replica (`FILE.replicaK`) — partition attributes each routed
-//! sub-batch to its replica, mirror attributes every batch to every
-//! replica, and queries respond with the merged read's per-part
-//! observed weights — replayable with `ivl_check --replicated`.
+//! own `ReplicaGroup` in `--mode partition` (default) or `mirror`.
+//! `--history-out` writes one client-side counter history per replica
+//! (`FILE.replicaK`) — partition attributes each routed sub-batch to
+//! its replica, mirror attributes every batch to every replica, and
+//! queries respond with the merged read's per-part observed weights —
+//! replayable with `ivl_check --replicated`.
 //!
 //! `--rejoin` runs the anti-entropy acceptance scenario instead of the
 //! normal runs: 3 partitioned in-process replicas (or `--replicas N`,
 //! N >= 2) take a pre-kill load, one is killed and restarted empty at
-//! the same address, and the driver measures the composed envelope's
+//! the same address, and the driver reads the composed envelope's
 //! `lag` at each stage — pre-kill (L0), during the outage, widened on
 //! rejoin detection (the forgotten weight), and after the group's
 //! catch-up push — failing (exit 2) unless the post-catch-up lag
@@ -71,7 +61,7 @@
 //! `--history-out` history stays a faithful record of what that
 //! replica acknowledged (the catch-up push itself is re-delivered
 //! weight, not a new update, and is deliberately not recorded).
-//! Time-to-convergence and the catch-up counters land in `--json`.
+//! The lags and the catch-up counters land in `--json`.
 //!
 //! `--query-ratio R` sizes the query load so queries make up fraction
 //! `R` of all operations (overriding `--queries`) — the query-heavy
@@ -85,7 +75,7 @@
 //! per-roundtrip cost of a merged read with nothing cached, which the
 //! delta path's `bytes_in / reads` is judged against.
 
-use ivl_bench::{mops, timed_scope, Worker};
+use ivl_bench::{timed_scope, Worker};
 use ivl_replica::{DeltaStats, MergedRead, ReplicaError, ReplicaGroup, ReplicaMode};
 use ivl_service::objects::{ObjectConfig, ObjectKind};
 use ivl_service::server::{serve, Backend, ServerConfig};
@@ -100,17 +90,6 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// How many times more ingest connections than `--threads` the
-/// `--backend both` comparison offers each backend (same shard
-/// budget, same total ops).
-const COMPARE_CONN_MULTIPLIER: usize = 4;
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Single(Backend),
-    Both,
-}
 
 /// One `--mix` component: a named object and its share of the load.
 #[derive(Clone)]
@@ -190,7 +169,7 @@ impl MixPlan {
 }
 
 struct Opts {
-    mode: Mode,
+    backend: Backend,
     threads: usize,
     ops: u64,
     keys: usize,
@@ -213,7 +192,7 @@ struct Opts {
 impl Default for Opts {
     fn default() -> Self {
         Opts {
-            mode: Mode::Single(Backend::Threaded),
+            backend: Backend::Threaded,
             threads: 4,
             ops: 20_000,
             keys: 512,
@@ -261,12 +240,7 @@ fn parse() -> Option<Opts> {
             "--rejoin" => o.rejoin = true,
             "--no-check" => o.check = false,
             "--shutdown" => o.shutdown = true,
-            "--backend" => {
-                o.mode = match args.next()?.as_str() {
-                    "both" => Mode::Both,
-                    one => Mode::Single(one.parse().ok()?),
-                }
-            }
+            "--backend" => o.backend = args.next()?.parse().ok()?,
             "--addr" => o.addr = Some(args.next()?),
             "--json" => o.json = Some(args.next()?),
             "--history-out" => o.history_out = Some(args.next()?),
@@ -281,56 +255,6 @@ fn parse() -> Option<Opts> {
         o.queries = ((total_updates as f64) * r / (1.0 - r)).round() as u64;
     }
     Some(o)
-}
-
-/// Client-side latency samples, merged across workers.
-#[derive(Default)]
-struct Samples(Mutex<Vec<u64>>);
-
-impl Samples {
-    fn push_all(&self, mut local: Vec<u64>) {
-        self.0.lock().unwrap().append(&mut local);
-    }
-
-    /// Sorted samples; consumes the accumulator.
-    fn sorted(self) -> Vec<u64> {
-        let mut v = self.0.into_inner().unwrap();
-        v.sort_unstable();
-        v
-    }
-}
-
-/// Nearest-rank percentile over an already-sorted slice.
-fn pct(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
-#[derive(Clone, Copy)]
-struct Tail {
-    p50: u64,
-    p95: u64,
-    p99: u64,
-}
-
-impl Tail {
-    fn of(sorted: &[u64]) -> Tail {
-        Tail {
-            p50: pct(sorted, 0.50),
-            p95: pct(sorted, 0.95),
-            p99: pct(sorted, 0.99),
-        }
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-            self.p50, self.p95, self.p99
-        )
-    }
 }
 
 /// A client-side counter history of the run: batches become counter
@@ -353,21 +277,10 @@ impl ClientRecorder {
     }
 }
 
-/// Per-object latency tails for the report.
-struct ObjLat {
-    name: String,
-    batch_ns: Tail,
-    query_ns: Tail,
-}
-
 struct RunOutcome {
     backend: String,
     ingest_conns: usize,
     total_updates: u64,
-    wall: Duration,
-    batch_ns: Tail,
-    query_ns: Tail,
-    objects: Vec<ObjLat>,
     stats: StatsReport,
     /// Merged-read snapshot accounting (replicated runs only): how the
     /// group's reads split across unchanged/delta/full replies and
@@ -385,18 +298,6 @@ struct MergedReads {
 
 impl RunOutcome {
     fn json(&self, queries: u64) -> String {
-        let objects: Vec<String> = self
-            .objects
-            .iter()
-            .map(|o| {
-                format!(
-                    "{{\"name\": \"{}\", \"batch_ns\": {}, \"query_ns\": {}}}",
-                    o.name,
-                    o.batch_ns.json(),
-                    o.query_ns.json()
-                )
-            })
-            .collect();
         let merged_reads = match &self.merged_reads {
             Some(MergedReads {
                 stats: d,
@@ -421,20 +322,13 @@ impl RunOutcome {
         };
         format!(
             "    {{\n      \"backend\": \"{}\",\n      \"ingest_conns\": {},\n      \
-             \"total_updates\": {},\n      \"queries\": {},\n      \"wall_s\": {:.6},\n      \
-             \"throughput_mops\": {:.4},\n      \"batch_ns\": {},\n      \"query_ns\": {},\n      \
-             \"objects\": [{}],\n      \
+             \"total_updates\": {},\n      \"queries\": {},\n      \
              \"server\": {{\"busy_rejections\": {}, \"frames\": {}, \"wakeups\": {}, \
              \"ready_peak\": {}}}{}\n    }}",
             self.backend,
             self.ingest_conns,
             self.total_updates,
             queries,
-            self.wall.as_secs_f64(),
-            mops(self.total_updates + queries, self.wall),
-            self.batch_ns.json(),
-            self.query_ns.json(),
-            objects.join(", "),
             self.stats.busy_rejections,
             self.stats.frames,
             self.stats.wakeups,
@@ -495,10 +389,10 @@ impl Backoff {
 
 /// One ingest connection: `ops` weighted updates in `batch`-sized
 /// frames over Zipf-distributed keys, each batch routed to a mix
-/// object by weighted round-robin and timed per object. A `busy`
-/// answer (more ingest connections than threaded-backend shards) is
-/// backpressure, not failure: back off and retry until a peer hangs
-/// up and frees its shard lease.
+/// object by weighted round-robin. A `busy` answer (more ingest
+/// connections than threaded-backend shards) is backpressure, not
+/// failure: back off and retry until a peer hangs up and frees its
+/// shard lease.
 #[allow(clippy::too_many_arguments)]
 fn ingest_client(
     addr: SocketAddr,
@@ -507,7 +401,6 @@ fn ingest_client(
     batch: usize,
     seed: u64,
     plan: &MixPlan,
-    lats: &[Samples],
     recorder: Option<&ClientRecorder>,
     process: ProcessId,
 ) {
@@ -515,7 +408,6 @@ fn ingest_client(
     let mut stream = ZipfStream::new(keys, 1.1, seed);
     let mut backoff = Backoff::new(seed ^ 0xb0ff);
     let mut pending = Vec::with_capacity(batch);
-    let mut locals: Vec<Vec<u64>> = vec![Vec::new(); plan.entries.len()];
     let mut sent = 0u64;
     let mut seq = 0u64;
     while sent < ops {
@@ -527,9 +419,8 @@ fn ingest_client(
         }
         // Offset each connection's rotation so the mix interleaves
         // across connections instead of synchronizing on one object.
-        let obj_idx = plan.pick(seq.wrapping_add(seed));
+        let object = plan.ids[plan.pick(seq.wrapping_add(seed))];
         seq += 1;
-        let object = plan.ids[obj_idx];
         let weight: u64 = pending.iter().map(|&(_, w)| w).sum();
         let op = recorder.map(|r| {
             r.builder
@@ -537,7 +428,6 @@ fn ingest_client(
                 .unwrap()
                 .invoke_update(process, ObjectId(object), weight)
         });
-        let t0 = Instant::now();
         loop {
             match client.object_id(object).batch(&pending) {
                 Ok(_) => break,
@@ -548,43 +438,34 @@ fn ingest_client(
                 Err(e) => panic!("batch failed: {e}"),
             }
         }
-        locals[obj_idx].push(t0.elapsed().as_nanos() as u64);
         if let (Some(r), Some(op)) = (recorder, op) {
             r.builder.lock().unwrap().respond_update(op);
         }
     }
-    for (lat, local) in lats.iter().zip(locals) {
-        lat.push_all(local);
-    }
 }
 
 /// The querying connection: `queries` Zipf point queries spread over
-/// the mix objects, each checked for envelope consistency and timed.
+/// the mix objects, each checked for envelope consistency.
 fn query_client(
     addr: SocketAddr,
     queries: u64,
     keys: usize,
     plan: &MixPlan,
-    lats: &[Samples],
     recorder: Option<&ClientRecorder>,
     process: ProcessId,
 ) {
     let mut client = Client::connect(addr).expect("connect querier");
     let mut stream = ZipfStream::new(keys, 1.1, 0xbeef);
-    let mut locals: Vec<Vec<u64>> = vec![Vec::new(); plan.entries.len()];
     for i in 0..queries {
         let key = stream.next_item();
-        let obj_idx = plan.pick(i);
-        let object = plan.ids[obj_idx];
+        let object = plan.ids[plan.pick(i)];
         let op = recorder.map(|r| {
             r.builder
                 .lock()
                 .unwrap()
                 .invoke_query(process, ObjectId(object), 0)
         });
-        let t0 = Instant::now();
         let env = client.object_id(object).query(key).expect("query answered");
-        locals[obj_idx].push(t0.elapsed().as_nanos() as u64);
         if let (Some(r), Some(op)) = (recorder, op) {
             // Every envelope kind exposes `observed` (acknowledged
             // update weight), so each projection replays as a counter.
@@ -597,85 +478,42 @@ fn query_client(
             );
         }
     }
-    for (lat, local) in lats.iter().zip(locals) {
-        lat.push_all(local);
-    }
 }
 
-/// Drives one full load against `addr`: `conns` ingest connections
-/// splitting `total_ops` updates, plus one querying connection.
-/// Returns wall time, overall batch/query tails, per-object latency
-/// rows, and the update count actually sent.
-fn drive(
-    addr: SocketAddr,
-    o: &Opts,
-    conns: usize,
-    total_ops: u64,
-    plan: &MixPlan,
-    recorder: Option<&ClientRecorder>,
-) -> (Duration, Tail, Tail, Vec<ObjLat>, u64) {
-    let batch_lat: Vec<Samples> = (0..plan.entries.len())
-        .map(|_| Samples::default())
-        .collect();
-    let query_lat: Vec<Samples> = (0..plan.entries.len())
-        .map(|_| Samples::default())
-        .collect();
-    let per_conn = total_ops / conns as u64;
-    let total_updates = per_conn * conns as u64;
+/// Drives one full load against `addr`: `--threads` ingest connections
+/// splitting `--ops` updates each, plus one querying connection.
+/// Returns the update count actually sent.
+fn drive(addr: SocketAddr, o: &Opts, plan: &MixPlan, recorder: Option<&ClientRecorder>) -> u64 {
+    let conns = o.threads;
     let mut workers: Vec<Worker<'_>> = (0..conns)
         .map(|t| -> Worker<'_> {
-            let (keys, batch) = (o.keys, o.batch);
-            let (lat, rec) = (&batch_lat, recorder);
+            let (ops, keys, batch) = (o.ops, o.keys, o.batch);
             Box::new(move || {
                 ingest_client(
                     addr,
-                    per_conn,
+                    ops,
                     keys,
                     batch,
                     0x10ad ^ t as u64,
                     plan,
-                    lat,
-                    rec,
+                    recorder,
                     ProcessId(t as u32),
                 )
             })
         })
         .collect();
     let (queries, keys) = (o.queries, o.keys);
-    let (lat, rec) = (&query_lat, recorder);
     workers.push(Box::new(move || {
-        query_client(addr, queries, keys, plan, lat, rec, ProcessId(conns as u32));
+        query_client(addr, queries, keys, plan, recorder, ProcessId(conns as u32));
     }));
-    let wall = timed_scope(workers);
-    let mut all_batches = Vec::new();
-    let mut all_queries = Vec::new();
-    let mut objects = Vec::with_capacity(plan.entries.len());
-    for ((entry, b), q) in plan.entries.iter().zip(batch_lat).zip(query_lat) {
-        let b = b.sorted();
-        let q = q.sorted();
-        objects.push(ObjLat {
-            name: entry.name.clone(),
-            batch_ns: Tail::of(&b),
-            query_ns: Tail::of(&q),
-        });
-        all_batches.extend(b);
-        all_queries.extend(q);
-    }
-    all_batches.sort_unstable();
-    all_queries.sort_unstable();
-    (
-        wall,
-        Tail::of(&all_batches),
-        Tail::of(&all_queries),
-        objects,
-        total_updates,
-    )
+    timed_scope(workers);
+    o.ops * conns as u64
 }
 
 /// One in-process run against the given backend; returns the outcome
 /// for the JSON report, or an error string if a sanity or IVL check
 /// fails.
-fn run_in_process(o: &Opts, backend: Backend, conns: usize) -> Result<RunOutcome, String> {
+fn run_in_process(o: &Opts, backend: Backend) -> Result<RunOutcome, String> {
     // Strict per-operation IVL only holds at write_buffer == 0; with
     // buffering, acknowledged updates may be briefly invisible (the
     // envelope's lag), so the recorded-history check is skipped.
@@ -716,25 +554,12 @@ fn run_in_process(o: &Opts, backend: Backend, conns: usize) -> Result<RunOutcome
     );
 
     let recorder = o.history_out.as_ref().map(|_| ClientRecorder::new());
-    let total_ops = o.ops * o.threads as u64;
-    let (wall, batch_ns, query_ns, objects, total_updates) =
-        drive(addr, o, conns, total_ops, &plan, recorder.as_ref());
-    report(
-        backend,
-        conns,
-        total_updates,
-        o.queries,
-        wall,
-        batch_ns,
-        query_ns,
-    );
-    report_objects(&backend.to_string(), &objects);
+    let total_updates = drive(addr, o, &plan, recorder.as_ref());
 
     let stats = handle.stats();
     println!(
         "stats: {} updates, {} queries, {} batches, {} frames, {} wakeups \
-         (ready peak {}), stream {}, buffered pending {} ({} flushes), \
-         update p50/p99 {}/{} ns, query p50/p99 {}/{} ns",
+         (ready peak {}), stream {}, buffered pending {} ({} flushes)",
         stats.updates,
         stats.queries,
         stats.batches,
@@ -744,10 +569,6 @@ fn run_in_process(o: &Opts, backend: Backend, conns: usize) -> Result<RunOutcome
         stats.stream_len,
         stats.buffered_pending,
         stats.flushes,
-        stats.update_p50_ns,
-        stats.update_p99_ns,
-        stats.query_p50_ns,
-        stats.query_p99_ns
     );
     if stats.updates != total_updates {
         return Err(format!(
@@ -784,12 +605,8 @@ fn run_in_process(o: &Opts, backend: Backend, conns: usize) -> Result<RunOutcome
             .as_ref()
             .map(|h| h.events().len())
             .unwrap_or(0);
-        let t0 = Instant::now();
         let verdicts = joined.verdicts().expect("recording was on");
-        println!(
-            "IVL (monotone interval checker, per object) over {events} events in {:.3}s:",
-            t0.elapsed().as_secs_f64()
-        );
+        println!("IVL (monotone interval checker, per object) over {events} events:");
         for v in &verdicts {
             let shown = match v.ivl {
                 Some(ok) => ok.to_string(),
@@ -812,12 +629,8 @@ fn run_in_process(o: &Opts, backend: Backend, conns: usize) -> Result<RunOutcome
     }
     Ok(RunOutcome {
         backend: backend.to_string(),
-        ingest_conns: conns,
+        ingest_conns: o.threads,
         total_updates,
-        wall,
-        batch_ns,
-        query_ns,
-        objects,
         stats,
         merged_reads: None,
     })
@@ -847,22 +660,17 @@ fn run_external(o: &Opts, addr_text: &str) -> Result<RunOutcome, String> {
         .collect::<Result<_, _>>()?;
     let plan = MixPlan::resolve(&o.mix, ids);
     let recorder = o.history_out.as_ref().map(|_| ClientRecorder::new());
-    let total_ops = o.ops * o.threads as u64;
-    let (wall, batch_ns, query_ns, objects, total_updates) =
-        drive(addr, o, o.threads, total_ops, &plan, recorder.as_ref());
+    let total_updates = drive(addr, o, &plan, recorder.as_ref());
 
     let stats = probe.stats().map_err(|e| e.to_string())?;
-    let backend = format!("external({addr_text})");
-    report_named(
-        &backend,
-        o.threads,
-        total_updates,
+    println!(
+        "[external({addr_text})] {total_updates} updates + {} queries over {} conns; \
+         server counts {} updates, {} queries",
         o.queries,
-        wall,
-        batch_ns,
-        query_ns,
+        o.threads + 1,
+        stats.updates,
+        stats.queries
     );
-    report_objects(&backend, &objects);
     if o.shutdown {
         probe.shutdown().map_err(|e| e.to_string())?;
         println!("sent SHUTDOWN");
@@ -871,78 +679,12 @@ fn run_external(o: &Opts, addr_text: &str) -> Result<RunOutcome, String> {
         write_client_history(path, rec)?;
     }
     Ok(RunOutcome {
-        backend,
+        backend: format!("external({addr_text})"),
         ingest_conns: o.threads,
         total_updates,
-        wall,
-        batch_ns,
-        query_ns,
-        objects,
         stats,
         merged_reads: None,
     })
-}
-
-fn report(
-    backend: Backend,
-    conns: usize,
-    updates: u64,
-    queries: u64,
-    wall: Duration,
-    batch_ns: Tail,
-    query_ns: Tail,
-) {
-    report_named(
-        &backend.to_string(),
-        conns,
-        updates,
-        queries,
-        wall,
-        batch_ns,
-        query_ns,
-    );
-}
-
-fn report_named(
-    backend: &str,
-    conns: usize,
-    updates: u64,
-    queries: u64,
-    wall: Duration,
-    batch_ns: Tail,
-    query_ns: Tail,
-) {
-    println!(
-        "[{backend}] {updates} updates + {queries} queries over {} conns in {:.3}s \
-         — {:.2} Mops/s end-to-end",
-        conns + 1,
-        wall.as_secs_f64(),
-        mops(updates + queries, wall)
-    );
-    println!(
-        "[{backend}] batch p50/p95/p99 {}/{}/{} ns, query p50/p95/p99 {}/{}/{} ns",
-        batch_ns.p50, batch_ns.p95, batch_ns.p99, query_ns.p50, query_ns.p95, query_ns.p99
-    );
-}
-
-/// Per-object latency rows (printed only when the mix has more than
-/// one object — a single-object run's rows equal the overall tails).
-fn report_objects(backend: &str, objects: &[ObjLat]) {
-    if objects.len() < 2 {
-        return;
-    }
-    for o in objects {
-        println!(
-            "[{backend}] {:8} batch p50/p95/p99 {}/{}/{} ns, query p50/p95/p99 {}/{}/{} ns",
-            o.name,
-            o.batch_ns.p50,
-            o.batch_ns.p95,
-            o.batch_ns.p99,
-            o.query_ns.p50,
-            o.query_ns.p95,
-            o.query_ns.p99
-        );
-    }
 }
 
 /// Serializes the client-side counter history for `ivl_check`.
@@ -977,9 +719,9 @@ fn group_batch_retrying(
 
 /// One replicated ingest worker: its own [`ReplicaGroup`] over the
 /// shared roster. Partition mode pre-splits each batch by the group's
-/// key route so the send latency of each sub-batch is attributable to
-/// one replica; mirror mode fans the whole batch and only the merged
-/// latency is meaningful.
+/// key route so each sub-batch is recorded against the one replica it
+/// lands on; mirror mode fans the whole batch and records it against
+/// every replica.
 #[allow(clippy::too_many_arguments)]
 fn replicated_ingest(
     addrs: &[String],
@@ -990,8 +732,6 @@ fn replicated_ingest(
     batch: usize,
     seed: u64,
     plan: &MixPlan,
-    merged_lat: &Samples,
-    replica_lat: &[Samples],
     recorders: Option<&Vec<ClientRecorder>>,
     process: ProcessId,
 ) {
@@ -1001,8 +741,6 @@ fn replicated_ingest(
     let mut stream = ZipfStream::new(keys, 1.1, seed);
     let mut backoff = Backoff::new(seed ^ 0xb0ff);
     let mut pending = Vec::with_capacity(batch);
-    let mut merged_local = Vec::new();
-    let mut replica_local: Vec<Vec<u64>> = vec![Vec::new(); n];
     let mut sent = 0u64;
     let mut seq = 0u64;
     while sent < ops {
@@ -1032,12 +770,8 @@ fn replicated_ingest(
                             weight,
                         )
                     });
-                    let t0 = Instant::now();
                     group_batch_retrying(&mut group, &mut backoff, object, sub)
                         .expect("partitioned batch");
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    merged_local.push(ns);
-                    replica_local[r].push(ns);
                     if let (Some(rec), Some(op)) = (recorders, op) {
                         rec[r].builder.lock().unwrap().respond_update(op);
                     }
@@ -1056,10 +790,8 @@ fn replicated_ingest(
                         })
                         .collect()
                 });
-                let t0 = Instant::now();
                 group_batch_retrying(&mut group, &mut backoff, object, &pending)
                     .expect("mirrored batch");
-                merged_local.push(t0.elapsed().as_nanos() as u64);
                 if let (Some(rec), Some(ops)) = (recorders, ops_per_replica) {
                     for (r, op) in rec.iter().zip(ops) {
                         r.builder.lock().unwrap().respond_update(op);
@@ -1068,16 +800,12 @@ fn replicated_ingest(
             }
         }
     }
-    merged_lat.push_all(merged_local);
-    for (lat, local) in replica_lat.iter().zip(replica_local) {
-        lat.push_all(local);
-    }
 }
 
-/// The replicated querier: merged reads through the group (timed as
-/// the merged tail, recorded per replica with the read's per-part
-/// observed weights) interleaved with direct single-replica queries
-/// for the per-replica baseline the merge overhead is judged against.
+/// The replicated querier: merged reads through the group, each
+/// checked for envelope consistency and recorded per replica with the
+/// read's per-part observed weights. Hands the group's merged-read
+/// accounting back through `delta_out`.
 #[allow(clippy::too_many_arguments)]
 fn replicated_query(
     addrs: &[String],
@@ -1086,23 +814,13 @@ fn replicated_query(
     queries: u64,
     keys: usize,
     plan: &MixPlan,
-    merged_lat: &Samples,
-    replica_lat: &[Samples],
     recorders: Option<&Vec<ClientRecorder>>,
     process: ProcessId,
     delta_out: &Mutex<DeltaStats>,
 ) {
-    let n = addrs.len();
     let mut group =
         ReplicaGroup::new(addrs.to_vec(), mode, seed_group).expect("non-empty replica group");
-    let mut direct: Vec<Client> = addrs
-        .iter()
-        .map(|a| Client::connect(a.parse::<SocketAddr>().expect("replica addr")))
-        .collect::<Result<_, _>>()
-        .expect("connect direct queriers");
     let mut stream = ZipfStream::new(keys, 1.1, 0xbeef);
-    let mut merged_local = Vec::new();
-    let mut replica_local: Vec<Vec<u64>> = vec![Vec::new(); n];
     for i in 0..queries {
         let key = stream.next_item();
         let object = plan.ids[plan.pick(i)];
@@ -1116,9 +834,7 @@ fn replicated_query(
                 })
                 .collect()
         });
-        let t0 = Instant::now();
         let read = group.query(object, key).expect("merged query answered");
-        merged_local.push(t0.elapsed().as_nanos() as u64);
         if let (Some(rec), Some(ops)) = (recorders, ops_per_replica) {
             for ((r, op), part) in rec.iter().zip(ops).zip(&read.parts) {
                 let observed = part.expect("all replicas reachable in-process");
@@ -1131,17 +847,6 @@ fn replicated_query(
                 "inconsistent merged envelope: {env:?}"
             );
         }
-        let r = (i % n as u64) as usize;
-        let t0 = Instant::now();
-        direct[r]
-            .object_id(object)
-            .query(key)
-            .expect("direct query answered");
-        replica_local[r].push(t0.elapsed().as_nanos() as u64);
-    }
-    merged_lat.push_all(merged_local);
-    for (lat, local) in replica_lat.iter().zip(replica_local) {
-        lat.push_all(local);
     }
     *delta_out.lock().unwrap() = group.delta_stats();
 }
@@ -1166,8 +871,7 @@ fn full_reply_bytes(addr: &str, plan: &MixPlan) -> Result<f64, String> {
 }
 
 /// Boots `n` in-process replicas sharing a seed and drives them
-/// through per-worker [`ReplicaGroup`]s. Overall tails are the merged
-/// group latencies; the per-"object" rows are per-replica tails.
+/// through per-worker [`ReplicaGroup`]s.
 fn run_replicated(o: &Opts, backend: Backend, n: usize) -> Result<RunOutcome, String> {
     let mode = o.replica_mode;
     let plan = MixPlan::in_process(&o.mix);
@@ -1193,10 +897,6 @@ fn run_replicated(o: &Opts, backend: Backend, n: usize) -> Result<RunOutcome, St
         addrs.join(", ")
     );
 
-    let merged_batch = Samples::default();
-    let merged_query = Samples::default();
-    let replica_batch: Vec<Samples> = (0..n).map(|_| Samples::default()).collect();
-    let replica_query: Vec<Samples> = (0..n).map(|_| Samples::default()).collect();
     let recorders: Option<Vec<ClientRecorder>> = o
         .history_out
         .as_ref()
@@ -1207,8 +907,7 @@ fn run_replicated(o: &Opts, backend: Backend, n: usize) -> Result<RunOutcome, St
     let mut workers: Vec<Worker<'_>> = (0..o.threads)
         .map(|t| -> Worker<'_> {
             let (keys, batch) = (o.keys, o.batch);
-            let (addrs, plan) = (&addrs, &plan);
-            let (mlat, rlat, rec) = (&merged_batch, &replica_batch, recorders.as_ref());
+            let (addrs, plan, rec) = (&addrs, &plan, recorders.as_ref());
             Box::new(move || {
                 replicated_ingest(
                     addrs,
@@ -1219,8 +918,6 @@ fn run_replicated(o: &Opts, backend: Backend, n: usize) -> Result<RunOutcome, St
                     batch,
                     0x10ad ^ t as u64,
                     plan,
-                    mlat,
-                    rlat,
                     rec,
                     ProcessId(t as u32),
                 )
@@ -1230,8 +927,7 @@ fn run_replicated(o: &Opts, backend: Backend, n: usize) -> Result<RunOutcome, St
     let (queries, keys, threads) = (o.queries, o.keys, o.threads);
     let delta_out = Mutex::new(DeltaStats::default());
     {
-        let (addrs, plan) = (&addrs, &plan);
-        let (mlat, rlat, rec) = (&merged_query, &replica_query, recorders.as_ref());
+        let (addrs, plan, rec) = (&addrs, &plan, recorders.as_ref());
         let delta_out = &delta_out;
         workers.push(Box::new(move || {
             replicated_query(
@@ -1241,42 +937,24 @@ fn run_replicated(o: &Opts, backend: Backend, n: usize) -> Result<RunOutcome, St
                 queries,
                 keys,
                 plan,
-                mlat,
-                rlat,
                 rec,
                 ProcessId(threads as u32),
                 delta_out,
             );
         }));
     }
-    let wall = timed_scope(workers);
+    timed_scope(workers);
     let merged_reads = MergedReads {
         stats: delta_out.into_inner().unwrap(),
         full_reply_bytes: full_reply_bytes(&addrs[0], &plan)?,
     };
 
-    let batch_ns = Tail::of(&merged_batch.sorted());
-    let query_ns = Tail::of(&merged_query.sorted());
-    let mut objects = Vec::with_capacity(n);
-    for (r, (b, q)) in replica_batch.into_iter().zip(replica_query).enumerate() {
-        objects.push(ObjLat {
-            name: format!("replica{r}"),
-            batch_ns: Tail::of(&b.sorted()),
-            query_ns: Tail::of(&q.sorted()),
-        });
-    }
-
     let label = format!("replicated-{mode}-x{n}");
-    report_named(
-        &label,
-        o.threads,
-        total_updates,
+    println!(
+        "[{label}] {total_updates} updates + {} queries over {} conns",
         o.queries,
-        wall,
-        batch_ns,
-        query_ns,
+        o.threads + 1
     );
-    report_objects(&label, &objects);
     let d = &merged_reads.stats;
     if d.reads > 0 {
         println!(
@@ -1296,8 +974,7 @@ fn run_replicated(o: &Opts, backend: Backend, n: usize) -> Result<RunOutcome, St
         );
     }
 
-    // Aggregate server-side counters across the replicas; keep the
-    // first replica's latency histograms (they are not summable).
+    // Aggregate server-side counters across the replicas.
     let mut stats = handles[0].stats();
     for h in &handles[1..] {
         let s = h.stats();
@@ -1332,10 +1009,6 @@ fn run_replicated(o: &Opts, backend: Backend, n: usize) -> Result<RunOutcome, St
         backend: label,
         ingest_conns: o.threads,
         total_updates,
-        wall,
-        batch_ns,
-        query_ns,
-        objects,
         stats,
         merged_reads: Some(merged_reads),
     })
@@ -1773,74 +1446,12 @@ fn run(o: &Opts) -> Result<(), String> {
         }
         runs.push(run_external(o, addr)?);
     } else {
-        match o.mode {
-            Mode::Single(backend) => {
-                runs.push(run_in_process(o, backend, o.threads)?);
-                if o.check {
-                    run_exact_check(backend)?;
-                }
-            }
-            Mode::Both => {
-                let conns = o.threads * COMPARE_CONN_MULTIPLIER;
-                runs.push(run_in_process(o, Backend::Threaded, conns)?);
-                runs.push(run_in_process(o, Backend::EventLoop, conns)?);
-                let (t, e) = (&runs[0], &runs[1]);
-                println!(
-                    "compare at {conns} conns on {} shards: \
-                     batch p99 {} ns (event-loop) vs {} ns (threaded, {} busy \
-                     bounces); query p99 {} ns vs {} ns; event-loop busy \
-                     rejections: {}",
-                    o.shards,
-                    e.batch_ns.p99,
-                    t.batch_ns.p99,
-                    t.stats.busy_rejections,
-                    e.query_ns.p99,
-                    t.query_ns.p99,
-                    e.stats.busy_rejections,
-                );
-                if e.stats.busy_rejections == 0 && e.batch_ns.p99 <= t.batch_ns.p99 {
-                    println!(
-                        "compare: event-loop sustained {}x the lease-budget \
-                         connections at equal or better ingest p99",
-                        conns / o.shards.max(1)
-                    );
-                }
-                if o.check {
-                    run_exact_check(Backend::Threaded)?;
-                    run_exact_check(Backend::EventLoop)?;
-                }
-            }
+        runs.push(run_in_process(o, o.backend)?);
+        if o.check {
+            run_exact_check(o.backend)?;
         }
         if o.replicas > 0 {
-            let backend = match o.mode {
-                Mode::Single(backend) => backend,
-                Mode::Both => Backend::Threaded,
-            };
-            // The N == 1 degenerate group isolates the replication
-            // layer's own overhead from the fan-out/merge cost.
-            let first = runs.len();
-            if o.replicas > 1 {
-                runs.push(run_replicated(o, backend, 1)?);
-            }
-            runs.push(run_replicated(o, backend, o.replicas)?);
-            if o.replicas > 1 {
-                let (one, many) = (&runs[first], &runs[first + 1]);
-                println!(
-                    "compare 1 vs {} replicas ({}): batch p99 {} ns -> {} ns, \
-                     query p99 {} ns -> {} ns (merge-on-query over {} snapshots); \
-                     merged query p50 {} ns vs single-replica {} ns ({:.1}x)",
-                    o.replicas,
-                    o.replica_mode,
-                    one.batch_ns.p99,
-                    many.batch_ns.p99,
-                    one.query_ns.p99,
-                    many.query_ns.p99,
-                    o.replicas,
-                    many.query_ns.p50,
-                    one.query_ns.p50,
-                    many.query_ns.p50 as f64 / one.query_ns.p50.max(1) as f64,
-                );
-            }
+            runs.push(run_replicated(o, o.backend, o.replicas)?);
         }
     }
     write_json(o, &runs)
@@ -1849,7 +1460,7 @@ fn run(o: &Opts) -> Result<(), String> {
 fn main() -> ExitCode {
     let Some(opts) = parse() else {
         eprintln!(
-            "usage: loadgen [--backend threaded|event-loop|both] [--threads N] \
+            "usage: loadgen [--backend threaded|event-loop] [--threads N] \
              [--ops N] [--keys N] [--queries N] [--batch N] [--shards N] \
              [--write-buffer B] [--mix cm=8,hll=1,morris=1] [--replicas N] \
              [--mode partition|mirror] [--query-ratio R] [--rejoin] \

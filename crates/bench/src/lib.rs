@@ -1,6 +1,6 @@
 //! Shared benchmark utilities: multi-threaded throughput drivers used
-//! by the Criterion benches, the table generator and the `loadgen`
-//! service load generator.
+//! by the Criterion benches, and the scoped worker spawner the
+//! `loadgen` scenario driver runs its connections on.
 //!
 //! Every driver funnels through [`timed_scope`]: build one closure per
 //! worker, run them all inside a crossbeam scope, time the batch. The
@@ -136,11 +136,6 @@ pub fn sketch_mixed_batch<S: ConcurrentSketch>(
         }
     }));
     timed_scope(workers)
-}
-
-/// Million-operations-per-second from an op count and duration.
-pub fn mops(ops: u64, d: Duration) -> f64 {
-    ops as f64 / d.as_secs_f64() / 1e6
 }
 
 #[cfg(test)]

@@ -247,7 +247,11 @@ impl BatchScratch {
             slots[i] = idx as u32;
             keys[idx] = key;
             slot_of[idx] = i as u32;
-            counts[idx] = if fresh { weight } else { counts[idx] + weight };
+            counts[idx] = if fresh {
+                weight
+            } else {
+                counts[idx].saturating_add(weight)
+            };
             pending = pending.saturating_add(weight.max(1));
             // Only the hashing itself stays behind a branch — it is
             // heavy enough (one reduction + `depth` row hashes) that a

@@ -256,7 +256,7 @@ impl ShardedPcm {
                 self.shards
                     .iter()
                     .map(|m| m.cell(row, col).load(Ordering::Acquire))
-                    .sum::<u64>()
+                    .fold(0, u64::saturating_add)
             })
             .min()
             .expect("depth >= 1")
@@ -271,7 +271,7 @@ impl ShardedPcm {
             .iter()
             .flat_map(|m| m.row(0))
             .map(|cell| cell.load(Ordering::Acquire))
-            .sum()
+            .fold(0, u64::saturating_add)
     }
 
     /// Row-major snapshot of the summed cell matrix (`depth × width`
@@ -287,7 +287,8 @@ impl ShardedPcm {
         for shard in &self.shards {
             for row in 0..depth {
                 for (col, cell) in shard.row(row).enumerate() {
-                    out[row * width + col] += cell.load(Ordering::Acquire);
+                    let sum = &mut out[row * width + col];
+                    *sum = sum.saturating_add(cell.load(Ordering::Acquire));
                 }
             }
         }
@@ -362,7 +363,7 @@ impl ShardedPcm {
             for &(row, lo, hi) in runs {
                 let cells = shard.row_cells(row as usize);
                 for (col, slot) in (lo..hi).zip(&mut slots) {
-                    *slot += cells.cell(col as usize).load(Ordering::Acquire);
+                    *slot = slot.saturating_add(cells.cell(col as usize).load(Ordering::Acquire));
                 }
             }
         }
@@ -381,10 +382,12 @@ impl ShardedPcm {
 
 /// The single-writer cell add every write path uses: plain load +
 /// `Release` store, no RMW — a leased shard has exactly one writer.
+/// Saturates at `u64::MAX`: weights are client-chosen, and a pinned
+/// cell still never reads below a count it was given.
 #[inline]
 fn swmr_add(cell: &AtomicU64, add: u64) {
     let cur = cell.load(Ordering::Relaxed);
-    cell.store(cur + add, Ordering::Release);
+    cell.store(cur.saturating_add(add), Ordering::Release);
 }
 
 /// A single-writer shard checkout that returns its shard to the free

@@ -98,12 +98,12 @@ impl SharedBatchedCounter for IvlBatchedCounter {
         self.slots.len()
     }
 
-    /// `v[i] ← v[i] + v`: one load of the own slot (no other writer
-    /// exists) and one store. O(1), wait-free.
+    /// `v[i] ← v[i] + v`, saturating at `u64::MAX`: one load of the own
+    /// slot (no other writer exists) and one store. O(1), wait-free.
     fn update_slot(&self, slot: usize, v: u64) {
         let cell = &self.slots[slot];
         let current = cell.load(Ordering::Relaxed);
-        cell.store(current + v, Ordering::Release);
+        cell.store(current.saturating_add(v), Ordering::Release);
     }
 
     /// Sums the slots in index order. O(n), wait-free. The result is
@@ -111,7 +111,10 @@ impl SharedBatchedCounter for IvlBatchedCounter {
     /// read started, at most its value (including pending updates)
     /// when it returns.
     fn read(&self) -> u64 {
-        self.slots.iter().map(|s| s.load(Ordering::Acquire)).sum()
+        self.slots
+            .iter()
+            .map(|s| s.load(Ordering::Acquire))
+            .fold(0, u64::saturating_add)
     }
 }
 

@@ -30,7 +30,7 @@
 //!
 //! The byte layout lives here too, next to the state codec and on the
 //! same readers: [`ErrorEnvelope::encode_into`] writes the kind-tagged
-//! body the `ENVELOPE2`, `SNAPSHOT` and `SNAPSHOT_DELTA` frames carry.
+//! body the `ENVELOPE2` and `SNAPSHOT_DELTA` frames carry.
 //! The wire layer only frames it.
 
 use crate::{take_u32, take_u64, take_u8, MergePolicy};

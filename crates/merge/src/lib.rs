@@ -109,7 +109,8 @@ impl std::str::FromStr for ObjectKind {
     }
 }
 
-/// The kind-specific mergeable state carried by a `SNAPSHOT` reply.
+/// The kind-specific mergeable state carried by a full `SNAPSHOT_SINCE`
+/// reply (and by `PUSH_STATE`).
 ///
 /// Each variant is the raw material of that kind's merge operator
 /// (CountMin cells add cell-wise, HLL registers max register-wise,
@@ -405,7 +406,8 @@ pub fn slot_coins(seed: u64, idx: u32) -> CoinFlips {
 /// behave identically under either policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MergePolicy {
-    /// Cell-wise addition: summaries of disjoint substreams.
+    /// Cell-wise addition, saturating at `u64::MAX`: summaries of
+    /// disjoint substreams.
     Add,
     /// Cell-wise max: summaries of the same stream.
     Join,
@@ -641,7 +643,7 @@ impl MergeableState for SnapshotState {
                 }
                 for (t, &c) in tc.iter_mut().zip(cells) {
                     match policy {
-                        MergePolicy::Add => *t += c,
+                        MergePolicy::Add => *t = t.saturating_add(c),
                         MergePolicy::Join => *t = (*t).max(c),
                     }
                 }
@@ -736,7 +738,7 @@ impl MergeableState for SnapshotState {
                     // The cache's cell rose by `new - old`: a sum rises by
                     // as much, a max to at least `new`.
                     *cell = match policy {
-                        MergePolicy::Add => *cell + (new - old),
+                        MergePolicy::Add => cell.saturating_add(new - old),
                         MergePolicy::Join => (*cell).max(new),
                     };
                 }

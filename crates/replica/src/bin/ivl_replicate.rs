@@ -26,9 +26,7 @@
 
 use ivl_replica::{ReplicaError, ReplicaGroup, ReplicaMode};
 use ivl_service::protocol::{self, read_frame};
-use ivl_service::{
-    ClientError, DeltaChange, ErrorCode, Metrics, ObjectSnapshot, Request, Response, SnapshotDelta,
-};
+use ivl_service::{ClientError, DeltaChange, ErrorCode, Metrics, Request, Response, SnapshotDelta};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
@@ -130,25 +128,10 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) {
             return;
         }
         let rsp = match request {
-            Request::Update {
-                object,
-                key,
-                weight,
-            } => {
-                let start = Instant::now();
-                match group.update(object, key, weight) {
-                    Ok(_) => {
-                        shared.metrics.record_updates(1, start.elapsed().as_nanos());
-                        shared.observed.fetch_add(weight, Ordering::Relaxed);
-                        applied += 1;
-                        Response::Ack { applied }
-                    }
-                    Err(e) => wire_error(e),
-                }
-            }
             Request::Batch { object, items } => {
                 let start = Instant::now();
-                let weight: u64 = items.iter().map(|&(_, w)| w).sum();
+                // Saturating, like every add a client-chosen weight reaches.
+                let weight = items.iter().fold(0u64, |t, &(_, w)| t.saturating_add(w));
                 match group.batch(object, &items) {
                     Ok(_) => {
                         shared.metrics.record_batch();
@@ -168,21 +151,6 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) {
                     Ok(read) => {
                         shared.metrics.record_query(start.elapsed().as_nanos());
                         Response::Envelope(read.envelope)
-                    }
-                    Err(e) => wire_error(e),
-                }
-            }
-            Request::Snapshot { object } => {
-                let start = Instant::now();
-                match group.snapshot_merged(object) {
-                    Ok(merged) => {
-                        shared.metrics.record_query(start.elapsed().as_nanos());
-                        Response::Snapshot(ObjectSnapshot {
-                            object: merged.object,
-                            kind: merged.kind,
-                            state: merged.state,
-                            envelope: merged.envelope,
-                        })
                     }
                     Err(e) => wire_error(e),
                 }

@@ -232,8 +232,8 @@ pub struct MergedRead {
 }
 
 /// A merged snapshot: the merged mergeable state itself, with the
-/// composed envelope — what the `ivl_replicate` frontend serves for
-/// `SNAPSHOT` so groups stack.
+/// composed envelope — what the `ivl_replicate` frontend serves, as a
+/// `Full` reply, for every `SNAPSHOT_SINCE` so groups stack.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MergedSnapshot {
     /// Object id (same on every replica by construction).
@@ -285,7 +285,8 @@ struct Ledger {
 
 impl Ledger {
     fn bump(map: &mut HashMap<u32, u64>, object: u32, weight: u64) {
-        *map.entry(object).or_insert(0) += weight;
+        let total = map.entry(object).or_insert(0);
+        *total = total.saturating_add(weight);
     }
 
     fn get(map: &HashMap<u32, u64>, object: u32) -> u64 {
@@ -457,6 +458,12 @@ fn mix64(v: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
+}
+
+/// The total weight of a write, saturating at `u64::MAX` like every add
+/// a client-chosen weight reaches.
+fn weight_of(items: &[(u64, u64)]) -> u64 {
+    items.iter().fold(0, |t, &(_, w)| t.saturating_add(w))
 }
 
 /// Whether a client error means the connection died (vs the server
@@ -648,25 +655,20 @@ impl ReplicaGroup {
         }
     }
 
-    /// Sends one write (update or batch) to replica `i`, exactly once:
-    /// a mid-roundtrip death is reported as [`SendFailure::Ambiguous`],
-    /// never resent here.
+    /// Sends one write frame of `items`, whose total weight is `weight`,
+    /// to replica `i`, exactly once: a mid-roundtrip death is reported
+    /// as [`SendFailure::Ambiguous`], never resent here.
     fn send_write(
         &mut self,
         i: usize,
         object: u32,
         items: &[(u64, u64)],
+        weight: u64,
     ) -> Result<(), SendFailure> {
-        let weight: u64 = items.iter().map(|&(_, w)| w).sum();
         let Some(client) = self.ensure_client(i) else {
             return Err(SendFailure::Unreached);
         };
-        let sent = if let [(key, w)] = items {
-            client.object_id(object).update(*key, *w)
-        } else {
-            client.object_id(object).batch(items)
-        };
-        match sent {
+        match client.object_id(object).batch(items) {
             Ok(_) => {
                 Ledger::bump(&mut self.ledgers[i].acked, object, weight);
                 Ok(())
@@ -690,10 +692,10 @@ impl ReplicaGroup {
     ) -> Result<usize, ReplicaError> {
         let n = self.addrs.len();
         let primary = self.route(items[0].0);
-        let weight: u64 = items.iter().map(|&(_, w)| w).sum();
+        let weight = weight_of(items);
         for off in 0..n {
             let i = (primary + off) % n;
-            match self.send_write(i, object, items) {
+            match self.send_write(i, object, items, weight) {
                 Ok(()) => return Ok(i),
                 Err(SendFailure::Unreached) => {}
                 Err(SendFailure::Ambiguous) => {
@@ -716,10 +718,10 @@ impl ReplicaGroup {
         object: u32,
         items: &[(u64, u64)],
     ) -> Result<Vec<usize>, ReplicaError> {
-        let weight: u64 = items.iter().map(|&(_, w)| w).sum();
+        let weight = weight_of(items);
         let mut applied = Vec::new();
         for i in 0..self.addrs.len() {
-            match self.send_write(i, object, items) {
+            match self.send_write(i, object, items, weight) {
                 Ok(()) => applied.push(i),
                 Err(SendFailure::Unreached) | Err(SendFailure::Ambiguous) => {
                     // Max-merge cannot double-count, so ambiguity just

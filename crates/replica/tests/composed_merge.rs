@@ -67,8 +67,8 @@ fn feed(r: &ObjectRegistry, metrics: &Metrics, id: u32, batch: &[(u64, u64)]) {
     let obj = r.get(id).expect("registered object");
     let mut w = obj.writer(metrics);
     w.ensure_ready().expect("zero-buffer writer acquires");
-    for &(k, wt) in batch {
-        w.apply(k, wt);
+    for item in batch {
+        w.apply_batch(std::slice::from_ref(item));
     }
     w.release();
 }

@@ -56,14 +56,23 @@ fn frontend_answers_a_protocol_error_and_keeps_the_connection() {
         .unwrap_or_else(|| panic!("no address in {banner:?}"));
     let mut s = TcpStream::connect(addr).expect("connect to the frontend");
 
-    // A retired object-id-less UPDATE (opcode 0x01, key, weight).
-    let mut v1 = 17u32.to_le_bytes().to_vec();
-    v1.push(0x01);
-    v1.extend_from_slice(&7u64.to_le_bytes());
-    v1.extend_from_slice(&3u64.to_le_bytes());
-    match roundtrip(&mut s, &v1) {
-        Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
-        other => panic!("expected a protocol error, got {other:?}"),
+    // Retired request bytes, each with its old body: the object-id-less
+    // UPDATE (0x01, key, weight), UPDATE2 (0x11, object, key, weight)
+    // and SNAPSHOT (0x14, object).
+    let key_weight = [7u64.to_le_bytes(), 3u64.to_le_bytes()].concat();
+    let object = 0u32.to_le_bytes();
+    for (op, body) in [
+        (0x01u8, key_weight.clone()),
+        (0x11, [&object[..], &key_weight].concat()),
+        (0x14, object.to_vec()),
+    ] {
+        let mut frame = (1 + body.len() as u32).to_le_bytes().to_vec();
+        frame.push(op);
+        frame.extend_from_slice(&body);
+        match roundtrip(&mut s, &frame) {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
+            other => panic!("byte {op:#04x}: expected a protocol error, got {other:?}"),
+        }
     }
     // The same connection still answers.
     let mut buf = Vec::new();

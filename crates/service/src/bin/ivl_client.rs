@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! usage: ivl_client <addr> [--object NAME] <command> [args]
-//!   update <key> <weight>     ingest weight occurrences of key
+//!   update <key> <weight>     ingest weight occurrences of key (a
+//!                             one-item batch frame)
 //!   query <key>               estimate + IVL error envelope
 //!   batch <key:weight> ...    many updates in one frame
 //!   snapshot [--since EPOCH]  mergeable state summary: kind, epoch,
@@ -10,7 +11,9 @@
 //!                             --since, the delta against that epoch
 //!   objects                   list the server's registered objects
 //!   stats                     server counters, latency quantiles, and
-//!                             per-object operation rows
+//!                             per-object operation rows; `batches`
+//!                             counts write frames (an update is one),
+//!                             `updates` the items they carried
 //!   shutdown                  drain the server
 //!
 //! --object NAME routes update/query/batch/snapshot to a named
@@ -90,8 +93,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 _ => return Err("snapshot takes no arguments or --since EPOCH".into()),
             };
             // One code path for both shapes: `SNAPSHOT_SINCE` with the
-            // never-an-epoch sentinel base always answers a full state
-            // and, unlike plain `SNAPSHOT`, carries the object epoch.
+            // never-an-epoch sentinel base always answers a full state,
+            // and every reply carries the object epoch.
             let (_, in0) = client.wire_bytes();
             let delta = client
                 .object_id(object)

@@ -337,17 +337,11 @@ impl ObjectHandle<'_> {
         self.object
     }
 
-    /// Ingests `weight` occurrences of `key` into this object;
-    /// returns the connection's cumulative applied-update count.
+    /// Ingests `weight` occurrences of `key` into this object — a
+    /// one-item [`batch`](Self::batch); returns the connection's
+    /// cumulative applied-update count.
     pub fn update(&mut self, key: u64, weight: u64) -> Result<u64, ClientError> {
-        match self.client.roundtrip(&Request::Update {
-            object: self.object,
-            key,
-            weight,
-        })? {
-            Response::Ack { applied } => Ok(applied),
-            _ => Err(ClientError::Unexpected("wanted ACK")),
-        }
+        self.batch(&[(key, weight)])
     }
 
     /// Ingests many pairs under one frame (at most
@@ -375,14 +369,12 @@ impl ObjectHandle<'_> {
     }
 
     /// Pulls a mergeable snapshot of this object's state plus its
-    /// current envelope — the replication layer's read primitive.
+    /// current envelope: a [`snapshot_since`](Self::snapshot_since)
+    /// from the no-cache base, whose reply is always the full state.
     pub fn snapshot(&mut self) -> Result<ObjectSnapshot, ClientError> {
-        match self.client.roundtrip_idempotent(&Request::Snapshot {
-            object: self.object,
-        })? {
-            Response::Snapshot(snap) => Ok(snap),
-            _ => Err(ClientError::Unexpected("wanted SNAPSHOT_REPLY")),
-        }
+        self.snapshot_since(u64::MAX)?
+            .into_snapshot()
+            .ok_or(ClientError::Unexpected("wanted a full state"))
     }
 
     /// Asks this object what changed since `base_epoch` — the
@@ -448,7 +440,7 @@ mod tests {
                                 lag: 0,
                             }))
                         }
-                        Request::Update { .. } => Response::Ack { applied: 1 },
+                        Request::Batch { .. } => Response::Ack { applied: 1 },
                         other => panic!("fixture got {other:?}"),
                     };
                     let mut buf = Vec::new();

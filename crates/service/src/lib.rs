@@ -18,10 +18,12 @@
 //!   exactly one writing thread, so ingest is plain atomic stores —
 //!   no RMW, no lock — and the lease pool doubles as backpressure.
 //! * [`protocol`] — a compact length-prefixed binary wire format with
-//!   one generation: every object-addressed frame (`UPDATE2`/`QUERY2`/
-//!   `BATCH2`/`SNAPSHOT`/...) carries an explicit object id, and no
-//!   object, id 0 included, is special. `SNAPSHOT` serializes an object's
-//!   mergeable state for the replication layer (`ivl-replica`), and
+//!   one generation: every object-addressed frame (`QUERY2`/`BATCH2`/
+//!   `SNAPSHOT_SINCE`/...) carries an explicit object id, and no
+//!   object, id 0 included, is special. `BATCH2` is the one write frame
+//!   (an update is a batch of one), and `SNAPSHOT_SINCE` the one state
+//!   read: it serializes an object's mergeable state, or its change
+//!   since a cached epoch, for the replication layer (`ivl-replica`), and
 //!   `PUSH_STATE` carries a peer's state the other way — the absorb
 //!   half of replica catch-up (anti-entropy). The protocol only frames
 //!   state and envelope bodies: their byte layouts live in `ivl-merge`,

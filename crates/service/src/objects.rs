@@ -125,8 +125,9 @@ pub struct ObjectInfo {
     pub name: String,
 }
 
-/// One object's `SNAPSHOT` reply: its mergeable state plus the error
-/// envelope in force at snapshot time.
+/// One object's snapshot — the `Full` reply to a `SNAPSHOT_SINCE` from
+/// the no-cache base: its mergeable state plus the error envelope in
+/// force at snapshot time.
 ///
 /// The envelope carries the object's error *parameters* and observed
 /// update weight; for frequency envelopes the `key`/`estimate` fields
@@ -145,8 +146,8 @@ pub struct ObjectSnapshot {
 }
 
 /// A `SNAPSHOT_SINCE` reply: the object's current epoch, the change
-/// against the client's base, and the envelope in force — the
-/// versioned, delta-capable sibling of [`ObjectSnapshot`].
+/// against the client's base, and the envelope in force — the one
+/// state read, of which an [`ObjectSnapshot`] is the `Full` case.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SnapshotDelta {
     /// Object id on the serving replica.
@@ -161,6 +162,22 @@ pub struct SnapshotDelta {
     /// The envelope at reply time (same sentinel conventions as
     /// [`ObjectSnapshot::envelope`]).
     pub envelope: ErrorEnvelope,
+}
+
+impl SnapshotDelta {
+    /// The snapshot a `Full` reply carries; `None` for `Unchanged` or a
+    /// sparse delta.
+    pub fn into_snapshot(self) -> Option<ObjectSnapshot> {
+        let DeltaChange::Full(state) = self.change else {
+            return None;
+        };
+        Some(ObjectSnapshot {
+            object: self.object,
+            kind: self.kind,
+            state,
+            envelope: self.envelope,
+        })
+    }
 }
 
 /// An update refused by an object's writer (the CountMin's shard pool
@@ -184,22 +201,15 @@ pub trait ObjectWriter: fmt::Debug {
     /// retries acquisition.
     fn ensure_ready(&mut self) -> Result<(), ObjectBusy>;
 
-    /// Applies one `(key, weight)` update. Only called after
-    /// [`ensure_ready`](Self::ensure_ready) succeeded.
-    fn apply(&mut self, key: u64, weight: u64);
-
-    /// Applies a whole batch frame. Only called after
-    /// [`ensure_ready`](Self::ensure_ready) succeeded. The default
-    /// loops [`apply`](Self::apply); objects with a batch kernel (the
-    /// CountMin) override it to coalesce duplicate keys within the
-    /// frame and hash each distinct key once. Overrides must leave the
-    /// same quiescent state as the per-item loop and must keep any
-    /// buffered-weight bound the object's envelope advertises.
-    fn apply_batch(&mut self, items: &[(u64, u64)]) {
-        for &(key, weight) in items {
-            self.apply(key, weight);
-        }
-    }
+    /// Applies a batch of `(key, weight)` updates — the one write entry;
+    /// a single update is a batch of one. Only called after
+    /// [`ensure_ready`](Self::ensure_ready) succeeded. The CountMin's
+    /// batch kernel coalesces duplicate keys within the frame and
+    /// hashes each distinct key once; every kind must leave the same
+    /// quiescent state as applying the items one by one, keep any
+    /// buffered-weight bound its envelope advertises, and saturate at
+    /// `u64::MAX` instead of overflowing on client-chosen weights.
+    fn apply_batch(&mut self, items: &[(u64, u64)]);
 
     /// Absorbs a peer's pushed snapshot state into the shared object —
     /// the receiving half of replication catch-up (`PUSH_STATE`). Only
@@ -250,8 +260,8 @@ pub trait ServedObject: Send + Sync + fmt::Debug {
     /// of the client's cached state with the current epoch, the change
     /// to apply, and the envelope in force. `Unchanged` only when
     /// `base` is the current epoch; `None` is a client with no cache,
-    /// always answered `Full` — which is also the whole `SNAPSHOT`
-    /// reply. Each piece of the state is an IVL read (an intermediate
+    /// always answered `Full` — which is also what a snapshot is. Each
+    /// piece of the state is an IVL read (an intermediate
     /// mix of the concurrent updates), so merging snapshots composes
     /// exactly like merging sequential summaries.
     fn snapshot_since(&self, base: Option<u64>) -> (u64, DeltaChange, ErrorEnvelope);
@@ -387,18 +397,13 @@ impl ObjectRegistry {
         self.get(id).and_then(ServedObject::as_count_min)
     }
 
-    /// A `SNAPSHOT` reply for object `id` (`None` for unknown ids): the
-    /// full state a client with no cache is sent.
+    /// A snapshot of object `id` (`None` for unknown ids): the full
+    /// state a client with no cache is sent.
     pub fn snapshot(&self, id: u32) -> Option<ObjectSnapshot> {
-        let delta = self.snapshot_since(id, u64::MAX)?;
-        let DeltaChange::Full(state) = delta.change else {
-            unreachable!("a client with no cache is answered in full");
-        };
-        Some(ObjectSnapshot {
-            object: id,
-            kind: delta.kind,
-            state,
-            envelope: delta.envelope,
+        self.snapshot_since(id, u64::MAX).map(|delta| {
+            delta
+                .into_snapshot()
+                .expect("a client with no cache is answered in full")
         })
     }
 
@@ -807,16 +812,12 @@ impl ObjectWriter for CmWriter<'_> {
         }
     }
 
-    fn apply(&mut self, key: u64, weight: u64) {
-        self.apply_batch(&[(key, weight)]);
-    }
-
     fn apply_batch(&mut self, items: &[(u64, u64)]) {
         let lease = self.lease.as_mut().expect("ensure_ready acquired a lease");
         let (b, metrics) = (self.obj.write_buffer, self.metrics);
-        let (total, buffered) = items
-            .iter()
-            .fold((0, 0), |(t, p), &(_, w)| (t + w, p + w.max(1)));
+        let (total, buffered) = items.iter().fold((0u64, 0u64), |(t, p), &(_, w)| {
+            (t.saturating_add(w), p.saturating_add(w.max(1)))
+        });
         if b > 0 {
             metrics.record_buffered(buffered);
         }
@@ -1327,8 +1328,10 @@ impl<T: AtomicApply + ?Sized> ObjectWriter for AtomicWriter<'_, T> {
         Ok(())
     }
 
-    fn apply(&mut self, key: u64, weight: u64) {
-        self.obj.apply_one(key, weight);
+    fn apply_batch(&mut self, items: &[(u64, u64)]) {
+        for &(key, weight) in items {
+            self.obj.apply_one(key, weight);
+        }
     }
 
     fn absorb(&mut self, state: &SnapshotState, observed: u64) -> Result<(), MergeError> {
@@ -1423,7 +1426,7 @@ mod tests {
         let metrics = Metrics::new();
         let mut w = r.get(0).unwrap().writer(&metrics);
         w.ensure_ready().unwrap();
-        w.apply(7, 3);
+        w.apply_batch(&[(7, 3)]);
         w.release();
         match r.get(0).unwrap().query(7) {
             ErrorEnvelope::Cardinality { observed, .. } => assert_eq!(observed, 3),
@@ -1458,8 +1461,8 @@ mod tests {
             let obj = r.get(id).unwrap();
             let mut w = obj.writer(&metrics);
             w.ensure_ready().unwrap();
-            w.apply(41, 3);
-            w.apply(100, 2);
+            w.apply_batch(&[(41, 3)]);
+            w.apply_batch(&[(100, 2)]);
             w.release();
         }
         match r.get(0).unwrap().query(41) {
@@ -1540,7 +1543,7 @@ mod tests {
             w.ensure_ready().unwrap();
             for k in [5u64, 9, 5] {
                 let u = b.invoke_update(p, ObjectId(id), (k, 2));
-                w.apply(k, 2);
+                w.apply_batch(&[(k, 2)]);
                 b.respond_update(u);
             }
             w.release();
@@ -1586,8 +1589,8 @@ mod tests {
             let obj = r.get(id).unwrap();
             let mut w = obj.writer(&metrics);
             w.ensure_ready().unwrap();
-            w.apply(41, 3);
-            w.apply(100, 2);
+            w.apply_batch(&[(41, 3)]);
+            w.apply_batch(&[(100, 2)]);
             w.release();
         }
         let snap = r.snapshot(0).unwrap();
@@ -1651,7 +1654,7 @@ mod tests {
             let obj = r.get(id).unwrap();
             let mut w = obj.writer(&metrics);
             w.ensure_ready().unwrap();
-            w.apply(key, weight);
+            w.apply_batch(&[(key, weight)]);
             w.release();
         };
         for id in 0..4u32 {
@@ -1875,8 +1878,8 @@ mod tests {
             no_cache(id);
             let mut w = r.get(id).unwrap().writer(&metrics);
             w.ensure_ready().unwrap();
-            w.apply(0, 3);
-            w.apply(41, 2);
+            w.apply_batch(&[(0, 3)]);
+            w.apply_batch(&[(41, 2)]);
             w.release();
             no_cache(id);
         }
@@ -1894,7 +1897,7 @@ mod tests {
             let mut w = peer.get(id).unwrap().writer(&metrics);
             w.ensure_ready().unwrap();
             for key in [5u64, 9, 31] {
-                w.apply(key, 2);
+                w.apply_batch(&[(key, 2)]);
             }
             w.release();
         }
@@ -2007,7 +2010,7 @@ mod tests {
         for i in 0..(SNAPSHOT_LEDGER_CAP as u64 + 4) {
             let mut w = obj.writer(&metrics);
             w.ensure_ready().unwrap();
-            w.apply(i, 1);
+            w.apply_batch(&[(i, 1)]);
             w.release();
             let _ = r.snapshot_since(0, u64::MAX);
         }
@@ -2037,7 +2040,7 @@ mod tests {
         // base still in the ledger (nobody polled in between).
         let base = r.snapshot_since(0, u64::MAX).unwrap().epoch;
         for key in 0..400u64 {
-            w.apply(key, 1);
+            w.apply_batch(&[(key, 1)]);
         }
         assert!(full(base), "a base the ring lapped must go full");
         // One frame too large to log laps every older base at once...
@@ -2051,7 +2054,7 @@ mod tests {
         // ...and none taken after it: the next small write is a delta
         // of exactly its own cells.
         let after = r.snapshot_since(0, u64::MAX).unwrap().epoch;
-        w.apply(7, 1);
+        w.apply_batch(&[(7, 1)]);
         w.release();
         match r.snapshot_since(0, after).unwrap().change {
             DeltaChange::CmRuns { runs, values, .. } => {
@@ -2102,7 +2105,7 @@ mod tests {
                 let mut w = obj.writer(&metrics);
                 w.ensure_ready().unwrap();
                 for k in keys {
-                    w.apply(k, 2);
+                    w.apply_batch(&[(k, 2)]);
                 }
                 w.release();
             }
@@ -2165,7 +2168,7 @@ mod tests {
         let obj = ServedMorris::new(MORRIS_A, CoinFlips::from_seed(5));
         let mut w = obj.writer(&metrics);
         w.ensure_ready().unwrap();
-        w.apply(0, u64::MAX); // must terminate quickly
+        w.apply_batch(&[(0, u64::MAX)]); // must terminate quickly
         match obj.query(0) {
             ErrorEnvelope::ApproxCount { observed, .. } => assert_eq!(observed, u64::MAX),
             other => panic!("wanted approx-count envelope, got {other:?}"),

@@ -12,27 +12,27 @@
 //! Request opcodes (see README for the frame table): `STATS` 0x04,
 //! `SHUTDOWN` 0x05, `OBJECTS` 0x06, and the object-addressed frames,
 //! whose body leads with a `u32` object id (a registry index):
-//! `UPDATE2` 0x11, `QUERY2` 0x12, `BATCH2` 0x13, `SNAPSHOT` 0x14,
-//! `SNAPSHOT_SINCE` 0x15, `PUSH_STATE` 0x16. Every object id, 0
-//! included, travels the same way. Response opcodes: `ACK` 0x81,
-//! `ENVELOPE2` 0x83 (a kind-tagged envelope body), `STATS` 0x84,
-//! `GOODBYE` 0x85, `OBJECTS` 0x86, `SNAPSHOT` 0x87 (an object's
-//! mergeable state — a kind-tagged body carrying the raw
-//! cells/registers plus the object's current envelope),
-//! `SNAPSHOT_DELTA` 0x88, `ABSORBED` 0x89 (a `PUSH_STATE` was merged
-//! into the served object), `ERROR` 0xEE.
+//! `QUERY2` 0x12, `BATCH2` 0x13, `SNAPSHOT_SINCE` 0x15, `PUSH_STATE`
+//! 0x16. Every object id, 0 included, travels the same way. There is
+//! one write frame and one state read: a single update is a `BATCH2`
+//! of one item, and a client with no cached state sends
+//! `SNAPSHOT_SINCE` with the no-cache base `u64::MAX` and is answered
+//! `Full`. Response opcodes: `ACK` 0x81, `ENVELOPE2` 0x83 (a
+//! kind-tagged envelope body), `STATS` 0x84, `GOODBYE` 0x85, `OBJECTS`
+//! 0x86, `SNAPSHOT_DELTA` 0x88 (`Unchanged`, sparse CountMin runs, or
+//! an object's full mergeable state — raw cells/registers — each with
+//! the object's current envelope), `ABSORBED` 0x89 (a `PUSH_STATE` was
+//! merged into the served object), `ERROR` 0xEE.
 //!
 //! Mergeable-state bodies (the kind-tagged cells/registers payloads of
-//! `SNAPSHOT`/`SNAPSHOT_DELTA`/`PUSH_STATE`) and the kind-tagged
-//! envelope bodies (of `ENVELOPE2` and the snapshot replies) are
+//! `SNAPSHOT_DELTA`/`PUSH_STATE`) and the kind-tagged envelope bodies
+//! (of `ENVELOPE2` and the snapshot replies) are
 //! encoded and decoded by `ivl-merge`, next to the kinds themselves —
 //! the wire layer only frames them, so each byte layout is defined
 //! exactly once.
 
 use crate::metrics::{ObjectStats, StatsReport};
-use crate::objects::{
-    DeltaChange, ObjectInfo, ObjectKind, ObjectSnapshot, SnapshotDelta, SnapshotState,
-};
+use crate::objects::{DeltaChange, ObjectInfo, ObjectKind, SnapshotDelta, SnapshotState};
 use crate::ErrorEnvelope;
 use ivl_merge::{take_u32, take_u64, take_u8, MergeableState, SHORT_BODY};
 use std::fmt;
@@ -145,19 +145,10 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// A client-to-server frame. Update, query, batch and snapshot
-/// requests address one registered object by id.
+/// A client-to-server frame. Query, batch, snapshot and push requests
+/// address one registered object by id.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
-    /// Ingest `weight` occurrences of `key` into `object`.
-    Update {
-        /// Target object id (registry index).
-        object: u32,
-        /// Item to count.
-        key: u64,
-        /// Occurrence count folded in by this update.
-        weight: u64,
-    },
     /// Ask `object` for `key`'s estimate with its IVL error envelope.
     Query {
         /// Target object id (registry index).
@@ -165,25 +156,21 @@ pub enum Request {
         /// Item to estimate.
         key: u64,
     },
-    /// Ingest many `(key, weight)` pairs into `object` under one frame
-    /// (at most [`MAX_BATCH_ITEMS`]).
+    /// Ingest `(key, weight)` pairs into `object` under one frame (at
+    /// most [`MAX_BATCH_ITEMS`]) — the one write frame; a single update
+    /// is a batch of one.
     Batch {
         /// Target object id (registry index).
         object: u32,
         /// The `(key, weight)` pairs to ingest, in order.
         items: Vec<(u64, u64)>,
     },
-    /// Ask `object` for a mergeable snapshot of its state (raw
-    /// cells/registers) together with its current error envelope —
-    /// the replication layer's read primitive.
-    Snapshot {
-        /// Target object id (registry index).
-        object: u32,
-    },
-    /// Ask `object` what changed since the client's cached epoch —
+    /// Ask `object` what changed since the client's cached epoch — the
+    /// one state read, and the replication layer's read primitive —
     /// answered by a `SNAPSHOT_DELTA_REPLY` carrying `Unchanged`, a
-    /// sparse delta, or a full state. `u64::MAX` is the conventional
-    /// no-cache base (never a real epoch, always answered full).
+    /// sparse delta, or a full mergeable state (raw cells/registers),
+    /// with the object's current envelope. `u64::MAX` is the no-cache
+    /// base (never a real epoch, always answered full).
     SnapshotSince {
         /// Target object id (registry index).
         object: u32,
@@ -217,8 +204,8 @@ pub enum Request {
 /// A server-to-client frame.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
-    /// An update or batch was applied; `applied` is the connection's
-    /// cumulative number of applied update operations.
+    /// A batch was applied; `applied` is the connection's cumulative
+    /// number of applied update items.
     Ack {
         /// Updates applied on this connection so far.
         applied: u64,
@@ -226,9 +213,6 @@ pub enum Response {
     /// Answer to a query: the estimate wrapped in the queried object's
     /// kind-tagged error envelope.
     Envelope(ErrorEnvelope),
-    /// Answer to a snapshot request: the object's mergeable state
-    /// plus its current envelope.
-    Snapshot(ObjectSnapshot),
     /// Answer to a snapshot-since request: the change against the
     /// client's base epoch plus the envelope in force.
     SnapshotDelta(SnapshotDelta),
@@ -261,10 +245,8 @@ pub enum Response {
 const OP_STATS: u8 = 0x04;
 const OP_SHUTDOWN: u8 = 0x05;
 const OP_OBJECTS: u8 = 0x06;
-const OP_UPDATE2: u8 = 0x11;
 const OP_QUERY2: u8 = 0x12;
 const OP_BATCH2: u8 = 0x13;
-const OP_SNAPSHOT: u8 = 0x14;
 const OP_SNAPSHOT_SINCE: u8 = 0x15;
 const OP_PUSH_STATE: u8 = 0x16;
 const OP_ACK: u8 = 0x81;
@@ -272,7 +254,6 @@ const OP_ENVELOPE2: u8 = 0x83;
 const OP_STATS_REPLY: u8 = 0x84;
 const OP_GOODBYE: u8 = 0x85;
 const OP_OBJECTS_REPLY: u8 = 0x86;
-const OP_SNAPSHOT_REPLY: u8 = 0x87;
 const OP_SNAPSHOT_DELTA_REPLY: u8 = 0x88;
 const OP_ABSORBED: u8 = 0x89;
 const OP_ERROR: u8 = 0xEE;
@@ -377,21 +358,11 @@ impl Request {
     /// Appends this request as one frame to `buf`.
     pub fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            Request::Update {
-                object,
-                key,
-                weight,
-            } => frame(buf, OP_UPDATE2, |b| {
-                push_u32(b, *object);
-                push_u64(b, *key);
-                push_u64(b, *weight);
-            }),
             Request::Query { object, key } => frame(buf, OP_QUERY2, |b| {
                 push_u32(b, *object);
                 push_u64(b, *key);
             }),
             Request::Batch { object, items } => encode_batch(buf, *object, items),
-            Request::Snapshot { object } => frame(buf, OP_SNAPSHOT, |b| push_u32(b, *object)),
             Request::SnapshotSince { object, base_epoch } => frame(buf, OP_SNAPSHOT_SINCE, |b| {
                 push_u32(b, *object);
                 push_u64(b, *base_epoch);
@@ -422,16 +393,10 @@ impl Request {
         }
         let mut b = Body::new(payload);
         let req = match b.u8()? {
-            OP_UPDATE2 => Request::Update {
-                object: b.u32()?,
-                key: b.u64()?,
-                weight: b.u64()?,
-            },
             OP_QUERY2 => Request::Query {
                 object: b.u32()?,
                 key: b.u64()?,
             },
-            OP_SNAPSHOT => Request::Snapshot { object: b.u32()? },
             OP_SNAPSHOT_SINCE => Request::SnapshotSince {
                 object: b.u32()?,
                 base_epoch: b.u64()?,
@@ -460,10 +425,8 @@ impl Request {
     /// The object id this request addresses, when it addresses one.
     pub fn object(&self) -> Option<u32> {
         match self {
-            Request::Update { object, .. }
-            | Request::Query { object, .. }
+            Request::Query { object, .. }
             | Request::Batch { object, .. }
-            | Request::Snapshot { object }
             | Request::SnapshotSince { object, .. }
             | Request::PushState { object, .. } => Some(*object),
             Request::Stats | Request::Objects | Request::Shutdown => None,
@@ -514,12 +477,6 @@ impl Response {
         match self {
             Response::Ack { applied } => frame(buf, OP_ACK, |b| push_u64(b, *applied)),
             Response::Envelope(env) => frame(buf, OP_ENVELOPE2, |b| env.encode_into(b)),
-            Response::Snapshot(snap) => frame(buf, OP_SNAPSHOT_REPLY, |b| {
-                push_u32(b, snap.object);
-                b.push(snap.kind.to_u8());
-                snap.state.encode_into(b);
-                snap.envelope.encode_into(b);
-            }),
             Response::SnapshotDelta(delta) => frame(buf, OP_SNAPSHOT_DELTA_REPLY, |b| {
                 push_u32(b, delta.object);
                 b.push(delta.kind.to_u8());
@@ -572,19 +529,6 @@ impl Response {
         let rsp = match b.u8()? {
             OP_ACK => Response::Ack { applied: b.u64()? },
             OP_ENVELOPE2 => Response::Envelope(b.take(ErrorEnvelope::decode_from)?),
-            OP_SNAPSHOT_REPLY => {
-                let object = b.u32()?;
-                let kind = ObjectKind::from_u8(b.u8()?)
-                    .ok_or(WireError::Malformed("unknown object kind tag"))?;
-                let state = b.take(|rest| SnapshotState::decode_from(kind, rest))?;
-                let envelope = b.take(ErrorEnvelope::decode_from)?;
-                Response::Snapshot(ObjectSnapshot {
-                    object,
-                    kind,
-                    state,
-                    envelope,
-                })
-            }
             OP_SNAPSHOT_DELTA_REPLY => {
                 let object = b.u32()?;
                 let kind = ObjectKind::from_u8(b.u8()?)
@@ -851,6 +795,9 @@ mod tests {
     /// wire carries it.
     const DELTA_CM_RUNS: u8 = 1;
 
+    /// The full-state change tag of a `SNAPSHOT_DELTA_REPLY` body.
+    const DELTA_FULL: u8 = 3;
+
     fn roundtrip_request(req: &Request) -> Request {
         let mut buf = Vec::new();
         req.encode(&mut buf);
@@ -863,16 +810,6 @@ mod tests {
     #[test]
     fn request_roundtrips() {
         for req in [
-            Request::Update {
-                object: 0,
-                key: 7,
-                weight: 3,
-            },
-            Request::Update {
-                object: 3,
-                key: 7,
-                weight: 3,
-            },
             Request::Query {
                 object: 0,
                 key: u64::MAX,
@@ -889,8 +826,6 @@ mod tests {
                 object: 2,
                 items: vec![],
             },
-            Request::Snapshot { object: 0 },
-            Request::Snapshot { object: 5 },
             Request::SnapshotSince {
                 object: 0,
                 base_epoch: 0,
@@ -963,42 +898,20 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_request_is_v2_even_for_object_zero() {
-        // Like every object-addressed request, the body leads with the
-        // object id, 0 included.
+    fn object_zero_requests_lead_with_their_id() {
+        // Object 0 has no frame of its own: its requests wear the same
+        // opcodes, and carry the same leading id, as any other object's.
         let mut buf = Vec::new();
-        Request::Snapshot { object: 0 }.encode(&mut buf);
-        assert_eq!(buf[4], OP_SNAPSHOT);
-        assert_eq!(buf.len(), 4 + 1 + 4);
-
-        // Snapshot-since likewise: object id then base epoch.
-        buf.clear();
         Request::SnapshotSince {
             object: 0,
             base_epoch: 9,
         }
         .encode(&mut buf);
-        assert_eq!(buf[4], OP_SNAPSHOT_SINCE);
-        assert_eq!(buf.len(), 4 + 1 + 4 + 8);
-    }
-
-    #[test]
-    fn object_zero_requests_lead_with_their_id() {
-        // Object 0 has no frame of its own: its requests wear the same
-        // opcodes, and carry the same leading id, as any other object's.
-        let mut buf = Vec::new();
-        Request::Update {
-            object: 0,
-            key: 7,
-            weight: 3,
-        }
-        .encode(&mut buf);
         let mut expect = Vec::new();
-        push_u32(&mut expect, 21);
-        expect.push(OP_UPDATE2);
+        push_u32(&mut expect, 13);
+        expect.push(OP_SNAPSHOT_SINCE);
         push_u32(&mut expect, 0);
-        push_u64(&mut expect, 7);
-        push_u64(&mut expect, 3);
+        push_u64(&mut expect, 9);
         assert_eq!(buf, expect);
 
         buf.clear();
@@ -1102,53 +1015,64 @@ mod tests {
             delta: 0.01,
             lag: 128,
         });
+        // A snapshot is a `Full` reply to `SNAPSHOT_SINCE`: every kind's
+        // whole mergeable state travels in one.
+        let full = |object, kind, state, envelope| {
+            Response::SnapshotDelta(SnapshotDelta {
+                object,
+                kind,
+                epoch: 4,
+                change: DeltaChange::Full(state),
+                envelope,
+            })
+        };
         for rsp in [
-            Response::Snapshot(ObjectSnapshot {
-                object: 0,
-                kind: ObjectKind::CountMin,
-                state: SnapshotState::CountMin {
+            full(
+                0,
+                ObjectKind::CountMin,
+                SnapshotState::CountMin {
                     width: 3,
                     depth: 2,
                     hash_fp: 0xDEAD_BEEF,
                     cells: vec![1, 2, 3, 4, 5, 6],
                 },
-                envelope: freq,
-            }),
-            Response::Snapshot(ObjectSnapshot {
-                object: 1,
-                kind: ObjectKind::Hll,
-                state: SnapshotState::Hll {
+                freq,
+            ),
+            full(
+                1,
+                ObjectKind::Hll,
+                SnapshotState::Hll {
                     hash_fp: 42,
                     registers: vec![0, 7, 1, 0],
                 },
-                envelope: ErrorEnvelope::Cardinality {
+                ErrorEnvelope::Cardinality {
                     estimate: 812.5,
                     rel_std_err: 0.016,
                     registers: 4,
                     register_sum: 8,
                     observed: 900,
                 },
-            }),
-            Response::Snapshot(ObjectSnapshot {
-                object: 2,
-                kind: ObjectKind::Morris,
-                state: SnapshotState::Morris { exponent: 9 },
-                envelope: ErrorEnvelope::ApproxCount {
+            ),
+            full(
+                2,
+                ObjectKind::Morris,
+                SnapshotState::Morris { exponent: 9 },
+                ErrorEnvelope::ApproxCount {
                     estimate: 14.0,
                     a: 0.5,
                     exponent: 9,
                     observed: 15,
                 },
-            }),
-            Response::Snapshot(ObjectSnapshot {
-                object: 3,
-                kind: ObjectKind::MinRegister,
-                state: SnapshotState::MinRegister { minimum: 3 },
-                envelope: ErrorEnvelope::Minimum {
+            ),
+            full(
+                3,
+                ObjectKind::MinRegister,
+                SnapshotState::MinRegister { minimum: 3 },
+                ErrorEnvelope::Minimum {
                     minimum: 3,
                     observed: 44,
                 },
-            }),
+            ),
         ] {
             let mut buf = Vec::new();
             rsp.encode(&mut buf);
@@ -1170,13 +1094,6 @@ mod tests {
             delta: 0.01,
             lag: 128,
         });
-        let card = ErrorEnvelope::Cardinality {
-            estimate: 812.5,
-            rel_std_err: 0.016,
-            registers: 4,
-            register_sum: 8,
-            observed: 900,
-        };
         for rsp in [
             // The tiny `Unchanged` frame — the fast path under test.
             Response::SnapshotDelta(SnapshotDelta {
@@ -1206,39 +1123,7 @@ mod tests {
                     ],
                     values: vec![5, 0, 9, 1],
                 },
-                envelope: freq.clone(),
-            }),
-            Response::SnapshotDelta(SnapshotDelta {
-                object: 1,
-                kind: ObjectKind::Hll,
-                epoch: 4,
-                change: DeltaChange::Full(SnapshotState::Hll {
-                    hash_fp: 42,
-                    registers: vec![0, 7, 1, 0],
-                }),
-                envelope: card,
-            }),
-            Response::SnapshotDelta(SnapshotDelta {
-                object: 2,
-                kind: ObjectKind::Morris,
-                epoch: 9,
-                change: DeltaChange::Full(SnapshotState::Morris { exponent: 9 }),
-                envelope: ErrorEnvelope::ApproxCount {
-                    estimate: 14.0,
-                    a: 0.5,
-                    exponent: 9,
-                    observed: 15,
-                },
-            }),
-            Response::SnapshotDelta(SnapshotDelta {
-                object: 3,
-                kind: ObjectKind::MinRegister,
-                epoch: 2,
-                change: DeltaChange::Full(SnapshotState::MinRegister { minimum: 3 }),
-                envelope: ErrorEnvelope::Minimum {
-                    minimum: 3,
-                    observed: 44,
-                },
+                envelope: freq,
             }),
         ] {
             let mut buf = Vec::new();
@@ -1381,11 +1266,13 @@ mod tests {
 
     #[test]
     fn snapshot_reply_with_lying_dimensions_rejected() {
-        // A CountMin snapshot header announcing more cells than the
-        // body carries must fail cleanly before allocating.
-        let mut payload = vec![OP_SNAPSHOT_REPLY];
+        // A full CountMin state announcing more cells than the body
+        // carries must fail cleanly before allocating.
+        let mut payload = vec![OP_SNAPSHOT_DELTA_REPLY];
         payload.extend_from_slice(&0u32.to_le_bytes()); // object
         payload.push(ObjectKind::CountMin.to_u8());
+        payload.extend_from_slice(&9u64.to_le_bytes()); // epoch
+        payload.push(DELTA_FULL);
         payload.extend_from_slice(&u32::MAX.to_le_bytes()); // width
         payload.extend_from_slice(&u32::MAX.to_le_bytes()); // depth
         payload.extend_from_slice(&7u64.to_le_bytes()); // hash_fp
@@ -1395,7 +1282,7 @@ mod tests {
         );
 
         // Unknown kind tag in the snapshot reply.
-        let payload = [OP_SNAPSHOT_REPLY, 0, 0, 0, 0, 0x7f];
+        let payload = [OP_SNAPSHOT_DELTA_REPLY, 0, 0, 0, 0, 0x7f];
         assert_eq!(
             Response::decode(&payload).unwrap_err(),
             WireError::Malformed("unknown object kind tag")
@@ -1451,15 +1338,22 @@ mod tests {
             Request::decode(&[0x7f]).unwrap_err(),
             WireError::UnknownOpcode(0x7f)
         );
-        // The retired object-id-less request bytes are unassigned.
-        for op in 0x01..=0x03 {
+        // The retired request bytes are unassigned: the object-id-less
+        // frames, `UPDATE2` (now a one-item `BATCH2`) and `SNAPSHOT`
+        // (now `SNAPSHOT_SINCE` from the no-cache base).
+        for op in [0x01, 0x02, 0x03, 0x11, 0x14] {
             assert_eq!(
                 Request::decode(&[op, 1, 2]).unwrap_err(),
                 WireError::UnknownOpcode(op)
             );
         }
+        // `SNAPSHOT_REPLY` likewise.
         assert_eq!(
-            Request::decode(&[OP_UPDATE2, 1, 2]).unwrap_err(),
+            Response::decode(&[0x87, 1, 2]).unwrap_err(),
+            WireError::UnknownOpcode(0x87)
+        );
+        assert_eq!(
+            Request::decode(&[OP_QUERY2, 1, 2]).unwrap_err(),
             WireError::Malformed("body shorter than its schema")
         );
         // Batch announcing more items than it carries.
@@ -1612,14 +1506,6 @@ mod tests {
             lag: 128,
         };
         let requests: Vec<(u8, Request)> = vec![
-            (
-                OP_UPDATE2,
-                Request::Update {
-                    object: 1,
-                    key: 7,
-                    weight: 3,
-                },
-            ),
             (OP_QUERY2, Request::Query { object: 1, key: 9 }),
             (
                 OP_BATCH2,
@@ -1631,7 +1517,6 @@ mod tests {
             (OP_STATS, Request::Stats),
             (OP_OBJECTS, Request::Objects),
             (OP_SHUTDOWN, Request::Shutdown),
-            (OP_SNAPSHOT, Request::Snapshot { object: 1 }),
             (
                 OP_SNAPSHOT_SINCE,
                 Request::SnapshotSince {
@@ -1676,20 +1561,6 @@ mod tests {
                     kind: ObjectKind::CountMin,
                     name: "cm".into(),
                 }]),
-            ),
-            (
-                OP_SNAPSHOT_REPLY,
-                Response::Snapshot(ObjectSnapshot {
-                    object: 2,
-                    kind: ObjectKind::Morris,
-                    state: SnapshotState::Morris { exponent: 9 },
-                    envelope: ErrorEnvelope::ApproxCount {
-                        estimate: 14.0,
-                        a: 0.5,
-                        exponent: 9,
-                        observed: 15,
-                    },
-                }),
             ),
             (
                 OP_SNAPSHOT_DELTA_REPLY,
@@ -1737,8 +1608,7 @@ mod tests {
             decode_batch_into, encode_batch, read_frame, Request, Response, DEFAULT_MAX_FRAME_LEN,
         };
         use crate::{
-            CellRun, DeltaChange, Envelope, ErrorEnvelope, ObjectKind, ObjectSnapshot,
-            SnapshotDelta, SnapshotState,
+            CellRun, DeltaChange, Envelope, ErrorEnvelope, ObjectKind, SnapshotDelta, SnapshotState,
         };
 
         fn unhex(hex: &str) -> Vec<u8> {
@@ -1856,20 +1726,24 @@ mod tests {
             );
         }
 
+        /// A snapshot is the `Full` reply to `SNAPSHOT_SINCE`: every
+        /// kind's whole state, pinned under the delta reply's header.
         #[test]
         fn snapshot_replies_are_byte_identical() {
-            let snapshot = |object, kind, state, envelope| {
-                Response::Snapshot(ObjectSnapshot {
+            let full = |object, kind, epoch, state, envelope| {
+                Response::SnapshotDelta(SnapshotDelta {
                     object,
                     kind,
-                    state,
+                    epoch,
+                    change: DeltaChange::Full(state),
                     envelope,
                 })
             };
             pin_response(
-                snapshot(
+                full(
                     0,
                     ObjectKind::CountMin,
+                    17,
                     SnapshotState::CountMin {
                         width: 3,
                         depth: 2,
@@ -1879,10 +1753,12 @@ mod tests {
                     freq(),
                 ),
                 &[
-                    "7f000000",         // payload length
-                    "87",               // SNAPSHOT_REPLY
+                    "88000000",         // payload length
+                    "88",               // SNAPSHOT_DELTA_REPLY
                     "00000000",         // object
                     "00",               // kind: CountMin
+                    "1100000000000000", // epoch
+                    "03",               // change: full
                     "03000000",         // width
                     "02000000",         // depth
                     "efbeadde00000000", // hash_fp
@@ -1898,9 +1774,10 @@ mod tests {
                 .concat(),
             );
             pin_response(
-                snapshot(
+                full(
                     1,
                     ObjectKind::Hll,
+                    8,
                     SnapshotState::Hll {
                         hash_fp: 42,
                         registers: vec![0, 7, 1, 0],
@@ -1908,10 +1785,12 @@ mod tests {
                     card(),
                 ),
                 &[
-                    "3f000000",         // payload length
-                    "87",               // SNAPSHOT_REPLY
+                    "48000000",         // payload length
+                    "88",               // SNAPSHOT_DELTA_REPLY
                     "01000000",         // object
                     "01",               // kind: HLL
+                    "0800000000000000", // epoch: the register sum
+                    "03",               // change: full
                     "2a00000000000000", // hash_fp
                     "04000000",         // register count
                     "00070100",         // registers
@@ -1920,34 +1799,40 @@ mod tests {
                 .concat(),
             );
             pin_response(
-                snapshot(
+                full(
                     2,
                     ObjectKind::Morris,
+                    9,
                     SnapshotState::Morris { exponent: 9 },
                     approx(),
                 ),
                 &[
-                    "27000000", // payload length
-                    "87",       // SNAPSHOT_REPLY
-                    "02000000", // object
-                    "02",       // kind: Morris
-                    "09000000", // exponent
+                    "30000000",         // payload length
+                    "88",               // SNAPSHOT_DELTA_REPLY
+                    "02000000",         // object
+                    "02",               // kind: Morris
+                    "0900000000000000", // epoch: the exponent
+                    "03",               // change: full
+                    "09000000",         // exponent
                     APPROX_COUNT_BODY,
                 ]
                 .concat(),
             );
             pin_response(
-                snapshot(
+                full(
                     3,
                     ObjectKind::MinRegister,
+                    3,
                     SnapshotState::MinRegister { minimum: 3 },
                     minimum(),
                 ),
                 &[
-                    "1f000000",         // payload length
-                    "87",               // SNAPSHOT_REPLY
+                    "28000000",         // payload length
+                    "88",               // SNAPSHOT_DELTA_REPLY
                     "03000000",         // object
                     "03",               // kind: min register
+                    "0300000000000000", // epoch
+                    "03",               // change: full
                     "0300000000000000", // minimum
                     MINIMUM_BODY,
                 ]
@@ -2020,26 +1905,6 @@ mod tests {
                     "0100000000000000", // cell
                     "00",               // frequency tag
                     FREQUENCY_FIELDS,
-                ]
-                .concat(),
-            );
-            pin_response(
-                Response::SnapshotDelta(SnapshotDelta {
-                    object: 3,
-                    kind: ObjectKind::MinRegister,
-                    epoch: 3,
-                    change: DeltaChange::Full(SnapshotState::MinRegister { minimum: 3 }),
-                    envelope: minimum(),
-                }),
-                &[
-                    "28000000",         // payload length
-                    "88",               // SNAPSHOT_DELTA_REPLY
-                    "03000000",         // object
-                    "03",               // kind: min register
-                    "0300000000000000", // epoch
-                    "03",               // change: full
-                    "0300000000000000", // minimum
-                    MINIMUM_BODY,
                 ]
                 .concat(),
             );

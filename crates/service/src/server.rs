@@ -619,14 +619,6 @@ fn execute_request<'a>(
     request: Request,
 ) -> (Response, bool) {
     match request {
-        Request::Update {
-            object,
-            key,
-            weight,
-        } => (
-            apply_updates(shared, writers, applied, process, object, &[(key, weight)]),
-            false,
-        ),
         Request::Batch { object, items } => {
             shared.metrics.record_batch();
             (
@@ -650,23 +642,12 @@ fn execute_request<'a>(
             shared.metrics.record_query(start.elapsed().as_nanos());
             (Response::Envelope(envelope), false)
         }
-        Request::Snapshot { object } => {
-            // A snapshot is a read like a query (metrics count it as
-            // one); it is not recorded into the history — the state it
-            // returns is matrix-valued, and the replicated checker
+        Request::SnapshotSince { object, base_epoch } => {
+            // The one state read, a read like a query (metrics count it
+            // as one). It is not recorded into the history: the state
+            // it returns is matrix-valued, and the replicated checker
             // works from per-replica histories plus merged projections
             // instead.
-            let start = Instant::now();
-            let Some(snap) = shared.registry.snapshot(object) else {
-                return (unknown_object(shared, object), false);
-            };
-            shared.metrics.record_query(start.elapsed().as_nanos());
-            (Response::Snapshot(snap), false)
-        }
-        Request::SnapshotSince { object, base_epoch } => {
-            // Same read discipline as `Snapshot`: counted as a query,
-            // not recorded — the delta is a compressed transport of
-            // the same IVL read.
             let start = Instant::now();
             let Some(delta) = shared.registry.snapshot_since(object, base_epoch) else {
                 return (unknown_object(shared, object), false);
@@ -771,14 +752,14 @@ fn apply_updates<'a>(
         // operation, so `ivl_check` replays the exact stream the
         // client sent — batching is a transport detail the history
         // never sees.
-        for &(key, weight) in items {
-            let op = recorder.invoke_update(process, ObjectId(object), (key, weight));
-            writer.apply(key, weight);
+        for item in items {
+            let op = recorder.invoke_update(process, ObjectId(object), *item);
+            writer.apply_batch(std::slice::from_ref(item));
             recorder.respond_update(op);
         }
     } else {
         // Batch kernel: coalesced, one hashing sweep, row-major cell
-        // touches (per-object override; the default loops `apply`).
+        // touches.
         writer.apply_batch(items);
     }
     shared
@@ -828,7 +809,8 @@ mod tests {
         let stats = c.stats().unwrap();
         assert_eq!(stats.updates, 3);
         assert_eq!(stats.queries, 1);
-        assert_eq!(stats.batches, 1);
+        // Every write frame is a batch: the single update counts too.
+        assert_eq!(stats.batches, 2);
         assert_eq!(stats.stream_len, 10);
         // At b = 0 every frame is swept before its ack: nothing buffers.
         assert_eq!((stats.buffered_pending, stats.flushes), (0, 0));
@@ -1165,7 +1147,8 @@ mod tests {
         let stats = c.stats().unwrap();
         assert_eq!(stats.updates, 3);
         assert_eq!(stats.queries, 1);
-        assert_eq!(stats.batches, 1);
+        // Every write frame is a batch: the single update counts too.
+        assert_eq!(stats.batches, 2);
         assert_eq!(stats.stream_len, 10);
         assert!(stats.wakeups > 0, "reactor served without waking?");
         assert!(stats.frames >= 4);
@@ -1278,10 +1261,11 @@ mod tests {
         h.join();
     }
 
-    /// The retired object-id-less request frames (`UPDATE` 0x01,
-    /// `QUERY` 0x02, `BATCH` 0x03, sent with their old bodies) are
-    /// unassigned bytes now: each is answered with a typed `Protocol`
-    /// error, applies nothing, and leaves the connection serviceable.
+    /// The retired request frames — the object-id-less `UPDATE` 0x01,
+    /// `QUERY` 0x02 and `BATCH` 0x03, then `UPDATE2` 0x11 and `SNAPSHOT`
+    /// 0x14, each sent with its old body — are unassigned bytes now:
+    /// each is answered with a typed `Protocol` error, applies nothing,
+    /// and leaves the connection serviceable.
     fn retired_request_bytes_get_protocol_errors(backend: Backend) {
         let h = serve("127.0.0.1:0", config_with(backend, 1, false)).unwrap();
         let mut s = TcpStream::connect(h.addr()).unwrap();
@@ -1293,10 +1277,14 @@ mod tests {
         };
         let key_weight = [7u64.to_le_bytes(), 3u64.to_le_bytes()].concat();
         let batch = [&1u32.to_le_bytes()[..], &key_weight].concat();
+        let object = 0u32.to_le_bytes();
+        let update2 = [&object[..], &key_weight].concat();
         for (op, body) in [
             (0x01, &key_weight[..]),
             (0x02, &key_weight[..8]),
             (0x03, &batch),
+            (0x11, &update2),
+            (0x14, &object[..]),
         ] {
             s.write_all(&(1 + body.len() as u32).to_le_bytes()).unwrap();
             s.write_all(&[op]).unwrap();
@@ -1317,7 +1305,7 @@ mod tests {
             other => panic!("{backend}: QUERY2 answered {other:?}"),
         }
         let stats = h.stats();
-        assert_eq!((stats.protocol_errors, stats.updates), (3, 0));
+        assert_eq!((stats.protocol_errors, stats.updates), (5, 0));
         drop(s);
         h.join();
     }
@@ -1330,6 +1318,42 @@ mod tests {
     #[test]
     fn retired_request_bytes_get_protocol_errors_event_loop() {
         retired_request_bytes_get_protocol_errors(Backend::EventLoop);
+    }
+
+    /// Client-chosen weights reach every add on the served CountMin
+    /// path, so a hostile frame must saturate at `u64::MAX` rather than
+    /// overflow: the serving thread survives, every frame is acked on
+    /// one open connection, and the pinned count reads as the largest
+    /// representable one.
+    fn hostile_weights_saturate(backend: Backend) {
+        let probes: [&[&[(u64, u64)]]; 2] = [
+            &[&[(1, u64::MAX), (2, 1)]],
+            &[&[(1, 1 << 63)], &[(1, 1 << 63)]],
+        ];
+        for frames in probes {
+            let h = serve("127.0.0.1:0", config_with(backend, 2, false)).unwrap();
+            let mut c = Client::connect(h.addr()).unwrap();
+            for items in frames {
+                c.object_id(0)
+                    .batch(items)
+                    .unwrap_or_else(|e| panic!("{backend}: {items:?} answered {e}"));
+            }
+            let env = freq(&mut c, 1);
+            assert_eq!(env.estimate, u64::MAX, "{backend}: {frames:?}");
+            assert!(env.covers(u64::MAX, u64::MAX), "{backend}: {env:?}");
+            drop(c);
+            h.join();
+        }
+    }
+
+    #[test]
+    fn hostile_weights_saturate_threaded() {
+        hostile_weights_saturate(Backend::Threaded);
+    }
+
+    #[test]
+    fn hostile_weights_saturate_event_loop() {
+        hostile_weights_saturate(Backend::EventLoop);
     }
 
     #[test]

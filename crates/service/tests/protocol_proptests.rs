@@ -31,9 +31,10 @@ fn response_roundtrip(rsp: &Response) -> Response {
 }
 
 proptest! {
+    /// An update travels as a one-item batch.
     #[test]
     fn update_frames_roundtrip(object in any::<u32>(), key in any::<u64>(), weight in any::<u64>()) {
-        let req = Request::Update { object, key, weight };
+        let req = Request::Batch { object, items: vec![(key, weight)] };
         prop_assert_eq!(request_roundtrip(&req), req);
     }
 
@@ -168,7 +169,7 @@ proptest! {
         keep_num in any::<u32>(),
     ) {
         let mut buf = Vec::new();
-        Request::Update { object: 0, key, weight }.encode(&mut buf);
+        Request::Batch { object: 0, items: vec![(key, weight)] }.encode(&mut buf);
         let keep = keep_num as usize % buf.len(); // strictly shorter
         buf.truncate(keep);
         let got = read_frame(&mut buf.as_slice(), DEFAULT_MAX_FRAME_LEN);
@@ -285,7 +286,7 @@ proptest! {
         keep_num in any::<u32>(),
     ) {
         let mut stream = Vec::new();
-        Request::Update { object: 0, key, weight }.encode(&mut stream);
+        Request::Batch { object: 0, items: vec![(key, weight)] }.encode(&mut stream);
         let keep = keep_num as usize % stream.len(); // strictly shorter
         let mut decoder = FrameDecoder::new(DEFAULT_MAX_FRAME_LEN);
         decoder.feed(&stream[..keep]);
@@ -297,10 +298,10 @@ proptest! {
 }
 
 /// The assigned request opcodes: `STATS`, `SHUTDOWN`, `OBJECTS`, then
-/// `UPDATE2`, `QUERY2`, `BATCH2`, `SNAPSHOT`, `SNAPSHOT_SINCE` and
-/// `PUSH_STATE`. Every other byte, the retired 0x01..=0x03 included,
-/// is unassigned.
-const REQUEST_OPCODES: [u8; 9] = [0x04, 0x05, 0x06, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16];
+/// `QUERY2`, `BATCH2`, `SNAPSHOT_SINCE` and `PUSH_STATE`. Every other
+/// byte, the retired 0x01..=0x03, `UPDATE2` 0x11 and `SNAPSHOT` 0x14
+/// included, is unassigned.
+const REQUEST_OPCODES: [u8; 7] = [0x04, 0x05, 0x06, 0x12, 0x13, 0x15, 0x16];
 
 /// Every byte outside [`REQUEST_OPCODES`] is refused as an unknown
 /// opcode, whatever body follows; no assigned byte ever is. Exhaustive
@@ -331,13 +332,8 @@ fn unknown_opcodes_are_rejected() {
 fn arb_request() -> impl Strategy<Value = Request> {
     let object = 0u32..4;
     prop_oneof![
-        (object.clone(), any::<u64>(), any::<u64>()).prop_map(|(object, key, weight)| {
-            Request::Update {
-                object,
-                key,
-                weight,
-            }
-        }),
+        (object.clone(), any::<u64>())
+            .prop_map(|(object, base_epoch)| { Request::SnapshotSince { object, base_epoch } }),
         (object.clone(), any::<u64>()).prop_map(|(object, key)| Request::Query { object, key }),
         (object, vec((any::<u64>(), any::<u64>()), 0..5))
             .prop_map(|(object, items)| Request::Batch { object, items }),
