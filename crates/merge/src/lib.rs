@@ -21,15 +21,15 @@
 //!   answer carries: its wire body, on the same readers ([`take_u64`]
 //!   and kin) as the state codec, and [`ErrorEnvelope::compose`], the
 //!   envelope counterpart of `merge_into`.
-//! * [`cm_hash_fingerprint`]/[`hll_hash_fingerprint`]/[`slot_coins`] —
-//!   the coin discipline that makes merging safe: state is only combined
-//!   when both sides provably sampled the same hash functions, and a
-//!   mismatch is a typed [`MergeError`] (the wire's `MergeMismatch`).
+//! * [`StateShape`] — the one merge guard: kind, dimensions and the
+//!   [`cm_hash_fingerprint`]/[`hll_hash_fingerprint`] of the coins
+//!   [`slot_coins`] samples. Only equal shapes merge; a mismatch is a
+//!   typed [`MergeError`] (the wire's `MergeMismatch`).
 //!
 //! Everything here is sequential and allocation-explicit. The
 //! concurrent absorb paths live with the live structures: a served
-//! object takes its own [`SnapshotState`] variant and refuses every
-//! other kind with a [`MergeError`].
+//! object computes its [`StateShape`] once and [`StateShape::admit`]s
+//! only states of that shape.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -153,7 +153,72 @@ pub enum SnapshotState {
     },
 }
 
+/// What two states must agree on to merge: the kind, and for the
+/// hashed kinds the dimensions and the fingerprint of the coins.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StateShape {
+    /// A CountMin cell matrix.
+    CountMin {
+        /// Matrix width (columns per row).
+        width: u32,
+        /// Matrix depth (rows).
+        depth: u32,
+        /// [`cm_hash_fingerprint`] of the row hashes.
+        hash_fp: u64,
+    },
+    /// HLL registers.
+    Hll {
+        /// Register count (`2^precision`).
+        registers: usize,
+        /// [`hll_hash_fingerprint`] of the routing hash.
+        hash_fp: u64,
+    },
+    /// A Morris exponent (its merge samples no coins).
+    Morris,
+    /// A min register.
+    MinRegister,
+}
+
+impl StateShape {
+    /// Refuses `state` unless its shape is this one — the guard before
+    /// every merge, absorb and seed check.
+    pub fn admit(&self, state: &SnapshotState) -> Result<(), MergeError> {
+        let shape = state.shape();
+        if shape == *self {
+            return Ok(());
+        }
+        Err(MergeError::new(format!(
+            "kind, dimensions or coins do not match: {shape:?} against {self:?}"
+        )))
+    }
+}
+
 impl SnapshotState {
+    /// This state's [`StateShape`].
+    pub fn shape(&self) -> StateShape {
+        match *self {
+            SnapshotState::CountMin {
+                width,
+                depth,
+                hash_fp,
+                ..
+            } => StateShape::CountMin {
+                width,
+                depth,
+                hash_fp,
+            },
+            SnapshotState::Hll {
+                hash_fp,
+                ref registers,
+            } => StateShape::Hll {
+                registers: registers.len(),
+                hash_fp,
+            },
+            SnapshotState::Morris { .. } => StateShape::Morris,
+            SnapshotState::MinRegister { .. } => StateShape::MinRegister,
+        }
+    }
+
     /// How many cells the state ships: CountMin cells, HLL registers,
     /// or the one scalar of a Morris counter or min register.
     pub fn cell_count(&self) -> usize {
@@ -621,26 +686,9 @@ impl MergeableState for SnapshotState {
     }
 
     fn merge_into(&self, target: &mut Self, policy: MergePolicy) -> Result<(), MergeError> {
+        target.shape().admit(self)?;
         match (self, target) {
-            (
-                SnapshotState::CountMin {
-                    width,
-                    depth,
-                    hash_fp,
-                    cells,
-                },
-                SnapshotState::CountMin {
-                    width: tw,
-                    depth: td,
-                    hash_fp: tf,
-                    cells: tc,
-                },
-            ) => {
-                if (width, depth, hash_fp) != (tw, td, tf) {
-                    return Err(MergeError::new(
-                        "replica CountMin dimensions or coins disagree",
-                    ));
-                }
+            (SnapshotState::CountMin { cells, .. }, SnapshotState::CountMin { cells: tc, .. }) => {
                 for (t, &c) in tc.iter_mut().zip(cells) {
                     match policy {
                         MergePolicy::Add => *t = t.saturating_add(c),
@@ -649,16 +697,7 @@ impl MergeableState for SnapshotState {
                 }
                 Ok(())
             }
-            (
-                SnapshotState::Hll { hash_fp, registers },
-                SnapshotState::Hll {
-                    hash_fp: tf,
-                    registers: tr,
-                },
-            ) => {
-                if hash_fp != tf || registers.len() != tr.len() {
-                    return Err(MergeError::new("replica HLL precision or coins disagree"));
-                }
+            (SnapshotState::Hll { registers, .. }, SnapshotState::Hll { registers: tr, .. }) => {
                 // Register max under either policy: both copies hold
                 // max-ranks, and max is the union summary.
                 for (t, &r) in tr.iter_mut().zip(registers) {
@@ -677,7 +716,7 @@ impl MergeableState for SnapshotState {
                 *tm = (*tm).min(*minimum);
                 Ok(())
             }
-            _ => Err(MergeError::new("kind tag and state disagree")),
+            _ => unreachable!("equal shapes are of one kind"),
         }
     }
 
@@ -858,7 +897,11 @@ mod tests {
         assert!(a.merge_into(&mut wrong_fp, MergePolicy::Add).is_err());
         let mut wrong_kind = SnapshotState::Morris { exponent: 0 };
         let err = a.merge_into(&mut wrong_kind, MergePolicy::Add).unwrap_err();
-        assert_eq!(err.to_string(), "kind tag and state disagree");
+        assert_eq!(
+            err.to_string(),
+            "kind, dimensions or coins do not match: \
+             CountMin { width: 3, depth: 2, hash_fp: 65261 } against Morris"
+        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ fn usage() -> ExitCode {
 struct Shared {
     metrics: Metrics,
     /// Total acknowledged update weight through this frontend (the
-    /// stats `stream_len`).
+    /// stats `stream_len`), saturating at `u64::MAX`.
     observed: AtomicU64,
     shutdown: AtomicBool,
     /// The bound listen address, for the self-connect that wakes the
@@ -138,7 +138,11 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) {
                         shared
                             .metrics
                             .record_updates(items.len() as u64, start.elapsed().as_nanos());
-                        shared.observed.fetch_add(weight, Ordering::Relaxed);
+                        let _ = shared.observed.fetch_update(
+                            Ordering::Relaxed,
+                            Ordering::Relaxed,
+                            |o| Some(o.saturating_add(weight)),
+                        );
                         applied += items.len() as u64;
                         Response::Ack { applied }
                     }

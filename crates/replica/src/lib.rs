@@ -50,17 +50,17 @@
 //!
 //! **Delta reads.** Merged queries do not re-pull full state: the
 //! group keeps one cached snapshot per replica per object, keyed to
-//! the connection generation, and asks each replica `SNAPSHOT_SINCE`
-//! its cached epoch. A quiescent replica answers a tiny `Unchanged`
-//! frame; an active one answers a sparse delta that patches the cache
-//! in place; a merged accumulator (one [`SnapshotState`] per object)
-//! folds the patches in, so a read on a quiescent group re-merges
-//! nothing. Staleness is IVL-quantified, not refused: a replica that
-//! stops answering keeps contributing its cached cells, with the
-//! frequency `lag` widened by the weight that may have landed there
-//! since the cache was taken. A reconnect (new [`Client::generation`])
-//! invalidates the replica's cache before a base epoch is chosen, so
-//! no delta is ever applied across connections. Every server in the
+//! the connection generation, and asks every replica `SNAPSHOT_SINCE`
+//! its cached epoch in one pipelined pass — cold connections included,
+//! replicas whose connection was lost retried by round. A quiescent
+//! replica answers a tiny `Unchanged` frame; an active one a sparse
+//! delta that patches the cache in place; a merged accumulator (one
+//! [`SnapshotState`] per object) folds the patches in, so a read on a
+//! quiescent group re-merges nothing. Staleness is IVL-quantified, not
+//! refused: a replica that stops answering keeps contributing its
+//! cached cells, with the frequency `lag` widened by the weight that
+//! may have landed there since. A cache read over another connection
+//! ([`Client::generation`]) is never a delta base. Every server in the
 //! tree answers `SNAPSHOT_SINCE`, the `ivl_replicate` frontend
 //! included; a replica that refuses it is surfaced as an error.
 //!
@@ -85,11 +85,11 @@
 //!
 //! **Merge safety.** Replicas may only be merged if they sampled the
 //! same hash functions — the same `--seed` and object roster. Every
-//! snapshot carries a probe fingerprint of its hashes; the group
-//! rebuilds the prototype from [`slot_coins`]`(seed, object)` and
-//! refuses mismatches with a typed [`ReplicaError::MergeMismatch`]
-//! (surfaced on the wire as `ErrorCode::MergeMismatch` by the
-//! `ivl_replicate` frontend) instead of a panic.
+//! state's [`StateShape`] carries a probe fingerprint of its hashes;
+//! states merge only at equal shapes, and the merged one must have
+//! the shape [`slot_coins`]`(seed, object)` gives. A mismatch is a
+//! typed [`ReplicaError::MergeMismatch`] (the wire's `MergeMismatch`
+//! through the `ivl_replicate` frontend), never a panic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -98,10 +98,11 @@
 use ivl_service::{
     cm_hash_fingerprint, hll_hash_fingerprint, merge_states, slot_coins, Client, ClientError,
     ComposeError, DeltaChange, ErrorCode, ErrorEnvelope, MergeError, MergePolicy, MergeableState,
-    ObjectInfo, ObjectKind, SnapshotDelta, SnapshotState, StatePatch, WireError,
+    ObjectInfo, ObjectKind, SnapshotDelta, SnapshotState, StatePatch, StateShape,
 };
 use ivl_sketch::countmin::{CountMin, CountMinParams};
 use ivl_sketch::hll::{HyperLogLog, RegisterSummary};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
@@ -277,10 +278,6 @@ struct Ledger {
     /// less than its cached state) that has not yet been pushed back —
     /// widens merged `lag` until the catch-up push is acknowledged.
     lost: HashMap<u32, u64>,
-    /// Weight settled by acknowledged catch-up pushes: recovered
-    /// `lost` weight plus resolved `in_doubt` weight — kept for audit,
-    /// no longer widening anything.
-    settled: HashMap<u32, u64>,
 }
 
 impl Ledger {
@@ -292,14 +289,6 @@ impl Ledger {
     fn get(map: &HashMap<u32, u64>, object: u32) -> u64 {
         map.get(&object).copied().unwrap_or(0)
     }
-}
-
-/// The prototype rebuilt from the group seed, cached per object — the
-/// hash functions every replica must share for its state to merge.
-#[derive(Debug)]
-enum Proto {
-    Cm(CountMin),
-    Hll(HyperLogLog),
 }
 
 /// Cumulative accounting for the merged reads' `SNAPSHOT_SINCE`
@@ -430,7 +419,9 @@ pub struct ReplicaGroup {
     backoff: Duration,
     clients: Vec<Option<Client>>,
     ledgers: Vec<Ledger>,
-    protos: HashMap<u32, Proto>,
+    /// Per object, the shape [`check_seed`] expects of its states, with
+    /// the CountMin prototype that re-derives point estimates.
+    seeded: HashMap<u32, (StateShape, Option<CountMin>)>,
     /// Per-replica, per-object cached snapshots — the delta bases.
     caches: Vec<HashMap<u32, CachedSnapshot>>,
     /// Per-object merge of the caches under the mode's policy.
@@ -466,16 +457,6 @@ fn weight_of(items: &[(u64, u64)]) -> u64 {
     items.iter().fold(0, |t, &(_, w)| t.saturating_add(w))
 }
 
-/// Whether a client error means the connection died (vs the server
-/// answering something) — the only failures health tracking treats as
-/// transient.
-fn transient(e: &ClientError) -> bool {
-    matches!(
-        e,
-        ClientError::Io(_) | ClientError::Wire(WireError::Truncated | WireError::Io(_))
-    )
-}
-
 /// Whether a client error left the connection's framing untrustworthy
 /// — an oversized or malformed reply is never consumed, so the next
 /// read on that socket would parse payload bytes as a frame. Such a
@@ -506,7 +487,7 @@ impl ReplicaGroup {
             backoff: Duration::from_millis(20),
             clients: (0..n).map(|_| None).collect(),
             ledgers: (0..n).map(|_| Ledger::default()).collect(),
-            protos: HashMap::new(),
+            seeded: HashMap::new(),
             caches: (0..n).map(|_| HashMap::new()).collect(),
             accums: HashMap::new(),
             delta_stats: DeltaStats::default(),
@@ -592,8 +573,8 @@ impl ReplicaGroup {
             loop {
                 match Client::connect(self.addrs[i].as_str()) {
                     Ok(mut c) => {
-                        // The group does its own retrying in `read_on`
-                        // (with a *new* client, hence a new
+                        // The group does its own retrying, by refresh
+                        // round (with a *new* client, hence a new
                         // generation). The client's internal
                         // reconnect-and-resend must stay off: it would
                         // resend a delta base chosen under the old
@@ -619,6 +600,13 @@ impl ReplicaGroup {
         self.clients[i].as_mut()
     }
 
+    /// Drops replica `i`'s connection after it was lost and counts the
+    /// failure.
+    fn lose_connection(&mut self, i: usize) {
+        self.clients[i] = None;
+        self.ledgers[i].failures += 1;
+    }
+
     /// Runs an idempotent request against replica `i` with bounded
     /// reconnect retries. `Ok(None)` = unreachable (degrade);
     /// `Err` = the replica answered a refusal (do not degrade —
@@ -635,9 +623,8 @@ impl ReplicaGroup {
             };
             match f(client) {
                 Ok(v) => return Ok(Some(v)),
-                Err(e) if transient(&e) => {
-                    self.clients[i] = None;
-                    self.ledgers[i].failures += 1;
+                Err(e) if e.connection_lost() => {
+                    self.lose_connection(i);
                     if attempts_left == 0 {
                         return Ok(None);
                     }
@@ -673,9 +660,8 @@ impl ReplicaGroup {
                 Ledger::bump(&mut self.ledgers[i].acked, object, weight);
                 Ok(())
             }
-            Err(e) if transient(&e) => {
-                self.clients[i] = None;
-                self.ledgers[i].failures += 1;
+            Err(e) if e.connection_lost() => {
+                self.lose_connection(i);
                 Err(SendFailure::Ambiguous)
             }
             Err(e) => Err(SendFailure::Fatal(e)),
@@ -813,7 +799,7 @@ impl ReplicaGroup {
             // windows of the same replica, so cell-wise addition is
             // their exact union.
             if old.state.merge_into(&mut p.state, MergePolicy::Add).is_ok() {
-                p.observed += observed;
+                p.observed = p.observed.saturating_add(observed);
             }
             return;
         }
@@ -827,7 +813,8 @@ impl ReplicaGroup {
 
     /// Sends every retained catch-up payload back over `PUSH_STATE`.
     /// An acknowledged push settles the ledger (`lost` recovered,
-    /// `in_doubt` resolved, both moved to `settled`) and invalidates
+    /// `in_doubt` resolved, both counted in
+    /// [`CatchupStats::settled_weight`]) and invalidates
     /// that replica's cache so the next refresh re-pulls the absorbed
     /// state. An unreachable replica keeps its payload for the next
     /// round; a connection dying mid-roundtrip drops it (absorb is not
@@ -863,8 +850,8 @@ impl ReplicaGroup {
                     let ledger = &mut self.ledgers[i];
                     let lost = ledger.lost.remove(&object).unwrap_or(0);
                     let doubt = ledger.in_doubt.remove(&object).unwrap_or(0);
-                    Ledger::bump(&mut ledger.settled, object, lost + doubt);
-                    self.catchup.settled_weight += lost + doubt;
+                    let settled = &mut self.catchup.settled_weight;
+                    *settled = settled.saturating_add(lost.saturating_add(doubt));
                     // The replica's state just jumped by the absorbed
                     // weight: drop the cache and the accumulator so
                     // the next refresh re-pulls instead of diffing a
@@ -872,9 +859,8 @@ impl ReplicaGroup {
                     self.caches[i].remove(&object);
                     self.accums.remove(&object);
                 }
-                Err(e) if transient(&e) => {
-                    self.clients[i] = None;
-                    self.ledgers[i].failures += 1;
+                Err(e) if e.connection_lost() => {
+                    self.lose_connection(i);
                     self.catchup.failed += 1;
                 }
                 Err(ClientError::Server {
@@ -899,140 +885,91 @@ impl ReplicaGroup {
         }
     }
 
-    /// Drops every connection in `sent[from..]` that still holds an
-    /// unread pipelined reply, so a stale frame is never read as the
-    /// answer to a later request.
-    fn drop_unread(&mut self, sent: &[bool], from: usize) {
-        for (j, &pending) in sent.iter().enumerate().skip(from) {
-            if pending {
-                self.clients[j] = None;
-            }
-        }
-    }
-
+    /// Reads every replica's `SNAPSHOT_SINCE` reply in pipelined rounds,
+    /// so a read costs one roundtrip total rather than one per replica.
+    /// A round sends to every replica still unread, connecting cold ones,
+    /// then reads the replies in send order. A replica whose connection
+    /// is lost is left to the next round, after `backoff`, for at most
+    /// `retry_limit` extra rounds; one that cannot be connected stays
+    /// unread and is served from its cache.
     fn refresh_inner(&mut self, object: u32) -> Result<Vec<bool>, ReplicaError> {
         let n = self.addrs.len();
-        // Phase 1: pipeline the `SNAPSHOT_SINCE` sends over every
-        // already-live connection, so the steady-state merged read
-        // costs one roundtrip total instead of one per replica. Cold or
-        // failed connections fall through to the sequential pass below.
-        let mut sent = vec![false; n];
-        for (i, sent_flag) in sent.iter_mut().enumerate() {
-            let cached = self.caches[i].get(&object).map(|c| (c.epoch, c.generation));
-            let Some(c) = self.clients[i].as_mut() else {
-                continue;
-            };
-            // Same base rule as the sequential path: only a cache from
-            // this exact connection generation may serve as the base.
-            let base = match cached {
-                Some((epoch, generation)) if generation == c.generation() => epoch,
-                _ => u64::MAX,
-            };
-            let (out0, _) = c.wire_bytes();
-            match c.send_snapshot_since(object, base) {
-                Ok(()) => {
-                    let (out1, _) = c.wire_bytes();
-                    self.delta_stats.bytes_out += out1 - out0;
-                    *sent_flag = true;
-                }
-                Err(_) => {
-                    // Dead connection: the sequential pass reconnects
-                    // (new generation, so the read goes full).
-                    self.clients[i] = None;
-                    self.ledgers[i].failures += 1;
+        let mut reached = vec![false; n];
+        // `Unchanged` folds to nothing, so a quiet read collects none.
+        let mut patches = Vec::new();
+        let mut unread: Vec<usize> = (0..n).collect();
+        for round in 0..=self.retry_limit {
+            let mut sent = Vec::with_capacity(unread.len());
+            for i in std::mem::take(&mut unread) {
+                let cached = self.caches[i].get(&object).map(|c| (c.epoch, c.generation));
+                let Some(c) = self.ensure_client(i) else {
+                    continue;
+                };
+                // Only a cache read over this very connection is a delta
+                // base: another generation's epoch belongs to whatever
+                // server that connection reached. `u64::MAX` (never a
+                // real epoch) asks for full state.
+                let base = match cached {
+                    Some((epoch, generation)) if generation == c.generation() => epoch,
+                    _ => u64::MAX,
+                };
+                let out0 = c.wire_bytes().0;
+                if c.send_snapshot_since(object, base).is_ok() {
+                    self.delta_stats.bytes_out += c.wire_bytes().0 - out0;
+                    sent.push(i);
+                } else {
+                    // A failed write is a lost connection.
+                    self.lose_connection(i);
+                    unread.push(i);
                 }
             }
-        }
-        // Phase 2: collect the pipelined replies in send order; `None`
-        // leaves the replica to the sequential pass.
-        let mut piped: Vec<Option<StatePatch>> = vec![None; n];
-        for i in 0..n {
-            if !sent[i] {
-                continue;
-            }
-            let (result, generation) = {
+            for (k, &i) in sent.iter().enumerate() {
                 let c = self.clients[i].as_mut().expect("sent on a live client");
-                let generation = c.generation();
-                let (_, in0) = c.wire_bytes();
-                let r = c.recv_snapshot_delta();
-                let (_, in1) = c.wire_bytes();
-                (r.map(|delta| (delta, in1 - in0)), generation)
-            };
-            match result {
-                Ok((delta, bytes_in)) => {
-                    self.delta_stats.reads += 1;
-                    self.delta_stats.bytes_in += bytes_in;
-                    match self.apply_delta(i, object, delta, generation) {
-                        Ok(patch) => piped[i] = Some(patch),
-                        Err(e) => {
-                            self.drop_unread(&sent, i + 1);
-                            return Err(e);
+                let (generation, in0) = (c.generation(), c.wire_bytes().1);
+                let patch = match c.recv_snapshot_delta() {
+                    Ok(delta) => {
+                        self.delta_stats.reads += 1;
+                        self.delta_stats.bytes_in += c.wire_bytes().1 - in0;
+                        self.apply_delta(i, object, delta, generation)
+                    }
+                    Err(e) if e.connection_lost() => {
+                        self.lose_connection(i);
+                        unread.push(i);
+                        continue;
+                    }
+                    Err(e) => {
+                        if desynced(&e) {
+                            self.clients[i] = None;
+                        }
+                        Err(e.into())
+                    }
+                };
+                match patch {
+                    Ok(patch) => {
+                        reached[i] = true;
+                        if patch != StatePatch::Unchanged {
+                            patches.push(patch);
                         }
                     }
-                }
-                Err(e) if transient(&e) => {
-                    // A died mid-read: the sequential pass retries with
-                    // a fresh connection (full snapshot).
-                    self.clients[i] = None;
-                    self.ledgers[i].failures += 1;
-                }
-                Err(e) => {
-                    self.drop_unread(&sent, i + 1);
-                    if desynced(&e) {
-                        self.clients[i] = None;
+                    Err(e) => {
+                        // The later replies stay unread: drop their
+                        // connections, so a stale frame is never read
+                        // as the answer to a later request.
+                        for &j in &sent[k + 1..] {
+                            self.clients[j] = None;
+                        }
+                        return Err(e);
                     }
-                    return Err(e.into());
                 }
             }
-        }
-        // Phase 3: anything unresolved goes through the sequential
-        // path — cold connections, failed sends or reads.
-        let mut reached = vec![false; n];
-        // `Unchanged` folds to nothing, so a quiet round collects none.
-        let mut patches = Vec::new();
-        for (i, piped) in piped.into_iter().enumerate() {
-            let patch = match piped {
-                Some(patch) => Some(patch),
-                None => self.refresh_one(i, object)?,
-            };
-            if let Some(patch) = patch {
-                reached[i] = true;
-                if patch != StatePatch::Unchanged {
-                    patches.push(patch);
-                }
+            if unread.is_empty() || round == self.retry_limit {
+                break;
             }
+            // lint:allow sleep — bounded backoff before re-reading replicas whose connection was lost
+            std::thread::sleep(self.backoff);
         }
         self.fold_accum(object, &patches)?;
         Ok(reached)
-    }
-
-    /// One replica's refresh: `SNAPSHOT_SINCE` the cached epoch when
-    /// the cache's connection generation is still live, full state
-    /// otherwise. `None` when the replica stays unreachable (its
-    /// cache, if any, is served stale); otherwise what moved.
-    fn refresh_one(&mut self, i: usize, object: u32) -> Result<Option<StatePatch>, ReplicaError> {
-        let cached = self.caches[i].get(&object).map(|c| (c.epoch, c.generation));
-        let got = self.read_on(i, move |c| {
-            // A cache from another connection generation is dead: its
-            // epoch belongs to whatever server the old connection
-            // reached. Only a live match may serve as the delta base;
-            // `u64::MAX` (never a real epoch) asks for full state.
-            let base = match cached {
-                Some((epoch, generation)) if generation == c.generation() => epoch,
-                _ => u64::MAX,
-            };
-            let (out0, in0) = c.wire_bytes();
-            let delta = c.object_id(object).snapshot_since(base)?;
-            let (out1, in1) = c.wire_bytes();
-            Ok((delta, c.generation(), out1 - out0, in1 - in0))
-        })?;
-        let Some((delta, generation, bytes_out, bytes_in)) = got else {
-            return Ok(None);
-        };
-        self.delta_stats.reads += 1;
-        self.delta_stats.bytes_out += bytes_out;
-        self.delta_stats.bytes_in += bytes_in;
-        self.apply_delta(i, object, delta, generation).map(Some)
     }
 
     /// Applies one `SNAPSHOT_SINCE` reply to replica `i`'s cache. The
@@ -1070,47 +1007,28 @@ impl ReplicaGroup {
             return Ok(StatePatch::Replaced);
         }
         // Everything else patches the cache in place; the base the
-        // server claims must be the cache actually held, over the same
-        // connection generation.
-        let base_epoch = match &delta.change {
+        // server claims (a delta's own, `Unchanged`'s implied one) must
+        // be the cache actually held, over the same connection
+        // generation.
+        let base = match &delta.change {
             DeltaChange::CmRuns { base_epoch, .. } => Some(*base_epoch),
             _ => None,
         };
-        let unchanged = base_epoch.is_none();
-        if unchanged {
-            self.delta_stats.unchanged += 1;
-        } else {
+        if base.is_some() {
             self.delta_stats.deltas += 1;
+        } else {
+            self.delta_stats.unchanged += 1;
         }
-        let Some(cache) = self.caches[i].get_mut(&object) else {
+        let Some(cache) = self.caches[i]
+            .get_mut(&object)
+            .filter(|c| c.generation == generation && base.is_none_or(|base| base == c.epoch))
+        else {
             return Err(ReplicaError::MergeMismatch {
-                why: if unchanged {
-                    format!(
-                        "object {object}: replica {i} answered `unchanged` with no cache to keep"
-                    )
-                } else {
-                    format!("object {object}: replica {i} sent a delta with no cache to patch")
-                },
+                why: format!(
+                    "object {object}: replica {i} answered against base {base:?}, not the cache held over this connection"
+                ),
             });
         };
-        match base_epoch {
-            None if cache.generation != generation => {
-                return Err(ReplicaError::MergeMismatch {
-                    why: format!(
-                        "object {object}: replica {i} answered `unchanged` across a reconnect"
-                    ),
-                });
-            }
-            Some(base) if cache.generation != generation || cache.epoch != base => {
-                return Err(ReplicaError::MergeMismatch {
-                    why: format!(
-                        "object {object}: replica {i} diffed from base {base}, cache holds epoch {} (generation moved or server lied)",
-                        cache.epoch
-                    ),
-                });
-            }
-            _ => {}
-        }
         // The kind and bounds checks — and the patch itself — are the
         // mergeable-state layer's job; this layer only prefixes the
         // object for the operator.
@@ -1206,24 +1124,13 @@ impl ReplicaGroup {
                 why: format!("object {object}: merged accumulator lost sync with caches"),
             });
         };
-        match (&mut envelope, &accum.state) {
+        let proto = check_seed(&mut self.seeded, self.seed, object, &accum.state)?;
+        match (&mut envelope, &accum.state, proto) {
             (
                 ErrorEnvelope::Frequency(env),
-                SnapshotState::CountMin {
-                    width,
-                    depth,
-                    hash_fp,
-                    cells,
-                },
+                SnapshotState::CountMin { depth, cells, .. },
+                Some(proto),
             ) => {
-                let proto = cm_proto_for(
-                    &mut self.protos,
-                    self.seed,
-                    object,
-                    *width,
-                    *depth,
-                    *hash_fp,
-                )?;
                 env.key = key.unwrap_or(0);
                 env.estimate = key.map_or(0, |k| {
                     (0..*depth as usize)
@@ -1238,29 +1145,14 @@ impl ReplicaGroup {
                 }
                 env.epsilon = env.epsilon.saturating_add(doubt);
             }
-            (
-                card @ ErrorEnvelope::Cardinality { .. },
-                SnapshotState::Hll { hash_fp, registers },
-            ) => {
-                let summary = match accum.hll {
-                    Some(summary) => summary,
-                    None => {
-                        check_hll_coins(
-                            &mut self.protos,
-                            self.seed,
-                            object,
-                            registers.len(),
-                            *hash_fp,
-                        )?;
-                        *accum
-                            .hll
-                            .insert(RegisterSummary::from_ranks(registers.iter().copied()))
-                    }
-                };
+            (card @ ErrorEnvelope::Cardinality { .. }, SnapshotState::Hll { registers, .. }, _) => {
+                let summary = *accum
+                    .hll
+                    .get_or_insert_with(|| RegisterSummary::from_ranks(registers.iter().copied()));
                 *card = ErrorEnvelope::cardinality(&summary, observed);
             }
-            (ErrorEnvelope::ApproxCount { .. }, SnapshotState::Morris { .. })
-            | (ErrorEnvelope::Minimum { .. }, SnapshotState::MinRegister { .. }) => {}
+            (ErrorEnvelope::ApproxCount { .. }, SnapshotState::Morris { .. }, _)
+            | (ErrorEnvelope::Minimum { .. }, SnapshotState::MinRegister { .. }, _) => {}
             _ => {
                 return Err(ReplicaError::MergeMismatch {
                     why: format!("object {object}: kind tag and envelope disagree"),
@@ -1281,8 +1173,7 @@ impl ReplicaGroup {
     fn doubt(&self, object: u32) -> u64 {
         self.ledgers
             .iter()
-            .map(|l| Ledger::get(&l.in_doubt, object))
-            .sum()
+            .fold(0, |t, l| t.saturating_add(Ledger::get(&l.in_doubt, object)))
     }
 
     /// Total weight rejoined replicas demonstrably forgot and have not
@@ -1291,8 +1182,7 @@ impl ReplicaGroup {
     fn lost(&self, object: u32) -> u64 {
         self.ledgers
             .iter()
-            .map(|l| Ledger::get(&l.lost, object))
-            .sum()
+            .fold(0, |t, l| t.saturating_add(Ledger::get(&l.lost, object)))
     }
 
     /// A merged snapshot of `object`: the merged state itself, with the
@@ -1351,70 +1241,60 @@ impl ReplicaGroup {
     }
 }
 
-/// The CountMin prototype for `object`, rebuilt from the group seed
-/// and checked against the snapshot fingerprint.
-fn cm_proto_for(
-    protos: &mut HashMap<u32, Proto>,
+/// Checks `state` against the shape the group seed gives `object` —
+/// rebuilt from [`slot_coins`]`(seed, object)` at the dimensions the
+/// first state read names, then cached — and returns the CountMin
+/// prototype (`None` for other kinds). A register count of no served
+/// precision is refused before it reaches a constructor that panics.
+fn check_seed<'a>(
+    seeded: &'a mut HashMap<u32, (StateShape, Option<CountMin>)>,
     seed: u64,
     object: u32,
-    width: u32,
-    depth: u32,
-    hash_fp: u64,
-) -> Result<&CountMin, ReplicaError> {
-    let entry = protos.entry(object).or_insert_with(|| {
-        let params = CountMinParams {
-            width: width as usize,
-            depth: depth as usize,
-        };
-        let mut coins = slot_coins(seed, object);
-        Proto::Cm(CountMin::new(params, &mut coins))
-    });
-    match entry {
-        Proto::Cm(proto) => {
-            if cm_hash_fingerprint(proto.hashes()) != hash_fp {
-                return Err(ReplicaError::MergeMismatch {
-                    why: format!(
-                        "object {object}: replica CountMin coins do not match group seed {seed}"
-                    ),
-                });
-            }
-            Ok(proto)
+    state: &SnapshotState,
+) -> Result<Option<&'a CountMin>, ReplicaError> {
+    let (shape, proto) = match seeded.entry(object) {
+        Entry::Occupied(e) => e.into_mut(),
+        Entry::Vacant(e) => {
+            let mut coins = slot_coins(seed, object);
+            e.insert(match state.shape() {
+                StateShape::CountMin { width, depth, .. } => {
+                    let params = CountMinParams {
+                        width: width as usize,
+                        depth: depth as usize,
+                    };
+                    let proto = CountMin::new(params, &mut coins);
+                    let hash_fp = cm_hash_fingerprint(proto.hashes());
+                    (
+                        StateShape::CountMin {
+                            width,
+                            depth,
+                            hash_fp,
+                        },
+                        Some(proto),
+                    )
+                }
+                StateShape::Hll { registers, .. } => {
+                    let precision = registers.trailing_zeros();
+                    if !registers.is_power_of_two() || !(4..=16).contains(&precision) {
+                        return Err(ReplicaError::MergeMismatch {
+                            why: format!(
+                                "object {object}: {registers} HLL registers is no served precision"
+                            ),
+                        });
+                    }
+                    let hash_fp = hll_hash_fingerprint(&HyperLogLog::new(precision, &mut coins));
+                    (StateShape::Hll { registers, hash_fp }, None)
+                }
+                unhashed => (unhashed, None),
+            })
         }
-        _ => Err(ReplicaError::MergeMismatch {
-            why: format!("object {object} changed kind across reads"),
-        }),
-    }
-}
-
-/// Checks merged HLL registers against the prototype for `object`,
-/// rebuilt from the group seed: the precision the register count names
-/// and the snapshot fingerprint must both match.
-fn check_hll_coins(
-    protos: &mut HashMap<u32, Proto>,
-    seed: u64,
-    object: u32,
-    registers: usize,
-    hash_fp: u64,
-) -> Result<(), ReplicaError> {
-    let precision = registers.trailing_zeros();
-    if !registers.is_power_of_two() || !(4..=16).contains(&precision) {
-        return Err(ReplicaError::MergeMismatch {
-            why: format!("object {object}: {registers} HLL registers is no served precision"),
-        });
-    }
-    let entry = protos.entry(object).or_insert_with(|| {
-        let mut coins = slot_coins(seed, object);
-        Proto::Hll(HyperLogLog::new(precision, &mut coins))
-    });
-    match entry {
-        Proto::Hll(proto) if hll_hash_fingerprint(proto) == hash_fp => Ok(()),
-        Proto::Hll(_) => Err(ReplicaError::MergeMismatch {
-            why: format!("object {object}: replica HLL coins do not match group seed {seed}"),
-        }),
-        _ => Err(ReplicaError::MergeMismatch {
-            why: format!("object {object} changed kind across reads"),
-        }),
-    }
+    };
+    shape
+        .admit(state)
+        .map_err(|e| ReplicaError::MergeMismatch {
+            why: format!("object {object}: not what group seed {seed} samples: {e}"),
+        })?;
+    Ok(proto.as_ref())
 }
 
 /// A refused merge, prefixed with the object for the operator.
@@ -1474,15 +1354,31 @@ mod tests {
         // rebuilds the prototype at; one no sketch can have must be
         // refused, not handed to a constructor that panics on it.
         let proto = HyperLogLog::new(4, &mut slot_coins(1, 0));
-        let fp = hll_hash_fingerprint(&proto);
-        let mut protos = HashMap::new();
+        let hll = |registers| SnapshotState::Hll {
+            hash_fp: hll_hash_fingerprint(&proto),
+            registers: vec![0; registers],
+        };
+        let mut seeded = HashMap::new();
         for registers in [0, 3, 8, 1 << 17] {
             assert!(matches!(
-                check_hll_coins(&mut protos, 1, 0, registers, fp),
+                check_seed(&mut seeded, 1, 0, &hll(registers)),
                 Err(ReplicaError::MergeMismatch { .. })
             ));
         }
-        assert!(check_hll_coins(&mut protos, 1, 0, 16, fp).is_ok());
+        assert!(matches!(check_seed(&mut seeded, 1, 0, &hll(16)), Ok(None)));
+    }
+
+    #[test]
+    fn ledger_sums_saturate() {
+        // Ledger weights come from client-chosen weights and replica
+        // envelopes; summing them across replicas must not wrap.
+        let mut g =
+            ReplicaGroup::new(vec!["a:1".into(), "b:1".into()], ReplicaMode::Partition, 1).unwrap();
+        for ledger in &mut g.ledgers {
+            ledger.in_doubt.insert(0, u64::MAX);
+            ledger.lost.insert(0, u64::MAX);
+        }
+        assert_eq!((g.doubt(0), g.lost(0)), (u64::MAX, u64::MAX));
     }
 
     #[test]

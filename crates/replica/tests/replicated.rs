@@ -143,6 +143,27 @@ fn partitioned_run(backend: Backend) {
         "unchanged replies must stay tiny, got {} bytes",
         stats1.bytes_in - stats0.bytes_in
     );
+    // One `SNAPSHOT_SINCE` frame per replica: a 4-byte length prefix,
+    // the opcode, the object id and the base epoch, 17 bytes.
+    assert_eq!(stats1.bytes_out - stats0.bytes_out, 3 * 17);
+
+    // A cold connection is read in the same pass as the warm ones: the
+    // reconnected replica answers in full (its cache belongs to the old
+    // connection), the other two `Unchanged`, one frame each.
+    group.disconnect(1);
+    let read = group.query(0, 7).expect("read over a cold connection");
+    assert_eq!(read.reached, 3);
+    assert_freq_within(&read.envelope, truth[7]);
+    let stats2 = group.delta_stats();
+    assert_eq!(
+        (
+            stats2.unchanged - stats1.unchanged,
+            stats2.fulls - stats1.fulls,
+            stats2.deltas - stats1.deltas,
+        ),
+        (2, 1, 0)
+    );
+    assert_eq!(stats2.bytes_out - stats1.bytes_out, 3 * 17);
 
     // Kill one replica mid-run: merged reads degrade, but the dead
     // replica's *cached* cells keep contributing — its substream stays
@@ -156,8 +177,12 @@ fn partitioned_run(backend: Backend) {
     group.disconnect(0);
     drop(victim.join());
 
+    let (stats3, failures3) = (group.delta_stats(), group.health()[0].failures);
     let read = group.query(0, 7).expect("degraded query still answers");
     assert_eq!((read.reached, read.total), (2, 3));
+    // Only the two survivors answered; the victim's reconnects failed.
+    assert_eq!(group.delta_stats().reads - stats3.reads, 2);
+    assert!(group.health()[0].failures > failures3);
     assert!(
         read.parts.iter().all(|p| p.is_some()),
         "the dead replica still contributes its cached state"

@@ -57,6 +57,19 @@ impl fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
+impl ClientError {
+    /// Whether the connection was lost (as opposed to the server
+    /// answering something) — the only case a resend of an idempotent
+    /// request can be correct, and the only failure a caller may retry
+    /// on a fresh connection.
+    pub fn connection_lost(&self) -> bool {
+        matches!(
+            self,
+            ClientError::Io(_) | ClientError::Wire(WireError::Truncated | WireError::Io(_))
+        )
+    }
+}
+
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> Self {
         ClientError::Io(e)
@@ -162,16 +175,6 @@ impl Client {
         (self.bytes_out, self.bytes_in)
     }
 
-    /// Whether an error means the connection died (as opposed to the
-    /// server answering something) — the only case a resend of an
-    /// idempotent request can be correct.
-    fn connection_died(e: &ClientError) -> bool {
-        matches!(
-            e,
-            ClientError::Io(_) | ClientError::Wire(WireError::Truncated | WireError::Io(_))
-        )
-    }
-
     /// Writes one request frame, as `encode` appends it, without
     /// waiting for its reply.
     fn send_frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), ClientError> {
@@ -218,7 +221,7 @@ impl Client {
         let mut attempts_left = self.reconnect_limit;
         loop {
             match self.roundtrip(req) {
-                Err(e) if Self::connection_died(&e) && attempts_left > 0 => {
+                Err(e) if e.connection_lost() && attempts_left > 0 => {
                     attempts_left -= 1;
                     self.reconnect()?;
                 }
@@ -491,7 +494,7 @@ mod tests {
         let mut c = Client::connect(addr).unwrap();
         let err = c.object_id(0).update(5, 1).unwrap_err();
         assert!(
-            Client::connection_died(&err),
+            err.connection_lost(),
             "wanted a dead-connection error, got {err:?}"
         );
         // Exactly one frame ever reached the wire: the failed update
@@ -505,7 +508,7 @@ mod tests {
         let mut c = Client::connect(addr).unwrap();
         c.set_reconnect_limit(0);
         let err = c.object_id(0).query(5).unwrap_err();
-        assert!(Client::connection_died(&err), "got {err:?}");
+        assert!(err.connection_lost(), "got {err:?}");
         assert_eq!(frames.load(Ordering::SeqCst), 1);
     }
 }

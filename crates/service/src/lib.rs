@@ -72,7 +72,7 @@ pub use client::{Client, ClientError, ObjectHandle};
 // vocabulary for kind-tagged state, envelopes, merging and composing.
 pub use ivl_merge::{
     merge_states, ComposeError, Envelope, ErrorEnvelope, MergeError, MergePolicy, MergeableState,
-    StatePatch,
+    StatePatch, StateShape,
 };
 pub use metrics::{Metrics, ObjectStats, StatsReport};
 pub use objects::{

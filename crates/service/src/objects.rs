@@ -43,7 +43,7 @@ use ivl_concurrent::{
     BatchScratch, ConcurrentHll, ConcurrentMinRegister, ConcurrentMorris, ShardLease, ShardedPcm,
 };
 use ivl_counter::{IvlBatchedCounter, SharedBatchedCounter};
-use ivl_merge::{MergeError, MergeableState};
+use ivl_merge::{MergeError, StateShape};
 use ivl_sketch::countmin::{CountMin, CountMinParams};
 use ivl_sketch::hll::{HyperLogLog, RegisterSummary};
 use ivl_sketch::CoinFlips;
@@ -218,8 +218,8 @@ pub trait ObjectWriter: fmt::Debug {
     /// covers; on success it is credited to the object's observed
     /// counter so envelopes account for the restored weight. Refuses
     /// with a typed [`MergeError`] (mapping to the wire's
-    /// `MergeMismatch`) when the state's kind, dimensions, or hash
-    /// fingerprint do not match the served structure.
+    /// `MergeMismatch`) when the state's [`StateShape`] — kind,
+    /// dimensions and hash fingerprint — is not the served object's.
     fn absorb(&mut self, state: &SnapshotState, observed: u64) -> Result<(), MergeError>;
 
     /// Propagates any locally buffered weight into the shared object.
@@ -451,12 +451,11 @@ impl ObjectRegistry {
     }
 
     /// Total acknowledged update weight across all objects (the
-    /// server-wide `stream_len`).
+    /// server-wide `stream_len`), saturating at `u64::MAX`.
     pub fn total_observed(&self) -> u64 {
         self.entries
             .iter()
-            .map(|(_, o)| o.op_stats().observed)
-            .sum()
+            .fold(0, |t, (_, o)| t.saturating_add(o.op_stats().observed))
     }
 
     /// Free shard-lease slots summed over lease-pooled objects.
@@ -501,18 +500,24 @@ struct OpCounters {
 }
 
 impl OpCounters {
-    /// Accounts `n` updates of `weight` total observed weight: two
-    /// atomic adds, whether for one update or a whole batch frame.
+    /// Accounts `n` updates of `weight` total observed weight, whether
+    /// for one update or a whole batch frame.
     fn note_updates(&self, n: u64, weight: u64) {
         self.updates.fetch_add(n, Ordering::Relaxed);
-        self.observed.fetch_add(weight, Ordering::Relaxed);
+        self.note_absorbed(weight);
     }
 
     /// Catch-up accounting: absorbed weight raises `observed` (the
     /// envelope's acknowledged-weight field) without counting as an
     /// update operation — the peer already counted those updates.
+    /// Saturates at `u64::MAX`, like every add a client-chosen weight
+    /// reaches.
     fn note_absorbed(&self, weight: u64) {
-        self.observed.fetch_add(weight, Ordering::Relaxed);
+        let _ = self
+            .observed
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |o| {
+                Some(o.saturating_add(weight))
+            });
     }
 
     fn note_query(&self) {
@@ -542,6 +547,8 @@ pub struct ServedCountMin {
     /// hashes, and `WeightedCmSpec::new(proto.clone())` is the exact
     /// sequential spec of this object.
     proto: CountMin,
+    /// The shape every full state ships and every absorbed one must have.
+    shape: StateShape,
     sketch: ShardedPcm,
     /// Stream-weight counter, one single-writer slot per shard.
     ingest: IvlBatchedCounter,
@@ -574,6 +581,11 @@ impl ServedCountMin {
         let params = CountMinParams::for_bounds(alpha, delta);
         let proto = CountMin::new(params, coins);
         ServedCountMin {
+            shape: StateShape::CountMin {
+                width: params.width as u32,
+                depth: params.depth as u32,
+                hash_fp: cm_hash_fingerprint(proto.hashes()),
+            },
             sketch: ShardedPcm::from_prototype(&proto, shards),
             ingest: IvlBatchedCounter::new(shards),
             write_buffer,
@@ -628,11 +640,18 @@ impl ServedCountMin {
 
     /// The whole cell matrix as a mergeable state.
     fn full_state(&self) -> SnapshotState {
-        let params = self.proto.params();
+        let StateShape::CountMin {
+            width,
+            depth,
+            hash_fp,
+        } = self.shape
+        else {
+            unreachable!("a CountMin has a CountMin shape")
+        };
         SnapshotState::CountMin {
-            width: params.width as u32,
-            depth: params.depth as u32,
-            hash_fp: cm_hash_fingerprint(self.proto.hashes()),
+            width,
+            depth,
+            hash_fp,
             cells: self.sketch.cells_snapshot(),
         }
     }
@@ -833,34 +852,27 @@ impl ObjectWriter for CmWriter<'_> {
     }
 
     /// Peer cells add into the leased shard under the single-writer
-    /// discipline (plain stores, one epoch commit) after the
-    /// fingerprint/dimension guard — merging a peer's matrix is the
-    /// same algebra as applying its substream locally.
+    /// discipline (plain stores, one epoch commit) after the shape
+    /// guard — merging a peer's matrix is the same algebra as applying
+    /// its substream locally.
     fn absorb(&mut self, state: &SnapshotState, observed: u64) -> Result<(), MergeError> {
-        let SnapshotState::CountMin {
-            width,
-            depth,
-            hash_fp,
-            cells,
-        } = state
-        else {
-            return Err(foreign_kind(ObjectKind::CountMin, state));
-        };
+        self.obj.shape.admit(state)?;
         let params = self.obj.proto.params();
-        if (*width as usize, *depth as usize) != (params.width, params.depth)
-            || cells.len() != params.width * params.depth
-            || *hash_fp != cm_hash_fingerprint(self.obj.proto.hashes())
-        {
-            return Err(MergeError::new(
-                "peer CountMin dimensions or coins do not match the served object",
-            ));
+        match state {
+            // A state built in-process can name the served dimensions
+            // and still carry another number of cells.
+            SnapshotState::CountMin { cells, .. } if cells.len() == params.width * params.depth => {
+                let lease = self.lease.as_mut().expect("ensure_ready acquired a lease");
+                lease.absorb_cells(cells);
+                // Cells lead the ingest counter, the same discipline as
+                // the update path.
+                self.obj.ingest.update_slot(lease.shard(), observed);
+                Ok(())
+            }
+            _ => Err(MergeError::new(
+                "peer CountMin cells do not fill its dimensions",
+            )),
         }
-        let lease = self.lease.as_mut().expect("ensure_ready acquired a lease");
-        lease.absorb_cells(cells);
-        // Cells lead the ingest counter, the same discipline as the
-        // update path.
-        self.obj.ingest.update_slot(lease.shard(), observed);
-        Ok(())
     }
 
     fn flush(&mut self) {
@@ -914,14 +926,21 @@ impl MonotoneSpec for HllSumSpec {}
 #[derive(Debug)]
 pub struct ServedHll {
     hll: ConcurrentHll,
+    /// The shape every full state ships and every absorbed one must have.
+    shape: StateShape,
     ops: OpCounters,
 }
 
 impl ServedHll {
     /// Creates an HLL with `2^precision` registers.
     pub fn new(precision: u32, coins: &mut CoinFlips) -> Self {
+        let hll = ConcurrentHll::new(precision, coins);
         ServedHll {
-            hll: ConcurrentHll::new(precision, coins),
+            shape: StateShape::Hll {
+                registers: hll.prototype().num_registers(),
+                hash_fp: hll_hash_fingerprint(hll.prototype()),
+            },
+            hll,
             ops: OpCounters::default(),
         }
     }
@@ -942,12 +961,12 @@ impl ServedHll {
     /// One register load as a reply: the shipped state, its envelope
     /// and its epoch (the register sum), all of the same bytes.
     fn load(&self) -> (SnapshotState, ErrorEnvelope, u64) {
+        let StateShape::Hll { hash_fp, .. } = self.shape else {
+            unreachable!("an HLL has an HLL shape")
+        };
         let registers = self.hll.registers_snapshot();
         let summary = RegisterSummary::from_ranks(registers.iter().copied());
-        let state = SnapshotState::Hll {
-            hash_fp: hll_hash_fingerprint(self.hll.prototype()),
-            registers,
-        };
+        let state = SnapshotState::Hll { hash_fp, registers };
         (state, self.envelope(&summary), summary.register_sum())
     }
 }
@@ -1016,22 +1035,14 @@ impl AtomicApply for ServedHll {
         self.ops.note_updates(1, weight);
     }
 
-    /// Register-wise `fetch_max` into the live vector after the
-    /// fingerprint guard — a join with the update path, so concurrent
-    /// updates and an absorb interleave safely.
+    /// Register-wise `fetch_max` into the live vector after the shape
+    /// guard — a join with the update path, so concurrent updates and
+    /// an absorb interleave safely.
     fn absorb_state(&self, state: &SnapshotState, observed: u64) -> Result<(), MergeError> {
-        let SnapshotState::Hll { hash_fp, registers } = state else {
-            return Err(foreign_kind(ObjectKind::Hll, state));
-        };
-        let proto = self.hll.prototype();
-        if *hash_fp != hll_hash_fingerprint(proto)
-            || registers.len() as u64 != proto.num_registers() as u64
-        {
-            return Err(MergeError::new(
-                "peer HLL precision or coins do not match the served object",
-            ));
+        self.shape.admit(state)?;
+        if let SnapshotState::Hll { registers, .. } = state {
+            self.hll.absorb(registers);
         }
-        self.hll.absorb(registers);
         self.ops.note_absorbed(observed);
         Ok(())
     }
@@ -1060,7 +1071,7 @@ impl ObjectSpec for AckCounterSpec {
     }
 
     fn apply_update(&self, state: &mut u64, &(_key, weight): &(u64, u64)) {
-        *state += weight;
+        *state = state.saturating_add(weight);
     }
 
     fn eval_query(&self, state: &u64, _q: &u64) -> u64 {
@@ -1152,10 +1163,10 @@ impl AtomicApply for ServedMorris {
     /// Morris merge; no coins are involved, so there is nothing to
     /// fingerprint).
     fn absorb_state(&self, state: &SnapshotState, observed: u64) -> Result<(), MergeError> {
-        let SnapshotState::Morris { exponent } = state else {
-            return Err(foreign_kind(ObjectKind::Morris, state));
-        };
-        self.morris.raise_to(*exponent);
+        StateShape::Morris.admit(state)?;
+        if let SnapshotState::Morris { exponent } = state {
+            self.morris.raise_to(*exponent);
+        }
         self.ops.note_absorbed(observed);
         Ok(())
     }
@@ -1266,10 +1277,10 @@ impl AtomicApply for ServedMinRegister {
     /// `fetch_min` with the peer's minimum (`u64::MAX` is the empty
     /// sentinel and inserting it is a no-op join either way).
     fn absorb_state(&self, state: &SnapshotState, observed: u64) -> Result<(), MergeError> {
-        let SnapshotState::MinRegister { minimum } = state else {
-            return Err(foreign_kind(ObjectKind::MinRegister, state));
-        };
-        self.reg.insert(*minimum);
+        StateShape::MinRegister.admit(state)?;
+        if let SnapshotState::MinRegister { minimum } = state {
+            self.reg.insert(*minimum);
+        }
         self.ops.note_absorbed(observed);
         Ok(())
     }
@@ -1292,24 +1303,15 @@ fn scalar_reply(
     (epoch, change, envelope)
 }
 
-/// The one refusal every served kind gives a pushed state of another
-/// kind (the wire's `MergeMismatch`).
-fn foreign_kind(served: ObjectKind, state: &SnapshotState) -> MergeError {
-    MergeError::new(format!(
-        "peer {} state does not match the served {served} object",
-        state.kind()
-    ))
-}
-
 /// Shared writer shape for the wait-free objects: updates go straight
 /// to the shared atomics, no lease, no buffer, never busy.
 trait AtomicApply: ServedObject {
     /// Applies one update to the shared object.
     fn apply_one(&self, key: u64, weight: u64);
 
-    /// Absorbs a peer's pushed state of this object's own kind into the
-    /// shared object and credits the `observed` weight it covers,
-    /// refusing every other kind.
+    /// Absorbs a peer's pushed state of this object's own shape into
+    /// the shared object and credits the `observed` weight it covers,
+    /// refusing every other shape.
     fn absorb_state(&self, state: &SnapshotState, observed: u64) -> Result<(), MergeError>;
 }
 
@@ -1348,6 +1350,7 @@ impl<T: AtomicApply + ?Sized> ObjectWriter for AtomicWriter<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ivl_merge::MergeableState;
     use ivl_spec::history::{HistoryBuilder, ObjectId, ProcessId};
 
     fn registry() -> ObjectRegistry {
@@ -1920,9 +1923,9 @@ mod tests {
                 assert_eq!(
                     err.to_string(),
                     format!(
-                        "peer {} state does not match the served {} object",
-                        state.kind(),
-                        obj.kind()
+                        "kind, dimensions or coins do not match: {:?} against {:?}",
+                        state.shape(),
+                        states[id as usize].shape()
                     )
                 );
                 assert_eq!(
@@ -2158,6 +2161,19 @@ mod tests {
             assert!(w.absorb(&other.state, 1).is_err());
             w.release();
         }
+        // The served shape carrying one cell too few: refused whole.
+        let mut short = a.snapshot(0).unwrap().state;
+        if let SnapshotState::CountMin { cells, .. } = &mut short {
+            cells.pop();
+        }
+        let mut w = a.get(0).unwrap().writer(&metrics);
+        w.ensure_ready().unwrap();
+        let err = w.absorb(&short, 1).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "peer CountMin cells do not fill its dimensions"
+        );
+        w.release();
         // Nothing was credited by refused pushes.
         assert_eq!(a.total_observed(), 0);
     }

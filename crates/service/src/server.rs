@@ -1344,6 +1344,30 @@ mod tests {
             drop(c);
             h.join();
         }
+        // The server-wide stream length sums every object's observed
+        // weight, so one saturated CountMin beside an HLL saturates it
+        // too. Read in-process first: an overflow there fails this
+        // thread instead of a serving one.
+        let config = ServerConfig {
+            objects: vec![
+                ObjectConfig::new("cm", ObjectKind::CountMin),
+                ObjectConfig::new("hll", ObjectKind::Hll),
+            ],
+            ..config_with(backend, 1, false)
+        };
+        let h = serve("127.0.0.1:0", config).unwrap();
+        let mut c = Client::connect(h.addr()).unwrap();
+        c.object_id(0).batch(&[(1, u64::MAX)]).unwrap();
+        c.object_id(1).batch(&[(7, 1)]).unwrap();
+        assert_eq!(h.stats().stream_len, u64::MAX, "{backend}");
+        assert_eq!(c.stats().unwrap().stream_len, u64::MAX, "{backend}");
+        for _ in 0..2 {
+            c.object_id(1).batch(&[(7, 1 << 63)]).unwrap();
+        }
+        let observed = c.object_id(1).query(7).unwrap().observed();
+        assert_eq!(observed, u64::MAX, "{backend}: HLL observed");
+        drop(c);
+        h.join();
     }
 
     #[test]
