@@ -10,7 +10,7 @@
 //! [`ErrorEnvelope`] in force) cached, merging the states, and
 //! shipping one composed envelope ([`ErrorEnvelope::compose`]) instead
 //! of inventing a bound. Every merged read — [`ReplicaGroup::query`]
-//! and [`ReplicaGroup::snapshot_merged`] alike — takes that one path:
+//! and [`ReplicaGroup::snapshot_since`] alike — takes that one path:
 //! refresh the caches, fold them into one merged state, compose the
 //! parts' envelopes under the placement mode's merge law, re-derive
 //! what the merged state knows better (the CountMin point estimate,
@@ -32,11 +32,12 @@
 //!   coincide for them). The composed envelope takes the max of every
 //!   term.
 //!
-//! **Health and degradation.** Each replica has a ledger: connect
-//! failures are retried a bounded number of times with backoff; a
-//! replica that stays unreachable is served from its cache (see below)
-//! or, with none, dropped from the merge, and the group degrades to
-//! the reachable quorum rather than erroring. The merged frequency
+//! **Health and degradation.** Each replica has a ledger. A failed
+//! connect opens a down window, growing with each failure in a row,
+//! inside which the replica is not dialled: reads serve it from its
+//! cache (see below) or, with none, drop it from the merge, and writes
+//! fail over, so the group degrades to the reachable quorum rather than
+//! erroring or stalling. The merged frequency
 //! envelope *widens* to account for what the merge can no longer see:
 //! in partition mode the missing replica's recorded update weight
 //! (its last observed count) is added to `lag` — acknowledged weight
@@ -48,40 +49,29 @@
 //! both envelope sides (`ε` for a possible double count, `lag` for a
 //! possible miss).
 //!
-//! **Delta reads.** Merged queries do not re-pull full state: the
-//! group keeps one cached snapshot per replica per object, keyed to
-//! the connection generation, and asks every replica `SNAPSHOT_SINCE`
-//! its cached epoch in one pipelined pass — cold connections included,
-//! replicas whose connection was lost retried by round. A quiescent
-//! replica answers a tiny `Unchanged` frame; an active one a sparse
-//! delta that patches the cache in place; a merged accumulator (one
-//! [`SnapshotState`] per object) folds the patches in, so a read on a
-//! quiescent group re-merges nothing. Staleness is IVL-quantified, not
-//! refused: a replica that stops answering keeps contributing its
-//! cached cells, with the frequency `lag` widened by the weight that
-//! may have landed there since. A cache read over another connection
-//! ([`Client::generation`]) is never a delta base. Every server in the
-//! tree answers `SNAPSHOT_SINCE`, the `ivl_replicate` frontend
-//! included; a replica that refuses it is surfaced as an error.
+//! **Delta reads** (DESIGN §14). The group keeps one cached snapshot
+//! per replica per object, keyed to the connection generation
+//! ([`Client::generation`]; another connection's cache is never a delta
+//! base), and asks every replica `SNAPSHOT_SINCE` its cached epoch in
+//! one pipelined pass. A quiescent replica answers a tiny `Unchanged`,
+//! an active one a sparse delta that patches the cache in place, and a
+//! merged accumulator per object folds the patches in, so a quiet read
+//! re-merges nothing. A replica that stops answering keeps contributing
+//! its cached cells, with `lag` widened by what may have landed there
+//! since. A frontend ([`serve_group`]) answers `SNAPSHOT_SINCE` from its
+//! accumulator under its own epoch, so groups stack.
 //!
-//! **Catch-up (anti-entropy).** A replica that restarts comes back
-//! empty; reactive degradation alone would widen merged envelopes by
-//! its forgotten weight forever. The group detects the rejoin — a
-//! fresh full snapshot whose `observed` is *below* the replica's
-//! cached one means the replica lost history — retains the displaced
-//! cache as the catch-up payload, and pushes it back over
-//! `PUSH_STATE` on the next refresh. The pushed state is the
-//! replica's *own* retained summary, so absorbing it (cell-wise add;
-//! the other kinds' idempotent joins) is the exact union of the two
-//! disjoint uptime windows in both placement modes. Until the push is
-//! acknowledged the forgotten weight is carried in a `lost` ledger
-//! bucket that widens merged `lag`; an acknowledged push settles it
-//! (and any in-doubt weight at that replica), invalidates the cache,
-//! and the next refresh re-pulls the absorbed state — the envelope
-//! narrows back to its pre-kill width. `PUSH_STATE` is not
-//! idempotent, so a push whose connection dies mid-roundtrip is never
-//! resent; its weight simply stays on the `lost` ledger
-//! (conservative). [`ReplicaGroup::catchup_stats`] counts all of it.
+//! **Catch-up** (DESIGN §15). A restarted replica comes back empty. A
+//! fresh full snapshot observing *less* than the cache reveals it; the
+//! displaced cache is retained and pushed back over `PUSH_STATE` on the
+//! next refresh. It is the replica's own summary, so absorbing it is the
+//! exact union of its two uptime windows in both modes. Until the push
+//! is acknowledged the forgotten weight sits in a `lost` ledger bucket
+//! that widens `lag`; the acknowledgement settles it (and the replica's
+//! in-doubt weight) and the next refresh re-pulls the absorbed state.
+//! `PUSH_STATE` is not idempotent, so a push whose connection dies is
+//! never resent and its weight stays `lost` (conservative).
+//! [`ReplicaGroup::catchup_stats`] counts all of it.
 //!
 //! **Merge safety.** Replicas may only be merged if they sampled the
 //! same hash functions — the same `--seed` and object roster. Every
@@ -89,7 +79,7 @@
 //! states merge only at equal shapes, and the merged one must have
 //! the shape [`slot_coins`]`(seed, object)` gives. A mismatch is a
 //! typed [`ReplicaError::MergeMismatch`] (the wire's `MergeMismatch`
-//! through the `ivl_replicate` frontend), never a panic.
+//! through a frontend), never a panic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -98,14 +88,17 @@
 use ivl_service::{
     cm_hash_fingerprint, hll_hash_fingerprint, merge_states, slot_coins, Client, ClientError,
     ComposeError, DeltaChange, ErrorCode, ErrorEnvelope, MergeError, MergePolicy, MergeableState,
-    ObjectInfo, ObjectKind, SnapshotDelta, SnapshotState, StatePatch, StateShape,
+    ObjectInfo, SnapshotDelta, SnapshotState, StatePatch, StateShape,
 };
 use ivl_sketch::countmin::{CountMin, CountMinParams};
 use ivl_sketch::hll::{HyperLogLog, RegisterSummary};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+mod frontend;
+pub use frontend::{serve_group, SharedGroup};
 
 /// How a [`ReplicaGroup`] places updates across its replicas.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -232,35 +225,14 @@ pub struct MergedRead {
     pub missing_observed: u64,
 }
 
-/// A merged snapshot: the merged mergeable state itself, with the
-/// composed envelope — what the `ivl_replicate` frontend serves, as a
-/// `Full` reply, for every `SNAPSHOT_SINCE` so groups stack.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MergedSnapshot {
-    /// Object id (same on every replica by construction).
-    pub object: u32,
-    /// Object kind.
-    pub kind: ObjectKind,
-    /// The merged state (sum or max of the parts, per mode).
-    pub state: SnapshotState,
-    /// The composed envelope (frequency `key`/`estimate` are the
-    /// snapshot-form zero sentinels).
-    pub envelope: ErrorEnvelope,
-    /// Per-replica acknowledged weight at the state that merged
-    /// (`None` = unreachable with no cached state).
-    pub parts: Vec<Option<u64>>,
-    /// Acknowledged weight possibly invisible to this snapshot, as in
-    /// [`MergedRead::missing_observed`]: missing replicas' recorded
-    /// counts, cached-but-silent replicas' overhang, and weight a
-    /// rejoined replica lost and has not yet been caught up on.
-    pub missing_observed: u64,
-}
-
 /// Per-replica ledger: health plus the degradation accounting.
 #[derive(Debug, Default)]
 struct Ledger {
     /// Connection failures (connects and mid-roundtrip deaths).
     failures: u64,
+    /// Connects failed in a row, and until when no connect is tried
+    /// (see [`ReplicaGroup::connect_failed`]).
+    down: Option<(u32, Instant)>,
     /// Update weight this group routed here and saw acknowledged,
     /// per object.
     acked: HashMap<u32, u64>,
@@ -426,6 +398,9 @@ pub struct ReplicaGroup {
     caches: Vec<HashMap<u32, CachedSnapshot>>,
     /// Per-object merge of the caches under the mode's policy.
     accums: HashMap<u32, Accum>,
+    /// Bumped whenever an accumulator is folded with a change, rebuilt
+    /// or dropped: the epoch [`Self::snapshot_since`] answers with.
+    epoch: u64,
     delta_stats: DeltaStats,
     /// Retained states awaiting a catch-up push to a rejoined replica.
     pending_pushes: Vec<PendingPush>,
@@ -467,9 +442,9 @@ fn desynced(e: &ClientError) -> bool {
 
 impl ReplicaGroup {
     /// Builds a group over `addrs` (each `host:port`). Connections are
-    /// opened lazily per replica; an unreachable replica is retried on
-    /// every later operation, so a replica that comes up after the
-    /// group does is picked up automatically.
+    /// opened lazily per replica; an unreachable replica is probed again
+    /// once its down window has passed, so a replica that comes up after
+    /// the group does is picked up automatically.
     ///
     /// `seed` must equal the replicas' `--seed`: it rebuilds the hash
     /// prototypes used to re-derive estimates from merged state, and
@@ -490,6 +465,7 @@ impl ReplicaGroup {
             seeded: HashMap::new(),
             caches: (0..n).map(|_| HashMap::new()).collect(),
             accums: HashMap::new(),
+            epoch: 0,
             delta_stats: DeltaStats::default(),
             pending_pushes: Vec::new(),
             catchup: CatchupStats::default(),
@@ -511,13 +487,15 @@ impl ReplicaGroup {
         self.addrs.is_empty()
     }
 
-    /// Sets how many reconnect attempts (with backoff between them) an
-    /// operation may spend per replica before degrading (default 2).
+    /// Sets how many more rounds (with backoff between them) a read may
+    /// spend on a replica whose connection was lost mid-roundtrip before
+    /// degrading (default 2).
     pub fn set_retry_limit(&mut self, limit: u32) {
         self.retry_limit = limit;
     }
 
-    /// Sets the pause between reconnect attempts (default 20ms).
+    /// Sets the pause between read rounds and the unit of a down
+    /// replica's probe window (default 20ms).
     pub fn set_backoff(&mut self, backoff: Duration) {
         self.backoff = backoff;
     }
@@ -565,37 +543,29 @@ impl ReplicaGroup {
         (mix64(key) % self.addrs.len() as u64) as usize
     }
 
-    /// Ensures a connection to replica `i`, retrying a bounded number
-    /// of times with backoff; `None` when it stays unreachable.
+    /// Ensures a connection to replica `i` with one connect attempt;
+    /// `None` when that fails or replica `i` is inside its down window,
+    /// where no connect is tried at all.
     fn ensure_client(&mut self, i: usize) -> Option<&mut Client> {
         if self.clients[i].is_none() {
-            let mut attempts_left = self.retry_limit;
-            loop {
-                match Client::connect(self.addrs[i].as_str()) {
-                    Ok(mut c) => {
-                        // The group does its own retrying, by refresh
-                        // round (with a *new* client, hence a new
-                        // generation). The client's internal
-                        // reconnect-and-resend must stay off: it would
-                        // resend a delta base chosen under the old
-                        // generation over a connection whose epochs may
-                        // mean something else.
-                        c.set_reconnect_limit(0);
-                        self.clients[i] = Some(c);
-                        break;
-                    }
-                    Err(_) if attempts_left > 0 => {
-                        attempts_left -= 1;
-                        self.ledgers[i].failures += 1;
-                        // lint:allow sleep — bounded backoff between reconnects to a down replica
-                        std::thread::sleep(self.backoff);
-                    }
-                    Err(_) => {
-                        self.ledgers[i].failures += 1;
-                        return None;
-                    }
-                }
+            if self.ledgers[i]
+                .down
+                .is_some_and(|(_, t)| Instant::now() < t)
+            {
+                return None;
             }
+            let Ok(mut c) = Client::connect(self.addrs[i].as_str()) else {
+                self.connect_failed(i);
+                return None;
+            };
+            // The group does its own retrying, by refresh round (with a
+            // *new* client, hence a new generation). The client's
+            // internal reconnect-and-resend must stay off: it would
+            // resend a delta base chosen under the old generation over a
+            // connection whose epochs may mean something else.
+            c.set_reconnect_limit(0);
+            self.ledgers[i].down = None;
+            self.clients[i] = Some(c);
         }
         self.clients[i].as_mut()
     }
@@ -607,39 +577,20 @@ impl ReplicaGroup {
         self.ledgers[i].failures += 1;
     }
 
-    /// Runs an idempotent request against replica `i` with bounded
-    /// reconnect retries. `Ok(None)` = unreachable (degrade);
-    /// `Err` = the replica answered a refusal (do not degrade —
-    /// surfacing a config mismatch matters more than availability).
-    fn read_on<T>(
-        &mut self,
-        i: usize,
-        f: impl Fn(&mut Client) -> Result<T, ClientError>,
-    ) -> Result<Option<T>, ReplicaError> {
-        let mut attempts_left = self.retry_limit;
-        loop {
-            let Some(client) = self.ensure_client(i) else {
-                return Ok(None);
-            };
-            match f(client) {
-                Ok(v) => return Ok(Some(v)),
-                Err(e) if e.connection_lost() => {
-                    self.lose_connection(i);
-                    if attempts_left == 0 {
-                        return Ok(None);
-                    }
-                    attempts_left -= 1;
-                    // lint:allow sleep — bounded backoff before retrying an idempotent read
-                    std::thread::sleep(self.backoff);
-                }
-                Err(e) => {
-                    if desynced(&e) {
-                        self.clients[i] = None;
-                    }
-                    return Err(e.into());
-                }
-            }
-        }
+    /// Counts a failed connect to replica `i` and opens its down window,
+    /// inside which [`ensure_client`](Self::ensure_client) tries no
+    /// connect: reads serve its cache as stale lag and writes fail over
+    /// at once, so a dead replica costs one probe per window. The window
+    /// is empty after the first failure (a refused connect may be a
+    /// restart in progress), then `backoff`, doubling with each further
+    /// failure in a row up to 64 × `backoff`.
+    fn connect_failed(&mut self, i: usize) {
+        let ledger = &mut self.ledgers[i];
+        ledger.failures += 1;
+        let streak = ledger.down.map_or(1, |(n, _)| n.saturating_add(1));
+        // backoff × 2^(streak − 2), capped at 2^6; 0 for the first.
+        let window = self.backoff * ((1 << streak.min(8)) / 4);
+        ledger.down = Some((streak, Instant::now() + window));
     }
 
     /// Sends one write frame of `items`, whose total weight is `weight`,
@@ -776,6 +727,7 @@ impl ReplicaGroup {
             // folding the accumulator; drop it so the next read
             // rebuilds from the caches instead of silently drifting.
             self.accums.remove(&object);
+            self.epoch += 1;
         }
         r
     }
@@ -858,6 +810,7 @@ impl ReplicaGroup {
                     // pre-absorb base.
                     self.caches[i].remove(&object);
                     self.accums.remove(&object);
+                    self.epoch += 1;
                 }
                 Err(e) if e.connection_lost() => {
                     self.lose_connection(i);
@@ -1053,10 +1006,12 @@ impl ReplicaGroup {
             {
                 if !patches.is_empty() {
                     accum.hll = None;
+                    self.epoch += 1;
                 }
                 return Ok(());
             }
         }
+        self.epoch += 1;
         let states: Vec<&SnapshotState> = self
             .caches
             .iter()
@@ -1073,7 +1028,7 @@ impl ReplicaGroup {
     }
 
     /// The one merged-read path behind [`query`](Self::query) and
-    /// [`snapshot_merged`](Self::snapshot_merged). Refreshes the caches,
+    /// [`snapshot_since`](Self::snapshot_since). Refreshes the caches,
     /// composes their envelopes under the mode's [`MergePolicy`],
     /// re-derives from the merged state what it knows better than any
     /// part — the CountMin point estimate for `key` (`None` keeps the
@@ -1185,23 +1140,30 @@ impl ReplicaGroup {
             .fold(0, |t, l| t.saturating_add(Ledger::get(&l.lost, object)))
     }
 
-    /// A merged snapshot of `object`: the merged state itself, with the
-    /// envelope [`query`](Self::query) composes but its frequency
-    /// `key`/`estimate` left at the snapshot-form zero sentinels.
-    pub fn snapshot_merged(&mut self, object: u32) -> Result<MergedSnapshot, ReplicaError> {
-        let read = self.merged_read(object, None)?;
-        let state = self
-            .accums
-            .get(&object)
-            .map(|accum| accum.state.clone())
-            .expect("a successful merged read leaves its accumulator in place");
-        Ok(MergedSnapshot {
+    /// Answers `SNAPSHOT_SINCE` the way a frontend serves the merge:
+    /// `Unchanged` when `base_epoch` is the group's epoch, which moves
+    /// whenever any accumulator does, else the `Full` merged state; the
+    /// composed envelope either way. The epoch is local to this group,
+    /// which is sound because a client sends a base only over the
+    /// connection it read it on.
+    pub fn snapshot_since(
+        &mut self,
+        object: u32,
+        base: u64,
+    ) -> Result<SnapshotDelta, ReplicaError> {
+        let envelope = self.merged_read(object, None)?.envelope;
+        let state = &self.accums[&object].state;
+        let change = if base == self.epoch {
+            DeltaChange::Unchanged
+        } else {
+            DeltaChange::Full(state.clone())
+        };
+        Ok(SnapshotDelta {
             object,
             kind: state.kind(),
-            state,
-            envelope: read.envelope,
-            parts: read.parts,
-            missing_observed: read.missing_observed,
+            epoch: self.epoch,
+            change,
+            envelope,
         })
     }
 
@@ -1214,22 +1176,46 @@ impl ReplicaGroup {
         self.merged_read(object, Some(key))
     }
 
-    /// The object roster, from the first reachable replica (rosters
-    /// must agree for the group to be meaningful).
+    /// The object roster, from the first replica that answers (rosters
+    /// must agree for the group to be meaningful). A connection found
+    /// lost gets one fresh try after the other replicas, so a dead
+    /// replica still costs one probe; a replica's refusal is surfaced,
+    /// not skipped.
     pub fn objects(&mut self) -> Result<Vec<ObjectInfo>, ReplicaError> {
-        for i in 0..self.addrs.len() {
-            if let Some(infos) = self.read_on(i, |c| c.objects())? {
-                return Ok(infos);
+        let n = self.addrs.len();
+        let mut tries: Vec<usize> = (0..n).collect();
+        let mut next = 0;
+        while let Some(&i) = tries.get(next) {
+            next += 1;
+            let Some(client) = self.ensure_client(i) else {
+                continue;
+            };
+            match client.objects() {
+                Ok(infos) => return Ok(infos),
+                Err(e) if e.connection_lost() => {
+                    self.lose_connection(i);
+                    if next <= n {
+                        tries.push(i);
+                    }
+                }
+                Err(e) => {
+                    if desynced(&e) {
+                        self.clients[i] = None;
+                    }
+                    return Err(e.into());
+                }
             }
         }
         Err(ReplicaError::AllUnreachable { what: "objects" })
     }
 
     /// Asks every reachable replica to shut down; returns how many
-    /// acknowledged.
+    /// acknowledged. Each replica is dialled through its down window: one
+    /// back up inside the window is reachable and must drain too.
     pub fn shutdown(&mut self) -> usize {
         let mut acked = 0;
         for i in 0..self.addrs.len() {
+            self.ledgers[i].down = None;
             if let Some(client) = self.ensure_client(i) {
                 if client.shutdown().is_ok() {
                     acked += 1;
@@ -1388,6 +1374,12 @@ mod tests {
         let mut g =
             ReplicaGroup::new(vec!["127.0.0.1:1".into()], ReplicaMode::Partition, 1).unwrap();
         g.set_retry_limit(0);
+        // A refused connect is no lost connection: one probe, no retry.
+        assert!(matches!(
+            g.objects(),
+            Err(ReplicaError::AllUnreachable { .. })
+        ));
+        assert_eq!(g.health()[0].failures, 1);
         assert!(matches!(
             g.update(0, 5, 1),
             Err(ReplicaError::AllUnreachable { .. })

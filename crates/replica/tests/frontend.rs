@@ -1,11 +1,15 @@
-//! The `ivl_replicate` frontend binary over an in-process replica:
-//! a malformed but length-delimited frame is answered with a typed
-//! `Protocol` error and the connection keeps being served, exactly as
-//! `ivl_serve` does.
+//! The replication frontend. The `ivl_replicate` binary over an
+//! in-process replica: a malformed but length-delimited frame is
+//! answered with a typed `Protocol` error and the connection keeps
+//! being served, and an oversized length prefix is answered and closed,
+//! exactly as `ivl_serve` does. In process, through [`serve_group`]: a
+//! group stacks on frontends, and every frontend client shares one
+//! backend connection per replica.
 
+use ivl_replica::{serve_group, ReplicaGroup, ReplicaMode, SharedGroup};
 use ivl_service::objects::{ObjectConfig, ObjectKind};
 use ivl_service::protocol::{read_frame, DEFAULT_MAX_FRAME_LEN};
-use ivl_service::{ErrorCode, Request, Response, ServerConfig};
+use ivl_service::{Client, ErrorCode, Request, Response, ServerConfig, ServerHandle};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -87,6 +91,26 @@ fn frontend_answers_a_protocol_error_and_keeps_the_connection() {
         }
         other => panic!("expected the roster, got {other:?}"),
     }
+    // A length prefix over the frame bound cannot be resynchronized: a
+    // second connection is answered with a typed protocol error, then
+    // closed.
+    let mut oversized = TcpStream::connect(addr).expect("a second connection");
+    oversized
+        .write_all(&(DEFAULT_MAX_FRAME_LEN + 1).to_le_bytes())
+        .expect("send an oversized prefix");
+    match read_frame(&mut oversized, DEFAULT_MAX_FRAME_LEN)
+        .expect("a reply frame")
+        .map(|payload| Response::decode(&payload))
+    {
+        Some(Ok(Response::Error { code, .. })) => assert_eq!(code, ErrorCode::Protocol),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    assert_eq!(
+        read_frame(&mut oversized, DEFAULT_MAX_FRAME_LEN).expect("a clean close"),
+        None,
+        "the frontend closes after the protocol error"
+    );
+    drop(oversized);
     buf.clear();
     Request::Shutdown.encode(&mut buf);
     assert_eq!(roundtrip(&mut s, &buf), Response::Goodbye);
@@ -94,4 +118,121 @@ fn frontend_answers_a_protocol_error_and_keeps_the_connection() {
     let status = frontend.0.wait().expect("frontend exits");
     assert!(status.success(), "ivl_replicate exited {status}");
     replica.join();
+}
+
+const SEED: u64 = 5;
+
+fn spawn_replica() -> ServerHandle {
+    ivl_service::serve(
+        "127.0.0.1:0",
+        ServerConfig {
+            seed: SEED,
+            objects: vec![
+                ObjectConfig::new("cm", ObjectKind::CountMin),
+                ObjectConfig::new("hits", ObjectKind::Hll),
+            ],
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind a replica")
+}
+
+/// A partition-mode group over `addrs`.
+fn group(addrs: impl IntoIterator<Item = String>) -> ReplicaGroup {
+    ReplicaGroup::new(addrs.into_iter().collect(), ReplicaMode::Partition, SEED)
+        .expect("non-empty group")
+}
+
+/// A frontend serving one partition-mode group over `replicas`.
+fn spawn_frontend(replicas: &[ServerHandle]) -> ServerHandle<SharedGroup> {
+    let addrs = replicas.iter().map(|r| r.addr().to_string());
+    serve_group("127.0.0.1:0", group(addrs)).expect("bind a frontend")
+}
+
+#[test]
+fn a_group_stacks_on_two_frontends() {
+    // A over replicas 0 and 1, B over replica 2: disjoint replica sets,
+    // so the top group's `Add` merge counts every update once.
+    let replicas: Vec<ServerHandle> = (0..3).map(|_| spawn_replica()).collect();
+    let frontends = [
+        spawn_frontend(&replicas[..2]),
+        spawn_frontend(&replicas[2..]),
+    ];
+    let mut top = group(frontends.iter().map(|f| f.addr().to_string()));
+    let mut truth = [0u64; 32];
+    let covered = |top: &mut ReplicaGroup, truth: &[u64; 32]| {
+        for (key, &t) in truth.iter().enumerate() {
+            let read = top
+                .query(0, key as u64)
+                .expect("merged read over frontends");
+            let env = read.envelope.frequency().expect("frequency envelope");
+            assert!(
+                env.covers(t, t),
+                "key {key}: estimate {} (eps {}, lag {}) does not cover {t}",
+                env.estimate,
+                env.epsilon,
+                env.lag
+            );
+        }
+    };
+    for key in 0..32u64 {
+        top.update(0, key, key + 1)
+            .expect("update through a frontend");
+        truth[key as usize] += key + 1;
+    }
+    covered(&mut top, &truth);
+
+    // Nothing moved below either frontend, so neither merge moved: each
+    // answers `Unchanged` across the hop.
+    let quiet = top.delta_stats();
+    top.query(0, 7).expect("quiet read");
+    let after = top.delta_stats();
+    assert_eq!(
+        (after.unchanged - quiet.unchanged, after.fulls - quiet.fulls),
+        (2, 0),
+        "a quiet stacked read is Unchanged from both frontends"
+    );
+
+    for key in 0..32u64 {
+        top.update(0, key, 3).expect("update through a frontend");
+        truth[key as usize] += 3;
+    }
+    covered(&mut top, &truth);
+    assert!(
+        top.delta_stats().fulls > after.fulls,
+        "moved merges answer in full"
+    );
+
+    drop(top);
+    for f in frontends {
+        drop(f.join());
+    }
+    for r in replicas {
+        drop(r.join());
+    }
+}
+
+#[test]
+fn frontend_clients_share_one_backend_connection_per_replica() {
+    let replicas: Vec<ServerHandle> = (0..3).map(|_| spawn_replica()).collect();
+    let frontend = spawn_frontend(&replicas);
+    let accepted = || -> Vec<u64> { replicas.iter().map(|r| r.stats().accepted).collect() };
+    let mut clients: Vec<Client> = (0..8)
+        .map(|_| Client::connect(frontend.addr()).expect("connect to the frontend"))
+        .collect();
+    clients[0]
+        .object_id(0)
+        .query(7)
+        .expect("query through the frontend");
+    let one = accepted();
+    for c in &mut clients[1..] {
+        c.object_id(0).query(7).expect("query through the frontend");
+    }
+    assert_eq!(one, vec![1; 3], "one client: one connection per replica");
+    assert_eq!(accepted(), one, "eight clients: still one per replica");
+    drop(clients);
+    drop(frontend.join());
+    for r in replicas {
+        drop(r.join());
+    }
 }

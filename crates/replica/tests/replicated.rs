@@ -5,7 +5,7 @@
 //! might have landed since, no wrong values) instead of erroring.
 //! Exercised on both serving backends.
 
-use ivl_replica::{MergedSnapshot, ReplicaError, ReplicaGroup, ReplicaMode};
+use ivl_replica::{ReplicaError, ReplicaGroup, ReplicaMode};
 use ivl_service::{
     merge_states,
     objects::{ObjectConfig, ObjectKind},
@@ -15,7 +15,7 @@ use ivl_service::{
 use ivl_sketch::hll::RegisterSummary;
 use ivl_sketch::stream::ZipfStream;
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 11;
 
@@ -73,6 +73,13 @@ fn assert_freq_within(env: &ErrorEnvelope, truth: u64) {
         env.lag,
         truth
     );
+}
+
+/// The most connect attempts a dead replica may cost over `elapsed`:
+/// the probe that finds it down, the one right after, then one per
+/// `backoff` window at most (the windows only grow from there).
+fn probe_bound(elapsed: Duration, backoff: Duration) -> u64 {
+    2 + (elapsed.as_nanos() / backoff.as_nanos()) as u64
 }
 
 fn partitioned_run(backend: Backend) {
@@ -178,11 +185,12 @@ fn partitioned_run(backend: Backend) {
     drop(victim.join());
 
     let (stats3, failures3) = (group.delta_stats(), group.health()[0].failures);
+    let down = Instant::now();
     let read = group.query(0, 7).expect("degraded query still answers");
     assert_eq!((read.reached, read.total), (2, 3));
-    // Only the two survivors answered; the victim's reconnects failed.
+    // Only the two survivors answered; the victim's one probe failed.
     assert_eq!(group.delta_stats().reads - stats3.reads, 2);
-    assert!(group.health()[0].failures > failures3);
+    assert_eq!(group.health()[0].failures, failures3 + 1);
     assert!(
         read.parts.iter().all(|p| p.is_some()),
         "the dead replica still contributes its cached state"
@@ -203,6 +211,9 @@ fn partitioned_run(backend: Backend) {
     let read = group.query(0, 7).expect("post-failover query");
     assert_eq!((read.reached, read.total), (2, 3));
     assert_freq_within(&read.envelope, truth[7]);
+    // Reads and failovers alike probe the victim once per down window.
+    let probes = group.health()[0].failures - failures3;
+    assert!(probes <= probe_bound(down.elapsed(), Duration::from_millis(1)));
 
     // Release our connections before joining the survivors.
     drop(group);
@@ -306,6 +317,77 @@ fn mirrored_run(backend: Backend) {
 }
 
 #[test]
+fn a_dead_replica_costs_one_probe_per_backoff_window() {
+    // At the default policy (20 ms backoff), a dead replica is probed
+    // once per down window, however many reads fall inside it, while its
+    // cache keeps serving them.
+    let mut replicas: Vec<ServerHandle> = (0..3)
+        .map(|_| spawn_replica(Backend::Threaded, SEED))
+        .collect();
+    let addrs = replicas.iter().map(|r| r.addr().to_string()).collect();
+    let mut group = ReplicaGroup::new(addrs, ReplicaMode::Partition, SEED).expect("group");
+    let mut truth = [0u64; 16];
+    for k in 0..16u64 {
+        group.update(0, k, k + 1).expect("partitioned update");
+        truth[k as usize] += k + 1;
+    }
+    group.query(0, 0).expect("the first read fills the caches");
+
+    let victim = replicas.remove(0);
+    group.disconnect(0);
+    drop(victim.join());
+    let (failures0, down) = (group.health()[0].failures, Instant::now());
+    for read in 0..50u64 {
+        let key = read % 16;
+        let merged = group.query(0, key).expect("degraded query");
+        assert_eq!((merged.reached, merged.total), (2, 3));
+        assert_freq_within(&merged.envelope, truth[key as usize]);
+    }
+    let elapsed = down.elapsed();
+    let probes = group.health()[0].failures - failures0;
+    assert!(probes >= 1, "the dead replica was never probed");
+    assert!(
+        probes <= probe_bound(elapsed, Duration::from_millis(20)),
+        "{probes} connects to a dead replica over 50 reads in {elapsed:?}"
+    );
+    drop(group);
+    for r in replicas {
+        drop(r.join());
+    }
+}
+
+#[test]
+fn shutdown_reaches_a_replica_back_up_inside_its_down_window() {
+    let mut replicas: Vec<ServerHandle> = (0..2)
+        .map(|_| spawn_replica(Backend::Threaded, SEED))
+        .collect();
+    let mut group = group_over(&replicas, ReplicaMode::Partition);
+    // A window far longer than the test: only SHUTDOWN may dial inside it.
+    group.set_backoff(Duration::from_secs(30));
+    group.update(0, 1, 1).expect("update");
+    group.query(0, 1).expect("the first read fills the caches");
+
+    let victim = replicas.remove(0);
+    let addr = victim.addr().to_string();
+    group.disconnect(0);
+    drop(victim.join());
+    let failures0 = group.health()[0].failures;
+    // The first refused connect opens an empty window, the second a
+    // 30 s one; a third read inside it makes no connect.
+    for _ in 0..3 {
+        group.query(0, 1).expect("degraded query");
+    }
+    assert_eq!(group.health()[0].failures, failures0 + 2);
+
+    let reborn = respawn_at(&addr, SEED);
+    assert_eq!(group.shutdown(), 2, "both replicas acknowledge SHUTDOWN");
+    drop(reborn.join());
+    for r in replicas {
+        drop(r.join());
+    }
+}
+
+#[test]
 fn mirrored_three_replicas_threaded() {
     mirrored_run(Backend::Threaded);
 }
@@ -315,10 +397,10 @@ fn mirrored_three_replicas_event_loop() {
     mirrored_run(Backend::EventLoop);
 }
 
-/// `snapshot_merged` is the query path with the state attached: its
-/// state is the mode's merge of fresh per-replica snapshots, and its
-/// envelope is the composed query envelope bar the frequency
-/// key/estimate sentinels.
+/// A merged snapshot (`snapshot_since` from no base, so `Full`) is the
+/// query path with the state attached: its state is the mode's merge of
+/// fresh per-replica snapshots, and its envelope is the composed query
+/// envelope bar the frequency key/estimate sentinels.
 fn snapshot_merged_run(mode: ReplicaMode) {
     let replicas: Vec<ServerHandle> = (0..3)
         .map(|_| spawn_replica(Backend::EventLoop, SEED))
@@ -339,7 +421,11 @@ fn snapshot_merged_run(mode: ReplicaMode) {
         .map(|r| Client::connect(r.addr()).expect("direct client"))
         .collect();
     for object in 0..4u32 {
-        let merged = group.snapshot_merged(object).expect("merged snapshot");
+        let merged = group
+            .snapshot_since(object, u64::MAX)
+            .expect("merged snapshot")
+            .into_snapshot()
+            .expect("no base reads in full");
         let fresh: Vec<ObjectSnapshot> = direct
             .iter_mut()
             .map(|c| c.object_id(object).snapshot().expect("fresh snapshot"))
@@ -353,10 +439,11 @@ fn snapshot_merged_run(mode: ReplicaMode) {
         );
         let observed: Vec<Option<u64>> =
             fresh.iter().map(|s| Some(s.envelope.observed())).collect();
-        assert_eq!(merged.parts, observed);
-        assert_eq!(merged.missing_observed, 0);
+        let read = group.query(object, 7).expect("merged query");
+        assert_eq!(read.parts, observed);
+        assert_eq!(read.missing_observed, 0);
 
-        let mut want = group.query(object, 7).expect("merged query").envelope;
+        let mut want = read.envelope;
         if let ErrorEnvelope::Frequency(env) = &mut want {
             (env.key, env.estimate) = (0, 0);
         }
@@ -659,7 +746,7 @@ fn merged_hll_envelope_is_the_envelope_of_the_merged_state() {
     group.set_backoff(Duration::from_millis(5));
     // The envelope of a merged snapshot must be that of its own state;
     // returns the merged register sum.
-    let checked = |merged: &MergedSnapshot, what: &str| -> u64 {
+    let checked = |merged: &ObjectSnapshot, what: &str| -> u64 {
         let SnapshotState::Hll { registers, .. } = &merged.state else {
             panic!("{what}: object 1 merges as an HLL");
         };
@@ -670,8 +757,15 @@ fn merged_hll_envelope_is_the_envelope_of_the_merged_state() {
     };
     // One merged snapshot, then a query that must serve the same
     // envelope from the kept summary.
+    let snapshot = |group: &mut ReplicaGroup, what: &str| -> ObjectSnapshot {
+        group
+            .snapshot_since(1, u64::MAX)
+            .expect(what)
+            .into_snapshot()
+            .expect("no base reads in full")
+    };
     let round = |group: &mut ReplicaGroup, what: &str| -> u64 {
-        let merged = group.snapshot_merged(1).expect("merged hll snapshot");
+        let merged = snapshot(group, what);
         let read = group.query(1, 0).expect("merged hll query");
         assert_eq!(read.envelope, merged.envelope, "{what}: query");
         checked(&merged, what)
@@ -707,7 +801,7 @@ fn merged_hll_envelope_is_the_envelope_of_the_merged_state() {
     let reborn = respawn_at(&addr, SEED);
     // The snapshot detects the rejoin (the reborn replica is empty);
     // the query after it flushes the catch-up push and re-reads.
-    let merged = group.snapshot_merged(1).expect("rejoin-detection read");
+    let merged = snapshot(&mut group, "rejoin-detection read");
     assert!(checked(&merged, "rejoin") < raised);
     assert_eq!(group.catchup_stats().detected, 1);
     assert_eq!(round(&mut group, "catch-up push"), raised);

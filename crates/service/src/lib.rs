@@ -77,9 +77,11 @@ pub use ivl_merge::{
 pub use metrics::{Metrics, ObjectStats, StatsReport};
 pub use objects::{
     cm_hash_fingerprint, hll_hash_fingerprint, slot_coins, CellRun, DeltaChange, ObjectConfig,
-    ObjectInfo, ObjectKind, ObjectRegistry, ObjectSnapshot, ObjectVerdict, ServedObject,
+    ObjectInfo, ObjectKind, ObjectRegistry, ObjectSnapshot, ObjectVerdict, Refusal, ServedObject,
     SnapshotDelta, SnapshotState,
 };
 pub use protocol::{ErrorCode, Request, Response, WireError};
-pub use server::{serve, Backend, JoinedServer, ServerConfig, ServerHandle};
+pub use server::{
+    serve, serve_source, Backend, JoinedServer, ObjectSource, Recording, ServerConfig, ServerHandle,
+};
 pub use wspec::WeightedCmSpec;

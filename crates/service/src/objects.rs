@@ -37,6 +37,7 @@
 //! objects' wait-free updates coexist behind one interface.
 
 use crate::metrics::{Metrics, ObjectStats};
+use crate::protocol::ErrorCode;
 use crate::wspec::WeightedCmSpec;
 use crate::{Envelope, ErrorEnvelope};
 use ivl_concurrent::{
@@ -180,10 +181,13 @@ impl SnapshotDelta {
     }
 }
 
-/// An update refused by an object's writer (the CountMin's shard pool
-/// is exhausted); maps to the protocol's `busy` error.
-#[derive(Clone, Debug)]
-pub struct ObjectBusy {
+/// A request the served objects refuse (a CountMin's exhausted shard
+/// pool, an unknown id, an unreachable group), answered as the wire
+/// error `code` on a connection that keeps being served.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Refusal {
+    /// The wire error code the client sees.
+    pub code: ErrorCode,
     /// Human-readable reason.
     pub message: String,
 }
@@ -199,7 +203,7 @@ pub trait ObjectWriter: fmt::Debug {
     /// (the CountMin's shard lease); wait-free objects always succeed.
     /// Called before every update batch so a previously `busy` writer
     /// retries acquisition.
-    fn ensure_ready(&mut self) -> Result<(), ObjectBusy>;
+    fn ensure_ready(&mut self) -> Result<(), Refusal>;
 
     /// Applies a batch of `(key, weight)` updates — the one write entry;
     /// a single update is a batch of one. Only called after
@@ -818,14 +822,15 @@ impl fmt::Debug for CmWriter<'_> {
 }
 
 impl ObjectWriter for CmWriter<'_> {
-    fn ensure_ready(&mut self) -> Result<(), ObjectBusy> {
+    fn ensure_ready(&mut self) -> Result<(), Refusal> {
         if self.lease.is_none() {
             self.lease = self.obj.sketch.lease();
         }
         if self.lease.is_some() {
             Ok(())
         } else {
-            Err(ObjectBusy {
+            Err(Refusal {
+                code: ErrorCode::Busy,
                 message: format!("all {} shards leased", self.obj.sketch.num_shards()),
             })
         }
@@ -1326,7 +1331,7 @@ impl<T: AtomicApply + ?Sized> fmt::Debug for AtomicWriter<'_, T> {
 }
 
 impl<T: AtomicApply + ?Sized> ObjectWriter for AtomicWriter<'_, T> {
-    fn ensure_ready(&mut self) -> Result<(), ObjectBusy> {
+    fn ensure_ready(&mut self) -> Result<(), Refusal> {
         Ok(())
     }
 

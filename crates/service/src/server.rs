@@ -1,28 +1,25 @@
 //! The sketch server, with two interchangeable backends: blocking
 //! thread-per-connection over `std::net` ([`Backend::Threaded`]) and
 //! a hand-rolled epoll reactor ([`Backend::EventLoop`], see the
-//! `reactor` submodule). Both speak the same wire protocol against
-//! the same sketch state and funnel every request through the same
-//! execution path, so IVL verdicts and envelopes cannot depend on
-//! the backend.
+//! `reactor` submodule). Both speak the same wire protocol and funnel
+//! every frame through the same step (decode → route → apply) against
+//! one [`ObjectSource`], so IVL verdicts and envelopes cannot depend on
+//! the backend. The source is the [`ObjectRegistry`] [`serve`] builds,
+//! or, through [`serve_source`], anything else that answers per object:
+//! `ivl-replica` serves one shared replica group that way.
 //!
-//! An [`ObjectRegistry`] is shared by all connections: every update,
-//! query, or batch frame names one registered object by id, and both
-//! backends route it through the object's
-//! [`ServedObject`](crate::ServedObject) interface in one frame step
-//! (decode → route → apply). For the CountMin that preserves the
-//! original discipline — in the threaded backend, the first update a
-//! connection sends checks out a
-//! per-(object, shard) lease (a single-writer sub-matrix) and keeps it
-//! until the connection closes; in the event-loop backend each reactor
-//! thread leases once for all its connections. Either way the ingest
-//! hot path stays plain stores with no RMW instruction and no lock,
-//! and the lease pool is the backpressure bound: when every shard of
-//! the target CountMin is leased, further *updating* connections get a
-//! `busy` error (queries always proceed — they only read). The
-//! lock-free objects (HLL, Morris, min register) are wait-free and
-//! never refuse. Each object tracks its own acknowledged stream
-//! weight, read IVL-style at query time to size its envelope.
+//! Every frame names one registered object by id and routes through
+//! its [`ServedObject`](crate::ServedObject) interface. For the
+//! CountMin that keeps the single-writer discipline: a threaded
+//! connection checks out a per-(object, shard) lease on its first
+//! update and keeps it until it closes; a reactor thread leases once
+//! for all its connections. The ingest hot path stays plain stores with
+//! no RMW instruction and no lock, and the lease pool is the
+//! backpressure bound: when every shard is leased, further *updating*
+//! connections get `busy` (queries always proceed). The lock-free
+//! objects (HLL, Morris, min register) never refuse. Each object tracks
+//! its own acknowledged stream weight, read IVL-style to size its
+//! envelope.
 //!
 //! Shutdown is graceful: a `SHUTDOWN` frame (or
 //! [`ServerHandle::shutdown`]) stops the accept loop; connections
@@ -33,9 +30,13 @@
 //! workspace's IVL checkers ([`JoinedServer::verdicts`], Theorem 1's
 //! locality made operational).
 
-use crate::metrics::{Metrics, StatsReport};
-use crate::objects::{ObjectConfig, ObjectKind, ObjectRegistry, ObjectVerdict, ObjectWriter};
+use crate::metrics::{Metrics, ObjectStats, StatsReport};
+use crate::objects::{
+    ObjectConfig, ObjectInfo, ObjectKind, ObjectRegistry, ObjectVerdict, ObjectWriter, Refusal,
+    ServedObject, SnapshotDelta, SnapshotState,
+};
 use crate::protocol::{self, ErrorCode, FrameDecoder, Request, Response, WireError};
+use ivl_merge::ErrorEnvelope;
 use ivl_spec::history::{History, ObjectId, ProcessId};
 use ivl_spec::record::Recorder;
 use polling::Poller;
@@ -148,11 +149,171 @@ impl Default for ServerConfig {
     }
 }
 
+/// A recording server's recorder, with the connection (the recorded
+/// process) a request came in on.
+pub type Recording<'a> = Option<(&'a Recorder<(u64, u64), u64, u64>, ProcessId)>;
+
+/// What the frame step executes requests against: the registry
+/// [`serve`] builds, or a source given to [`serve_source`] (a shared
+/// replica group in `ivl-replica`: by Theorem 1, one more object
+/// projection). `execute_request` stays the one request dispatch,
+/// calling one method per request kind.
+pub trait ObjectSource: Send + Sync + 'static {
+    /// One serving thread's write state (a connection thread's, or a
+    /// reactor's for all its connections), held until it drains: for the
+    /// registry, per-object writers with their shard leases and buffers.
+    type Writers<'a>;
+    /// Fresh write state for one serving thread.
+    fn writers<'a>(&'a self, metrics: &'a Metrics) -> Self::Writers<'a>;
+    /// Flushes and gives back a thread's write state; returns whether a
+    /// shard lease went back to its pool.
+    fn release(writers: &mut Self::Writers<'_>) -> bool;
+    /// Applies one write frame to `object`.
+    fn batch(
+        &self,
+        writers: &mut Self::Writers<'_>,
+        rec: Recording<'_>,
+        object: u32,
+        items: &[(u64, u64)],
+    ) -> Result<(), Refusal>;
+    /// Answers a point query with `object`'s error envelope.
+    fn query(&self, rec: Recording<'_>, object: u32, key: u64) -> Result<ErrorEnvelope, Refusal>;
+    /// Answers `SNAPSHOT_SINCE` (`u64::MAX`, no cache, in full).
+    fn state_since(&self, object: u32, base_epoch: u64) -> Result<SnapshotDelta, Refusal>;
+    /// Absorbs a pushed state (`PUSH_STATE`); returns the new epoch.
+    fn push_state(
+        &self,
+        writers: &mut Self::Writers<'_>,
+        object: u32,
+        observed: u64,
+        state: &SnapshotState,
+    ) -> Result<u64, Refusal>;
+    /// The roster `OBJECTS` lists.
+    fn objects(&self) -> Result<Vec<ObjectInfo>, Refusal>;
+    /// The acknowledged weight served and the per-object `STATS` rows.
+    fn stats(&self) -> (u64, Vec<ObjectStats>);
+    /// Runs on a client's `SHUTDOWN`, before the server drains.
+    fn shutdown(&self) {}
+}
+
+/// The registry serves itself: each request routes by object id to
+/// the object's [`ServedObject`] interface.
+impl ObjectSource for ObjectRegistry {
+    type Writers<'a> = WriterSet<'a>;
+
+    fn writers<'a>(&'a self, metrics: &'a Metrics) -> WriterSet<'a> {
+        WriterSet {
+            registry: self,
+            metrics,
+            writers: (0..self.len()).map(|_| None).collect(),
+        }
+    }
+
+    /// Flushes every writer, then returns its lease: once a lease is
+    /// back in the pool, none of its acknowledged updates are still
+    /// invisible (the flush-on-drain guarantee).
+    fn release(writers: &mut WriterSet<'_>) -> bool {
+        let mut returned = false;
+        for mut w in writers.writers.iter_mut().filter_map(Option::take) {
+            returned |= w.release();
+        }
+        returned
+    }
+
+    /// With write buffering on, a CountMin acknowledges (and records)
+    /// an update while it may still be invisible: the deferred
+    /// visibility the envelope's `lag` advertises. Each object's ingest
+    /// counter counts acknowledged weight either way, keeping error
+    /// bounds conservative.
+    fn batch(
+        &self,
+        writers: &mut WriterSet<'_>,
+        rec: Recording<'_>,
+        object: u32,
+        items: &[(u64, u64)],
+    ) -> Result<(), Refusal> {
+        let writer = writers.ready(object)?;
+        if let Some((recorder, process)) = rec {
+            // Recorded runs stay per-item: each update is its own history
+            // operation, so `ivl_check` replays the exact stream the
+            // client sent — batching is a transport detail the history
+            // never sees.
+            for item in items {
+                let op = recorder.invoke_update(process, ObjectId(object), *item);
+                writer.apply_batch(std::slice::from_ref(item));
+                recorder.respond_update(op);
+            }
+        } else {
+            // Batch kernel: coalesced, one hashing sweep, row-major cell
+            // touches.
+            writer.apply_batch(items);
+        }
+        Ok(())
+    }
+
+    fn query(&self, rec: Recording<'_>, object: u32, key: u64) -> Result<ErrorEnvelope, Refusal> {
+        let served = lookup(self, object)?;
+        let op = rec.map(|(r, process)| (r, r.invoke_query(process, ObjectId(object), key)));
+        let envelope = served.query(key);
+        if let Some((r, op)) = op {
+            r.respond_query(op, envelope.value());
+        }
+        Ok(envelope)
+    }
+
+    fn state_since(&self, object: u32, base_epoch: u64) -> Result<SnapshotDelta, Refusal> {
+        self.snapshot_since(object, base_epoch)
+            .ok_or_else(|| unknown_object(self, object))
+    }
+
+    /// The anti-entropy write, under the same single-writer discipline
+    /// as updates (a CountMin absorb holds a shard lease).
+    fn push_state(
+        &self,
+        writers: &mut WriterSet<'_>,
+        object: u32,
+        observed: u64,
+        state: &SnapshotState,
+    ) -> Result<u64, Refusal> {
+        writers
+            .ready(object)?
+            .absorb(state, observed)
+            .map_err(|e| Refusal {
+                code: ErrorCode::MergeMismatch,
+                message: format!("object {object}: {e}"),
+            })?;
+        Ok(lookup(self, object)?.epoch())
+    }
+
+    fn objects(&self) -> Result<Vec<ObjectInfo>, Refusal> {
+        Ok(self.infos())
+    }
+
+    fn stats(&self) -> (u64, Vec<ObjectStats>) {
+        (self.total_observed(), self.stats_rows())
+    }
+}
+
+/// The object `object` names, or the refusal for a frame naming none.
+fn lookup(registry: &ObjectRegistry, object: u32) -> Result<&dyn ServedObject, Refusal> {
+    registry
+        .get(object)
+        .ok_or_else(|| unknown_object(registry, object))
+}
+
+/// The refusal for a frame naming an object the registry lacks.
+fn unknown_object(registry: &ObjectRegistry, object: u32) -> Refusal {
+    Refusal {
+        code: ErrorCode::UnknownObject,
+        message: format!("no object {object} (registry has {})", registry.len()),
+    }
+}
+
 /// State shared by the accept loop and every connection thread.
-struct Shared {
+struct Shared<S> {
     cfg: ServerConfig,
     /// The served objects, routed by the object id in each frame.
-    registry: ObjectRegistry,
+    source: S,
     metrics: Metrics,
     recorder: Option<Recorder<(u64, u64), u64, u64>>,
     shutdown: AtomicBool,
@@ -169,7 +330,7 @@ struct Shared {
     addr: SocketAddr,
 }
 
-impl Shared {
+impl<S> Shared<S> {
     fn begin_shutdown(&self) {
         if !self.shutdown.swap(true, Ordering::AcqRel) {
             let wakers = self.wakers.lock().expect("wakers lock");
@@ -208,11 +369,27 @@ impl Shared {
         self.wakers.lock().expect("wakers lock").push(poller);
     }
 
-    /// Announces that a shard lease went back to the pool.
-    fn note_lease_returned(&self) {
-        let (lock, cv) = &self.lease_returned;
-        *lock.lock().expect("lease signal lock") += 1;
-        cv.notify_all();
+    /// The recorder, when recording, tagged with `process`.
+    fn recording(&self, process: ProcessId) -> Recording<'_> {
+        self.recorder.as_ref().map(|r| (r, process))
+    }
+}
+
+impl<S: ObjectSource> Shared<S> {
+    /// Flushes and releases one serving thread's write state, waking
+    /// lease waiters when a shard lease went back to its pool.
+    fn release(&self, writers: &mut S::Writers<'_>) {
+        if S::release(writers) {
+            let (lock, cv) = &self.lease_returned;
+            *lock.lock().expect("lease signal lock") += 1;
+            cv.notify_all();
+        }
+    }
+
+    /// The `STATS` reply.
+    fn report(&self) -> StatsReport {
+        let (observed, rows) = self.source.stats();
+        self.metrics.report(observed, rows)
     }
 }
 
@@ -223,68 +400,38 @@ impl Shared {
 /// event-loop backend — either way at most `shards` concurrent writers
 /// exist per CountMin (the lease pool gates them), which is what makes
 /// the advertised `shards·b` lag a sound Lemma 10 bound.
-struct WriterSet<'a> {
-    shared: &'a Shared,
+#[derive(Debug)]
+pub struct WriterSet<'a> {
+    registry: &'a ObjectRegistry,
+    metrics: &'a Metrics,
     writers: Vec<Option<Box<dyn ObjectWriter + 'a>>>,
 }
 
 impl<'a> WriterSet<'a> {
-    fn new(shared: &'a Shared) -> Self {
-        WriterSet {
-            shared,
-            writers: (0..shared.registry.len()).map(|_| None).collect(),
-        }
-    }
-
-    /// This thread's writer for `object` (a validated registry index),
-    /// created on first use.
-    fn writer(&mut self, object: u32) -> &mut (dyn ObjectWriter + 'a) {
-        let shared = self.shared;
-        self.writers[object as usize]
-            .get_or_insert_with(|| {
-                shared
-                    .registry
-                    .get(object)
-                    .expect("object id validated by caller")
-                    .writer(&shared.metrics)
-            })
-            .as_mut()
-    }
-
-    /// Flushes every writer, returns leases to their pools, and wakes
-    /// lease waiters. The flush-before-release order is the
-    /// flush-on-drain guarantee: once a writer's lease is back in the
-    /// pool, none of its acknowledged updates are still invisible.
-    fn release(&mut self) {
-        for slot in &mut self.writers {
-            if let Some(mut w) = slot.take() {
-                if w.release() {
-                    self.shared.note_lease_returned();
-                }
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for WriterSet<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WriterSet")
-            .field("objects", &self.writers.len())
-            .finish_non_exhaustive()
+    /// This thread's writer for `object`, created on first use and
+    /// readied (for a CountMin: its shard lease acquired) — or the
+    /// refusal: no such object, or its writer pool is exhausted.
+    fn ready(&mut self, object: u32) -> Result<&mut (dyn ObjectWriter + 'a), Refusal> {
+        let (obj, metrics) = (lookup(self.registry, object)?, self.metrics);
+        let writer = self.writers[object as usize]
+            .get_or_insert_with(|| obj.writer(metrics))
+            .as_mut();
+        writer.ensure_ready()?;
+        Ok(writer)
     }
 }
 
 /// A running server; dropping it initiates shutdown without draining.
 #[derive(Debug)]
-pub struct ServerHandle {
+pub struct ServerHandle<S = ObjectRegistry> {
     addr: SocketAddr,
     /// `Some` until [`join`](Self::join) consumes it (the handle has a
     /// `Drop` impl, so fields move out via `Option::take`).
-    shared: Option<Arc<Shared>>,
+    shared: Option<Arc<Shared<S>>>,
     accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
-impl std::fmt::Debug for Shared {
+impl<S> std::fmt::Debug for Shared<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shared")
             .field("cfg", &self.cfg)
@@ -295,7 +442,7 @@ impl std::fmt::Debug for Shared {
 
 /// Everything a drained server leaves behind.
 #[derive(Debug)]
-pub struct JoinedServer {
+pub struct JoinedServer<S = ObjectRegistry> {
     /// Final metrics snapshot (including per-object rows).
     pub stats: StatsReport,
     /// The recorded history (when `record` was set): every update as
@@ -303,10 +450,10 @@ pub struct JoinedServer {
     /// checkable value, tagged with the object id it addressed —
     /// window supersets of the true operation intervals.
     pub history: Option<History<(u64, u64), u64, u64>>,
-    /// The drained registry: every served object with its final state
-    /// (every writer flushed before its lease returned — the
-    /// flush-on-drain guarantee).
-    pub registry: ObjectRegistry,
+    /// The drained object source: for [`serve`], the registry with
+    /// every served object's final state (every writer flushed before
+    /// its lease returned — the flush-on-drain guarantee).
+    pub registry: S,
 }
 
 impl JoinedServer {
@@ -317,11 +464,10 @@ impl JoinedServer {
     }
 }
 
-/// Binds `addr` and starts serving in background threads.
+/// Binds `addr` and starts serving the registry `cfg` describes in
+/// background threads.
 pub fn serve(addr: impl ToSocketAddrs, cfg: ServerConfig) -> io::Result<ServerHandle> {
     assert!(cfg.shards > 0, "need at least one shard");
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
     let registry = ObjectRegistry::build(
         &cfg.objects,
         cfg.alpha,
@@ -330,8 +476,22 @@ pub fn serve(addr: impl ToSocketAddrs, cfg: ServerConfig) -> io::Result<ServerHa
         cfg.write_buffer,
         cfg.seed,
     );
+    serve_source(addr, cfg, registry)
+}
+
+/// Binds `addr` and starts serving `source` in background threads.
+/// `cfg`'s backend, shards, connection gate, frame bound and record
+/// flag apply; its object fields only shape the registry [`serve`]
+/// builds.
+pub fn serve_source<S: ObjectSource>(
+    addr: impl ToSocketAddrs,
+    cfg: ServerConfig,
+    source: S,
+) -> io::Result<ServerHandle<S>> {
+    let listener = TcpListener::bind(addr)?;
+    let local = listener.local_addr()?;
     let shared = Arc::new(Shared {
-        registry,
+        source,
         metrics: Metrics::new(),
         recorder: cfg.record.then(Recorder::new),
         shutdown: AtomicBool::new(false),
@@ -355,8 +515,8 @@ pub fn serve(addr: impl ToSocketAddrs, cfg: ServerConfig) -> io::Result<ServerHa
     })
 }
 
-impl ServerHandle {
-    fn shared(&self) -> &Shared {
+impl<S: ObjectSource> ServerHandle<S> {
+    fn shared(&self) -> &Shared<S> {
         self.shared.as_ref().expect("present until join")
     }
 
@@ -367,11 +527,7 @@ impl ServerHandle {
 
     /// A live metrics snapshot (same data `STATS` serves).
     pub fn stats(&self) -> StatsReport {
-        let shared = self.shared();
-        shared.metrics.report(
-            shared.registry.total_observed(),
-            shared.registry.stats_rows(),
-        )
+        self.shared().report()
     }
 
     /// Stops accepting new connections; existing ones keep draining.
@@ -387,33 +543,9 @@ impl ServerHandle {
         self.shared().wait_for_shutdown();
     }
 
-    /// Blocks (condvar wakeup, no polling) until at least one shard is
-    /// free to lease or `timeout` elapses; returns whether a shard was
-    /// free when it woke. The answer is advisory — another client may
-    /// win the shard first — so callers retry their update on `busy`.
-    pub fn wait_for_free_shard(&self, timeout: Duration) -> bool {
-        let shared = self.shared();
-        let deadline = Instant::now() + timeout;
-        let (lock, cv) = &shared.lease_returned;
-        let mut generation = lock.lock().expect("lease signal lock");
-        loop {
-            if shared.registry.free_shards() > 0 {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (next, _timed_out) = cv
-                .wait_timeout(generation, deadline - now)
-                .expect("lease signal wait");
-            generation = next;
-        }
-    }
-
     /// Initiates shutdown, waits for every connection to drain, and
     /// returns final stats plus the recorded history.
-    pub fn join(mut self) -> JoinedServer {
+    pub fn join(mut self) -> JoinedServer<S> {
         self.shared().begin_shutdown();
         let conns = self
             .accept
@@ -430,12 +562,38 @@ impl ServerHandle {
         JoinedServer {
             stats,
             history: shared.recorder.map(Recorder::finish),
-            registry: shared.registry,
+            registry: shared.source,
         }
     }
 }
 
-impl Drop for ServerHandle {
+impl ServerHandle {
+    /// Blocks (condvar wakeup, no polling) until at least one shard is
+    /// free to lease or `timeout` elapses; returns whether a shard was
+    /// free when it woke. The answer is advisory — another client may
+    /// win the shard first — so callers retry their update on `busy`.
+    pub fn wait_for_free_shard(&self, timeout: Duration) -> bool {
+        let shared = self.shared();
+        let deadline = Instant::now() + timeout;
+        let (lock, cv) = &shared.lease_returned;
+        let mut generation = lock.lock().expect("lease signal lock");
+        loop {
+            if shared.source.free_shards() > 0 {
+                return true;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            let (next, _timed_out) = cv
+                .wait_timeout(generation, deadline - now)
+                .expect("lease signal wait");
+            generation = next;
+        }
+    }
+}
+
+impl<S> Drop for ServerHandle<S> {
     fn drop(&mut self) {
         if let (Some(shared), Some(_)) = (&self.shared, &self.accept) {
             shared.begin_shutdown();
@@ -443,7 +601,10 @@ impl Drop for ServerHandle {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Vec<JoinHandle<()>> {
+fn accept_loop<S: ObjectSource>(
+    listener: TcpListener,
+    shared: Arc<Shared<S>>,
+) -> Vec<JoinHandle<()>> {
     let mut conns = Vec::new();
     let mut next_conn: u32 = 0;
     for stream in listener.incoming() {
@@ -477,7 +638,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Vec<JoinHandle<()>
 /// Turns a connection away at the accept gate (both backends; accepted
 /// sockets do not inherit the listener's nonblocking mode, so this
 /// small write is a plain blocking send).
-fn reject(mut stream: TcpStream, shared: &Shared) {
+fn reject<S>(mut stream: TcpStream, shared: &Shared<S>) {
     shared.metrics.connection_rejected();
     let mut buf = Vec::new();
     Response::Error {
@@ -488,7 +649,7 @@ fn reject(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.write_all(&buf);
 }
 
-fn serve_connection(shared: &Shared, stream: TcpStream, conn: u32) {
+fn serve_connection<S: ObjectSource>(shared: &Shared<S>, stream: TcpStream, conn: u32) {
     let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(s) => s,
@@ -500,7 +661,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn: u32) {
     // shard lease acquired lazily on first update and held (single
     // writer) until the connection ends, plus the frame scratch that
     // is also its write buffer.
-    let mut updater = WriterSet::new(shared);
+    let mut updater = shared.source.writers(&shared.metrics);
     let mut applied: u64 = 0;
     // Resumable decoder + reusable buffers: the steady-state frame
     // loop below performs no heap allocation — bytes land in the
@@ -541,7 +702,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn: u32) {
         }
     }
     // Flush any buffered updates, then return leases to their pools.
-    updater.release();
+    shared.release(&mut updater);
     // Half-close, then briefly drain the peer's in-flight bytes so the
     // final response frame is not clobbered by a reset. The timeout
     // bounds the wait when it is the server hanging up first — an
@@ -560,9 +721,9 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn: u32) {
 /// full decoder. A body that does not parse is answered with a typed
 /// `Protocol` error and the connection stays open: the frame was
 /// length-delimited, so the stream is still in sync.
-fn serve_frame<'a>(
-    shared: &'a Shared,
-    writers: &mut WriterSet<'a>,
+fn serve_frame<'a, S: ObjectSource>(
+    shared: &'a Shared<S>,
+    writers: &mut S::Writers<'a>,
     items: &mut Vec<(u64, u64)>,
     applied: &mut u64,
     process: ProcessId,
@@ -572,7 +733,8 @@ fn serve_frame<'a>(
     let decoded = match protocol::decode_batch_into(payload, items) {
         Ok(Some(object)) => {
             shared.metrics.record_batch();
-            let response = apply_updates(shared, writers, applied, process, object, items);
+            let response = apply_updates(shared, writers, applied, process, object, items)
+                .unwrap_or_else(|r| refuse(shared, r));
             return (response, false);
         }
         Ok(None) => Request::decode(payload),
@@ -585,7 +747,7 @@ fn serve_frame<'a>(
 }
 
 /// The refusal for a frame that does not parse.
-fn protocol_error(shared: &Shared, e: WireError) -> Response {
+fn protocol_error<S>(shared: &Shared<S>, e: WireError) -> Response {
     shared.metrics.record_protocol_error();
     Response::Error {
         code: ErrorCode::Protocol,
@@ -593,54 +755,47 @@ fn protocol_error(shared: &Shared, e: WireError) -> Response {
     }
 }
 
-/// The refusal for a frame naming no registered object.
-fn unknown_object(shared: &Shared, object: u32) -> Response {
-    shared.metrics.record_protocol_error();
+/// Frames a source's refusal as its wire error, counting a busy writer
+/// pool as a busy rejection and an unknown object as a protocol error.
+fn refuse<S>(shared: &Shared<S>, refusal: Refusal) -> Response {
+    match refusal.code {
+        ErrorCode::Busy => shared.metrics.record_busy_rejection(),
+        ErrorCode::UnknownObject => shared.metrics.record_protocol_error(),
+        _ => {}
+    }
     Response::Error {
-        code: ErrorCode::UnknownObject,
-        message: format!(
-            "no object {object} (registry has {})",
-            shared.registry.len()
-        ),
+        code: refusal.code,
+        message: refusal.message,
     }
 }
 
-/// Executes one decoded request against the shared registry and
-/// returns `(response, close_after_send)`. Both backends funnel every
-/// request through here (via [`serve_frame`]), which is what makes IVL semantics
-/// backend-invariant: the recorder calls, the per-object writer
-/// discipline, and the envelope construction are literally the same
-/// code.
-fn execute_request<'a>(
-    shared: &'a Shared,
-    writers: &mut WriterSet<'a>,
+/// Executes one decoded request against the object source and returns
+/// `(response, close_after_send)`. Both backends funnel every request
+/// through here (via [`serve_frame`]), which is what makes IVL
+/// semantics backend-invariant: the recorder calls, the per-object
+/// writer discipline, and the envelope construction are literally the
+/// same code.
+fn execute_request<'a, S: ObjectSource>(
+    shared: &'a Shared<S>,
+    writers: &mut S::Writers<'a>,
     applied: &mut u64,
     process: ProcessId,
     request: Request,
 ) -> (Response, bool) {
-    match request {
+    let source = &shared.source;
+    let response = match request {
         Request::Batch { object, items } => {
             shared.metrics.record_batch();
-            (
-                apply_updates(shared, writers, applied, process, object, &items),
-                false,
-            )
+            apply_updates(shared, writers, applied, process, object, &items)
         }
         Request::Query { object, key } => {
-            let Some(obj) = shared.registry.get(object) else {
-                return (unknown_object(shared, object), false);
-            };
             let start = Instant::now();
-            let op = shared
-                .recorder
-                .as_ref()
-                .map(|r| r.invoke_query(process, ObjectId(object), key));
-            let envelope = obj.query(key);
-            if let (Some(r), Some(op)) = (shared.recorder.as_ref(), op) {
-                r.respond_query(op, envelope.value());
-            }
-            shared.metrics.record_query(start.elapsed().as_nanos());
-            (Response::Envelope(envelope), false)
+            source
+                .query(shared.recording(process), object, key)
+                .map(|envelope| {
+                    shared.metrics.record_query(start.elapsed().as_nanos());
+                    Response::Envelope(envelope)
+                })
         }
         Request::SnapshotSince { object, base_epoch } => {
             // The one state read, a read like a query (metrics count it
@@ -649,124 +804,63 @@ fn execute_request<'a>(
             // works from per-replica histories plus merged projections
             // instead.
             let start = Instant::now();
-            let Some(delta) = shared.registry.snapshot_since(object, base_epoch) else {
-                return (unknown_object(shared, object), false);
-            };
-            shared.metrics.record_query(start.elapsed().as_nanos());
-            (Response::SnapshotDelta(delta), false)
+            source.state_since(object, base_epoch).map(|delta| {
+                shared.metrics.record_query(start.elapsed().as_nanos());
+                Response::SnapshotDelta(delta)
+            })
         }
         Request::PushState {
             object,
             observed,
             state,
         } => {
-            // The anti-entropy write: merge a peer's pushed state into
-            // the live served structure under the same single-writer
-            // discipline as updates (a CountMin absorb holds a shard
-            // lease). Not recorded into the history — the pushed
-            // weight summarizes updates already recorded against the
-            // peer, so recording the absorb would double-count them;
-            // `ivl_check` sees the weight exactly once.
-            let Some(obj) = shared.registry.get(object) else {
-                return (unknown_object(shared, object), false);
-            };
-            let writer = writers.writer(object);
-            if let Err(busy) = writer.ensure_ready() {
-                shared.metrics.record_busy_rejection();
-                return (
-                    Response::Error {
-                        code: ErrorCode::Busy,
-                        message: busy.message,
-                    },
-                    false,
-                );
-            }
-            match writer.absorb(&state, observed) {
-                Ok(()) => {
+            // Not recorded into the history — the pushed weight
+            // summarizes updates already recorded against the peer, so
+            // recording the absorb would double-count them; `ivl_check`
+            // sees the weight exactly once.
+            source
+                .push_state(writers, object, observed, &state)
+                .map(|epoch| {
                     shared.metrics.record_absorb();
-                    (
-                        Response::Absorbed {
-                            object,
-                            epoch: obj.epoch(),
-                            observed,
-                        },
-                        false,
-                    )
-                }
-                Err(e) => (
-                    Response::Error {
-                        code: ErrorCode::MergeMismatch,
-                        message: format!("object {object}: {e}"),
-                    },
-                    false,
-                ),
-            }
+                    Response::Absorbed {
+                        object,
+                        epoch,
+                        observed,
+                    }
+                })
         }
-        Request::Stats => (
-            Response::Stats(shared.metrics.report(
-                shared.registry.total_observed(),
-                shared.registry.stats_rows(),
-            )),
-            false,
-        ),
-        Request::Objects => (Response::Objects(shared.registry.infos()), false),
+        Request::Stats => Ok(Response::Stats(shared.report())),
+        Request::Objects => source.objects().map(Response::Objects),
         Request::Shutdown => {
+            source.shutdown();
             shared.begin_shutdown();
-            (Response::Goodbye, true)
+            return (Response::Goodbye, true);
         }
-    }
+    };
+    (response.unwrap_or_else(|r| refuse(shared, r)), false)
 }
 
-/// Applies updates through this thread's writer for the target object,
-/// readying it (for a CountMin: acquiring the shard lease) on first
-/// use; answers `busy` when the object's writer pool is exhausted,
-/// `unknown-object` when the id names nothing. With write buffering
-/// on, CountMin updates coalesce into the writer's local buffer — the
-/// acknowledgement (and recorded response) happens while the update
-/// may still be invisible, which is the deferred visibility the
-/// envelope's `lag` advertises. Each object's ingest counter is bumped
-/// immediately either way: stream length counts *acknowledged* weight,
-/// keeping error bounds conservative.
-fn apply_updates<'a>(
-    shared: &'a Shared,
-    writers: &mut WriterSet<'a>,
+/// Applies one write frame through this thread's write state for the
+/// target object and acknowledges the connection's cumulative applied
+/// count; the source's refusal (`busy` when the object's writer pool is
+/// exhausted, `unknown-object` when the id names nothing) otherwise.
+fn apply_updates<'a, S: ObjectSource>(
+    shared: &'a Shared<S>,
+    writers: &mut S::Writers<'a>,
     applied: &mut u64,
     process: ProcessId,
     object: u32,
     items: &[(u64, u64)],
-) -> Response {
-    if shared.registry.get(object).is_none() {
-        return unknown_object(shared, object);
-    }
-    let writer = writers.writer(object);
-    if let Err(busy) = writer.ensure_ready() {
-        shared.metrics.record_busy_rejection();
-        return Response::Error {
-            code: ErrorCode::Busy,
-            message: busy.message,
-        };
-    }
+) -> Result<Response, Refusal> {
     let start = Instant::now();
-    if let Some(recorder) = shared.recorder.as_ref() {
-        // Recorded runs stay per-item: each update is its own history
-        // operation, so `ivl_check` replays the exact stream the
-        // client sent — batching is a transport detail the history
-        // never sees.
-        for item in items {
-            let op = recorder.invoke_update(process, ObjectId(object), *item);
-            writer.apply_batch(std::slice::from_ref(item));
-            recorder.respond_update(op);
-        }
-    } else {
-        // Batch kernel: coalesced, one hashing sweep, row-major cell
-        // touches.
-        writer.apply_batch(items);
-    }
+    shared
+        .source
+        .batch(writers, shared.recording(process), object, items)?;
     shared
         .metrics
         .record_updates(items.len() as u64, start.elapsed().as_nanos());
     *applied += items.len() as u64;
-    Response::Ack { applied: *applied }
+    Ok(Response::Ack { applied: *applied })
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! IVL semantics are backend-invariant by construction: every frame
 //! goes through [`super::serve_frame`] — the same decode → route →
 //! apply step the threaded backend runs — against the same object
-//! registry. The single-writer shard invariant holds because a reactor
+//! source. The single-writer shard invariant holds because a reactor
 //! thread is the sole owner of its (lazily acquired) per-object
 //! writers: where the threaded backend has one CountMin lease per
 //! updating connection, the reactor multiplexes all its connections
@@ -25,7 +25,7 @@
 //! all its connections and is flushed before the lease returns at
 //! drain, so graceful shutdown loses no acknowledged update.
 
-use super::{protocol_error, reject, serve_frame, Shared, WriterSet};
+use super::{protocol_error, reject, serve_frame, ObjectSource, Shared};
 use crate::protocol::{self, FrameDecoder, Response};
 use ivl_spec::history::ProcessId;
 use polling::{Event, PollMode, Poller};
@@ -65,9 +65,9 @@ struct Mailbox {
 /// accept thread, whose join handle yields the reactor handles (the
 /// same shape the threaded backend's accept loop returns for its
 /// connection threads, so `ServerHandle::join` is backend-agnostic).
-pub(super) fn spawn(
+pub(super) fn spawn<S: ObjectSource>(
     listener: TcpListener,
-    shared: Arc<Shared>,
+    shared: Arc<Shared<S>>,
 ) -> io::Result<JoinHandle<Vec<JoinHandle<()>>>> {
     listener.set_nonblocking(true)?;
     let accept_poller = Arc::new(Poller::new()?);
@@ -99,9 +99,9 @@ pub(super) fn spawn(
 
 /// Edge-triggered accept: wait for listener readiness, then accept
 /// until `WouldBlock`.
-fn accept_loop(
+fn accept_loop<S>(
     listener: TcpListener,
-    shared: &Shared,
+    shared: &Shared<S>,
     poller: &Poller,
     mailboxes: &[Arc<Mailbox>],
     threads: Vec<JoinHandle<()>>,
@@ -273,12 +273,12 @@ impl Conn {
 
 /// One reactor: adopts mailbox connections, then runs each ready
 /// connection's state machine until it makes no further progress.
-fn reactor_loop(shared: &Shared, mailbox: &Mailbox) {
+fn reactor_loop<S: ObjectSource>(shared: &Shared<S>, mailbox: &Mailbox) {
     // The reactor's writer state: one lazily created writer per
     // registered object (for the CountMin, a shard lease plus the
     // local update buffer when write buffering is on) — held until
     // the reactor drains.
-    let mut writer = WriterSet::new(shared);
+    let mut writer = shared.source.writers(&shared.metrics);
     // Shared across this reactor's connections: the batch-frame fast
     // path decodes into it, one frame at a time.
     let mut items = Vec::new();
@@ -362,16 +362,16 @@ fn reactor_loop(shared: &Shared, mailbox: &Mailbox) {
     }
     // Flush any buffered updates, then return the leases to their
     // pools — the event-loop half of the flush-on-drain guarantee.
-    writer.release();
+    shared.release(&mut writer);
 }
 
 /// Drives one connection until it makes no further progress; returns
 /// whether it stays alive. The cycle is flush → decode/execute →
 /// read, repeated, so a response generated this pass still reaches
 /// the wire this pass when the socket allows.
-fn pump<'a>(
-    shared: &'a Shared,
-    writer: &mut WriterSet<'a>,
+fn pump<'a, S: ObjectSource>(
+    shared: &'a Shared<S>,
+    writer: &mut S::Writers<'a>,
     items: &mut Vec<(u64, u64)>,
     conn: &mut Conn,
 ) -> bool {
