@@ -1991,5 +1991,63 @@ mod tests {
             assert_eq!(hex(&buf), golden);
             assert_eq!(Request::decode(&payload(golden)).unwrap(), req);
         }
+
+        /// The other three kinds' `PUSH_STATE` bodies: the same header,
+        /// then each kind's state body as `SNAPSHOT_DELTA_REPLY` ships it.
+        #[test]
+        fn push_state_requests_of_every_kind_are_byte_identical() {
+            let pin = |object, state, golden: &str| {
+                let req = Request::PushState {
+                    object,
+                    observed: 501,
+                    state,
+                };
+                let mut buf = Vec::new();
+                req.encode(&mut buf);
+                assert_eq!(hex(&buf), golden, "encoding of {req:?}");
+                assert_eq!(Request::decode(&payload(golden)).unwrap(), req);
+            };
+            pin(
+                1,
+                SnapshotState::Hll {
+                    hash_fp: 42,
+                    registers: vec![0, 7, 1, 0],
+                },
+                concat!(
+                    "1e000000",         // payload length
+                    "16",               // PUSH_STATE
+                    "01000000",         // object
+                    "01",               // kind: HLL
+                    "f501000000000000", // observed
+                    "2a00000000000000", // hash_fp
+                    "04000000",         // register count
+                    "00070100",         // registers
+                ),
+            );
+            pin(
+                2,
+                SnapshotState::Morris { exponent: 9 },
+                concat!(
+                    "12000000",         // payload length
+                    "16",               // PUSH_STATE
+                    "02000000",         // object
+                    "02",               // kind: Morris
+                    "f501000000000000", // observed
+                    "09000000",         // exponent
+                ),
+            );
+            pin(
+                3,
+                SnapshotState::MinRegister { minimum: 3 },
+                concat!(
+                    "16000000",         // payload length
+                    "16",               // PUSH_STATE
+                    "03000000",         // object
+                    "03",               // kind: min register
+                    "f501000000000000", // observed
+                    "0300000000000000", // minimum
+                ),
+            );
+        }
     }
 }
