@@ -41,7 +41,8 @@
 //!    `crates/service/src/protocol.rs` and in the state, delta and
 //!    envelope codecs of `crates/merge/src` are pairwise distinct
 //!    within each namespace (the constant's name prefix: `OP_*` frame
-//!    opcodes, `DELTA_*` change tags, `ENV_*` envelope kind tags, ...).
+//!    opcodes, `DELTA_*` change tags, ...). Kind tags are `ObjectKind`
+//!    discriminants, which the compiler keeps distinct.
 //! 7. **frame-docs** — every `OP_*` opcode constant appears (by its
 //!    byte, e.g. `0x15`) in the README's frame table, and (by its
 //!    name) in `protocol.rs` test code — the round-trip suite — so
@@ -54,12 +55,13 @@
 //!    `crates/concurrent/ORDERINGS.md` naming the concurrent
 //!    structure it serves and arguing why its recorded projection is
 //!    checkable.
-//! 9. **envelope-compose** — every `ErrorEnvelope` variant declared in
-//!    `crates/merge/src/envelope.rs` appears in the body of
-//!    `ErrorEnvelope::compose`, so replicated merges of every kind
-//!    stay boundable. In a tree with a `crates/merge` crate, a missing
-//!    envelope file is itself a finding: moving the enum must move the
-//!    check, never switch it off.
+//! 9. **envelope-compose** — every `ObjectKind` variant declared in
+//!    `crates/merge/src` has a kind file: the kind dispatch names a
+//!    type whose `impl Kind` sits in a file under
+//!    `crates/merge/src/kinds/` and defines `compose`, so replicated
+//!    merges of every kind stay boundable. A missing kind file, or a
+//!    merge crate declaring no `ObjectKind`, is itself a finding:
+//!    moving the enum must move the check, never switch it off.
 //! 10. **baselines-boundary** — non-test sources of `crates/service`,
 //!     `crates/replica` and `crates/merge` name none of
 //!     `ivl-concurrent`'s reproduction objects and baselines (`Pcm`,
@@ -413,7 +415,6 @@ fn check_frame_tags(root: &Path, report: &mut LintReport) {
     for path in [
         crates.join("service").join("src").join("protocol.rs"),
         crates.join("merge").join("src").join("lib.rs"),
-        crates.join("merge").join("src").join("envelope.rs"),
     ] {
         let Ok(text) = fs::read_to_string(&path) else {
             continue;
@@ -422,9 +423,9 @@ fn check_frame_tags(root: &Path, report: &mut LintReport) {
         let file = ScannedFile::new(&text);
         // A tag byte must be unique within its namespace — the
         // constant's name prefix up to the first `_`. `OP_*` bytes
-        // share the frame opcode position; `ENV_*` bytes tag envelope
-        // kinds inside an envelope body and may reuse the same small
-        // integers without ambiguity.
+        // share the frame opcode position; `DELTA_*` bytes tag changes
+        // inside a delta body and may reuse the same small integers
+        // without ambiguity.
         let mut seen: Vec<(String, String, u8, u32)> = Vec::new();
         for (name, value, line) in parse_u8_consts(&file) {
             let namespace = name.split('_').next().unwrap_or(&name).to_string();
@@ -646,16 +647,18 @@ fn check_served_objects(root: &Path, report: &mut LintReport) {
     }
 }
 
-/// The variant names of `pub enum ErrorEnvelope` and their 1-based
-/// declaration lines, parsed from the envelope source text.
-fn envelope_variants(text: &str) -> Vec<(String, usize)> {
+/// The variant names of `pub enum {name}` and their 1-based declaration
+/// lines, parsed from a source text (empty when it declares no such
+/// enum).
+fn enum_variants(text: &str, name: &str) -> Vec<(String, usize)> {
     let mut variants = Vec::new();
     let mut in_enum = false;
     let mut depth = 0usize;
+    let header = format!("pub enum {name} ");
     for (i, line) in text.lines().enumerate() {
         let t = line.trim();
         if !in_enum {
-            if t.starts_with("pub enum ErrorEnvelope") {
+            if t.starts_with(&header) {
                 in_enum = true;
                 depth = 0;
             }
@@ -683,59 +686,91 @@ fn envelope_variants(text: &str) -> Vec<(String, usize)> {
     variants
 }
 
+/// The `Kind` impl the dispatch names for `ObjectKind::{variant}`: the
+/// type after `kinds::` in the arm that follows `ObjectKind::{variant} =>`.
+fn dispatched_kind(text: &str, variant: &str) -> Option<String> {
+    let arm = format!("ObjectKind::{variant} =>");
+    let at = text.find(&arm)? + arm.len();
+    let rest = &text[at..];
+    let body = &rest[..rest.find("=>").unwrap_or(rest.len())];
+    let ty = &body[body.find("kinds::")? + "kinds::".len()..];
+    Some(
+        ty.chars()
+            .take_while(|c| c.is_alphanumeric() || *c == '_')
+            .collect(),
+    )
+}
+
+/// Every `ObjectKind` variant declared in `crates/merge/src` must name,
+/// in the kind dispatch, a `Kind` impl in a file under
+/// `crates/merge/src/kinds/` whose body defines `compose`.
 fn check_envelope_compose(root: &Path, report: &mut LintReport) {
     let src = root.join("crates").join("merge").join("src");
-    let path = src.join("envelope.rs");
-    let Ok(text) = fs::read_to_string(&path) else {
-        // No merge crate, no kind algebra to check; a merge crate whose
-        // envelope file is gone would silently switch the check off.
-        if src.join("lib.rs").exists() {
-            report.findings.push(LintFinding {
-                check: "envelope-compose",
-                file: rel(root, &path),
-                line: 0,
-                message: "crates/merge has no envelope.rs: ErrorEnvelope and its compose() \
-                          must live there, so every envelope kind keeps a composition rule"
-                    .to_string(),
-            });
-        }
-        return;
-    };
-    report.files_scanned += 1;
-    let variants = envelope_variants(&text);
-    if variants.is_empty() {
+    if !src.join("lib.rs").exists() {
+        // No merge crate, no kind algebra to check.
         return;
     }
-    let Some(compose_at) = text.find("fn compose") else {
-        report.findings.push(LintFinding {
-            check: "envelope-compose",
-            file: rel(root, &path),
-            line: 0,
-            message: "ErrorEnvelope declares variants but has no compose() — merged \
-                      replica reads need a composition rule per envelope kind"
+    let texts: Vec<(PathBuf, String)> = rust_files(&src)
+        .into_iter()
+        .filter_map(|p| fs::read_to_string(&p).ok().map(|t| (p, t)))
+        .collect();
+    report.files_scanned += texts.len();
+    let finding = |path: &Path, line: usize, message: String| LintFinding {
+        check: "envelope-compose",
+        file: rel(root, path),
+        line,
+        message,
+    };
+    // Moving the enum moves the check; it never switches it off.
+    let Some((enum_path, variants)) = texts.iter().find_map(|(p, t)| {
+        let v = enum_variants(t, "ObjectKind");
+        (!v.is_empty()).then_some((p, v))
+    }) else {
+        report.findings.push(finding(
+            &src.join("lib.rs"),
+            0,
+            "crates/merge declares no ObjectKind: the served kinds, and the compose() \
+             each one's Kind impl must define, cannot be checked"
                 .to_string(),
-        });
+        ));
         return;
     };
-    // The compose body: from the fn to the next fn (or end of file).
-    let after = &text[compose_at..];
-    let body = match after["fn compose".len()..].find("fn ") {
-        Some(next) => &after[..next + "fn compose".len()],
-        None => after,
-    };
+    let kinds_dir = src.join("kinds");
     for (name, line) in variants {
-        if !body.contains(&name) {
-            report.findings.push(LintFinding {
-                check: "envelope-compose",
-                file: rel(root, &path),
-                line,
-                message: format!(
-                    "`ErrorEnvelope::{name}` has no arm in compose(); every envelope kind \
-                     needs a composition rule (and its soundness note in the compose doc) \
-                     or replicated merges of this kind cannot be bounded"
-                ),
-            });
-        }
+        let ty = texts.iter().find_map(|(_, t)| dispatched_kind(t, &name));
+        let imp = ty.as_ref().and_then(|ty| {
+            let header = format!("impl Kind for {ty} ");
+            texts
+                .iter()
+                .filter(|(p, _)| p.starts_with(&kinds_dir))
+                .find_map(|(p, t)| {
+                    let at = t.find(&header)?;
+                    let body = &t[at + header.len()..];
+                    let body = &body[..body.find("\nimpl ").unwrap_or(body.len())];
+                    Some((p, body.contains("fn compose(")))
+                })
+        });
+        let message = match (&ty, imp) {
+            (_, Some((_, true))) => continue,
+            (Some(ty), Some((p, false))) => {
+                report.findings.push(finding(
+                    p,
+                    0,
+                    format!(
+                        "`impl Kind for {ty}` defines no compose(); every kind needs a \
+                         composition rule (and its soundness note) or replicated merges \
+                         of `ObjectKind::{name}` cannot be bounded"
+                    ),
+                ));
+                continue;
+            }
+            _ => format!(
+                "`ObjectKind::{name}` has no kind file: no file under crates/merge/src/kinds \
+                 holds the `impl Kind` its dispatch names, so its replicated merges have \
+                 no composition rule"
+            ),
+        };
+        report.findings.push(finding(enum_path, line, message));
     }
 }
 

@@ -435,36 +435,41 @@ fn unlisted_served_objects_are_flagged() {
 }
 
 #[test]
-fn envelope_variant_missing_from_compose_is_flagged() {
+fn kind_without_compose_is_flagged() {
     let fx = Fixture::new("lint_fx_compose");
-    fx.write("crates/merge/src/lib.rs", CLEAN_LIB);
     fx.write(
-        "crates/merge/src/envelope.rs",
+        "crates/merge/src/lib.rs",
         concat!(
-            "pub enum ErrorEnvelope {\n",
-            "    /// Handled below.\n",
-            "    Frequency(Envelope),\n",
-            "    Cardinality {\n",
-            "        estimate: f64,\n",
-            "        observed: u64,\n",
-            "    },\n",
-            "}\n",
-            "impl ErrorEnvelope {\n",
-            "    pub fn compose(parts: &[Self], policy: MergePolicy) -> Result<Self, ComposeError> {\n",
-            "        let law = |acc: u64, v: u64| match policy {\n",
-            "            MergePolicy::Add => acc.saturating_add(v),\n",
-            "            MergePolicy::Join => acc.max(v),\n",
-            "        };\n",
-            "        match parts {\n",
-            "            [ErrorEnvelope::Frequency(head), ..] => todo!(),\n",
-            "            _ => Err(ComposeError::KindMismatch),\n",
-            "        }\n",
-            "    }\n",
-            "    pub fn observed(&self) -> u64 {\n",
-            "        0\n",
-            "    }\n",
+            "//! Fixture crate.\n",
+            "#![forbid(unsafe_code)]\n",
+            "pub enum ObjectKind {\n",
+            "    /// Composed below.\n",
+            "    CountMin,\n",
+            "    Hll,\n",
+            "    Morris,\n",
             "}\n",
         ),
+    );
+    fx.write(
+        "crates/merge/src/kinds/mod.rs",
+        concat!(
+            "macro_rules! for_kind {\n",
+            "    ($kind:expr) => { match $kind {\n",
+            "        $crate::ObjectKind::CountMin => { type K = $crate::kinds::CountMinKind; }\n",
+            "        $crate::ObjectKind::Hll => { type K = $crate::kinds::HllKind; }\n",
+            "        $crate::ObjectKind::Morris => { type K = $crate::kinds::MorrisKind; }\n",
+            "    } };\n",
+            "}\n",
+        ),
+    );
+    fx.write(
+        "crates/merge/src/kinds/countmin.rs",
+        "impl Kind for CountMinKind {\n    fn compose(acc: E, part: &E) -> E {\n        acc\n    }\n}\n",
+    );
+    // An impl without compose, and a kind (Morris) with no file at all.
+    fx.write(
+        "crates/merge/src/kinds/hll.rs",
+        "impl Kind for HllKind {\n    fn merge(part: &S, target: &mut S) {}\n}\n",
     );
     let report = run_lints(&fx.root);
     let compose: Vec<_> = report
@@ -472,28 +477,30 @@ fn envelope_variant_missing_from_compose_is_flagged() {
         .iter()
         .filter(|f| f.check == "envelope-compose")
         .collect();
-    assert_eq!(compose.len(), 1, "{}", report.render());
-    let f = compose[0];
-    assert!(f.file.ends_with("envelope.rs"));
-    assert_eq!(f.line, 4);
-    assert!(f.message.contains("ErrorEnvelope::Cardinality"));
+    assert_eq!(compose.len(), 2, "{}", report.render());
+    assert!(compose.iter().any(|f| f.file.ends_with("kinds/hll.rs")
+        && f.message
+            .contains("`impl Kind for HllKind` defines no compose()")));
+    assert!(compose.iter().any(|f| f.file.ends_with("merge/src/lib.rs")
+        && f.line == 7
+        && f.message.contains("`ObjectKind::Morris` has no kind file")));
 }
 
 #[test]
-fn missing_envelope_file_in_a_merge_crate_is_flagged() {
+fn missing_kind_file_in_a_merge_crate_is_flagged() {
     let fx = Fixture::new("lint_fx_compose_missing");
     fx.write("crates/merge/src/lib.rs", CLEAN_LIB);
     // Where the enum used to live does not count.
     fx.write(
-        "crates/service/src/envelope.rs",
-        "pub enum ErrorEnvelope {\n    Frequency(Envelope),\n}\n",
+        "crates/service/src/objects.rs",
+        "pub enum ObjectKind {\n    CountMin,\n}\n",
     );
     let report = run_lints(&fx.root);
     assert_eq!(report.findings.len(), 1, "{}", report.render());
     let f = &report.findings[0];
     assert_eq!(f.check, "envelope-compose");
-    assert_eq!(f.file, "crates/merge/src/envelope.rs");
-    assert!(f.message.contains("no envelope.rs"));
+    assert_eq!(f.file, "crates/merge/src/lib.rs");
+    assert!(f.message.contains("declares no ObjectKind"));
     // A tree without a merge crate has nothing to check.
     let bare = Fixture::new("lint_fx_compose_bare");
     bare.write("crates/service/src/lib.rs", CLEAN_LIB);

@@ -1,158 +1,18 @@
-//! The IVL error envelope attached to every query answer: its shapes,
-//! its wire body, and its composition law across replicas.
+//! The IVL error envelope attached to every query answer: the
+//! kind-tagged [`ErrorEnvelope`], its wire body, and its composition
+//! law across replicas. Each kind's envelope shape, codec and compose
+//! rule live in that kind's file under [`crate::kinds`]; this enum is
+//! their wire vocabulary and forwards every operation to them.
 //!
-//! The server's sketch is the sharded `PCM(c̄)` — IVL but not
-//! linearizable. Theorem 6 is what makes a *served* estimate
-//! meaningful despite concurrency: an IVL implementation of a
-//! sequential (ε,δ)-bounded object is itself (ε,δ)-bounded, with the
-//! sequential error bound read against `v_min` (the object's value
-//! over completed updates when the query starts) and `v_max` (its
-//! value over invoked updates when the query ends). For CountMin that
-//! instantiates to
-//!
-//! * `estimate ≥ f_start` always — CountMin never underestimates, and
-//!   by IVL the estimate dominates some state containing every update
-//!   completed before the query began;
-//! * `estimate ≤ f_end + ε` with probability at least `1 − δ`, where
-//!   `ε = α·n` and `n` is the total stream weight at the query's end.
-//!
-//! With write buffering enabled (Lemma 10's batched-counter
-//! construction, DESIGN §9) the server additionally widens the
-//! envelope by a deterministic `lag ≤ n_writers·b`: an acknowledged
-//! update may sit invisible in a writer's local buffer, so the lower
-//! guarantee relaxes to `estimate ≥ f_start − lag`, equivalently
-//! `f_start ≤ estimate + lag`. Queries on an unbuffered server carry
-//! `lag = 0` and recover the strict envelope exactly.
-//!
-//! The envelope ships `(estimate, ε, δ, n, lag)` so the client can
-//! reconstruct exactly that guarantee without knowing the sketch's
-//! dimensions.
-//!
-//! The byte layout lives here too, next to the state codec and on the
-//! same readers: [`ErrorEnvelope::encode_into`] writes the kind-tagged
-//! body the `ENVELOPE2` and `SNAPSHOT_DELTA` frames carry.
-//! The wire layer only frames it.
+//! [`ErrorEnvelope::encode_into`] writes the kind-tagged body the
+//! `ENVELOPE2` and `SNAPSHOT_DELTA` frames carry: one tag byte (the
+//! kind's [`ObjectKind`] tag), then the kind's fields. The wire layer
+//! only frames it.
 
-use crate::{take_u32, take_u64, take_u8, MergePolicy};
-use ivl_sketch::hll::RegisterSummary;
+pub use crate::kinds::Envelope;
+use crate::kinds::{self, Kind};
+use crate::{for_kind, take_u8, MergePolicy, ObjectKind};
 use std::fmt;
-
-/// Kind tags of the kind-tagged envelope body, one per [`ErrorEnvelope`]
-/// variant.
-const ENV_FREQUENCY: u8 = 0;
-const ENV_CARDINALITY: u8 = 1;
-const ENV_APPROX_COUNT: u8 = 2;
-const ENV_MINIMUM: u8 = 3;
-
-fn take_f64(body: &mut &[u8]) -> Result<f64, &'static str> {
-    take_u64(body).map(f64::from_bits)
-}
-
-fn put_u64s(out: &mut Vec<u8>, words: &[u64]) {
-    for word in words {
-        out.extend_from_slice(&word.to_le_bytes());
-    }
-}
-
-/// A frequency estimate together with its Theorem 6 (ε,δ) bound,
-/// widened by the deferred-visibility `lag` when write buffering is
-/// enabled (Lemma 10, DESIGN §9).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Envelope {
-    /// The queried item.
-    pub key: u64,
-    /// The served point estimate.
-    pub estimate: u64,
-    /// Absolute error bound `⌈α·n⌉` at the query's stream length.
-    pub epsilon: u64,
-    /// Failure probability of the upper bound.
-    pub delta: f64,
-    /// Total stream weight observed by the server (an IVL read of the
-    /// ingest counter, so itself an intermediate value).
-    pub stream_len: u64,
-    /// The sketch's relative-error parameter `α` (`ε = α·n`).
-    pub alpha: f64,
-    /// Deferred-visibility bound: at most this much acknowledged
-    /// weight may still be invisible in writer-local buffers
-    /// (`n_writers·b`; 0 when write buffering is off).
-    pub lag: u64,
-}
-
-impl Envelope {
-    /// Builds the envelope for `estimate` of `key` at stream length
-    /// `stream_len`, under sketch parameters `(alpha, delta)`, with a
-    /// deferred-visibility bound of `lag` (0 when the server applies
-    /// every update before acknowledging it).
-    pub fn new(key: u64, estimate: u64, stream_len: u64, alpha: f64, delta: f64, lag: u64) -> Self {
-        Envelope {
-            key,
-            estimate,
-            epsilon: (alpha * stream_len as f64).ceil() as u64,
-            delta,
-            stream_len,
-            alpha,
-            lag,
-        }
-    }
-
-    /// Smallest true frequency compatible with the envelope's upper
-    /// bound: `max(0, estimate − ε)`.
-    pub fn lower_bound(&self) -> u64 {
-        self.estimate.saturating_sub(self.epsilon)
-    }
-
-    /// Largest completed frequency compatible with the envelope:
-    /// `estimate + lag`. Without buffering this is the estimate itself
-    /// — CountMin never underestimates; with buffering, up to `lag`
-    /// acknowledged weight may still be pending in writer buffers.
-    pub fn upper_bound(&self) -> u64 {
-        self.estimate.saturating_add(self.lag)
-    }
-
-    /// The Theorem 6 check for a concurrent query: `f_start` is the
-    /// key's true frequency over updates *completed* before the query
-    /// was invoked, `f_end` over updates *invoked* before it returned.
-    /// Deterministically `estimate ≥ f_start − lag` (Lemma 10 widens
-    /// the lower guarantee by the buffered weight; `lag = 0` recovers
-    /// `estimate ≥ f_start`); with probability `1 − δ`,
-    /// `estimate ≤ f_end + ε`. Returns whether the served envelope
-    /// satisfies both.
-    pub fn covers(&self, f_start: u64, f_end: u64) -> bool {
-        f_start <= self.upper_bound() && self.estimate <= f_end.saturating_add(self.epsilon)
-    }
-
-    /// Appends the frequency fields (little-endian; the floats as
-    /// IEEE-754 bit patterns): what follows the frequency tag in a
-    /// kind-tagged body.
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        put_u64s(
-            out,
-            &[
-                self.key,
-                self.estimate,
-                self.epsilon,
-                self.stream_len,
-                self.alpha.to_bits(),
-                self.delta.to_bits(),
-                self.lag,
-            ],
-        );
-    }
-
-    /// Decodes the frequency fields from the front of `body`, consuming
-    /// exactly the encoded bytes.
-    fn decode_from(body: &mut &[u8]) -> Result<Self, &'static str> {
-        Ok(Envelope {
-            key: take_u64(body)?,
-            estimate: take_u64(body)?,
-            epsilon: take_u64(body)?,
-            stream_len: take_u64(body)?,
-            alpha: take_f64(body)?,
-            delta: take_f64(body)?,
-            lag: take_u64(body)?,
-        })
-    }
-}
 
 /// The per-kind error envelope attached to every query response.
 ///
@@ -208,15 +68,20 @@ pub enum ErrorEnvelope {
 }
 
 impl ErrorEnvelope {
+    /// The kind whose answers carry this envelope.
+    pub fn kind(&self) -> ObjectKind {
+        match self {
+            ErrorEnvelope::Frequency(_) => ObjectKind::CountMin,
+            ErrorEnvelope::Cardinality { .. } => ObjectKind::Hll,
+            ErrorEnvelope::ApproxCount { .. } => ObjectKind::Morris,
+            ErrorEnvelope::Minimum { .. } => ObjectKind::MinRegister,
+        }
+    }
+
     /// The object's acknowledged update weight at the served snapshot
     /// (the CountMin's `stream_len`).
     pub fn observed(&self) -> u64 {
-        match self {
-            ErrorEnvelope::Frequency(env) => env.stream_len,
-            ErrorEnvelope::Cardinality { observed, .. }
-            | ErrorEnvelope::ApproxCount { observed, .. }
-            | ErrorEnvelope::Minimum { observed, .. } => *observed,
-        }
+        for_kind!(self.kind(), K => K::observed(self))
     }
 
     /// The value recorded into query histories: a monotone (or, for
@@ -227,116 +92,28 @@ impl ErrorEnvelope {
     /// flips live server-side, so the weight counter is the checkable
     /// functional), minimum → the minimum.
     pub fn value(&self) -> u64 {
-        match self {
-            ErrorEnvelope::Frequency(env) => env.estimate,
-            ErrorEnvelope::Cardinality { register_sum, .. } => *register_sum,
-            ErrorEnvelope::ApproxCount { observed, .. } => *observed,
-            ErrorEnvelope::Minimum { minimum, .. } => *minimum,
-        }
+        for_kind!(self.kind(), K => K::value(self))
     }
 
-    /// The Theorem 6 frequency envelope, when this is one.
-    pub fn frequency(&self) -> Option<&Envelope> {
-        match self {
-            ErrorEnvelope::Frequency(env) => Some(env),
-            _ => None,
-        }
-    }
-
-    /// The cardinality envelope of an HLL whose registers `summary`
-    /// summarizes: their estimate and standard error, plus their sum —
-    /// the monotone indicator the verdict checks.
-    pub fn cardinality(summary: &RegisterSummary, observed: u64) -> ErrorEnvelope {
-        ErrorEnvelope::Cardinality {
-            estimate: summary.estimate(),
-            rel_std_err: summary.standard_error(),
-            registers: summary.registers(),
-            register_sum: summary.register_sum(),
-            observed,
-        }
-    }
-
-    /// The approximate-count envelope of a Morris counter with accuracy
-    /// parameter `a` at `exponent`: the unbiased estimate
-    /// `((1+a)^x − 1)/a`.
-    pub fn approx_count(a: f64, exponent: u32, observed: u64) -> ErrorEnvelope {
-        ErrorEnvelope::ApproxCount {
-            estimate: ((1.0 + a).powi(exponent as i32) - 1.0) / a,
-            a,
-            exponent,
-            observed,
-        }
+    /// Widens the envelope for weight a merged read may not see
+    /// (`unseen`) and may count twice (`doubt`); only the frequency
+    /// envelope carries such terms.
+    pub fn widen(&mut self, unseen: u64, doubt: u64) {
+        for_kind!(self.kind(), K => K::widen(self, unseen, doubt))
     }
 
     /// Appends the kind-tagged body: one tag byte, then the variant's
     /// fields in declaration order.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            ErrorEnvelope::Frequency(env) => {
-                out.push(ENV_FREQUENCY);
-                env.encode_into(out);
-            }
-            ErrorEnvelope::Cardinality {
-                estimate,
-                rel_std_err,
-                registers,
-                register_sum,
-                observed,
-            } => {
-                out.push(ENV_CARDINALITY);
-                put_u64s(
-                    out,
-                    &[
-                        estimate.to_bits(),
-                        rel_std_err.to_bits(),
-                        *registers,
-                        *register_sum,
-                        *observed,
-                    ],
-                );
-            }
-            ErrorEnvelope::ApproxCount {
-                estimate,
-                a,
-                exponent,
-                observed,
-            } => {
-                out.push(ENV_APPROX_COUNT);
-                put_u64s(out, &[estimate.to_bits(), a.to_bits()]);
-                out.extend_from_slice(&exponent.to_le_bytes());
-                put_u64s(out, &[*observed]);
-            }
-            ErrorEnvelope::Minimum { minimum, observed } => {
-                out.push(ENV_MINIMUM);
-                put_u64s(out, &[*minimum, *observed]);
-            }
-        }
+        out.push(self.kind().to_u8());
+        for_kind!(self.kind(), K => K::encode_envelope(self, out))
     }
 
     /// Decodes a kind-tagged body from the front of `body`, consuming
     /// exactly the encoded bytes.
     pub fn decode_from(body: &mut &[u8]) -> Result<Self, &'static str> {
-        Ok(match take_u8(body)? {
-            ENV_FREQUENCY => ErrorEnvelope::Frequency(Envelope::decode_from(body)?),
-            ENV_CARDINALITY => ErrorEnvelope::Cardinality {
-                estimate: take_f64(body)?,
-                rel_std_err: take_f64(body)?,
-                registers: take_u64(body)?,
-                register_sum: take_u64(body)?,
-                observed: take_u64(body)?,
-            },
-            ENV_APPROX_COUNT => ErrorEnvelope::ApproxCount {
-                estimate: take_f64(body)?,
-                a: take_f64(body)?,
-                exponent: take_u32(body)?,
-                observed: take_u64(body)?,
-            },
-            ENV_MINIMUM => ErrorEnvelope::Minimum {
-                minimum: take_u64(body)?,
-                observed: take_u64(body)?,
-            },
-            _ => return Err("unknown envelope kind tag"),
-        })
+        let kind = ObjectKind::from_u8(take_u8(body)?).ok_or("unknown envelope kind tag")?;
+        for_kind!(kind, K => K::decode_envelope(body))
     }
 
     /// Composes per-replica envelopes into one envelope covering what
@@ -344,38 +121,9 @@ impl ErrorEnvelope {
     /// ships this instead of inventing a bound. `policy` is the law the
     /// replicas' states merged under: [`MergePolicy::Add`] for
     /// *partitioned* (disjoint) substreams, [`MergePolicy::Join`] for
-    /// *mirrored* copies of one stream.
-    ///
-    /// Soundness per kind, with every part's guarantee over its own
-    /// substream (`Add`) or copy (`Join`):
-    ///
-    /// * **Frequency** — `Add`: merged CountMin cells are cell-wise
-    ///   sums, so the merged estimate is at most the sum of part
-    ///   estimates and at least the union frequency. Summing `epsilon`
-    ///   terms is the union bound over the parts' (ε,δ) events
-    ///   (`⌈αΣnᵢ⌉ ≤ Σ⌈αnᵢ⌉`), `delta` adds (capped at 1), and
-    ///   `stream_len`/`lag` add because the substreams and writer sets
-    ///   are disjoint. `Join`: merged cells are cell-wise maxima of
-    ///   copies that share their hash functions, so they never pass
-    ///   the cells of one sketch over the whole stream — the parts
-    ///   share one (ε,δ) event, and every term takes its max
-    ///   (`ε = max ⌈αnᵢ⌉ = ⌈α·max nᵢ⌉`). Parts must agree on `key` and
-    ///   `alpha`.
-    /// * **Cardinality** — register-wise max merging only grows
-    ///   registers, so the max of part `register_sum`s (and of the
-    ///   monotone-in-registers raw estimates) lower-bounds the merged
-    ///   sketch under either law; the caller re-estimates from merged
-    ///   registers for the served value. Parts must agree on
-    ///   `registers` (same precision) and `rel_std_err`.
-    /// * **ApproxCount** — `Add`: estimates add (each part counted a
-    ///   disjoint substream); `Join`: the largest copy's estimate. The
-    ///   composed `exponent` keeps the max as the monotone indicator
-    ///   under both. Parts must agree on `a`.
-    /// * **Minimum** — the minimum of the union (or of the common
-    ///   stream) is the min of part minima, exactly, under both.
-    ///
-    /// `observed` follows the law: acknowledged weight sums over
-    /// disjoint substreams and takes the max over copies.
+    /// *mirrored* copies of one stream. Each kind's [`Kind::compose`]
+    /// states why its rule is sound under both; `observed` follows the
+    /// law everywhere ([`MergePolicy::fold`]).
     ///
     /// Every sum saturates at `u64::MAX`. The parts are decoded from
     /// replica frames without validation, and a wrapped sum would
@@ -393,103 +141,11 @@ impl ErrorEnvelope {
         parts: &[ErrorEnvelope],
         policy: MergePolicy,
     ) -> Result<ErrorEnvelope, ComposeError> {
-        let (first, rest) = parts.split_first().ok_or(ComposeError::Empty)?;
-        // The law's fold of one additive term.
-        let law = |acc: u64, v: u64| match policy {
-            MergePolicy::Add => acc.saturating_add(v),
-            MergePolicy::Join => acc.max(v),
-        };
-        rest.iter().try_fold(first.clone(), |acc, part| {
-            Ok(match (acc, part) {
-                (ErrorEnvelope::Frequency(acc), ErrorEnvelope::Frequency(env)) => {
-                    if env.key != acc.key {
-                        return Err(ComposeError::ParamMismatch("key"));
-                    }
-                    if env.alpha != acc.alpha {
-                        return Err(ComposeError::ParamMismatch("alpha"));
-                    }
-                    ErrorEnvelope::Frequency(Envelope {
-                        estimate: law(acc.estimate, env.estimate),
-                        epsilon: law(acc.epsilon, env.epsilon),
-                        delta: match policy {
-                            MergePolicy::Add => (acc.delta + env.delta).min(1.0),
-                            MergePolicy::Join => acc.delta.max(env.delta),
-                        },
-                        stream_len: law(acc.stream_len, env.stream_len),
-                        lag: law(acc.lag, env.lag),
-                        ..acc
-                    })
-                }
-                (
-                    ErrorEnvelope::Cardinality {
-                        estimate,
-                        rel_std_err,
-                        registers,
-                        register_sum,
-                        observed,
-                    },
-                    ErrorEnvelope::Cardinality {
-                        estimate: part_estimate,
-                        rel_std_err: part_rse,
-                        registers: part_registers,
-                        register_sum: part_sum,
-                        observed: part_observed,
-                    },
-                ) => {
-                    if *part_registers != registers {
-                        return Err(ComposeError::ParamMismatch("registers"));
-                    }
-                    if *part_rse != rel_std_err {
-                        return Err(ComposeError::ParamMismatch("rel_std_err"));
-                    }
-                    ErrorEnvelope::Cardinality {
-                        estimate: estimate.max(*part_estimate),
-                        rel_std_err,
-                        registers,
-                        register_sum: register_sum.max(*part_sum),
-                        observed: law(observed, *part_observed),
-                    }
-                }
-                (
-                    ErrorEnvelope::ApproxCount {
-                        estimate,
-                        a,
-                        exponent,
-                        observed,
-                    },
-                    ErrorEnvelope::ApproxCount {
-                        estimate: part_estimate,
-                        a: part_a,
-                        exponent: part_exponent,
-                        observed: part_observed,
-                    },
-                ) => {
-                    if *part_a != a {
-                        return Err(ComposeError::ParamMismatch("a"));
-                    }
-                    ErrorEnvelope::ApproxCount {
-                        estimate: match policy {
-                            MergePolicy::Add => estimate + part_estimate,
-                            MergePolicy::Join => estimate.max(*part_estimate),
-                        },
-                        a,
-                        exponent: exponent.max(*part_exponent),
-                        observed: law(observed, *part_observed),
-                    }
-                }
-                (
-                    ErrorEnvelope::Minimum { minimum, observed },
-                    ErrorEnvelope::Minimum {
-                        minimum: part_minimum,
-                        observed: part_observed,
-                    },
-                ) => ErrorEnvelope::Minimum {
-                    minimum: minimum.min(*part_minimum),
-                    observed: law(observed, *part_observed),
-                },
-                _ => return Err(ComposeError::KindMismatch),
-            })
-        })
+        let kind = parts.first().ok_or(ComposeError::Empty)?.kind();
+        if parts.iter().any(|part| part.kind() != kind) {
+            return Err(ComposeError::KindMismatch);
+        }
+        for_kind!(kind, K => kinds::compose::<K>(parts, policy))
     }
 }
 
@@ -497,50 +153,7 @@ impl ErrorEnvelope {
 /// bound, as a client shows it to an operator.
 impl fmt::Display for ErrorEnvelope {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ErrorEnvelope::Frequency(env) => write!(
-                f,
-                "frequency of key {}: estimate {} (true frequency in [{}, {}] w.p. >= {:.3}; \
-                 epsilon {} = ceil({:.4} * {}), write-buffer lag {})",
-                env.key,
-                env.estimate,
-                env.lower_bound(),
-                env.upper_bound(),
-                1.0 - env.delta,
-                env.epsilon,
-                env.alpha,
-                env.stream_len,
-                env.lag
-            ),
-            ErrorEnvelope::Cardinality {
-                estimate,
-                rel_std_err,
-                registers,
-                register_sum,
-                observed,
-            } => write!(
-                f,
-                "cardinality: estimate {estimate:.1} (rel std err {rel_std_err:.4}, \
-                 {registers} registers, register sum {register_sum}, observed weight {observed})"
-            ),
-            ErrorEnvelope::ApproxCount {
-                estimate,
-                a,
-                exponent,
-                observed,
-            } => write!(
-                f,
-                "approximate count: estimate {estimate:.1} (a {a}, exponent {exponent}, \
-                 acknowledged weight {observed})"
-            ),
-            ErrorEnvelope::Minimum {
-                minimum: u64::MAX,
-                observed,
-            } => write!(f, "minimum: empty (observed weight {observed})"),
-            ErrorEnvelope::Minimum { minimum, observed } => {
-                write!(f, "minimum: {minimum} (observed weight {observed})")
-            }
-        }
+        for_kind!(self.kind(), K => K::fmt_envelope(self, f))
     }
 }
 

@@ -3,13 +3,13 @@
 //! envelope, their byte layouts, and their merge and compose laws.
 //!
 //! The served sketches are **mergeable summaries** (the algebra *Fast
-//! Concurrent Data Sketches* builds on): CountMin cell matrices add
+//! Concurrent Data Sketches* builds on): CountMin cells add
 //! cell-wise, HyperLogLog registers max register-wise, Morris exponents
 //! and min registers join as scalars, so independently grown copies
 //! combine into one summary of the union (or, mirrored, of the common
 //! stream). Theorem 6 transfers each sequential (ε,δ) bound to the
 //! concurrent object and Theorem 1 makes the argument per object, so
-//! each kind needs one state, one envelope, one codec and one law:
+//! each kind is one [`Kind`] impl in one file under [`kinds`]:
 //!
 //! * [`SnapshotState`] — the kind-tagged state, with
 //!   [`CellRun`]/[`DeltaChange`] as its sparse-delta vocabulary.
@@ -18,13 +18,16 @@
 //!   summary join, under a [`MergePolicy`]) and `apply_change` (delta
 //!   application against a cached copy).
 //! * [`envelope`] — [`ErrorEnvelope`], the per-kind guarantee every
-//!   answer carries: its wire body, on the same readers ([`take_u64`]
-//!   and kin) as the state codec, and [`ErrorEnvelope::compose`], the
-//!   envelope counterpart of `merge_into`.
+//!   answer carries, with its wire body and [`ErrorEnvelope::compose`],
+//!   the envelope counterpart of `merge_into`.
 //! * [`StateShape`] — the one merge guard: kind, dimensions and the
 //!   [`cm_hash_fingerprint`]/[`hll_hash_fingerprint`] of the coins
 //!   [`slot_coins`] samples. Only equal shapes merge; a mismatch is a
 //!   typed [`MergeError`] (the wire's `MergeMismatch`).
+//!
+//! Each operation on those enums is one forward, through [`for_kind!`],
+//! to the impl of the value's kind; [`kinds::merge`] and
+//! [`kinds::compose`] are the folds any [`Kind`] can use.
 //!
 //! Everything here is sequential and allocation-explicit. The
 //! concurrent absorb paths live with the live structures: a served
@@ -35,61 +38,51 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use ivl_sketch::hash::PairwiseHash;
-use ivl_sketch::hll::HyperLogLog;
 use ivl_sketch::CoinFlips;
 use std::fmt;
 
 pub mod envelope;
+pub mod kinds;
 
-pub use envelope::{ComposeError, Envelope, ErrorEnvelope};
+pub use envelope::{ComposeError, ErrorEnvelope};
+pub use kinds::{cm_hash_fingerprint, hll_hash_fingerprint, Envelope, Kind};
 
 /// The kinds of quantitative objects the server can register. The
-/// discriminant is the wire tag used by kind-tagged envelope frames
-/// and the `OBJECTS` listing.
+/// discriminant is the wire tag used by kind-tagged state and envelope
+/// frames and the `OBJECTS` listing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ObjectKind {
     /// Sharded CountMin frequency sketch (the original served object).
-    CountMin,
+    CountMin = 0,
     /// Concurrent HyperLogLog cardinality sketch.
-    Hll,
+    Hll = 1,
     /// Concurrent Morris approximate counter.
-    Morris,
+    Morris = 2,
     /// Concurrent min register (antitone).
-    MinRegister,
+    MinRegister = 3,
 }
 
 impl ObjectKind {
     /// Wire tag of this kind.
     pub fn to_u8(self) -> u8 {
-        match self {
-            ObjectKind::CountMin => 0,
-            ObjectKind::Hll => 1,
-            ObjectKind::Morris => 2,
-            ObjectKind::MinRegister => 3,
-        }
+        self as u8
     }
 
     /// Parses a wire tag.
     pub fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            0 => Some(ObjectKind::CountMin),
-            1 => Some(ObjectKind::Hll),
-            2 => Some(ObjectKind::Morris),
-            3 => Some(ObjectKind::MinRegister),
-            _ => None,
-        }
+        Self::ALL.get(v as usize).copied()
+    }
+
+    /// The roster names of this kind; the first is how it prints.
+    fn names(self) -> &'static [&'static str] {
+        for_kind!(self, K => K::NAMES)
     }
 }
 
 impl fmt::Display for ObjectKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ObjectKind::CountMin => "cm",
-            ObjectKind::Hll => "hll",
-            ObjectKind::Morris => "morris",
-            ObjectKind::MinRegister => "min",
-        })
+        f.write_str(self.names()[0])
     }
 }
 
@@ -97,15 +90,10 @@ impl std::str::FromStr for ObjectKind {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "cm" | "countmin" | "count-min" => Ok(ObjectKind::CountMin),
-            "hll" => Ok(ObjectKind::Hll),
-            "morris" => Ok(ObjectKind::Morris),
-            "min" | "min-register" => Ok(ObjectKind::MinRegister),
-            other => Err(format!(
-                "unknown object kind {other:?} (want cm|hll|morris|min)"
-            )),
-        }
+        Self::ALL
+            .into_iter()
+            .find(|kind| kind.names().contains(&s))
+            .ok_or_else(|| format!("unknown object kind {s:?} (want cm|hll|morris|min)"))
     }
 }
 
@@ -187,46 +175,20 @@ impl StateShape {
         if shape == *self {
             return Ok(());
         }
-        Err(MergeError::new(format!(
-            "kind, dimensions or coins do not match: {shape:?} against {self:?}"
-        )))
+        Err(kinds::shape_mismatch(&shape, self))
     }
 }
 
 impl SnapshotState {
     /// This state's [`StateShape`].
     pub fn shape(&self) -> StateShape {
-        match *self {
-            SnapshotState::CountMin {
-                width,
-                depth,
-                hash_fp,
-                ..
-            } => StateShape::CountMin {
-                width,
-                depth,
-                hash_fp,
-            },
-            SnapshotState::Hll {
-                hash_fp,
-                ref registers,
-            } => StateShape::Hll {
-                registers: registers.len(),
-                hash_fp,
-            },
-            SnapshotState::Morris { .. } => StateShape::Morris,
-            SnapshotState::MinRegister { .. } => StateShape::MinRegister,
-        }
+        for_kind!(self.kind(), K => K::shape(self))
     }
 
     /// How many cells the state ships: CountMin cells, HLL registers,
     /// or the one scalar of a Morris counter or min register.
     pub fn cell_count(&self) -> usize {
-        match self {
-            SnapshotState::CountMin { cells, .. } => cells.len(),
-            SnapshotState::Hll { registers, .. } => registers.len(),
-            SnapshotState::Morris { .. } | SnapshotState::MinRegister { .. } => 1,
-        }
+        for_kind!(self.kind(), K => K::cells(self))
     }
 }
 
@@ -234,33 +196,7 @@ impl SnapshotState {
 /// and the coin fingerprint that guards its merges — not its cells.
 impl fmt::Display for SnapshotState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotState::CountMin {
-                width,
-                depth,
-                hash_fp,
-                cells,
-            } => {
-                let nonzero = cells.iter().filter(|&&c| c != 0).count();
-                write!(
-                    f,
-                    "CountMin {depth}x{width} ({nonzero} nonzero cells, fingerprint {hash_fp:#018x})"
-                )
-            }
-            SnapshotState::Hll { hash_fp, registers } => {
-                let set = registers.iter().filter(|&&r| r != 0).count();
-                write!(
-                    f,
-                    "HLL ({} registers, {set} set, fingerprint {hash_fp:#018x})",
-                    registers.len()
-                )
-            }
-            SnapshotState::Morris { exponent } => write!(f, "Morris exponent {exponent}"),
-            SnapshotState::MinRegister { minimum: u64::MAX } => write!(f, "min register, empty"),
-            SnapshotState::MinRegister { minimum } => {
-                write!(f, "min register, minimum {minimum}")
-            }
-        }
+        for_kind!(self.kind(), K => K::fmt_state(self, f))
     }
 }
 
@@ -332,6 +268,15 @@ const DELTA_CM_RUNS: u8 = 1;
 const DELTA_FULL: u8 = 3;
 
 impl DeltaChange {
+    /// The cache epoch a sparse delta patches; `None` for `Unchanged`
+    /// (implicitly the cache held) and `Full` (which needs no base).
+    pub fn base_epoch(&self) -> Option<u64> {
+        match self {
+            DeltaChange::CmRuns { base_epoch, .. } => Some(*base_epoch),
+            _ => None,
+        }
+    }
+
     /// Appends the change body: the tag byte, then for cell runs the
     /// base epoch, the run count and each run's header followed by its
     /// own cells (the flat `values` is an in-memory layout, not a wire
@@ -351,9 +296,7 @@ impl DeltaChange {
                     for word in [run.row, run.lo, run.len] {
                         out.extend_from_slice(&word.to_le_bytes());
                     }
-                    for cell in cells {
-                        out.extend_from_slice(&cell.to_le_bytes());
-                    }
+                    put_u64s(out, cells);
                 }
             }
             DeltaChange::Full(state) => {
@@ -402,7 +345,7 @@ impl DeltaChange {
 /// functions that agree on all probes are overwhelmingly likely the
 /// same sampled function; replicas built from the same seed (see
 /// [`slot_coins`]) always agree exactly.
-const FP_PROBES: [u64; 8] = [
+pub(crate) const FP_PROBES: [u64; 8] = [
     0,
     1,
     0x5bd1_e995,
@@ -413,38 +356,12 @@ const FP_PROBES: [u64; 8] = [
     u64::MAX,
 ];
 
-fn fp_mix(acc: u64, v: u64) -> u64 {
+pub(crate) fn fp_mix(acc: u64, v: u64) -> u64 {
     // splitmix64-style finalizer: order-sensitive, avalanching.
     let mut x = acc.wrapping_add(v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     x ^= x >> 30;
     x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x ^ (x >> 27)
-}
-
-/// A u64 fingerprint of a CountMin's row hash functions, computed by
-/// hashing [`FP_PROBES`] through every row. Snapshots carry it so a
-/// merging peer can refuse mismatched coins with a typed error
-/// instead of silently adding cells that count different things.
-pub fn cm_hash_fingerprint(hashes: &[PairwiseHash]) -> u64 {
-    let mut acc = fp_mix(0x1dea_c0de, hashes.len() as u64);
-    for h in hashes {
-        for probe in FP_PROBES {
-            acc = fp_mix(acc, h.hash(probe) as u64);
-        }
-    }
-    acc
-}
-
-/// A u64 fingerprint of an HLL's routing hash (bucket and rank of
-/// every [`FP_PROBES`] key) — the HLL counterpart of
-/// [`cm_hash_fingerprint`].
-pub fn hll_hash_fingerprint(hll: &HyperLogLog) -> u64 {
-    let mut acc = fp_mix(0xca8d_117a, hll.num_registers() as u64);
-    for probe in FP_PROBES {
-        let (bucket, rank) = hll.route(probe);
-        acc = fp_mix(acc, ((bucket as u64) << 8) | rank as u64);
-    }
-    acc
 }
 
 /// The coin-flip stream for registry slot `idx` under `seed`.
@@ -476,6 +393,17 @@ pub enum MergePolicy {
     Add,
     /// Cell-wise max: summaries of the same stream.
     Join,
+}
+
+impl MergePolicy {
+    /// The law's fold of one additive term: a saturating sum over
+    /// disjoint substreams, the max over copies.
+    pub fn fold(self, acc: u64, v: u64) -> u64 {
+        match self {
+            MergePolicy::Add => acc.saturating_add(v),
+            MergePolicy::Join => acc.max(v),
+        }
+    }
 }
 
 /// A refused merge or absorb: kinds, dimensions, or hash fingerprints
@@ -520,10 +448,12 @@ pub enum StatePatch {
     Replaced,
 }
 
-/// The mergeable-summary algebra, tied to a wire schema.
+/// The mergeable-summary algebra of the kind-tagged state, tied to a
+/// wire schema.
 ///
-/// One implementation ships ([`SnapshotState`]); the trait names the
-/// contract the servers, the codec, and the replica group all rely on:
+/// [`SnapshotState`] implements it by forwarding every operation to
+/// the [`Kind`] of the value; the trait names the contract the servers,
+/// the codec, and the replica group all rely on:
 ///
 /// * `encode_into`/`decode_from` are exact inverses and *are* the wire
 ///   schema of the snapshot frame bodies (kind tag carried separately).
@@ -597,6 +527,18 @@ pub fn take_u64(body: &mut &[u8]) -> Result<u64, &'static str> {
     Ok(u64::from_le_bytes(head.try_into().expect("8 bytes")))
 }
 
+/// Takes an IEEE-754 `f64`, shipped as its little-endian bit pattern.
+pub(crate) fn take_f64(body: &mut &[u8]) -> Result<f64, &'static str> {
+    take_u64(body).map(f64::from_bits)
+}
+
+/// Appends `words` little-endian.
+pub(crate) fn put_u64s(out: &mut Vec<u8>, words: &[u64]) {
+    for word in words {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+}
+
 /// The refusal of a body that ends before its schema does.
 pub const SHORT_BODY: &str = "body shorter than its schema";
 
@@ -611,113 +553,17 @@ impl MergeableState for SnapshotState {
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            SnapshotState::CountMin {
-                width,
-                depth,
-                hash_fp,
-                cells,
-            } => {
-                out.extend_from_slice(&width.to_le_bytes());
-                out.extend_from_slice(&depth.to_le_bytes());
-                out.extend_from_slice(&hash_fp.to_le_bytes());
-                // No cell-count field: the count is `width * depth`.
-                for &cell in cells {
-                    out.extend_from_slice(&cell.to_le_bytes());
-                }
-            }
-            SnapshotState::Hll { hash_fp, registers } => {
-                out.extend_from_slice(&hash_fp.to_le_bytes());
-                out.extend_from_slice(&(registers.len() as u32).to_le_bytes());
-                out.extend_from_slice(registers);
-            }
-            SnapshotState::Morris { exponent } => {
-                out.extend_from_slice(&exponent.to_le_bytes());
-            }
-            SnapshotState::MinRegister { minimum } => {
-                out.extend_from_slice(&minimum.to_le_bytes());
-            }
-        }
+        for_kind!(self.kind(), K => K::encode_state(self, out))
     }
 
     fn decode_from(kind: ObjectKind, body: &mut &[u8]) -> Result<Self, &'static str> {
-        match kind {
-            ObjectKind::CountMin => {
-                let width = take_u32(body)?;
-                let depth = take_u32(body)?;
-                let hash_fp = take_u64(body)?;
-                let cells_len = width as u64 * depth as u64;
-                // Cross-check the claimed dimensions against the bytes
-                // actually present before allocating.
-                if cells_len > (body.len() / 8) as u64 {
-                    return Err(SHORT_BODY);
-                }
-                let mut cells = Vec::with_capacity(cells_len as usize);
-                for _ in 0..cells_len {
-                    cells.push(take_u64(body)?);
-                }
-                Ok(SnapshotState::CountMin {
-                    width,
-                    depth,
-                    hash_fp,
-                    cells,
-                })
-            }
-            ObjectKind::Hll => {
-                let hash_fp = take_u64(body)?;
-                let len = take_u32(body)? as usize;
-                if body.len() < len {
-                    return Err(SHORT_BODY);
-                }
-                let (raw, rest) = body.split_at(len);
-                *body = rest;
-                Ok(SnapshotState::Hll {
-                    hash_fp,
-                    registers: raw.to_vec(),
-                })
-            }
-            ObjectKind::Morris => Ok(SnapshotState::Morris {
-                exponent: take_u32(body)?,
-            }),
-            ObjectKind::MinRegister => Ok(SnapshotState::MinRegister {
-                minimum: take_u64(body)?,
-            }),
-        }
+        for_kind!(kind, K => K::decode_state(body))
     }
 
     fn merge_into(&self, target: &mut Self, policy: MergePolicy) -> Result<(), MergeError> {
         target.shape().admit(self)?;
-        match (self, target) {
-            (SnapshotState::CountMin { cells, .. }, SnapshotState::CountMin { cells: tc, .. }) => {
-                for (t, &c) in tc.iter_mut().zip(cells) {
-                    match policy {
-                        MergePolicy::Add => *t = t.saturating_add(c),
-                        MergePolicy::Join => *t = (*t).max(c),
-                    }
-                }
-                Ok(())
-            }
-            (SnapshotState::Hll { registers, .. }, SnapshotState::Hll { registers: tr, .. }) => {
-                // Register max under either policy: both copies hold
-                // max-ranks, and max is the union summary.
-                for (t, &r) in tr.iter_mut().zip(registers) {
-                    *t = (*t).max(r);
-                }
-                Ok(())
-            }
-            (SnapshotState::Morris { exponent }, SnapshotState::Morris { exponent: te }) => {
-                *te = (*te).max(*exponent);
-                Ok(())
-            }
-            (
-                SnapshotState::MinRegister { minimum },
-                SnapshotState::MinRegister { minimum: tm },
-            ) => {
-                *tm = (*tm).min(*minimum);
-                Ok(())
-            }
-            _ => unreachable!("equal shapes are of one kind"),
-        }
+        for_kind!(self.kind(), K => K::merge(self, target, policy));
+        Ok(())
     }
 
     fn apply_change(&mut self, change: DeltaChange) -> Result<StatePatch, MergeError> {
@@ -728,62 +574,18 @@ impl MergeableState for SnapshotState {
                 Ok(StatePatch::Replaced)
             }
             DeltaChange::CmRuns { runs, values, .. } => {
-                let SnapshotState::CountMin {
-                    width,
-                    depth,
-                    cells,
-                    ..
-                } = self
-                else {
-                    return Err(MergeError::new("CountMin runs for a non-CountMin cache"));
-                };
-                let (width, depth) = (*width as usize, *depth as usize);
-                if runs.iter().map(|r| r.len as usize).sum::<usize>() != values.len() {
-                    return Err(MergeError::new("delta runs and values disagree"));
-                }
-                // Typically one cell per run, and it moved.
-                let mut patched = Vec::with_capacity(runs.len());
-                for (run, new) in CellRun::zip_values(&runs, &values) {
-                    let (row, lo) = (run.row as usize, run.lo as usize);
-                    if row >= depth || lo + new.len() > width {
-                        return Err(MergeError::new("delta run out of bounds"));
-                    }
-                    // A cell re-sent unchanged (one touched twice since
-                    // the base arrives twice) has nothing to report.
-                    let at = row * width + lo;
-                    for (k, (cell, &value)) in
-                        cells[at..][..new.len()].iter_mut().zip(new).enumerate()
-                    {
-                        if *cell != value {
-                            patched.push((at + k, *cell, value));
-                            *cell = value;
-                        }
-                    }
-                }
-                Ok(StatePatch::CmCells(patched))
+                for_kind!(self.kind(), K => K::apply_runs(self, &runs, &values))
             }
         }
     }
 
     fn fold_patch(&mut self, patch: &StatePatch, policy: MergePolicy) -> Result<(), MergeError> {
-        match (patch, self) {
-            (StatePatch::Unchanged, _) => Ok(()),
-            (StatePatch::CmCells(moved), SnapshotState::CountMin { cells, .. }) => {
-                for &(idx, old, new) in moved {
-                    let cell = cells
-                        .get_mut(idx)
-                        .filter(|_| new >= old)
-                        .ok_or_else(|| MergeError::new("cell patch out of bounds or downward"))?;
-                    // The cache's cell rose by `new - old`: a sum rises by
-                    // as much, a max to at least `new`.
-                    *cell = match policy {
-                        MergePolicy::Add => cell.saturating_add(new - old),
-                        MergePolicy::Join => (*cell).max(new),
-                    };
-                }
-                Ok(())
+        match patch {
+            StatePatch::Unchanged => Ok(()),
+            StatePatch::CmCells(moved) => {
+                for_kind!(self.kind(), K => K::fold_cells(self, moved, policy))
             }
-            _ => Err(MergeError::new("patch cannot fold into this state")),
+            StatePatch::Replaced => Err(MergeError::new("patch cannot fold into this state")),
         }
     }
 }
@@ -795,15 +597,14 @@ pub fn merge_states(
     policy: MergePolicy,
     states: &[&SnapshotState],
 ) -> Result<SnapshotState, MergeError> {
-    let mut iter = states.iter();
-    let Some(first) = iter.next() else {
+    let Some(first) = states.first() else {
         return Err(MergeError::new("no states to merge"));
     };
-    let mut merged = (*first).clone();
-    for state in iter {
-        state.merge_into(&mut merged, policy)?;
+    let shape = first.shape();
+    for state in states {
+        shape.admit(state)?;
     }
-    Ok(merged)
+    for_kind!(first.kind(), K => kinds::merge::<K>(policy, states))
 }
 
 #[cfg(test)]

@@ -236,3 +236,49 @@ fn frontend_clients_share_one_backend_connection_per_replica() {
         drop(r.join());
     }
 }
+
+#[test]
+fn stats_answer_within_the_deadline_while_a_backend_is_silent() {
+    // Backend 1 accepts connections and never reads them. A query that
+    // reaches it holds the frontend's one reactor thread for at most one
+    // round-trip deadline (50 backoffs), so a second connection's STATS
+    // is answered within two, and SHUTDOWN still reaches backend 0.
+    let backoff = std::time::Duration::from_millis(10);
+    let deadline = backoff * 50;
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a silent backend");
+    let silent_addr = silent.local_addr().expect("silent address").to_string();
+    std::thread::spawn(move || {
+        let held: Vec<TcpStream> = silent.incoming().flatten().collect();
+        drop(held);
+    });
+    let replica = spawn_replica();
+    let mut g = group([replica.addr().to_string(), silent_addr]);
+    g.set_backoff(backoff);
+    let frontend = serve_group("127.0.0.1:0", g).expect("bind a frontend");
+
+    let mut querying = TcpStream::connect(frontend.addr()).expect("connect");
+    let mut buf = Vec::new();
+    Request::Query { object: 0, key: 7 }.encode(&mut buf);
+    querying.write_all(&buf).expect("send a query");
+    std::thread::sleep(backoff * 5);
+    let started = std::time::Instant::now();
+    let mut admin = Client::connect(frontend.addr()).expect("a second connection");
+    admin.stats().expect("stats through the frontend");
+    assert!(
+        started.elapsed() < deadline * 2,
+        "STATS waited {:?} behind a silent backend",
+        started.elapsed()
+    );
+    match read_frame(&mut querying, DEFAULT_MAX_FRAME_LEN)
+        .expect("a reply frame")
+        .map(|payload| Response::decode(&payload))
+    {
+        Some(Ok(Response::Envelope(env))) => assert_eq!(env.frequency().map(|e| e.key), Some(7)),
+        other => panic!("expected the degraded envelope, got {other:?}"),
+    }
+    admin.shutdown().expect("shutdown through the frontend");
+    drop((querying, admin));
+    drop(frontend.join());
+    // Returns only if SHUTDOWN reached backend 0.
+    drop(replica.join());
+}

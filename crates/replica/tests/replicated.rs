@@ -15,6 +15,10 @@ use ivl_service::{
 use ivl_sketch::hll::RegisterSummary;
 use ivl_sketch::stream::ZipfStream;
 use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 11;
@@ -880,4 +884,115 @@ fn morris_merges_at_the_envelope_level() {
     for r in replicas {
         drop(r.join());
     }
+}
+
+/// A TCP proxy in front of `upstream` that forwards both ways while
+/// `open` holds; once cleared, it takes every byte (and every new
+/// connection) and forwards nothing, and never closes — a replica that
+/// stopped answering without a reset.
+fn stalling_proxy(upstream: std::net::SocketAddr, open: Arc<AtomicBool>) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind the proxy");
+    let addr = listener.local_addr().expect("proxy address").to_string();
+    std::thread::spawn(move || {
+        for client in listener.incoming().flatten() {
+            let server = TcpStream::connect(upstream).expect("reach the replica");
+            let halves = [
+                (
+                    client.try_clone().expect("clone"),
+                    server.try_clone().expect("clone"),
+                ),
+                (server, client),
+            ];
+            for (mut from, mut to) in halves {
+                let open = Arc::clone(&open);
+                std::thread::spawn(move || {
+                    let mut buf = [0u8; 4096];
+                    while let Ok(n @ 1..) = from.read(&mut buf) {
+                        if !open.load(Ordering::SeqCst) {
+                            // Hold both sockets open for good.
+                            std::mem::forget((from, to));
+                            return;
+                        }
+                        if to.write_all(&buf[..n]).is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+        }
+    });
+    addr
+}
+
+#[test]
+fn a_silent_replica_degrades_the_read_within_the_deadline() {
+    // Replica 1 sits behind a proxy that stops answering mid-run. Every
+    // round trip is bounded by 50 backoffs: the merged read serves
+    // replica 1 from its cache as stale, and a write whose reply never
+    // comes is in doubt and fails over, instead of the group waiting
+    // forever.
+    let backoff = Duration::from_millis(10);
+    let deadline = backoff * 50;
+    let open = Arc::new(AtomicBool::new(true));
+    let (r0, r1) = (
+        spawn_replica(Backend::EventLoop, SEED),
+        spawn_replica(Backend::EventLoop, SEED),
+    );
+    let addrs = vec![
+        r0.addr().to_string(),
+        stalling_proxy(r1.addr(), Arc::clone(&open)),
+    ];
+    let mut group = ReplicaGroup::new(addrs, ReplicaMode::Partition, SEED).expect("group");
+    group.set_backoff(backoff);
+    let mut truth = [0u64; 16];
+    for k in 0..16u64 {
+        group.update(0, k, k + 1).expect("partitioned update");
+        truth[k as usize] += k + 1;
+    }
+    let before = group.query(0, 0).expect("the first read fills both caches");
+    assert_eq!(before.reached, 2);
+
+    open.store(false, Ordering::SeqCst);
+    let started = Instant::now();
+    let merged = group.query(0, 3).expect("degraded query");
+    assert!(
+        started.elapsed() < deadline * 2,
+        "a read past a silent replica took {:?}",
+        started.elapsed()
+    );
+    assert_eq!((merged.reached, merged.total), (1, 2));
+    assert_eq!(
+        merged.parts[1], before.parts[1],
+        "the silent replica's part is its cache"
+    );
+    assert_freq_within(&merged.envelope, truth[3]);
+
+    // Inside the down window the write fails over without dialling.
+    let silent_key = (0..)
+        .find(|&k| group.route(k) == 1)
+        .expect("a key on replica 1");
+    let started = Instant::now();
+    assert_eq!(group.update(0, silent_key, 5).expect("failover"), vec![0]);
+    assert!(started.elapsed() < deadline);
+    truth[silent_key as usize] += 5;
+    // Past the window, the write is sent, its ack never comes: it is in
+    // doubt, and applied on replica 0 by the failover.
+    std::thread::sleep(backoff * 70);
+    let started = Instant::now();
+    assert_eq!(group.update(0, silent_key, 7).expect("failover"), vec![0]);
+    assert!(started.elapsed() < deadline * 2);
+    truth[silent_key as usize] += 7;
+    for (key, &t) in truth.iter().enumerate() {
+        let merged = group.query(0, key as u64).expect("degraded query");
+        assert_freq_within(&merged.envelope, t);
+    }
+    let env = group.query(0, silent_key).expect("degraded query").envelope;
+    assert!(
+        env.frequency().expect("frequency").epsilon >= 7,
+        "in-doubt weight widens ε"
+    );
+    drop(group);
+    drop(r0.join());
+    // Replica 1 keeps the proxy's held connection, so it is not joined.
+    drop(r1);
 }

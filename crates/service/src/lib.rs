@@ -60,6 +60,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod client;
+mod kinds;
 pub mod metrics;
 pub mod objects;
 pub mod protocol;

@@ -12,7 +12,9 @@
 //! (and `ivl_check` reports) one verdict per object — the history as a
 //! whole is IVL exactly when every row of that table is.
 //!
-//! Four kinds ship ([`ObjectKind`]):
+//! Four kinds ship ([`ObjectKind`]), each served from its own file
+//! under `kinds/` and built through its `ivl-merge` [`Kind`](ivl_merge::Kind)
+//! impl, which holds the algebra of its state and envelope:
 //!
 //! * `cm` — the sharded CountMin ([`ServedCountMin`]): single-writer
 //!   shard leases, optional write buffering, the Theorem 6 frequency
@@ -36,44 +38,23 @@
 //! CountMin's per-(object, shard) lease discipline and the lock-free
 //! objects' wait-free updates coexist behind one interface.
 
+use crate::kinds::{Serve, ServeParams};
 use crate::metrics::{Metrics, ObjectStats};
 use crate::protocol::ErrorCode;
-use crate::wspec::WeightedCmSpec;
-use crate::{Envelope, ErrorEnvelope};
-use ivl_concurrent::{
-    BatchScratch, ConcurrentHll, ConcurrentMinRegister, ConcurrentMorris, ShardLease, ShardedPcm,
-};
-use ivl_counter::{IvlBatchedCounter, SharedBatchedCounter};
-use ivl_merge::{MergeError, StateShape};
-use ivl_sketch::countmin::{CountMin, CountMinParams};
-use ivl_sketch::hll::{HyperLogLog, RegisterSummary};
-use ivl_sketch::CoinFlips;
+use crate::ErrorEnvelope;
+use ivl_merge::{for_kind, MergeError};
 use ivl_spec::history::History;
-use ivl_spec::ivl::check_ivl_monotone;
-use ivl_spec::spec::{MonotoneSpec, ObjectSpec};
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Register precision of served HLL objects (`2^12` registers, ~1.6%
-/// standard error) — a fixed serving choice, like the CountMin taking
-/// its `(α, δ)` from the server config.
-pub const HLL_PRECISION: u32 = 12;
-
-/// Accuracy parameter `a` of served Morris counters.
-pub const MORRIS_A: f64 = 0.5;
-
-/// A single update may apply at most this many Morris estimator
-/// events; larger weights are acknowledged in full (the `observed`
-/// counter always gets the whole weight) but clamp the estimator work,
-/// bounding per-frame service time against hostile weights.
-pub const MORRIS_MAX_EVENTS_PER_UPDATE: u64 = 1 << 16;
 
 // The kind-tagged mergeable-state vocabulary and the coin/fingerprint
-// discipline now live in `ivl-merge` (one property-tested home shared
-// with the replication layer); re-exported here so the served-object
-// API — and every `crate::objects::*` path — is unchanged.
+// discipline live in `ivl-merge` (one property-tested home shared
+// with the replication layer), and each served kind in its own file;
+// re-exported here so the served-object API — and every
+// `crate::objects::*` path — is unchanged.
+pub use crate::kinds::{
+    AckCounterSpec, HllSumSpec, ServedCountMin, ServedHll, ServedMinRegister, ServedMinSpec,
+    ServedMorris, HLL_PRECISION, MORRIS_A, MORRIS_MAX_EVENTS_PER_UPDATE,
+};
 pub use ivl_merge::{
     cm_hash_fingerprint, hll_hash_fingerprint, slot_coins, CellRun, DeltaChange, ObjectKind,
     SnapshotState,
@@ -222,8 +203,9 @@ pub trait ObjectWriter: fmt::Debug {
     /// covers; on success it is credited to the object's observed
     /// counter so envelopes account for the restored weight. Refuses
     /// with a typed [`MergeError`] (mapping to the wire's
-    /// `MergeMismatch`) when the state's [`StateShape`] — kind,
-    /// dimensions and hash fingerprint — is not the served object's.
+    /// `MergeMismatch`) when the state's
+    /// [`StateShape`](ivl_merge::StateShape) — kind, dimensions and hash
+    /// fingerprint — is not the served object's.
     fn absorb(&mut self, state: &SnapshotState, observed: u64) -> Result<(), MergeError>;
 
     /// Propagates any locally buffered weight into the shared object.
@@ -348,6 +330,12 @@ impl ObjectRegistry {
         seed: u64,
     ) -> Self {
         assert!(!objects.is_empty(), "need at least one served object");
+        let params = ServeParams {
+            alpha,
+            delta,
+            shards,
+            write_buffer,
+        };
         let mut entries: Vec<(String, Box<dyn ServedObject>)> = Vec::with_capacity(objects.len());
         for (idx, oc) in objects.iter().enumerate() {
             assert!(
@@ -355,19 +343,8 @@ impl ObjectRegistry {
                 "duplicate object name {:?}",
                 oc.name
             );
-            let mut coins = slot_coins(seed, idx as u32);
-            let object: Box<dyn ServedObject> = match oc.kind {
-                ObjectKind::CountMin => Box::new(ServedCountMin::new(
-                    alpha,
-                    delta,
-                    shards,
-                    write_buffer,
-                    &mut coins,
-                )),
-                ObjectKind::Hll => Box::new(ServedHll::new(HLL_PRECISION, &mut coins)),
-                ObjectKind::Morris => Box::new(ServedMorris::new(MORRIS_A, coins)),
-                ObjectKind::MinRegister => Box::new(ServedMinRegister::new()),
-            };
+            let coins = slot_coins(seed, idx as u32);
+            let object = for_kind!(oc.kind, K => K::serve(&params, coins));
             entries.push((oc.name.clone(), object));
         }
         ObjectRegistry { entries }
@@ -494,869 +471,15 @@ impl ObjectRegistry {
     }
 }
 
-/// Per-object operation counters shared by every [`ServedObject`]
-/// implementation.
-#[derive(Debug, Default)]
-struct OpCounters {
-    updates: AtomicU64,
-    queries: AtomicU64,
-    observed: AtomicU64,
-}
-
-impl OpCounters {
-    /// Accounts `n` updates of `weight` total observed weight, whether
-    /// for one update or a whole batch frame.
-    fn note_updates(&self, n: u64, weight: u64) {
-        self.updates.fetch_add(n, Ordering::Relaxed);
-        self.note_absorbed(weight);
-    }
-
-    /// Catch-up accounting: absorbed weight raises `observed` (the
-    /// envelope's acknowledged-weight field) without counting as an
-    /// update operation — the peer already counted those updates.
-    /// Saturates at `u64::MAX`, like every add a client-chosen weight
-    /// reaches.
-    fn note_absorbed(&self, weight: u64) {
-        let _ = self
-            .observed
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |o| {
-                Some(o.saturating_add(weight))
-            });
-    }
-
-    fn note_query(&self) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn stats(&self) -> ObjectStats {
-        ObjectStats {
-            id: 0, // filled by the registry
-            updates: self.updates.load(Ordering::Relaxed),
-            queries: self.queries.load(Ordering::Relaxed),
-            observed: self.observed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// CountMin
-// ---------------------------------------------------------------------
-
-/// The sharded CountMin as a served object: everything the pre-registry
-/// server kept inline — prototype, [`ShardedPcm`], ingest counter, and
-/// the write-buffer discipline — behind the [`ServedObject`] interface.
-#[derive(Debug)]
-pub struct ServedCountMin {
-    /// Empty prototype fixing the coin flips; `sketch` shares its
-    /// hashes, and `WeightedCmSpec::new(proto.clone())` is the exact
-    /// sequential spec of this object.
-    proto: CountMin,
-    /// The shape every full state ships and every absorbed one must have.
-    shape: StateShape,
-    sketch: ShardedPcm,
-    /// Stream-weight counter, one single-writer slot per shard.
-    ingest: IvlBatchedCounter,
-    write_buffer: u64,
-    ops: OpCounters,
-    /// Bounded ring of recently served `(sum epoch → per-shard epoch
-    /// vector)` decompositions. The wire epoch is the *sum* of the
-    /// per-shard epochs, but touches are logged per shard, so a delta
-    /// against a client base needs the base's decomposition back. Only
-    /// the snapshot path locks it — never the ingest path.
-    ledger: Mutex<VecDeque<(u64, Vec<u64>)>>,
-}
-
-/// How many served snapshot epochs [`ServedCountMin`] remembers the
-/// per-shard decomposition of. A client more than this many snapshots
-/// behind falls back to a full snapshot.
-const SNAPSHOT_LEDGER_CAP: usize = 32;
-
-impl ServedCountMin {
-    /// Creates a sharded CountMin for `(alpha, delta)` with `shards`
-    /// single-writer shards and write-buffer batch `write_buffer`
-    /// (0 = strict).
-    pub fn new(
-        alpha: f64,
-        delta: f64,
-        shards: usize,
-        write_buffer: u64,
-        coins: &mut CoinFlips,
-    ) -> Self {
-        let params = CountMinParams::for_bounds(alpha, delta);
-        let proto = CountMin::new(params, coins);
-        ServedCountMin {
-            shape: StateShape::CountMin {
-                width: params.width as u32,
-                depth: params.depth as u32,
-                hash_fp: cm_hash_fingerprint(proto.hashes()),
-            },
-            sketch: ShardedPcm::from_prototype(&proto, shards),
-            ingest: IvlBatchedCounter::new(shards),
-            write_buffer,
-            ops: OpCounters::default(),
-            ledger: Mutex::new(VecDeque::with_capacity(SNAPSHOT_LEDGER_CAP)),
-            proto,
-        }
-    }
-
-    /// Records a served `(sum epoch, per-shard epochs)` decomposition
-    /// so later `SNAPSHOT_SINCE` calls can diff against it, and hands
-    /// back the remembered decomposition of `base` (a client's base
-    /// epoch), if any — one lock per poll. Concurrent readers can split
-    /// one sum differently (each loads the shards at its own instants),
-    /// so a repeated sum keeps the component-wise minimum: a delta from
-    /// it misses for neither reader's cells.
-    fn ledger_exchange(&self, shard_epochs: Vec<u64>, base: Option<u64>) -> Option<Vec<u64>> {
-        let epoch: u64 = shard_epochs.iter().sum();
-        let mut ring = self.ledger.lock().expect("ledger mutex");
-        if let Some((_, known)) = ring.iter_mut().find(|(e, _)| *e == epoch) {
-            for (k, s) in known.iter_mut().zip(shard_epochs) {
-                *k = (*k).min(s);
-            }
-        } else {
-            if ring.len() == SNAPSHOT_LEDGER_CAP {
-                ring.pop_front();
-            }
-            ring.push_back((epoch, shard_epochs));
-        }
-        let base = base?;
-        ring.iter()
-            .find(|(e, _)| *e == base)
-            .map(|(_, v)| v.clone())
-    }
-
-    /// The frequency envelope of `estimate` for `key`, read after it:
-    /// cells lead the ingest counter on the write side. Snapshots and
-    /// deltas serve key and estimate 0 — the receiver queries the
-    /// merged state.
-    fn envelope(&self, key: u64, estimate: u64) -> ErrorEnvelope {
-        let stream_len = self.ingest.read();
-        let params = self.proto.params();
-        ErrorEnvelope::Frequency(Envelope::new(
-            key,
-            estimate,
-            stream_len,
-            params.alpha(),
-            params.delta(),
-            self.lag_bound(),
-        ))
-    }
-
-    /// The whole cell matrix as a mergeable state.
-    fn full_state(&self) -> SnapshotState {
-        let StateShape::CountMin {
-            width,
-            depth,
-            hash_fp,
-        } = self.shape
-        else {
-            unreachable!("a CountMin has a CountMin shape")
-        };
-        SnapshotState::CountMin {
-            width,
-            depth,
-            hash_fp,
-            cells: self.sketch.cells_snapshot(),
-        }
-    }
-
-    /// Sparse overwrite runs bringing a cache at `base` — whose
-    /// per-shard decomposition is `base_epochs` — up to date, or `None`
-    /// when a shard's log lapped the base or sparseness does not pay.
-    fn runs_since(&self, base: u64, base_epochs: &[u64]) -> Option<DeltaChange> {
-        let params = self.proto.params();
-        let dirty = self.sketch.dirty_spans_since(base_epochs)?;
-        // A run costs 12 bytes of header plus its cells; fall back to
-        // the full frame when sparseness does not pay.
-        let cells: usize = dirty.iter().map(|&(_, lo, hi)| (hi - lo) as usize).sum();
-        if 12 * dirty.len() + 8 * cells >= params.width * params.depth * 8 {
-            return None;
-        }
-        let mut values = Vec::with_capacity(cells);
-        self.sketch.sum_runs_into(&dirty, &mut values);
-        let runs = dirty
-            .into_iter()
-            .map(|(row, lo, hi)| CellRun {
-                row,
-                lo,
-                len: hi - lo,
-            })
-            .collect();
-        Some(DeltaChange::CmRuns {
-            base_epoch: base,
-            runs,
-            values,
-        })
-    }
-
-    /// The sketch dimensions in force.
-    pub fn params(&self) -> CountMinParams {
-        self.proto.params()
-    }
-
-    /// The shared sharded sketch (reads are always allowed).
-    pub fn sketch(&self) -> &ShardedPcm {
-        &self.sketch
-    }
-
-    /// This object's acknowledged stream weight (an IVL read).
-    pub fn stream_len(&self) -> u64 {
-        self.ingest.read()
-    }
-
-    /// The exact sequential spec of this object (clones the empty
-    /// prototype, so the spec carries the same sampled hashes).
-    pub fn spec(&self) -> WeightedCmSpec {
-        WeightedCmSpec::new(self.proto.clone())
-    }
-
-    /// The deferred-visibility bound advertised in every envelope: at
-    /// most `shards` writers each holding `< write_buffer` weight.
-    pub fn lag_bound(&self) -> u64 {
-        self.write_buffer
-            .saturating_mul(self.sketch.num_shards() as u64)
-    }
-}
-
-impl ServedObject for ServedCountMin {
-    fn kind(&self) -> ObjectKind {
-        ObjectKind::CountMin
-    }
-
-    fn writer<'a>(&'a self, metrics: &'a Metrics) -> Box<dyn ObjectWriter + 'a> {
-        Box::new(CmWriter {
-            obj: self,
-            metrics,
-            lease: None,
-            scratch: BatchScratch::with_capacity(
-                self.proto.params().depth,
-                crate::protocol::MAX_BATCH_ITEMS as usize,
-            ),
-        })
-    }
-
-    fn query(&self, key: u64) -> ErrorEnvelope {
-        self.ops.note_query();
-        self.envelope(key, self.sketch.estimate(key))
-    }
-
-    fn epoch(&self) -> u64 {
-        self.sketch.epoch()
-    }
-
-    fn snapshot_since(&self, base: Option<u64>) -> (u64, DeltaChange, ErrorEnvelope) {
-        self.ops.note_query();
-        // Epochs before cells: the shipped cells are then at least as
-        // new as the recorded decomposition, so a later delta against
-        // this epoch only ever re-sends (never misses) a write.
-        let mut shard_epochs = Vec::with_capacity(self.sketch.num_shards());
-        self.sketch.shard_epochs_into(&mut shard_epochs);
-        let epoch: u64 = shard_epochs.iter().sum();
-        let base_epochs = self.ledger_exchange(shard_epochs, base.filter(|&b| b != epoch));
-        if base == Some(epoch) {
-            // Per-shard epochs are monotone, so equal sums mean the
-            // decomposition (hence every shard's log, hence every cell
-            // the client holds) is unchanged.
-            return (epoch, DeltaChange::Unchanged, self.envelope(0, 0));
-        }
-        let change = base
-            .zip(base_epochs)
-            .and_then(|(base, base_epochs)| self.runs_since(base, &base_epochs))
-            .unwrap_or_else(|| DeltaChange::Full(self.full_state()));
-        (epoch, change, self.envelope(0, 0))
-    }
-
-    fn op_stats(&self) -> ObjectStats {
-        ObjectStats {
-            observed: self.ingest.read(),
-            ..self.ops.stats()
-        }
-    }
-
-    fn free_shards(&self) -> Option<usize> {
-        Some(self.sketch.free_shards())
-    }
-
-    fn as_count_min(&self) -> Option<&ServedCountMin> {
-        Some(self)
-    }
-
-    fn check_projection(
-        &self,
-        projection: &History<(u64, u64), u64, u64>,
-    ) -> (Option<bool>, &'static str) {
-        if self.write_buffer > 0 {
-            // Acknowledged-before-visible is the advertised relaxation
-            // (envelope lag); the strict check would fail by design.
-            return (
-                None,
-                "write-buffered: strict check waived, bound is the envelope lag",
-            );
-        }
-        (
-            Some(check_ivl_monotone(&self.spec(), projection).is_ivl()),
-            "frequency estimates vs the weighted CountMin spec",
-        )
-    }
-}
-
-/// CountMin per-writer state: the per-(object, shard) lease and the
-/// write buffer.
-struct CmWriter<'a> {
-    obj: &'a ServedCountMin,
-    metrics: &'a Metrics,
-    lease: Option<ShardLease<'a>>,
-    /// The write buffer: frames are absorbed into its live entries and
-    /// swept into the leased shard once `write_buffer` weight is pending
-    /// (every frame at `b = 0`). Kept across frames, so a steady-state
-    /// batch allocates nothing.
-    scratch: BatchScratch,
-}
-
-impl fmt::Debug for CmWriter<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CmWriter")
-            .field("leased", &self.lease.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
-impl ObjectWriter for CmWriter<'_> {
-    fn ensure_ready(&mut self) -> Result<(), Refusal> {
-        if self.lease.is_none() {
-            self.lease = self.obj.sketch.lease();
-        }
-        if self.lease.is_some() {
-            Ok(())
-        } else {
-            Err(Refusal {
-                code: ErrorCode::Busy,
-                message: format!("all {} shards leased", self.obj.sketch.num_shards()),
-            })
-        }
-    }
-
-    fn apply_batch(&mut self, items: &[(u64, u64)]) {
-        let lease = self.lease.as_mut().expect("ensure_ready acquired a lease");
-        let (b, metrics) = (self.obj.write_buffer, self.metrics);
-        let (total, buffered) = items.iter().fold((0u64, 0u64), |(t, p), &(_, w)| {
-            (t.saturating_add(w), p.saturating_add(w.max(1)))
-        });
-        if b > 0 {
-            metrics.record_buffered(buffered);
-        }
-        self.scratch
-            .buffer(self.obj.sketch.hashes(), items, b, |scratch| {
-                let swept = lease.sweep(scratch);
-                if b > 0 {
-                    metrics.record_flush(swept);
-                }
-            });
-        self.obj.ingest.update_slot(lease.shard(), total);
-        self.obj.ops.note_updates(items.len() as u64, 0); // observed comes from `ingest`
-    }
-
-    /// Peer cells add into the leased shard under the single-writer
-    /// discipline (plain stores, one epoch commit) after the shape
-    /// guard — merging a peer's matrix is the same algebra as applying
-    /// its substream locally.
-    fn absorb(&mut self, state: &SnapshotState, observed: u64) -> Result<(), MergeError> {
-        self.obj.shape.admit(state)?;
-        let params = self.obj.proto.params();
-        match state {
-            // A state built in-process can name the served dimensions
-            // and still carry another number of cells.
-            SnapshotState::CountMin { cells, .. } if cells.len() == params.width * params.depth => {
-                let lease = self.lease.as_mut().expect("ensure_ready acquired a lease");
-                lease.absorb_cells(cells);
-                // Cells lead the ingest counter, the same discipline as
-                // the update path.
-                self.obj.ingest.update_slot(lease.shard(), observed);
-                Ok(())
-            }
-            _ => Err(MergeError::new(
-                "peer CountMin cells do not fill its dimensions",
-            )),
-        }
-    }
-
-    fn flush(&mut self) {
-        if let Some(lease) = self.lease.as_mut().filter(|_| !self.scratch.is_empty()) {
-            self.metrics.record_flush(lease.sweep(&mut self.scratch));
-        }
-    }
-
-    fn release(&mut self) -> bool {
-        self.flush();
-        self.lease.take().is_some()
-    }
-}
-
-// ---------------------------------------------------------------------
-// HyperLogLog
-// ---------------------------------------------------------------------
-
-/// Sequential spec of the served HLL, with the **register sum** as the
-/// query value: registers are max-registers, so the sum is a monotone,
-/// commutative functional of the update set — exactly the shape the
-/// interval checker needs (the corrected float estimate is monotone
-/// too, but piecewise; the integer sum is the checkable projection).
-#[derive(Clone, Debug)]
-pub struct HllSumSpec {
-    proto: HyperLogLog,
-}
-
-impl ObjectSpec for HllSumSpec {
-    type Update = (u64, u64);
-    type Query = u64;
-    type Value = u64;
-    type State = HyperLogLog;
-
-    fn initial_state(&self) -> HyperLogLog {
-        self.proto.clone()
-    }
-
-    fn apply_update(&self, state: &mut HyperLogLog, &(key, _weight): &(u64, u64)) {
-        state.update(key);
-    }
-
-    fn eval_query(&self, state: &HyperLogLog, _q: &u64) -> u64 {
-        state.registers().iter().map(|&r| r as u64).sum()
-    }
-}
-
-impl MonotoneSpec for HllSumSpec {}
-
-/// A concurrent HLL as a served object.
-#[derive(Debug)]
-pub struct ServedHll {
-    hll: ConcurrentHll,
-    /// The shape every full state ships and every absorbed one must have.
-    shape: StateShape,
-    ops: OpCounters,
-}
-
-impl ServedHll {
-    /// Creates an HLL with `2^precision` registers.
-    pub fn new(precision: u32, coins: &mut CoinFlips) -> Self {
-        let hll = ConcurrentHll::new(precision, coins);
-        ServedHll {
-            shape: StateShape::Hll {
-                registers: hll.prototype().num_registers(),
-                hash_fp: hll_hash_fingerprint(hll.prototype()),
-            },
-            hll,
-            ops: OpCounters::default(),
-        }
-    }
-
-    /// The exact sequential spec of this object's register sum.
-    pub fn spec(&self) -> HllSumSpec {
-        HllSumSpec {
-            proto: self.hll.prototype().clone(),
-        }
-    }
-
-    /// The served envelope of one register load.
-    fn envelope(&self, summary: &RegisterSummary) -> ErrorEnvelope {
-        let observed = self.ops.observed.load(Ordering::Relaxed);
-        ErrorEnvelope::cardinality(summary, observed)
-    }
-
-    /// One register load as a reply: the shipped state, its envelope
-    /// and its epoch (the register sum), all of the same bytes.
-    fn load(&self) -> (SnapshotState, ErrorEnvelope, u64) {
-        let StateShape::Hll { hash_fp, .. } = self.shape else {
-            unreachable!("an HLL has an HLL shape")
-        };
-        let registers = self.hll.registers_snapshot();
-        let summary = RegisterSummary::from_ranks(registers.iter().copied());
-        let state = SnapshotState::Hll { hash_fp, registers };
-        (state, self.envelope(&summary), summary.register_sum())
-    }
-}
-
-impl ServedObject for ServedHll {
-    fn kind(&self) -> ObjectKind {
-        ObjectKind::Hll
-    }
-
-    fn writer<'a>(&'a self, _metrics: &'a Metrics) -> Box<dyn ObjectWriter + 'a> {
-        Box::new(AtomicWriter { obj: self })
-    }
-
-    fn query(&self, _key: u64) -> ErrorEnvelope {
-        self.ops.note_query();
-        // One pass feeds both the estimate and the checkable sum, so
-        // the recorded query value matches the served envelope.
-        self.envelope(&self.hll.summary())
-    }
-
-    /// The register sum. Registers only grow, so two loads with equal
-    /// sums loaded equal registers: the sum is an exact epoch, and it
-    /// moves exactly when a register does.
-    fn epoch(&self) -> u64 {
-        self.hll.summary().register_sum()
-    }
-
-    /// `Unchanged` only when the registers equal those of the reply that
-    /// returned `base`: a pass that sums to `base` answers from that
-    /// pass without allocating. Any other base gets a fresh load whose
-    /// state, envelope and epoch all describe the same bytes — an epoch
-    /// counted apart from the registers could lag a raise whose update
-    /// was already acknowledged, and hide it behind `Unchanged`.
-    fn snapshot_since(&self, base: Option<u64>) -> (u64, DeltaChange, ErrorEnvelope) {
-        self.ops.note_query();
-        if let Some(base) = base {
-            let summary = self.hll.summary();
-            if summary.register_sum() == base {
-                return (base, DeltaChange::Unchanged, self.envelope(&summary));
-            }
-        }
-        let (state, envelope, epoch) = self.load();
-        (epoch, DeltaChange::Full(state), envelope)
-    }
-
-    fn op_stats(&self) -> ObjectStats {
-        self.ops.stats()
-    }
-
-    fn check_projection(
-        &self,
-        projection: &History<(u64, u64), u64, u64>,
-    ) -> (Option<bool>, &'static str) {
-        (
-            Some(check_ivl_monotone(&self.spec(), projection).is_ivl()),
-            "register sums vs the sequential HLL replay",
-        )
-    }
-}
-
-impl AtomicApply for ServedHll {
-    fn apply_one(&self, key: u64, weight: u64) {
-        // Set semantics: the item is observed once; `weight` only
-        // feeds the acknowledged-weight counter.
-        self.hll.update(key);
-        self.ops.note_updates(1, weight);
-    }
-
-    /// Register-wise `fetch_max` into the live vector after the shape
-    /// guard — a join with the update path, so concurrent updates and
-    /// an absorb interleave safely.
-    fn absorb_state(&self, state: &SnapshotState, observed: u64) -> Result<(), MergeError> {
-        self.shape.admit(state)?;
-        if let SnapshotState::Hll { registers, .. } = state {
-            self.hll.absorb(registers);
-        }
-        self.ops.note_absorbed(observed);
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Morris
-// ---------------------------------------------------------------------
-
-/// Sequential spec of an object's acknowledged-weight counter: updates
-/// add their weight, queries read the total. This is the deterministic
-/// projection every served object exposes through its envelope's
-/// `observed` field; it is the whole strict story for Morris, whose
-/// estimator coins live server-side.
-#[derive(Clone, Debug, Default)]
-pub struct AckCounterSpec;
-
-impl ObjectSpec for AckCounterSpec {
-    type Update = (u64, u64);
-    type Query = u64;
-    type Value = u64;
-    type State = u64;
-
-    fn initial_state(&self) -> u64 {
-        0
-    }
-
-    fn apply_update(&self, state: &mut u64, &(_key, weight): &(u64, u64)) {
-        *state = state.saturating_add(weight);
-    }
-
-    fn eval_query(&self, state: &u64, _q: &u64) -> u64 {
-        *state
-    }
-}
-
-impl MonotoneSpec for AckCounterSpec {}
-
-/// A concurrent Morris counter as a served object.
-#[derive(Debug)]
-pub struct ServedMorris {
-    morris: ConcurrentMorris,
-    a: f64,
-    ops: OpCounters,
-}
-
-impl ServedMorris {
-    /// Creates a Morris counter with accuracy parameter `a`.
-    pub fn new(a: f64, coins: CoinFlips) -> Self {
-        ServedMorris {
-            morris: ConcurrentMorris::new(a, coins),
-            a,
-            ops: OpCounters::default(),
-        }
-    }
-
-    /// The served envelope at `exponent`.
-    fn envelope(&self, exponent: u32) -> ErrorEnvelope {
-        ErrorEnvelope::approx_count(self.a, exponent, self.ops.observed.load(Ordering::Relaxed))
-    }
-}
-
-impl ServedObject for ServedMorris {
-    fn kind(&self) -> ObjectKind {
-        ObjectKind::Morris
-    }
-
-    fn writer<'a>(&'a self, _metrics: &'a Metrics) -> Box<dyn ObjectWriter + 'a> {
-        Box::new(AtomicWriter { obj: self })
-    }
-
-    fn query(&self, _key: u64) -> ErrorEnvelope {
-        self.ops.note_query();
-        // Exponent before estimate: the estimate is derived from the
-        // exponent, and reading the monotone value first keeps the
-        // recorded value a lower bound of what the envelope shows.
-        self.envelope(self.morris.exponent())
-    }
-
-    fn epoch(&self) -> u64 {
-        // The exponent is the whole state: it is its own update epoch.
-        self.morris.exponent() as u64
-    }
-
-    fn snapshot_since(&self, base: Option<u64>) -> (u64, DeltaChange, ErrorEnvelope) {
-        self.ops.note_query();
-        let exponent = self.morris.exponent();
-        let state = SnapshotState::Morris { exponent };
-        scalar_reply(base, exponent as u64, state, self.envelope(exponent))
-    }
-
-    fn op_stats(&self) -> ObjectStats {
-        self.ops.stats()
-    }
-
-    fn check_projection(
-        &self,
-        projection: &History<(u64, u64), u64, u64>,
-    ) -> (Option<bool>, &'static str) {
-        (
-            Some(check_ivl_monotone(&AckCounterSpec, projection).is_ivl()),
-            "acknowledged-weight counter (estimator coins are server-side)",
-        )
-    }
-}
-
-impl AtomicApply for ServedMorris {
-    fn apply_one(&self, _key: u64, weight: u64) {
-        // `weight` events, clamped against hostile frame weights; the
-        // acknowledged counter always gets the full weight.
-        for _ in 0..weight.min(MORRIS_MAX_EVENTS_PER_UPDATE) {
-            self.morris.update();
-        }
-        self.ops.note_updates(1, weight);
-    }
-
-    /// Raises the exponent to at least the peer's (exponent max is the
-    /// Morris merge; no coins are involved, so there is nothing to
-    /// fingerprint).
-    fn absorb_state(&self, state: &SnapshotState, observed: u64) -> Result<(), MergeError> {
-        StateShape::Morris.admit(state)?;
-        if let SnapshotState::Morris { exponent } = state {
-            self.morris.raise_to(*exponent);
-        }
-        self.ops.note_absorbed(observed);
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Min register
-// ---------------------------------------------------------------------
-
-/// Sequential spec of the served min register: updates lower the
-/// minimum to at most their key (weights ignored), queries read it.
-/// Antitone; the endpoint-sorting interval checker handles it.
-#[derive(Clone, Debug, Default)]
-pub struct ServedMinSpec;
-
-impl ObjectSpec for ServedMinSpec {
-    type Update = (u64, u64);
-    type Query = u64;
-    type Value = u64;
-    type State = u64;
-
-    fn initial_state(&self) -> u64 {
-        u64::MAX
-    }
-
-    fn apply_update(&self, state: &mut u64, &(key, _weight): &(u64, u64)) {
-        *state = (*state).min(key);
-    }
-
-    fn eval_query(&self, state: &u64, _q: &u64) -> u64 {
-        *state
-    }
-}
-
-impl MonotoneSpec for ServedMinSpec {}
-
-/// A concurrent min register as a served object.
-#[derive(Debug, Default)]
-pub struct ServedMinRegister {
-    reg: ConcurrentMinRegister,
-    ops: OpCounters,
-}
-
-impl ServedMinRegister {
-    /// Creates an empty min register.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The served envelope at `minimum`.
-    fn envelope(&self, minimum: u64) -> ErrorEnvelope {
-        ErrorEnvelope::Minimum {
-            minimum,
-            observed: self.ops.observed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl ServedObject for ServedMinRegister {
-    fn kind(&self) -> ObjectKind {
-        ObjectKind::MinRegister
-    }
-
-    fn writer<'a>(&'a self, _metrics: &'a Metrics) -> Box<dyn ObjectWriter + 'a> {
-        Box::new(AtomicWriter { obj: self })
-    }
-
-    fn query(&self, _key: u64) -> ErrorEnvelope {
-        self.ops.note_query();
-        self.envelope(self.reg.min())
-    }
-
-    /// The minimum itself: it is the whole state, so equal minima are
-    /// equal states. (An epoch counted beside the `fetch_min` could lag
-    /// a lowering whose insert was already acknowledged.)
-    fn epoch(&self) -> u64 {
-        self.reg.min()
-    }
-
-    fn snapshot_since(&self, base: Option<u64>) -> (u64, DeltaChange, ErrorEnvelope) {
-        self.ops.note_query();
-        let minimum = self.reg.min();
-        let state = SnapshotState::MinRegister { minimum };
-        scalar_reply(base, minimum, state, self.envelope(minimum))
-    }
-
-    fn op_stats(&self) -> ObjectStats {
-        self.ops.stats()
-    }
-
-    fn check_projection(
-        &self,
-        projection: &History<(u64, u64), u64, u64>,
-    ) -> (Option<bool>, &'static str) {
-        (
-            Some(check_ivl_monotone(&ServedMinSpec, projection).is_ivl()),
-            "minima vs the antitone min-register spec",
-        )
-    }
-}
-
-impl AtomicApply for ServedMinRegister {
-    fn apply_one(&self, key: u64, weight: u64) {
-        self.reg.insert(key);
-        self.ops.note_updates(1, weight);
-    }
-
-    /// `fetch_min` with the peer's minimum (`u64::MAX` is the empty
-    /// sentinel and inserting it is a no-op join either way).
-    fn absorb_state(&self, state: &SnapshotState, observed: u64) -> Result<(), MergeError> {
-        StateShape::MinRegister.admit(state)?;
-        if let SnapshotState::MinRegister { minimum } = state {
-            self.reg.insert(*minimum);
-        }
-        self.ops.note_absorbed(observed);
-        Ok(())
-    }
-}
-
-/// The reply of a kind whose whole state is one scalar that is its own
-/// epoch: `Unchanged` when the client's cache holds it, the state
-/// otherwise.
-fn scalar_reply(
-    base: Option<u64>,
-    epoch: u64,
-    state: SnapshotState,
-    envelope: ErrorEnvelope,
-) -> (u64, DeltaChange, ErrorEnvelope) {
-    let change = if base == Some(epoch) {
-        DeltaChange::Unchanged
-    } else {
-        DeltaChange::Full(state)
-    };
-    (epoch, change, envelope)
-}
-
-/// Shared writer shape for the wait-free objects: updates go straight
-/// to the shared atomics, no lease, no buffer, never busy.
-trait AtomicApply: ServedObject {
-    /// Applies one update to the shared object.
-    fn apply_one(&self, key: u64, weight: u64);
-
-    /// Absorbs a peer's pushed state of this object's own shape into
-    /// the shared object and credits the `observed` weight it covers,
-    /// refusing every other shape.
-    fn absorb_state(&self, state: &SnapshotState, observed: u64) -> Result<(), MergeError>;
-}
-
-struct AtomicWriter<'a, T: AtomicApply + ?Sized> {
-    obj: &'a T,
-}
-
-impl<T: AtomicApply + ?Sized> fmt::Debug for AtomicWriter<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AtomicWriter").finish_non_exhaustive()
-    }
-}
-
-impl<T: AtomicApply + ?Sized> ObjectWriter for AtomicWriter<'_, T> {
-    fn ensure_ready(&mut self) -> Result<(), Refusal> {
-        Ok(())
-    }
-
-    fn apply_batch(&mut self, items: &[(u64, u64)]) {
-        for &(key, weight) in items {
-            self.obj.apply_one(key, weight);
-        }
-    }
-
-    fn absorb(&mut self, state: &SnapshotState, observed: u64) -> Result<(), MergeError> {
-        self.obj.absorb_state(state, observed)
-    }
-
-    fn flush(&mut self) {}
-
-    fn release(&mut self) -> bool {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kinds::countmin::SNAPSHOT_LEDGER_CAP;
+    use crate::kinds::AtomicApply;
     use ivl_merge::MergeableState;
+    use ivl_sketch::CoinFlips;
     use ivl_spec::history::{HistoryBuilder, ObjectId, ProcessId};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn registry() -> ObjectRegistry {
         ObjectRegistry::build(
