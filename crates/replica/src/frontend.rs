@@ -73,7 +73,7 @@ impl ObjectSource for SharedGroup {
     ) -> Result<(), Refusal> {
         let (group, observed) = &mut *self.group();
         group.batch(object, items)?;
-        *observed = observed.saturating_add(crate::weight_of(items));
+        *observed = observed.saturating_add(crate::core::weight_of(items));
         Ok(())
     }
 

@@ -996,3 +996,100 @@ fn a_silent_replica_degrades_the_read_within_the_deadline() {
     // Replica 1 keeps the proxy's held connection, so it is not joined.
     drop(r1);
 }
+
+/// A TCP proxy in front of `upstream` that forwards both ways; once
+/// `trickle` is set, it forwards the replica's bytes one at a time,
+/// `gap` apart — a peer whose every socket read returns in time while
+/// its replies take many deadlines to arrive.
+fn trickling_proxy(
+    upstream: std::net::SocketAddr,
+    gap: Duration,
+    trickle: Arc<AtomicBool>,
+) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind the proxy");
+    let addr = listener.local_addr().expect("proxy address").to_string();
+    std::thread::spawn(move || {
+        for client in listener.incoming().flatten() {
+            client.set_nodelay(true).expect("nodelay");
+            let server = TcpStream::connect(upstream).expect("reach the replica");
+            let halves = [
+                (
+                    client.try_clone().expect("clone"),
+                    server.try_clone().expect("clone"),
+                    None,
+                ),
+                (server, client, Some(Arc::clone(&trickle))),
+            ];
+            for (mut from, mut to, trickle) in halves {
+                std::thread::spawn(move || {
+                    let mut buf = [0u8; 4096];
+                    while let Ok(n @ 1..) = from.read(&mut buf) {
+                        let slow = trickle.as_ref().is_some_and(|t| t.load(Ordering::SeqCst));
+                        let sent = if slow {
+                            buf[..n].iter().try_for_each(|b| {
+                                std::thread::sleep(gap);
+                                to.write_all(std::slice::from_ref(b))
+                            })
+                        } else {
+                            to.write_all(&buf[..n])
+                        };
+                        if sent.is_err() {
+                            break;
+                        }
+                    }
+                    // Either side gone: close both, so the other half ends too.
+                    let _ = from.shutdown(std::net::Shutdown::Both);
+                    let _ = to.shutdown(std::net::Shutdown::Both);
+                });
+            }
+        }
+    });
+    addr
+}
+
+#[test]
+fn a_trickling_replica_degrades_the_read_within_the_deadline() {
+    // Replica 1 sits behind a proxy that starts forwarding its replies
+    // one byte per fifth of a deadline. No socket read ever waits a
+    // whole deadline, but the deadline bounds each reply as a whole:
+    // the merged read serves replica 1 from its cache as stale instead
+    // of waiting out the trickle.
+    let backoff = Duration::from_millis(10);
+    let deadline = backoff * 50;
+    let trickle = Arc::new(AtomicBool::new(false));
+    let (r0, r1) = (
+        spawn_replica(Backend::EventLoop, SEED),
+        spawn_replica(Backend::EventLoop, SEED),
+    );
+    let addrs = vec![
+        r0.addr().to_string(),
+        trickling_proxy(r1.addr(), deadline / 5, Arc::clone(&trickle)),
+    ];
+    let mut group = ReplicaGroup::new(addrs, ReplicaMode::Partition, SEED).expect("group");
+    group.set_backoff(backoff);
+    let mut truth = [0u64; 16];
+    for k in 0..16u64 {
+        group.update(0, k, k + 1).expect("partitioned update");
+        truth[k as usize] += k + 1;
+    }
+    let before = group.query(0, 0).expect("the first read fills both caches");
+    assert_eq!(before.reached, 2);
+
+    trickle.store(true, Ordering::SeqCst);
+    let started = Instant::now();
+    let merged = group.query(0, 3).expect("degraded query");
+    assert!(
+        started.elapsed() < deadline * 2,
+        "a read past a trickling replica took {:?}",
+        started.elapsed()
+    );
+    assert_eq!((merged.reached, merged.total), (1, 2));
+    assert_eq!(
+        merged.parts[1], before.parts[1],
+        "the trickling replica's part is its cache"
+    );
+    assert_freq_within(&merged.envelope, truth[3]);
+    drop(group);
+    drop(r0.join());
+    drop(r1.join());
+}

@@ -17,7 +17,7 @@ use std::fmt;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Process-wide generation counter: every connection a [`Client`]
 /// holds — initial or reconnected — gets a number no other connection
@@ -119,7 +119,8 @@ pub struct Client {
     buf: Vec<u8>,
     /// Reconnect-and-resend attempts allowed per idempotent call.
     reconnect_limit: u32,
-    /// Bound on each connect, read and write; `None` waits forever.
+    /// Bound on each connect, each write and each whole reply; `None`
+    /// waits forever.
     deadline: Option<Duration>,
     /// Replaced (from [`NEXT_GENERATION`]) on every reconnect.
     /// Snapshot caches keyed to this connection (the replica layer's
@@ -140,8 +141,8 @@ impl Client {
         Self::over(TcpStream::connect(addr)?, None)
     }
 
-    /// Connects to a server with `deadline` bounding the connect and
-    /// every socket read and write after it, reconnects included. A
+    /// Connects to a server with `deadline` bounding the connect, every
+    /// socket write and every reply as a whole, reconnects included. A
     /// call that runs past it fails with an error whose
     /// [`timed_out`](ClientError::timed_out) holds, and the connection
     /// must then be dropped: a late reply may still arrive on it.
@@ -215,8 +216,13 @@ impl Client {
     }
 
     /// Writes one request frame, as `encode` appends it, without
-    /// waiting for its reply.
-    fn send_frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), ClientError> {
+    /// waiting for its reply: the send half of a pipelined exchange,
+    /// paired with one [`recv`](Self::recv) per successful send, in send
+    /// order. `encode` is [`Request::encode`], or
+    /// [`protocol::encode_batch`] for a write that borrows its items.
+    /// Nothing is resent: after a failure the connection must be
+    /// dropped, and a fresh one has a new [`generation`](Self::generation).
+    pub fn send(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), ClientError> {
         self.buf.clear();
         encode(&mut self.buf);
         self.stream.write_all(&self.buf)?;
@@ -224,17 +230,20 @@ impl Client {
         Ok(())
     }
 
-    fn send_request(&mut self, req: &Request) -> Result<(), ClientError> {
-        self.send_frame(|buf| req.encode(buf))
-    }
-
-    /// Reads the next response frame, turning a server `Error` reply
-    /// into [`ClientError::Server`].
-    fn read_response(&mut self) -> Result<Response, ClientError> {
+    /// Reads the reply to the oldest unanswered [`send`](Self::send),
+    /// turning a server `Error` reply into [`ClientError::Server`]. Under
+    /// a deadline (see [`connect_with_deadline`](Self::connect_with_deadline))
+    /// the whole reply must arrive within it: the clock is read before
+    /// each socket read, so a peer trickling bytes cannot hold it open.
+    pub fn recv(&mut self) -> Result<Response, ClientError> {
+        let until = self.deadline.map(|d| Instant::now() + d);
         let rsp = loop {
             if let Some(payload) = self.decoder.next_frame()? {
                 self.bytes_in += payload.len() as u64 + 4;
                 break Response::decode(payload)?;
+            }
+            if until.is_some_and(|t| Instant::now() >= t) {
+                return Err(io::Error::from(io::ErrorKind::TimedOut).into());
             }
             match self.decoder.read_from(&mut self.stream) {
                 Ok(0) => return Err(ClientError::Wire(WireError::Truncated)),
@@ -250,8 +259,8 @@ impl Client {
     }
 
     fn roundtrip(&mut self, req: &Request) -> Result<Response, ClientError> {
-        self.send_request(req)?;
-        self.read_response()
+        self.send(|buf| req.encode(buf))?;
+        self.recv()
     }
 
     /// [`roundtrip`](Self::roundtrip) with bounded reconnect-and-resend
@@ -266,46 +275,6 @@ impl Client {
                 }
                 other => return other,
             }
-        }
-    }
-
-    /// Writes a `SNAPSHOT_SINCE` request without waiting for the reply
-    /// — the send half of a pipelined fan-out read across several
-    /// servers. Pair with exactly one
-    /// [`recv_snapshot_delta`](Self::recv_snapshot_delta) per
-    /// successful send, in send order. No reconnect handling on either
-    /// half: a failure means the caller retries on a fresh connection,
-    /// whose moved [`generation`](Self::generation) invalidates any
-    /// delta base chosen against this one.
-    pub fn send_snapshot_since(&mut self, object: u32, base_epoch: u64) -> Result<(), ClientError> {
-        self.send_request(&Request::SnapshotSince { object, base_epoch })
-    }
-
-    /// Reads the reply to one pipelined
-    /// [`send_snapshot_since`](Self::send_snapshot_since).
-    pub fn recv_snapshot_delta(&mut self) -> Result<SnapshotDelta, ClientError> {
-        match self.read_response()? {
-            Response::SnapshotDelta(delta) => Ok(delta),
-            _ => Err(ClientError::Unexpected("wanted SNAPSHOT_DELTA_REPLY")),
-        }
-    }
-
-    /// Writes a `BATCH2` frame of `items` for object `object` without
-    /// waiting for its `ACK` — the send half of
-    /// [`ObjectHandle::batch`], for a caller that must tell a write
-    /// that never fully left (safe to send elsewhere) from one whose
-    /// reply was lost (possibly applied). Pair with one
-    /// [`recv_ack`](Self::recv_ack).
-    pub fn send_batch(&mut self, object: u32, items: &[(u64, u64)]) -> Result<(), ClientError> {
-        self.send_frame(|buf| protocol::encode_batch(buf, object, items))
-    }
-
-    /// Reads the `ACK` of one [`send_batch`](Self::send_batch): the
-    /// connection's cumulative applied-update count.
-    pub fn recv_ack(&mut self) -> Result<u64, ClientError> {
-        match self.read_response()? {
-            Response::Ack { applied } => Ok(applied),
-            _ => Err(ClientError::Unexpected("wanted ACK")),
         }
     }
 
@@ -421,8 +390,13 @@ impl ObjectHandle<'_> {
     /// [`protocol::MAX_BATCH_ITEMS`]); returns the cumulative
     /// applied-update count.
     pub fn batch(&mut self, items: &[(u64, u64)]) -> Result<u64, ClientError> {
-        self.client.send_batch(self.object, items)?;
-        self.client.recv_ack()
+        let object = self.object;
+        self.client
+            .send(|buf| protocol::encode_batch(buf, object, items))?;
+        match self.client.recv()? {
+            Response::Ack { applied } => Ok(applied),
+            _ => Err(ClientError::Unexpected("wanted ACK")),
+        }
     }
 
     /// Queries `key` on this object; returns the object's own error
