@@ -5,7 +5,7 @@
 //! stream, so comments, string literals and the trailing
 //! `#[cfg(test)]` module can never trip (or hide) a finding.
 //!
-//! Ten checks, each encoding an invariant of this repository that
+//! Eleven checks, each encoding an invariant of this repository that
 //! the compiler cannot express:
 //!
 //! 1. **crate-attrs** — every workspace crate's `src/lib.rs` carries
@@ -69,6 +69,12 @@
 //!     `SnapshotCountMin`): the serving stack has one CountMin write
 //!     path (`ShardedPcm`), and the paper's alternatives stay
 //!     reproduction artifacts rather than live options.
+//! 11. **group-core-io** — the non-test code of
+//!     `crates/replica/src/core.rs`, the replica group's decisions,
+//!     names none of `std::net`, `std::thread`, `Instant::now` or
+//!     `Client`: sockets, sleeps and the clock belong to the driver, so
+//!     the core can be run from a schedule given as data. A replica
+//!     crate without a `core.rs` is itself a finding.
 //!
 //! The engine is parameterized by the repository root so the test
 //! suite (and the mutation harness) can point it at fixture trees
@@ -80,7 +86,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The checks, in execution order.
-pub const CHECKS: [&str; 10] = [
+pub const CHECKS: [&str; 11] = [
     "crate-attrs",
     "atomics-conformance",
     "rmw-hazard",
@@ -91,6 +97,7 @@ pub const CHECKS: [&str; 10] = [
     "served-objects",
     "envelope-compose",
     "baselines-boundary",
+    "group-core-io",
 ];
 
 /// Files whose update paths must stay free of CAS-style RMWs. The
@@ -128,6 +135,15 @@ const BASELINES: [&str; 5] = [
     "DelegatedCountMin",
     "MutexCountMin",
     "SnapshotCountMin",
+];
+
+/// What the replica group's core must not name, as token sequences:
+/// sockets, threads, the clock and the blocking client are the driver's.
+const CORE_IO: [&[&str]; 4] = [
+    &["std", ":", ":", "net"],
+    &["std", ":", ":", "thread"],
+    &["Instant", ":", ":", "now"],
+    &["Client"],
 ];
 
 /// One lint violation.
@@ -802,6 +818,49 @@ fn check_baselines_boundary(root: &Path, report: &mut LintReport) {
     }
 }
 
+/// Flags I/O named in the non-test code of the replica group's core,
+/// and a replica crate with no core.
+fn check_group_core_io(root: &Path, report: &mut LintReport) {
+    let src = root.join("crates").join("replica").join("src");
+    if !src.join("lib.rs").exists() {
+        // No replica crate, no core to keep pure.
+        return;
+    }
+    let path = src.join("core.rs");
+    let finding = |line: usize, message: String| LintFinding {
+        check: "group-core-io",
+        file: rel(root, &path),
+        line,
+        message,
+    };
+    let Ok(text) = fs::read_to_string(&path) else {
+        report.findings.push(finding(
+            0,
+            "crates/replica has no src/core.rs: the group's decisions must live in a core \
+             that does no I/O, driven by the blocking group"
+                .to_string(),
+        ));
+        return;
+    };
+    report.files_scanned += 1;
+    let file = ScannedFile::new(&text);
+    for ci in 0..file.code.len() {
+        let Some(seq) = CORE_IO.iter().find(|seq| code_seq_at(&file, ci, seq)) else {
+            continue;
+        };
+        if !file.in_test(ci) {
+            report.findings.push(finding(
+                file.code_tok(ci).line as usize,
+                format!(
+                    "`{}` in the group core: sockets, threads and the clock belong to the \
+                     driver; take time as an `Instant` argument and return the next round",
+                    seq.concat()
+                ),
+            ));
+        }
+    }
+}
+
 /// Runs every check against the repository rooted at `root`.
 pub fn run_lints(root: &Path) -> LintReport {
     let mut report = LintReport::default();
@@ -814,5 +873,6 @@ pub fn run_lints(root: &Path) -> LintReport {
     check_served_objects(root, &mut report);
     check_envelope_compose(root, &mut report);
     check_baselines_boundary(root, &mut report);
+    check_group_core_io(root, &mut report);
     report
 }

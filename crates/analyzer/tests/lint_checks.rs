@@ -527,6 +527,7 @@ fn planted_baseline_import_in_a_serving_crate_is_flagged() {
         "crates/replica/src/lib.rs",
         "//! Fixture crate.\n#![forbid(unsafe_code)]\npub fn f(_: &ivl_concurrent::MutexCountMin) {}\n",
     );
+    fx.write("crates/replica/src/core.rs", "pub fn decide() {}\n");
     // Outside the serving crates a baseline is fine.
     fx.write(
         "crates/bench/src/lib.rs",
@@ -554,6 +555,48 @@ fn planted_baseline_import_in_a_serving_crate_is_flagged() {
 }
 
 #[test]
+fn io_in_the_group_core_is_flagged() {
+    let fx = Fixture::new("lint_fx_group_core");
+    fx.write("crates/replica/src/lib.rs", CLEAN_LIB);
+    fx.write(
+        "crates/replica/src/core.rs",
+        concat!(
+            "use std::net::TcpStream;\n",
+            "use std::time::Instant;\n",
+            "pub fn plan(now: Instant) -> Instant { now }\n",
+            "pub fn tick() -> Instant { Instant::now() }\n",
+            "pub fn wait() { std::thread::yield_now() }\n",
+            "pub fn dial(_: &ivl_service::Client) {}\n",
+            "// A Client or std::net in a comment is not a use; nor is \"Instant::now\".\n",
+            "pub fn refused(_: ivl_service::ClientError) {}\n",
+            "#[cfg(test)]\n",
+            "mod tests {\n",
+            "    fn now() -> std::time::Instant { std::time::Instant::now() }\n",
+            "}\n",
+        ),
+    );
+    let report = run_lints(&fx.root);
+    let found: Vec<usize> = report
+        .findings
+        .iter()
+        .map(|f| {
+            assert_eq!(f.check, "group-core-io", "{}", report.render());
+            assert_eq!(f.file, "crates/replica/src/core.rs");
+            f.line
+        })
+        .collect();
+    assert_eq!(found, [1, 4, 5, 6], "{}", report.render());
+
+    // A replica crate without a core is a finding too.
+    let bare = Fixture::new("lint_fx_group_core_missing");
+    bare.write("crates/replica/src/lib.rs", CLEAN_LIB);
+    let report = run_lints(&bare.root);
+    assert_eq!(report.findings.len(), 1, "{}", report.render());
+    assert_eq!(report.findings[0].check, "group-core-io");
+    assert_eq!(report.findings[0].line, 0);
+}
+
+#[test]
 fn json_report_shape_is_stable() {
     let fx = Fixture::new("lint_fx_json");
     fx.write("crates/x/src/lib.rs", "pub fn f() {}\n");
@@ -567,7 +610,8 @@ fn json_report_shape_is_stable() {
         json.contains(concat!(
             "\"checks\":[\"crate-attrs\",\"atomics-conformance\",\"rmw-hazard\",",
             "\"no-sleep\",\"stale-allow\",\"frame-tags\",\"frame-docs\",",
-            "\"served-objects\",\"envelope-compose\",\"baselines-boundary\"]"
+            "\"served-objects\",\"envelope-compose\",\"baselines-boundary\",",
+            "\"group-core-io\"]"
         )),
         "{json}"
     );
