@@ -9,7 +9,7 @@
 //! `ivl-replica` serves one shared replica group that way.
 //!
 //! Every frame names one registered object by id and routes through
-//! its [`ServedObject`](crate::ServedObject) interface. For the
+//! its [`ServedObject`] interface. For the
 //! CountMin that keeps the single-writer discipline: a threaded
 //! connection checks out a per-(object, shard) lease on its first
 //! update and keeps it until it closes; a reactor thread leases once

@@ -51,7 +51,7 @@
 //! *last* step may depend on the value it reads (a snapshot scan
 //! retires only when two collects agree), so for race detection the
 //! explorer treats any read-performing step of an in-flight operation
-//! as *potentially* response-carrying ([`Footprint::may_rsp`]) — a
+//! as *potentially* response-carrying (`Footprint::may_rsp`) — a
 //! sound over-approximation.
 
 use std::collections::BTreeSet;
