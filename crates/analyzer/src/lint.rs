@@ -72,7 +72,7 @@
 //! 11. **group-core-io** — the non-test code of
 //!     `crates/replica/src/core.rs`, the replica group's decisions,
 //!     names none of `std::net`, `std::thread`, `Instant::now` or
-//!     `Client`: sockets, sleeps and the clock belong to the driver, so
+//!     `Client`: sockets, sleeps and the clock belong to `ReplicaGroup`, so
 //!     the core can be run from a schedule given as data. A replica
 //!     crate without a `core.rs` is itself a finding.
 //!
@@ -138,7 +138,7 @@ const BASELINES: [&str; 5] = [
 ];
 
 /// What the replica group's core must not name, as token sequences:
-/// sockets, threads, the clock and the blocking client are the driver's.
+/// sockets, threads, the clock and the blocking client are `ReplicaGroup`'s.
 const CORE_IO: [&[&str]; 4] = [
     &["std", ":", ":", "net"],
     &["std", ":", ":", "thread"],
@@ -852,8 +852,8 @@ fn check_group_core_io(root: &Path, report: &mut LintReport) {
             report.findings.push(finding(
                 file.code_tok(ci).line as usize,
                 format!(
-                    "`{}` in the group core: sockets, threads and the clock belong to the \
-                     driver; take time as an `Instant` argument and return the next round",
+                    "`{}` in the group core: sockets, threads and the clock belong to \
+                     ReplicaGroup; take time as an `Instant` argument and return the next round",
                     seq.concat()
                 ),
             ));

@@ -8,7 +8,7 @@
 //! at most one frame per replica per round, and folds each round's
 //! [`Outcome`]s back in. Time enters only as an `Instant` argument.
 //! Its answer to a round is a [`Step`]: the next round, the next round
-//! not before some instant, or the result. A driver does the sends.
+//! not before some instant, or the result. `ReplicaGroup` does the sends.
 
 use crate::{MergedRead, ReplicaError, ReplicaMode};
 use ivl_merge::kinds::{self, Seeded};
@@ -51,7 +51,7 @@ impl Frame<'_> {
 /// The sends of one round, in send order; no replica appears twice.
 pub(crate) type Round<'a> = Vec<(usize, Frame<'a>)>;
 
-/// How one send of a round ended, classified once by the driver.
+/// How one send of a round ended, classified once by `ReplicaGroup`.
 #[derive(Debug)]
 pub(crate) enum Outcome {
     /// The replica answered, the exchange moving (bytes out, bytes in).
@@ -120,7 +120,7 @@ struct Ledger {
     /// Connects failed (or round trips timed out) in a row, and until
     /// when no connect is tried (see [`GroupCore::connect_failed`]).
     down: Option<(u32, Instant)>,
-    /// The generation of the connection the driver holds, if any.
+    /// The generation of the connection the group holds, if any.
     link: Option<u64>,
     /// Update weight this group routed here and saw acknowledged,
     /// per object.
@@ -371,7 +371,7 @@ impl GroupCore {
         ledger.link = Some(generation);
     }
 
-    /// Records that the driver dropped replica `i`'s connection.
+    /// Records that the group dropped replica `i`'s connection.
     pub(crate) fn unlink(&mut self, i: usize) {
         self.ledgers[i].link = None;
     }
@@ -401,7 +401,7 @@ impl GroupCore {
     }
 
     /// Folds a round's outcomes: first the health each one implies (the
-    /// driver dropped every connection that died, timed out or lost its
+    /// group dropped every connection that died, timed out or lost its
     /// framing), then the operation's own accounting.
     pub(crate) fn fold<'a, O: Op<'a>>(
         &mut self,

@@ -87,12 +87,12 @@
 //! typed [`ReplicaError::MergeMismatch`] (the wire's `MergeMismatch`
 //! through a frontend), never a panic.
 //!
-//! **Core and driver** (DESIGN §11.2). Every decision above lives in a
+//! **Core and I/O** (DESIGN §11.2). Every decision above lives in a
 //! sans-I/O core (`core.rs`) that plans each operation as rounds of
 //! `(replica, frame)` sends and folds the classified outcomes back in,
-//! taking time only as an argument. [`ReplicaGroup`] is the blocking
-//! driver: it owns the connections, and one function does every socket
-//! call of every round.
+//! taking time only as an argument. [`ReplicaGroup`] runs it over
+//! blocking sockets: it owns the connections, and one function does
+//! every socket call of every round.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -239,7 +239,7 @@ pub struct MergedRead {
 
 /// A client-side replica group: N backends speaking the ordinary
 /// `ivl-service` protocol, one merged answer. The decisions are the
-/// group core's; this is the blocking driver that does its socket
+/// group core's; this is the blocking loop that does its socket
 /// calls, all of them in one exchange per round.
 #[derive(Debug)]
 pub struct ReplicaGroup {
