@@ -166,8 +166,7 @@ impl ShardedPcm {
     ///
     /// Panics if `shards` is 0.
     pub fn new(params: CountMinParams, shards: usize, coins: &mut CoinFlips) -> Self {
-        let proto = CountMin::new(params, coins);
-        Self::from_prototype(&proto, shards)
+        Self::with_hashes(params, params.draw_hashes(coins), shards)
     }
 
     /// Creates a sharded sketch sharing the hashes of an (empty)
@@ -177,16 +176,27 @@ impl ShardedPcm {
     ///
     /// Panics if the prototype is non-empty or `shards` is 0.
     pub fn from_prototype(proto: &CountMin, shards: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
         assert_eq!(
             ivl_sketch::FrequencySketch::stream_len(proto),
             0,
             "prototype must be empty"
         );
-        let params = proto.params();
+        Self::with_hashes(proto.params(), proto.hashes().to_vec(), shards)
+    }
+
+    /// Creates a sharded sketch over row hashes already drawn (by
+    /// [`CountMinParams::draw_hashes`]): the shards' cells are the only
+    /// matrices it allocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is 0 or there is not one hash per row.
+    pub fn with_hashes(params: CountMinParams, hashes: Vec<PairwiseHash>, shards: usize) -> Self {
+        assert!(shards > 0, "need at least one shard");
+        assert_eq!(hashes.len(), params.depth, "one hash per row");
         ShardedPcm {
             params,
-            hashes: proto.hashes().to_vec(),
+            hashes,
             shards: (0..shards)
                 .map(|_| CellArena::new(params.depth, params.width))
                 .collect(),

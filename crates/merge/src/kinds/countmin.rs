@@ -27,7 +27,7 @@ use crate::{
     fp_mix, put_u64s, take_f64, take_u32, take_u64, CellRun, ComposeError, ErrorEnvelope,
     MergeError, MergePolicy, SnapshotState, StatePatch, StateShape, FP_PROBES, SHORT_BODY,
 };
-use ivl_sketch::countmin::{CountMin, CountMinParams};
+use ivl_sketch::countmin::CountMinParams;
 use ivl_sketch::hash::PairwiseHash;
 use ivl_sketch::CoinFlips;
 use std::fmt;
@@ -161,17 +161,33 @@ pub fn cm_hash_fingerprint(hashes: &[PairwiseHash]) -> u64 {
     acc
 }
 
-/// The empty prototype `coins` sample at `params`, with its shape — the
+/// What a CountMin's coins fix: its dimensions and row hashes, with no
+/// cells — all a merged read needs to locate a key's cells, and all a
+/// served CountMin needs beside its shards.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CountMinHashes {
+    /// The sketch dimensions.
+    pub params: CountMinParams,
+    /// One hash per row, drawn by [`CountMinParams::draw_hashes`].
+    pub hashes: Vec<PairwiseHash>,
+}
+
+/// The row hashes `coins` sample at `params`, with their shape — the
 /// one construction a served CountMin and a replica group's seed check
-/// share.
-pub fn seeded_count_min(params: CountMinParams, coins: &mut CoinFlips) -> (StateShape, CountMin) {
-    let proto = CountMin::new(params, coins);
+/// share. It draws the coins [`CountMin::new`] would, in the same order.
+///
+/// [`CountMin::new`]: ivl_sketch::countmin::CountMin::new
+pub fn seeded_count_min(
+    params: CountMinParams,
+    coins: &mut CoinFlips,
+) -> (StateShape, CountMinHashes) {
+    let hashes = params.draw_hashes(coins);
     let shape = StateShape::CountMin {
         width: params.width as u32,
         depth: params.depth as u32,
-        hash_fp: cm_hash_fingerprint(proto.hashes()),
+        hash_fp: cm_hash_fingerprint(&hashes),
     };
-    (shape, proto)
+    (shape, CountMinHashes { params, hashes })
 }
 
 /// The CountMin variant's `(width, depth, hash_fp, cells)`; the enums
@@ -212,8 +228,8 @@ impl Kind for CountMinKind {
     type State = SnapshotState;
     type Shape = StateShape;
     type Envelope = ErrorEnvelope;
-    /// The empty sketch whose row hashes locate a key's cells.
-    type Proto = CountMin;
+    /// The row hashes that locate a key's cells.
+    type Proto = CountMinHashes;
 
     fn shape(state: &SnapshotState) -> StateShape {
         let (width, depth, hash_fp, _) = fields(state);
@@ -352,7 +368,7 @@ impl Kind for CountMinKind {
     fn seed(
         shape: &StateShape,
         coins: &mut CoinFlips,
-    ) -> Result<(StateShape, CountMin), MergeError> {
+    ) -> Result<(StateShape, CountMinHashes), MergeError> {
         let &StateShape::CountMin { width, depth, .. } = shape else {
             unreachable!("dispatched on its kind")
         };
@@ -366,7 +382,7 @@ impl Kind for CountMinKind {
     /// The point estimate of `key` over the merged cells: the minimum of
     /// its cell in every row.
     fn answer(
-        proto: &mut CountMin,
+        proto: &mut CountMinHashes,
         merged: &SnapshotState,
         _moved: bool,
         key: Option<u64>,
@@ -376,10 +392,14 @@ impl Kind for CountMinKind {
             unreachable!("dispatched on its kind")
         };
         let cells = fields(merged).3;
+        let width = proto.params.width;
         env.key = key.unwrap_or(0);
         env.estimate = key.map_or(0, |k| {
-            (0..proto.params().depth)
-                .map(|row| cells[proto.cell_index(row, k)])
+            proto
+                .hashes
+                .iter()
+                .enumerate()
+                .map(|(row, h)| cells[row * width + h.hash(k)])
                 .min()
                 .unwrap_or(0)
         });

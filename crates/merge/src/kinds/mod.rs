@@ -30,7 +30,7 @@ mod hll;
 mod min;
 mod morris;
 
-pub use countmin::{cm_hash_fingerprint, seeded_count_min, CountMinKind, Envelope};
+pub use countmin::{cm_hash_fingerprint, seeded_count_min, CountMinHashes, CountMinKind, Envelope};
 pub use hll::{hll_hash_fingerprint, hll_shape, HllKind};
 pub use min::MinKind;
 pub use morris::MorrisKind;

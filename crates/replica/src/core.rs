@@ -351,7 +351,8 @@ impl GroupCore {
     }
 
     /// The bound on every round trip to a replica — its connect, each
-    /// write and each whole reply — derived from `backoff` so that no
+    /// write, and a round's replies together (each reply still unread
+    /// past it gets one `backoff` more) — derived from `backoff` so that no
     /// option is added: a replica silent for this long is treated as
     /// down. It is shorter than the widest down window.
     pub(crate) fn deadline(&self) -> Duration {

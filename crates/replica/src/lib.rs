@@ -38,11 +38,12 @@
 //! inside which the replica is not dialled: reads serve it from its
 //! cache (see below) or, with none, drop it from the merge, and writes
 //! fail over, so the group degrades to the reachable quorum rather than
-//! erroring or stalling. Every round trip has a deadline of 50
-//! backoffs (its connect, each write, and each reply as a whole): a
-//! replica that accepts bytes and never answers, or trickles them,
-//! costs one deadline, then sits out the widest down window like a dead
-//! one. The merged frequency
+//! erroring or stalling. Every connect and write has a deadline of 50
+//! backoffs, and so do a round's replies together, with one backoff of
+//! grace for each reply still unread past it: replicas that accept
+//! bytes and never answer, or trickle them, cost the round one
+//! deadline however many they are, then sit out the widest down window
+//! like dead ones. The merged frequency
 //! envelope *widens* to account for what the merge can no longer see:
 //! in partition mode the missing replica's recorded update weight
 //! (its last observed count) is added to `lag` — acknowledged weight
@@ -380,9 +381,12 @@ impl ReplicaGroup {
     /// Does one round's socket calls: dials each replica that has no
     /// connection where its down window allows, writes every frame, then
     /// reads the replies in send order, so a round costs one round trip
-    /// however many replicas it reaches. Each failure is classified once,
-    /// and a connection that failed is dropped: a late reply is never
-    /// read as the answer to a later request.
+    /// however many replicas it reaches. The replies share one deadline,
+    /// fixed when the last frame has left: a reply still unread past it
+    /// gets one backoff of grace, so k silent replicas cost one deadline,
+    /// not k. Each failure is classified once, and a connection that
+    /// failed is dropped: a late reply is never read as the answer to a
+    /// later request.
     fn exchange(&mut self, round: &Round<'_>) -> Vec<(usize, Outcome)> {
         let mut outcomes = Vec::with_capacity(round.len());
         // Per frame that left, its place in `outcomes` and bytes out.
@@ -408,13 +412,14 @@ impl ReplicaGroup {
             };
             outcomes.push((i, outcome));
         }
+        let until = Instant::now() + self.core.deadline();
         for (k, out) in sent {
             let i = outcomes[k].0;
             let c = self.clients[i]
                 .as_mut()
                 .expect("one frame per replica per round");
             let in0 = c.wire_bytes().1;
-            outcomes[k].1 = match c.recv() {
+            outcomes[k].1 = match c.recv_by(until, self.core.backoff) {
                 Ok(rsp) => Outcome::Reply(rsp, (out, c.wire_bytes().1 - in0)),
                 Err(e) => {
                     let outcome = classify(e, true);

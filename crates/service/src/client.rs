@@ -10,7 +10,7 @@
 //! share the connection, so only one may be in flight at a time.
 
 use crate::metrics::StatsReport;
-use crate::objects::{ObjectInfo, ObjectSnapshot, SnapshotDelta, SnapshotState};
+use crate::objects::{ObjectInfo, ObjectSnapshot, SnapshotDelta};
 use crate::protocol::{self, ErrorCode, FrameDecoder, Request, Response, WireError};
 use crate::ErrorEnvelope;
 use std::fmt;
@@ -237,13 +237,39 @@ impl Client {
     /// each socket read, so a peer trickling bytes cannot hold it open.
     pub fn recv(&mut self) -> Result<Response, ClientError> {
         let until = self.deadline.map(|d| Instant::now() + d);
+        self.recv_until(until, Duration::ZERO)
+    }
+
+    /// [`recv`](Self::recv) against a deadline `until` the caller fixed,
+    /// one for several pipelined replies: a reply read before `until`
+    /// is read exactly as by `recv`. Past it, the reply gets one more
+    /// `grace` — a bytes-already-here window, set on the socket only on
+    /// this slow path — and then fails with an error whose
+    /// [`timed_out`](ClientError::timed_out) holds, after which the
+    /// connection must be dropped.
+    pub fn recv_by(&mut self, until: Instant, grace: Duration) -> Result<Response, ClientError> {
+        self.recv_until(Some(until), grace)
+    }
+
+    fn recv_until(
+        &mut self,
+        mut until: Option<Instant>,
+        grace: Duration,
+    ) -> Result<Response, ClientError> {
+        // Whether the reply ran past the caller's deadline into its grace.
+        let mut late = false;
         let rsp = loop {
             if let Some(payload) = self.decoder.next_frame()? {
                 self.bytes_in += payload.len() as u64 + 4;
                 break Response::decode(payload)?;
             }
-            if until.is_some_and(|t| Instant::now() >= t) {
-                return Err(io::Error::from(io::ErrorKind::TimedOut).into());
+            let now = Instant::now();
+            if until.is_some_and(|t| now >= t) {
+                if late || grace.is_zero() {
+                    return Err(io::Error::from(io::ErrorKind::TimedOut).into());
+                }
+                self.stream.set_read_timeout(Some(grace))?;
+                (until, late) = (Some(now + grace), true);
             }
             match self.decoder.read_from(&mut self.stream) {
                 Ok(0) => return Err(ClientError::Wire(WireError::Truncated)),
@@ -252,6 +278,10 @@ impl Client {
                 Err(e) => return Err(e.into()),
             }
         };
+        if late {
+            // The connection stays: give its next read the whole deadline back.
+            self.stream.set_read_timeout(self.deadline)?;
+        }
         if let Response::Error { code, message } = rsp {
             return Err(ClientError::Server { code, message });
         }
@@ -275,30 +305,6 @@ impl Client {
                 }
                 other => return other,
             }
-        }
-    }
-
-    /// Pushes a peer's mergeable state into object `object` for the
-    /// server to absorb (merge into its live structure), crediting
-    /// `observed` toward the object's stream length — the anti-entropy
-    /// write primitive of replica catch-up. Returns the object's epoch
-    /// after the merge. **Never silently retried**: absorbing an
-    /// additive state (a CountMin cell matrix) twice double-counts, so
-    /// like updates, a dead connection mid-roundtrip surfaces as an
-    /// error and the caller owns the retry decision.
-    pub fn push_state(
-        &mut self,
-        object: u32,
-        observed: u64,
-        state: SnapshotState,
-    ) -> Result<u64, ClientError> {
-        match self.roundtrip(&Request::PushState {
-            object,
-            observed,
-            state,
-        })? {
-            Response::Absorbed { epoch, .. } => Ok(epoch),
-            _ => Err(ClientError::Unexpected("wanted ABSORBED")),
         }
     }
 

@@ -10,7 +10,7 @@ use crate::wspec::WeightedCmSpec;
 use crate::{Envelope, ErrorEnvelope};
 use ivl_concurrent::{BatchScratch, ShardLease, ShardedPcm};
 use ivl_counter::{IvlBatchedCounter, SharedBatchedCounter};
-use ivl_merge::kinds::{seeded_count_min, CountMinKind};
+use ivl_merge::kinds::{seeded_count_min, CountMinHashes, CountMinKind};
 use ivl_merge::{CellRun, DeltaChange, MergeError, ObjectKind, SnapshotState, StateShape};
 use ivl_sketch::countmin::{CountMin, CountMinParams};
 use ivl_sketch::CoinFlips;
@@ -21,16 +21,14 @@ use std::fmt;
 use std::sync::Mutex;
 
 /// The sharded CountMin as a served object: everything the pre-registry
-/// server kept inline — prototype, [`ShardedPcm`], ingest counter, and
-/// the write-buffer discipline — behind the [`ServedObject`] interface.
+/// server kept inline — [`ShardedPcm`], ingest counter, and the
+/// write-buffer discipline — behind the [`ServedObject`] interface.
 #[derive(Debug)]
 pub struct ServedCountMin {
-    /// Empty prototype fixing the coin flips; `sketch` shares its
-    /// hashes, and `WeightedCmSpec::new(proto.clone())` is the exact
-    /// sequential spec of this object.
-    pub(crate) proto: CountMin,
     /// The shape every full state ships and every absorbed one must have.
     shape: StateShape,
+    /// The shards' cells and the coin flips' row hashes: the only
+    /// width × depth matrices this object holds are the shards'.
     sketch: ShardedPcm,
     /// Stream-weight counter, one single-writer slot per shard.
     ingest: IvlBatchedCounter,
@@ -72,15 +70,15 @@ impl ServedCountMin {
         write_buffer: u64,
         coins: &mut CoinFlips,
     ) -> Self {
-        let (shape, proto) = seeded_count_min(CountMinParams::for_bounds(alpha, delta), coins);
+        let (shape, CountMinHashes { params, hashes }) =
+            seeded_count_min(CountMinParams::for_bounds(alpha, delta), coins);
         ServedCountMin {
             shape,
-            sketch: ShardedPcm::from_prototype(&proto, shards),
+            sketch: ShardedPcm::with_hashes(params, hashes, shards),
             ingest: IvlBatchedCounter::new(shards),
             write_buffer,
             ops: OpCounters::default(),
             ledger: Mutex::new(VecDeque::with_capacity(SNAPSHOT_LEDGER_CAP)),
-            proto,
         }
     }
 
@@ -120,7 +118,7 @@ impl ServedCountMin {
     /// merged state.
     fn envelope(&self, key: u64, estimate: u64) -> ErrorEnvelope {
         let stream_len = self.ingest.read();
-        let params = self.proto.params();
+        let params = self.sketch.params();
         ErrorEnvelope::Frequency(Envelope::new(
             key,
             estimate,
@@ -153,7 +151,7 @@ impl ServedCountMin {
     /// per-shard decomposition is `base_epochs` — up to date, or `None`
     /// when a shard's log lapped the base or sparseness does not pay.
     fn runs_since(&self, base: u64, base_epochs: &[u64]) -> Option<DeltaChange> {
-        let params = self.proto.params();
+        let params = self.sketch.params();
         let dirty = self.sketch.dirty_spans_since(base_epochs)?;
         // A run costs 12 bytes of header plus its cells; fall back to
         // the full frame when sparseness does not pay.
@@ -180,7 +178,7 @@ impl ServedCountMin {
 
     /// The sketch dimensions in force.
     pub fn params(&self) -> CountMinParams {
-        self.proto.params()
+        self.sketch.params()
     }
 
     /// The shared sharded sketch (reads are always allowed).
@@ -193,10 +191,13 @@ impl ServedCountMin {
         self.ingest.read()
     }
 
-    /// The exact sequential spec of this object (clones the empty
-    /// prototype, so the spec carries the same sampled hashes).
+    /// The exact sequential spec of this object: an empty sketch over
+    /// the same sampled hashes, built on request.
     pub fn spec(&self) -> WeightedCmSpec {
-        WeightedCmSpec::new(self.proto.clone())
+        WeightedCmSpec::new(CountMin::with_hashes(
+            self.sketch.params(),
+            self.sketch.hashes().to_vec(),
+        ))
     }
 
     /// The deferred-visibility bound advertised in every envelope: at
@@ -225,7 +226,7 @@ impl ServedObject for ServedCountMin {
             obj: self,
             metrics,
             lease: None,
-            scratch: BatchScratch::with_capacity(self.proto.params().depth, frame),
+            scratch: BatchScratch::with_capacity(self.sketch.params().depth, frame),
         })
     }
 
@@ -356,7 +357,7 @@ impl ObjectWriter for CmWriter<'_> {
     /// its substream locally.
     fn absorb(&mut self, state: &SnapshotState, observed: u64) -> Result<(), MergeError> {
         self.obj.shape.admit(state)?;
-        let params = self.obj.proto.params();
+        let params = self.obj.sketch.params();
         match state {
             // A state built in-process can name the served dimensions
             // and still carry another number of cells.

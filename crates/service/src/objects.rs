@@ -737,7 +737,7 @@ mod tests {
                 let params = cm.params();
                 assert_eq!(*width as usize, params.width);
                 assert_eq!(*depth as usize, params.depth);
-                assert_eq!(*hash_fp, cm_hash_fingerprint(cm.proto.hashes()));
+                assert_eq!(*hash_fp, cm_hash_fingerprint(cm.sketch().hashes()));
                 assert_eq!(cells.len(), params.width * params.depth);
                 // Row 0 holds the whole stream weight.
                 let row0: u64 = cells[..params.width].iter().sum();

@@ -22,7 +22,7 @@
 //! envelope.
 //!
 //! Shutdown is graceful: a `SHUTDOWN` frame (or
-//! [`ServerHandle::shutdown`]) stops the accept loop; connections
+//! [`ServerHandle::shutdown`]) stops accepting; connections
 //! already open keep being served until their clients hang up, and
 //! [`ServerHandle::join`] waits for the drain before returning final
 //! stats and (optionally) the recorded history of every operation the
@@ -309,7 +309,7 @@ fn unknown_object(registry: &ObjectRegistry, object: u32) -> Refusal {
     }
 }
 
-/// State shared by the accept loop and every connection thread.
+/// State shared by every serving thread of one server.
 struct Shared<S> {
     cfg: ServerConfig,
     /// The served objects, routed by the object id in each frame.
@@ -340,8 +340,8 @@ impl<S> Shared<S> {
                 // before serving anything.
                 let _ = TcpStream::connect(self.addr);
             } else {
-                // Event-loop backend: wake every poller; accept loop
-                // and reactors re-check the flag and drain.
+                // Event-loop backend: wake every poller; reactor 0
+                // drops the listener, and every reactor drains.
                 for poller in wakers.iter() {
                     let _ = poller.notify();
                 }
@@ -954,6 +954,116 @@ mod tests {
         assert!(h.wait_for_free_shard(Duration::from_secs(5)));
     }
 
+    /// Polls the live stats until `active` connections remain (the
+    /// server reaps a hung-up peer on its own schedule).
+    fn await_active(h: &ServerHandle, active: u64) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while h.stats().active != active {
+            assert!(Instant::now() < deadline, "never reached {active} active");
+            thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    fn connection_gate_turns_the_next_connection_away(backend: Backend) {
+        let cfg = ServerConfig {
+            max_connections: 2,
+            ..config_with(backend, 2, false)
+        };
+        let h = serve("127.0.0.1:0", cfg).unwrap();
+        let mut a = Client::connect(h.addr()).unwrap();
+        let mut b = Client::connect(h.addr()).unwrap();
+        a.object_id(0).update(1, 1).unwrap();
+        b.object_id(0).update(2, 1).unwrap();
+        // One past the limit: answered busy unasked, then closed.
+        let mut turned = TcpStream::connect(h.addr()).unwrap();
+        let max = protocol::DEFAULT_MAX_FRAME_LEN;
+        let frame = protocol::read_frame(&mut turned, max)
+            .unwrap()
+            .expect("a busy reply");
+        assert_eq!(
+            Response::decode(&frame).unwrap(),
+            Response::Error {
+                code: ErrorCode::Busy,
+                message: "connection limit reached".into(),
+            }
+        );
+        assert_eq!(protocol::read_frame(&mut turned, max).unwrap(), None);
+        // The admitted connections keep being served.
+        assert_eq!(a.object_id(0).update(1, 1).unwrap(), 2);
+        assert!(freq(&mut b, 2).estimate >= 1);
+        // A freed slot admits a new connection.
+        drop(a);
+        await_active(&h, 1);
+        let mut c = Client::connect(h.addr()).unwrap();
+        assert!(freq(&mut c, 1).estimate >= 2);
+        let stats = h.stats();
+        assert_eq!((stats.accepted, stats.rejected), (3, 1));
+        drop((b, c));
+        h.join();
+    }
+
+    #[test]
+    fn connection_gate_turns_the_next_connection_away_threaded() {
+        connection_gate_turns_the_next_connection_away(Backend::Threaded);
+    }
+
+    #[test]
+    fn connection_gate_turns_the_next_connection_away_event_loop() {
+        connection_gate_turns_the_next_connection_away(Backend::EventLoop);
+    }
+
+    #[test]
+    fn event_loop_places_connections_round_robin() {
+        // Connection k lands on reactor k mod shards: two writing
+        // connections on a 2-shard event loop sit on different reactors,
+        // so both shard leases are held.
+        let h = serve("127.0.0.1:0", config_with(Backend::EventLoop, 2, false)).unwrap();
+        let mut a = Client::connect(h.addr()).unwrap();
+        a.object_id(0).update(1, 1).unwrap();
+        assert!(h.wait_for_free_shard(Duration::from_millis(10)));
+        let mut b = Client::connect(h.addr()).unwrap();
+        b.object_id(0).update(2, 1).unwrap();
+        assert!(!h.wait_for_free_shard(Duration::from_millis(10)));
+        drop((a, b));
+        h.join();
+    }
+
+    fn join_returns_when_a_client_connects_during_shutdown(backend: Backend) {
+        let h = serve("127.0.0.1:0", config_with(backend, 2, false)).unwrap();
+        let mut held = Client::connect(h.addr()).unwrap();
+        held.object_id(0).update(1, 1).unwrap();
+        h.shutdown();
+        // Past the shutdown the listener is gone or going: the connect
+        // is refused, or the socket is reset unserved.
+        if let Ok(mut late) = TcpStream::connect(h.addr()) {
+            late.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut frame = Vec::new();
+            Request::Stats.encode(&mut frame);
+            let _ = late.write_all(&frame);
+            match late.read(&mut [0u8; 1]) {
+                Ok(0) => {}
+                Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+                other => panic!("a connection made during shutdown got {other:?}"),
+            }
+        }
+        // The connection open before shutdown drains as usual.
+        assert_eq!(held.object_id(0).update(1, 1).unwrap(), 2);
+        drop(held);
+        let joined = h.join();
+        assert_eq!(joined.stats.accepted, 1);
+        assert_eq!(joined.stats.updates, 2);
+    }
+
+    #[test]
+    fn join_returns_when_a_client_connects_during_shutdown_threaded() {
+        join_returns_when_a_client_connects_during_shutdown(Backend::Threaded);
+    }
+
+    #[test]
+    fn join_returns_when_a_client_connects_during_shutdown_event_loop() {
+        join_returns_when_a_client_connects_during_shutdown(Backend::EventLoop);
+    }
+
     #[test]
     fn malformed_frames_get_protocol_errors_not_closure() {
         let h = serve("127.0.0.1:0", config(1, false)).unwrap();
@@ -1036,8 +1146,27 @@ mod tests {
         snapshots_serve_mergeable_state(Backend::EventLoop);
     }
 
+    /// One `PUSH_STATE` round trip: the object's epoch after the
+    /// absorb, or the server's refusal.
+    fn push(
+        c: &mut Client,
+        object: u32,
+        observed: u64,
+        state: SnapshotState,
+    ) -> Result<u64, crate::client::ClientError> {
+        let request = Request::PushState {
+            object,
+            observed,
+            state,
+        };
+        c.send(|buf| request.encode(buf))?;
+        match c.recv()? {
+            Response::Absorbed { epoch, .. } => Ok(epoch),
+            other => panic!("wanted ABSORBED, got {other:?}"),
+        }
+    }
+
     fn push_state_absorbs_a_peer_snapshot(backend: Backend) {
-        use crate::objects::SnapshotState;
         let objects = || {
             vec![
                 ObjectConfig::new("cm", ObjectKind::CountMin),
@@ -1076,7 +1205,7 @@ mod tests {
                 2 => 0,
                 _ => 1,
             };
-            b.push_state(id, observed, snap.state).unwrap();
+            push(&mut b, id, observed, snap.state).unwrap();
         }
         let env = freq(&mut b, 7);
         assert!(
@@ -1113,7 +1242,7 @@ mod tests {
         let mut c = Client::connect(hc.addr()).unwrap();
         c.object_id(0).update(7, 1).unwrap();
         let alien = c.object_id(0).snapshot().unwrap();
-        let err = b.push_state(0, 1, alien.state).unwrap_err();
+        let err = push(&mut b, 0, 1, alien.state).unwrap_err();
         assert!(
             matches!(
                 &err,
@@ -1125,9 +1254,7 @@ mod tests {
             "expected merge-mismatch, got {err:?}"
         );
         // So is a state of the wrong kind entirely.
-        let err = b
-            .push_state(1, 0, SnapshotState::Morris { exponent: 3 })
-            .unwrap_err();
+        let err = push(&mut b, 1, 0, SnapshotState::Morris { exponent: 3 }).unwrap_err();
         assert!(
             matches!(
                 &err,
@@ -1139,9 +1266,7 @@ mod tests {
             "expected kind mismatch, got {err:?}"
         );
         // And an unknown object id stays unknown-object.
-        let err = b
-            .push_state(9, 0, SnapshotState::Morris { exponent: 3 })
-            .unwrap_err();
+        let err = push(&mut b, 9, 0, SnapshotState::Morris { exponent: 3 }).unwrap_err();
         assert!(matches!(
             &err,
             crate::client::ClientError::Server {

@@ -1,15 +1,18 @@
 //! The event-loop serving backend: a hand-rolled epoll reactor.
 //!
-//! Layout: one nonblocking accept thread plus `shards` reactor
-//! threads, all driven by the vendored [`polling`] shim
-//! (edge-triggered epoll + an eventfd waker). The accept thread
-//! drains `accept` until `WouldBlock`, applies the connection-limit
-//! gate, and hands sockets round-robin to reactor mailboxes. Each
-//! reactor owns a slice of connections as explicit state machines:
-//! reads go through the resumable [`FrameDecoder`] (so frames split
-//! across arbitrary packet boundaries decode incrementally, zero-copy
-//! from a reusable ring buffer), writes drain a backpressure-aware
-//! queue with vectored writes.
+//! Layout: `shards` reactor threads and no other, all driven by the
+//! vendored [`polling`] shim (edge-triggered epoll + an eventfd waker).
+//! Reactor 0 also owns the listener: on each listener edge it accepts
+//! until `WouldBlock`, applies the connection-limit gate, and places
+//! admitted connection *k* on reactor *k* mod `shards` — its own share
+//! it adopts in the same wakeup, the rest it posts to the other
+//! reactors' mailboxes. Each reactor owns a slice of connections as
+//! explicit state machines: reads go through the resumable
+//! [`FrameDecoder`] (so frames split across arbitrary packet
+//! boundaries decode incrementally, zero-copy from a reusable ring
+//! buffer), writes drain a backpressure-aware queue with vectored
+//! writes. On shutdown reactor 0 drops the listener and closes the
+//! mailboxes; every reactor then drains its connections and exits.
 //!
 //! IVL semantics are backend-invariant by construction: every frame
 //! goes through [`super::serve_frame`] — the same decode → route →
@@ -50,98 +53,144 @@ const MAX_IOVS: usize = 16;
 /// retire at once.
 const SPARE_RESPONSES: usize = 16;
 
-/// The listener's key in the accept thread's poller.
+/// The listener's key in reactor 0's poller; connection keys start
+/// above it.
 const LISTENER_KEY: usize = 0;
 
-/// One reactor's cross-thread handoff point.
+/// How reactor 0 reaches another reactor.
 struct Mailbox {
     poller: Arc<Poller>,
-    /// Sockets handed over by the accept thread, with their global
-    /// connection ids (= recording `ProcessId`s).
-    inbox: Mutex<Vec<(TcpStream, u32)>>,
+    inbox: Mutex<Inbox>,
 }
 
-/// Starts the event-loop backend: reactor threads first, then the
-/// accept thread, whose join handle yields the reactor handles (the
-/// same shape the threaded backend's accept loop returns for its
-/// connection threads, so `ServerHandle::join` is backend-agnostic).
+/// What reactor 0 hands one other reactor.
+#[derive(Default)]
+struct Inbox {
+    /// Admitted sockets with their global connection ids (= recording
+    /// `ProcessId`s), not yet adopted.
+    streams: Vec<(TcpStream, u32)>,
+    /// The listener is gone: no more sockets will arrive.
+    closed: bool,
+}
+
+/// Reactor 0's accept state, held until shutdown.
+struct Acceptor {
+    listener: TcpListener,
+    /// The other reactors' mailboxes: reactor `k`'s at `k - 1`.
+    mailboxes: Vec<Arc<Mailbox>>,
+    next_conn: u32,
+}
+
+/// What a reactor does besides serving its connections.
+enum Role<'m> {
+    /// Reactor 0: accepts for everyone until shutdown takes the
+    /// acceptor.
+    Accept(Option<Acceptor>),
+    /// Every other reactor: adopts what reactor 0 posts here.
+    Adopt(&'m Mailbox),
+}
+
+/// Starts the event-loop backend: reactors 1.. first, then reactor 0
+/// with the listener, whose join handle yields the other reactors'
+/// handles (the same shape the threaded backend's accept loop returns
+/// for its connection threads, so `ServerHandle::join` is
+/// backend-agnostic).
 pub(super) fn spawn<S: ObjectSource>(
     listener: TcpListener,
     shared: Arc<Shared<S>>,
 ) -> io::Result<JoinHandle<Vec<JoinHandle<()>>>> {
     listener.set_nonblocking(true)?;
-    let accept_poller = Arc::new(Poller::new()?);
-    accept_poller.add(&listener, Event::readable(LISTENER_KEY), PollMode::Edge)?;
-    shared.register_waker(Arc::clone(&accept_poller));
+    let poller = Arc::new(Poller::new()?);
+    poller.add(&listener, Event::readable(LISTENER_KEY), PollMode::Edge)?;
+    shared.register_waker(Arc::clone(&poller));
     let reactors = shared.cfg.shards.max(1);
-    let mut mailboxes = Vec::with_capacity(reactors);
-    let mut threads = Vec::with_capacity(reactors);
-    for id in 0..reactors {
-        let poller = Arc::new(Poller::new()?);
-        shared.register_waker(Arc::clone(&poller));
+    let mut mailboxes = Vec::with_capacity(reactors - 1);
+    let mut threads = Vec::with_capacity(reactors - 1);
+    for id in 1..reactors {
         let mailbox = Arc::new(Mailbox {
-            poller,
-            inbox: Mutex::new(Vec::new()),
+            poller: Arc::new(Poller::new()?),
+            inbox: Mutex::default(),
         });
+        shared.register_waker(Arc::clone(&mailbox.poller));
         let thread_shared = Arc::clone(&shared);
         let thread_mailbox = Arc::clone(&mailbox);
         threads.push(
             thread::Builder::new()
                 .name(format!("ivl-reactor-{id}"))
-                .spawn(move || reactor_loop(&thread_shared, &thread_mailbox))?,
+                .spawn(move || {
+                    let mailbox = &*thread_mailbox;
+                    reactor_loop(&thread_shared, &mailbox.poller, Role::Adopt(mailbox));
+                })?,
         );
         mailboxes.push(mailbox);
     }
+    let acceptor = Acceptor {
+        listener,
+        mailboxes,
+        next_conn: 0,
+    };
     thread::Builder::new()
-        .name("ivl-accept".into())
-        .spawn(move || accept_loop(listener, &shared, &accept_poller, &mailboxes, threads))
+        .name("ivl-reactor-0".into())
+        .spawn(move || {
+            reactor_loop(&shared, &poller, Role::Accept(Some(acceptor)));
+            threads
+        })
 }
 
-/// Edge-triggered accept: wait for listener readiness, then accept
-/// until `WouldBlock`.
-fn accept_loop<S>(
-    listener: TcpListener,
-    shared: &Shared<S>,
-    poller: &Poller,
-    mailboxes: &[Arc<Mailbox>],
-    threads: Vec<JoinHandle<()>>,
-) -> Vec<JoinHandle<()>> {
-    let mut events = Vec::new();
-    let mut next_reactor = 0usize;
-    let mut next_conn: u32 = 0;
-    'serve: while !shared.shutdown.load(Ordering::Acquire) {
-        events.clear();
-        if poller.wait(&mut events, None).is_err() {
-            break;
-        }
-        loop {
-            if shared.shutdown.load(Ordering::Acquire) {
-                break 'serve;
-            }
-            let stream = match listener.accept() {
+impl Acceptor {
+    /// Accepts until `WouldBlock` (the listener is edge-triggered),
+    /// turning connections past the gate away, and places admitted
+    /// connection *k* on reactor *k* mod `shards`: reactor 0's own into
+    /// `own`, to adopt in this wakeup, the rest into their mailboxes.
+    fn accept<S>(&mut self, shared: &Shared<S>, own: &mut Vec<(TcpStream, u32)>) {
+        let reactors = self.mailboxes.len() + 1;
+        while !shared.shutdown.load(Ordering::Acquire) {
+            let stream = match self.listener.accept() {
                 Ok((s, _)) => s,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                    ) =>
+                {
+                    continue
+                }
+                // Out of descriptors or memory: retrying now would spin
+                // this reactor. The next connection's edge retries.
+                Err(_) => return,
             };
             if shared.metrics.active() >= shared.cfg.max_connections {
                 reject(stream, shared);
                 continue;
             }
             shared.metrics.connection_accepted();
-            let conn = next_conn;
-            next_conn = next_conn.wrapping_add(1);
-            let mailbox = &mailboxes[next_reactor % mailboxes.len()];
-            next_reactor = next_reactor.wrapping_add(1);
-            mailbox
-                .inbox
-                .lock()
-                .expect("reactor inbox")
-                .push((stream, conn));
+            let conn = self.next_conn;
+            self.next_conn = conn.wrapping_add(1);
+            match (conn as usize % reactors).checked_sub(1) {
+                None => own.push((stream, conn)),
+                Some(k) => {
+                    let mailbox = &self.mailboxes[k];
+                    let mut inbox = mailbox.inbox.lock().expect("reactor inbox");
+                    inbox.streams.push((stream, conn));
+                    drop(inbox);
+                    let _ = mailbox.poller.notify();
+                }
+            }
+        }
+    }
+
+    /// Stops accepting: the listener leaves the poller and closes, and
+    /// every other reactor learns that its inbox has seen its last
+    /// socket.
+    fn close(self, poller: &Poller) {
+        let _ = poller.delete(&self.listener);
+        drop(self.listener);
+        for mailbox in &self.mailboxes {
+            mailbox.inbox.lock().expect("reactor inbox").closed = true;
             let _ = mailbox.poller.notify();
         }
     }
-    threads
 }
 
 /// Per-connection state machine.
@@ -271,9 +320,10 @@ impl Conn {
     }
 }
 
-/// One reactor: adopts mailbox connections, then runs each ready
-/// connection's state machine until it makes no further progress.
-fn reactor_loop<S: ObjectSource>(shared: &Shared<S>, mailbox: &Mailbox) {
+/// One reactor: takes in new connections (reactor 0 from the listener,
+/// the others from their mailboxes), then runs each ready connection's
+/// state machine until it makes no further progress.
+fn reactor_loop<S: ObjectSource>(shared: &Shared<S>, poller: &Poller, mut role: Role<'_>) {
     // The reactor's writer state: one lazily created writer per
     // registered object (for the CountMin, a shard lease plus the
     // local update buffer when write buffering is on) — held until
@@ -286,37 +336,35 @@ fn reactor_loop<S: ObjectSource>(shared: &Shared<S>, mailbox: &Mailbox) {
     let mut next_key = LISTENER_KEY + 1;
     let mut events: Vec<Event> = Vec::new();
     let mut run: Vec<usize> = Vec::new();
+    let mut adopted: Vec<(TcpStream, u32)> = Vec::new();
     loop {
-        if shared.shutdown.load(Ordering::Acquire)
-            && conns.is_empty()
-            && mailbox.inbox.lock().expect("reactor inbox").is_empty()
-        {
-            break;
+        if shared.shutdown.load(Ordering::Acquire) {
+            // Reactor 0 stops accepting first; any other reactor waits
+            // until it has, so no socket is posted to a reactor gone.
+            let accepting = match &mut role {
+                Role::Accept(acceptor) => {
+                    if let Some(acceptor) = acceptor.take() {
+                        acceptor.close(poller);
+                    }
+                    false
+                }
+                Role::Adopt(mailbox) => {
+                    let inbox = mailbox.inbox.lock().expect("reactor inbox");
+                    !inbox.closed || !inbox.streams.is_empty()
+                }
+            };
+            if !accepting && conns.is_empty() {
+                break;
+            }
         }
         events.clear();
-        let ready = match mailbox.poller.wait(&mut events, None) {
+        let ready = match poller.wait(&mut events, None) {
             Ok(n) => n,
             Err(_) => break,
         };
         shared.metrics.record_wakeup(ready as u64);
         run.clear();
-        let adopted = std::mem::take(&mut *mailbox.inbox.lock().expect("reactor inbox"));
-        for (stream, conn) in adopted {
-            let key = next_key;
-            next_key += 1;
-            if stream.set_nonblocking(true).is_err()
-                || mailbox
-                    .poller
-                    .add(&stream, Event::readable(key), PollMode::Edge)
-                    .is_err()
-            {
-                shared.metrics.connection_closed();
-                continue;
-            }
-            let _ = stream.set_nodelay(true);
-            conns.insert(key, Conn::new(stream, conn, shared.cfg.max_frame_len));
-            run.push(key);
-        }
+        let mut listener_ready = false;
         for ev in &events {
             if let Some(conn) = conns.get_mut(&ev.key) {
                 if ev.readable {
@@ -327,7 +375,31 @@ fn reactor_loop<S: ObjectSource>(shared: &Shared<S>, mailbox: &Mailbox) {
                     conn.write_ready = true;
                 }
                 run.push(ev.key);
+            } else if ev.key == LISTENER_KEY {
+                listener_ready = true;
             }
+        }
+        match &mut role {
+            Role::Accept(Some(acceptor)) if listener_ready => acceptor.accept(shared, &mut adopted),
+            Role::Accept(_) => {}
+            Role::Adopt(mailbox) => {
+                adopted.append(&mut mailbox.inbox.lock().expect("reactor inbox").streams);
+            }
+        }
+        for (stream, conn) in adopted.drain(..) {
+            let key = next_key;
+            next_key += 1;
+            if stream.set_nonblocking(true).is_err()
+                || poller
+                    .add(&stream, Event::readable(key), PollMode::Edge)
+                    .is_err()
+            {
+                shared.metrics.connection_closed();
+                continue;
+            }
+            let _ = stream.set_nodelay(true);
+            conns.insert(key, Conn::new(stream, conn, shared.cfg.max_frame_len));
+            run.push(key);
         }
         for &key in &run {
             let alive = match conns.get_mut(&key) {
@@ -336,7 +408,7 @@ fn reactor_loop<S: ObjectSource>(shared: &Shared<S>, mailbox: &Mailbox) {
             };
             if !alive {
                 let conn = conns.remove(&key).expect("pumped above");
-                let _ = mailbox.poller.delete(&conn.stream);
+                let _ = poller.delete(&conn.stream);
                 shared.metrics.connection_closed();
                 continue;
             }
@@ -354,11 +426,14 @@ fn reactor_loop<S: ObjectSource>(shared: &Shared<S>, mailbox: &Mailbox) {
                 } else {
                     Event::readable(key)
                 };
-                let _ = mailbox
-                    .poller
-                    .modify(&conn.stream, interest, PollMode::Edge);
+                let _ = poller.modify(&conn.stream, interest, PollMode::Edge);
             }
         }
+    }
+    // Left by a failed wait with the listener open: the other reactors
+    // must still learn that nothing more will arrive.
+    if let Role::Accept(Some(acceptor)) = role {
+        acceptor.close(poller);
     }
     // Flush any buffered updates, then return the leases to their
     // pools — the event-loop half of the flush-on-drain guarantee.

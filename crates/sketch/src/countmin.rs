@@ -54,6 +54,24 @@ impl CountMinParams {
     pub fn delta(&self) -> f64 {
         (-(self.depth as f64)).exp()
     }
+
+    /// Draws the `depth` row hashes `coins` fix at these dimensions,
+    /// one row after another — the coin flips `c̄` of a `CM(c̄)`, with
+    /// no cells. Every construction of a CountMin's hashes goes through
+    /// here, so equal coins give equal hashes whatever is built on them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is 0.
+    pub fn draw_hashes(&self, coins: &mut CoinFlips) -> Vec<PairwiseHash> {
+        assert!(
+            self.width > 0 && self.depth > 0,
+            "dimensions must be positive"
+        );
+        (0..self.depth)
+            .map(|_| PairwiseHash::draw(coins, self.width as u64))
+            .collect()
+    }
 }
 
 /// The sequential CountMin sketch `CM(c̄)`.
@@ -93,13 +111,17 @@ impl CountMin {
     ///
     /// Panics if either dimension is 0.
     pub fn new(params: CountMinParams, coins: &mut CoinFlips) -> Self {
-        assert!(
-            params.width > 0 && params.depth > 0,
-            "dimensions must be positive"
-        );
-        let hashes = (0..params.depth)
-            .map(|_| PairwiseHash::draw(coins, params.width as u64))
-            .collect();
+        Self::with_hashes(params, params.draw_hashes(coins))
+    }
+
+    /// An empty sketch over row hashes already drawn (by
+    /// [`CountMinParams::draw_hashes`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one hash per row.
+    pub fn with_hashes(params: CountMinParams, hashes: Vec<PairwiseHash>) -> Self {
+        assert_eq!(hashes.len(), params.depth, "one hash per row");
         CountMin {
             params,
             hashes,
